@@ -20,11 +20,12 @@ Reports are byte-deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .errors import RaagmeError
-from .classify import decide_me, decide_oe, invariant_report, rigidity_hypotheses
+from .classify import RigidityReport, decide_me, decide_oe, invariant_report
 from .combinatorics import out_inventory
 from .extension import ball_json, build_ext_ball, ue_restriction
 from .formats import load_presentation, presentation_to_json_dict
@@ -50,7 +51,8 @@ def _defining_graph(p):
 def _cmd_analyze(args):
     p = _load(args.file)
     report = invariant_report(p, ball_bound=args.ball_bound)
-    rig = rigidity_hypotheses(p)
+    rig = RigidityReport(not report.nonabelian_untransvectable_class,
+                         report.all_untransvectable_strongly)
     if args.format == "json":
         doc = report.to_json()
         doc["rigidity_hypotheses"] = rig.to_json()
@@ -198,6 +200,7 @@ def _cmd_subgroups(args):
     return 0, "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="raagme",

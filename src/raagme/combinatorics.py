@@ -119,45 +119,41 @@ class OutInventory:
         return not self.transvections and not self.partial_conjugation_sites
 
 
+def _transvections(g):
+    """Ordered pairs (v, w), v != w, with lk(v) <= st(w), in label order."""
+    verts = g.sorted_vertices()
+    return ((v, w) for v in verts for w in verts if v != w and dominates(g, w, v))
+
+
+def _star_cuts(g):
+    """(v, components of g minus st(v)) for every star that disconnects g."""
+    for v in g.sorted_vertices():
+        rest = g.vertices - star(g, v)
+        if rest:
+            comps = connected_components(full_subgraph(g, rest))
+            if len(comps) >= 2:
+                yield v, comps
+
+
 def out_inventory(g):
     if g.n_vertices == 0:
         raise InputError("automorphism inventory is undefined for the empty graph")
-    verts = g.sorted_vertices()
-    transvections = [(v, w) for v in verts for w in verts
-                     if v != w and dominates(g, w, v)]
-    sites = []
-    for v in verts:
-        rest = g.vertices - star(g, v)
-        if not rest:
-            continue
-        comps = connected_components(full_subgraph(g, rest))
-        if len(comps) >= 2:
-            sites.extend((v, comp) for comp in comps)
     return OutInventory(
-        transvections=tuple(transvections),
-        partial_conjugation_sites=tuple(sites),
-        inversions=tuple(verts),
+        transvections=tuple(_transvections(g)),
+        partial_conjugation_sites=tuple((v, comp) for v, comps in _star_cuts(g)
+                                        for comp in comps),
+        inversions=tuple(g.sorted_vertices()),
         graph_automorphism_count=automorphism_count(g),
     )
 
 
 def has_finite_out(g):
     """No transvections and no partial conjugations, without counting Aut."""
-    verts = g.sorted_vertices()
-    for v in verts:
-        for w in verts:
-            if v != w and dominates(g, w, v):
-                return False
-    for v in verts:
-        rest = g.vertices - star(g, v)
-        if rest and len(connected_components(full_subgraph(g, rest))) >= 2:
-            return False
-    return True
+    return is_transvection_free(g) and next(_star_cuts(g), None) is None
 
 
 def is_transvection_free(g):
-    verts = g.sorted_vertices()
-    return not any(v != w and dominates(g, w, v) for v in verts for w in verts)
+    return next(_transvections(g), None) is None
 
 
 def is_collapsible(g, s):

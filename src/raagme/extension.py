@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 from .combinatorics import has_finite_out, untransvectable_vertices
-from .words import NormalFormWord, canonical_parabolic, enumerate_cyclic_handles
+from .words import (NormalFormWord, ParabolicHandle, canonical_parabolic,
+                    enumerate_cyclic_handles)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class ExtBall:
 
     def handle(self, i):
         node = self.nodes[i]
-        return canonical_parabolic(self.presentation, node.conjugator, {node.vertex})
+        return ParabolicHandle(self.presentation, node.conjugator, frozenset({node.vertex}))
 
 
 def build_ext_ball(p, L):
@@ -101,9 +102,9 @@ def build_ext_ball(p, L):
             length=h.conjugator_length,
             untransvectable=h.type_vertex in untrans,
         ))
-    nodes.sort(key=ExtNode.sort_key)
-    gens = [canonical_parabolic(p, n.conjugator, {n.vertex}).generator_word()
-            for n in nodes]
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key())
+    nodes = [nodes[i] for i in order]
+    gens = [handles[i].generator_word() for i in order]
     inverses = [w.inverse() for w in gens]
     adjacency = [set() for _ in nodes]
     for i in range(len(nodes)):
@@ -160,8 +161,12 @@ def translate_index(b, v_index, w_index):
     g_v is the generator of the cyclic subgroup at v; None when it falls
     outside the ball.
     """
+    return _translate(b, b.handle(v_index).generator_word(), w_index)
+
+
+def _translate(b, gv, w_index):
+    """translate_index with the generator word g_v of node v given."""
     p = b.presentation
-    gv = b.handle(v_index).generator_word()
     w = b.nodes[w_index]
     conj = gv * NormalFormWord(p, w.conjugator)
     h = canonical_parabolic(p, conj, {w.vertex})
@@ -205,12 +210,13 @@ def star_separation_check(b, v_index):
     removed = b.star_of(v_index)
     comp, count = _components(b, removed)
     interior = b.interior()
+    gv = b.handle(v_index).generator_word()
     entries = []
     skipped = 0
     for w in range(b.n_nodes):
         if w in removed:
             continue
-        t = translate_index(b, v_index, w)
+        t = _translate(b, gv, w)
         if t is None:
             skipped += 1
             continue

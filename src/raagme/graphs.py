@@ -9,6 +9,8 @@ is sorted by label (components by their smallest label).
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import InputError
 
 
@@ -51,6 +53,11 @@ class SimpleGraph:
     @property
     def vertices(self):
         return frozenset(self._adj)
+
+    @property
+    def adjacency(self):
+        """Read-only mapping from each vertex to the frozenset of its neighbors."""
+        return MappingProxyType(self._adj)
 
     def sorted_vertices(self):
         return sorted(self._adj)

@@ -45,15 +45,17 @@ class _Canonizer:
         self.adj = adj
         self.init_colors = init_colors
         self.best = None          # (trace, key, order)
+        self.best_prefix = None   # individualized vertices on the path to best
         self.automorphisms = []   # permutations as vertex->vertex lists
 
-    def _leaf(self, colors, trace):
+    def _leaf(self, colors, trace, prefix):
         order = sorted(range(self.n), key=lambda i: colors[i])
         pos = {v: p for p, v in enumerate(order)}
         rows = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
         key = (tuple(self.init_colors[v] for v in order), rows)
         if self.best is None or (trace, key) < (self.best[0], self.best[1]):
             self.best = (trace, key, order)
+            self.best_prefix = prefix
         elif (trace, key) == (self.best[0], self.best[1]):
             # two labelings with the same key differ by an automorphism
             other = self.best[2]
@@ -92,7 +94,7 @@ class _Canonizer:
             if trace[:k] > bt[:k]:
                 return
         if len(set(colors)) == self.n:
-            self._leaf(colors, trace)
+            self._leaf(colors, trace, prefix)
             return
         # smallest color value with a non-singleton cell
         counts = {}
@@ -126,6 +128,24 @@ class _Canonizer:
     def run(self):
         self._search(list(self.init_colors), (), 0, ())
         return self.best
+
+    def group_order(self):
+        """Order of the automorphism group, by orbit-stabilizer along best_prefix.
+
+        Call after run().  A tie never replaces best, so best_prefix leads to
+        the first minimal leaf found.  Every sibling of that path in the orbit
+        of its vertex under the prefix stabilizer is either explored after it
+        (and reaches a minimal leaf, recording an automorphism that maps it
+        onto the path) or pruned as the image of an explored sibling, so the
+        recorded automorphisms give each stabilizer orbit exactly.
+        """
+        order = 1
+        prefix = self.best_prefix
+        for d, b in enumerate(prefix):
+            find = self._cell_orbits(range(self.n), prefix[:d])
+            root = find(b)
+            order *= sum(1 for u in range(self.n) if find(u) == root)
+        return order
 
 
 def _prepare(g, colors):
@@ -210,42 +230,12 @@ def are_isomorphic(g, h, colors_g=None, colors_h=None):
 def automorphism_count(g, colors=None):
     """Order of the (color-preserving) automorphism group.
 
-    Plain backtracking over refinement-compatible images; meant for small
-    defining graphs, not for large highly symmetric inputs.
+    Shares the canonizer's search: the order is read off the automorphisms
+    it records, so it costs one canonical labeling.
     """
     verts, adj, init, _ = _prepare(g, colors)
-    n = len(verts)
-    if n == 0:
+    if not verts:
         return 1
-    colors_r = _refine(n, adj, list(init))
-    adjsets = [frozenset(a) for a in adj]
-    candidates = [[j for j in range(n) if colors_r[j] == colors_r[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(candidates[i]))
-    image = [-1] * n
-    used = [False] * n
-    count = 0
-
-    def extend(k):
-        nonlocal count
-        if k == n:
-            count += 1
-            return
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for t in range(k):
-                a = order[t]
-                if (a in adjsets[i]) != (image[a] in adjsets[j]):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                extend(k + 1)
-                used[j] = False
-        image[i] = -1
-
-    extend(0)
-    return count
+    canonizer = _Canonizer(verts, adj, init)
+    canonizer.run()
+    return canonizer.group_order()

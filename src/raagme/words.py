@@ -108,13 +108,8 @@ def _lex_order(adj, reduced):
     return tuple(out)
 
 
-def _adj_map(p):
-    # the graph's internal label -> frozenset(neighbors) mapping, shared read-only
-    return p.graph._adj
-
-
 def normalize_syllables(p, syllables):
-    adj = _adj_map(p)
+    adj = p.graph.adjacency
     syls = [_validate_syllable(p, s) for s in syllables]
     return _lex_order(adj, _reduce(adj, syls))
 
@@ -183,7 +178,7 @@ def _coerce(p, w):
 
 def multiply_and_normalize(p, w1, w2):
     """Normal form of the product of two words over the presentation p."""
-    adj = _adj_map(p)
+    adj = p.graph.adjacency
     syls = _reduce(adj, _coerce(p, w1))
     for v, e in _coerce(p, w2):
         _push(adj, pile=syls, v=v, e=e)
@@ -268,7 +263,7 @@ def canonical_parabolic(p, conjugator, type_vertices):
     for v in type_vertices:
         if not p.graph.has_vertex(v):
             raise InputError(f"unknown vertex {v!r} in parabolic type")
-    adj = _adj_map(p)
+    adj = p.graph.adjacency
     members = type_vertices | perp(p.graph, type_vertices)
     reduced = _reduce(adj, _coerce(p, conjugator))
     return ParabolicHandle(p, _strip_to_coset_rep(adj, reduced, members), type_vertices)

@@ -3,8 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from raagme.cli import run_command
-from raagme.formats import parse_json_presentation
+from raagme.classify import rigidity_hypotheses
+from raagme.cli import main, run_command
+from raagme.formats import load_presentation, parse_json_presentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -134,6 +135,42 @@ class TestErrorsAndDeterminism:
             first = run(*argv)
             second = run(*argv)
             assert first == second
+
+    def test_repeated_calls_in_one_process(self, capsys):
+        # the parser is built once per process; no flag or default may leak
+        # from one call into the next
+        argvs = (
+            ["out", fx("c5.json"), "--format", "json"],
+            ["extball", fx("f2.json"), "-L", "1", "--ue"],
+            ["extball", fx("f2.json"), "-L", "1"],
+            ["me", fx("c5.json"), fx("c5ranks.json"), "--max-steps", "1"],
+            ["me", fx("c5.json"), fx("c5ranks.json"), "--exit-status"],
+            ["analyze", fx("c5.json"), "--ball-bound", "0"],
+        )
+        first = [run(*argv) for argv in argvs]
+        for _ in range(2):
+            assert main(["frobnicate"]) == 2
+            assert main(["out", fx("c5.json"), "--bogus"]) == 2
+            assert main(["extball", fx("c5.json")]) == 2
+            assert [run(*argv) for argv in argvs] == first
+        capsys.readouterr()
+
+
+def test_analyze_rigidity_block_matches_library(atlas7, tmp_path):
+    path = tmp_path / "g.json"
+    for n in range(1, 8):
+        for i, g in enumerate(atlas7[n]):
+            # every other graph gets a rank-2 vertex, so clique reduction acts
+            ranks = {v: 1 for v in g.sorted_vertices()}
+            ranks[g.sorted_vertices()[0]] += i % 2
+            path.write_text(json.dumps({
+                "vertices": [{"id": v, "rank": r} for v, r in ranks.items()],
+                "edges": [list(e) for e in g.edges()],
+            }))
+            code, out = run("analyze", str(path), "--ball-bound", "0", "--format", "json")
+            assert code == 0
+            expected = rigidity_hypotheses(load_presentation(str(path))).to_json()
+            assert json.loads(out)["rigidity_hypotheses"] == expected
 
 
 def test_console_entry_point_subprocess():

@@ -106,12 +106,14 @@ class TestOutInventory:
         with pytest.raises(InputError):
             out_inventory(SimpleGraph([]))
 
-    def test_matches_bruteforce(self, atlas6):
-        for g in atlas6[4] + atlas6[5]:
-            inv = out_inventory(g)
-            assert list(inv.transvections) == brute_transvections(g)
-            assert list(inv.partial_conjugation_sites) == brute_pc_sites(g)
-            assert inv.out_finite == has_finite_out(g)
+    def test_matches_bruteforce(self, atlas7):
+        for n in range(1, 8):
+            for g in atlas7[n]:
+                inv = out_inventory(g)
+                assert list(inv.transvections) == brute_transvections(g)
+                assert list(inv.partial_conjugation_sites) == brute_pc_sites(g)
+                assert inv.out_finite == has_finite_out(g)
+                assert is_transvection_free(g) == (not inv.transvections)
 
     def test_transvections_match_cv_order(self, atlas6):
         for g in atlas6[5]:

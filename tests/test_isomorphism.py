@@ -1,12 +1,18 @@
 import itertools
+import math
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from helpers import brute_automorphism_count
 
 from raagme.errors import InputError
-from raagme.graphs import SimpleGraph, cycle_graph, path_graph
+from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
 from raagme.isomorphism import (automorphism_count, canonical_form, canonical_hash,
                                 find_isomorphism)
 
@@ -82,6 +88,72 @@ def test_automorphism_count_small():
 def test_automorphism_count_vs_bruteforce(atlas6):
     for g in atlas6[4] + atlas6[5][::2]:
         assert automorphism_count(g) == brute_automorphism_count(g)
+
+
+def nx_automorphism_count(g, colors=None):
+    """Test-only reference: enumerate every automorphism with networkx."""
+    G = nx.Graph()
+    G.add_nodes_from(g.sorted_vertices())
+    G.add_edges_from(g.edges())
+    if colors is None:
+        matcher = GraphMatcher(G, G)
+    else:
+        nx.set_node_attributes(G, colors, "color")
+        matcher = GraphMatcher(G, G, node_match=lambda a, b: a["color"] == b["color"])
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def test_automorphism_count_vs_networkx_atlas(atlas7):
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for g in atlas7[n]:
+            assert automorphism_count(g) == nx_automorphism_count(g)
+            colors = {v: rng.randrange(3) for v in g.sorted_vertices()}
+            assert automorphism_count(g, colors) == nx_automorphism_count(g, colors)
+
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def clique_union(sizes):
+    verts, edges = [], []
+    for i, k in enumerate(sizes):
+        g = complete_graph([f"c{i:02d}.{j:02d}" for j in range(k)])
+        verts += g.sorted_vertices()
+        edges += g.edges()
+    return SimpleGraph(verts, edges)
+
+
+def test_automorphism_count_clique_unions_upto12():
+    # a disjoint union of cliques: permute inside each clique, then permute
+    # cliques of equal size
+    assert automorphism_count(clique_union((1,) * 12)) == 479001600
+    for n in range(1, 13):
+        for sizes in partitions(n):
+            expected = math.prod(math.factorial(k) for k in sizes)
+            expected *= math.prod(math.factorial(m) for m in Counter(sizes).values())
+            assert automorphism_count(clique_union(sizes)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_automorphism_count_relabel_invariant(data):
+    n = data.draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = data.draw(st.permutations(range(n)))
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(verts[i], verts[j]) for (i, j), keep in zip(pairs, mask) if keep]
+    g = SimpleGraph(verts, edges)
+    relabel_map = {verts[i]: f"w{perm[i]}" for i in range(n)}
+    assert automorphism_count(g) == automorphism_count(relabel(g, relabel_map))
 
 
 def test_automorphism_count_with_colors():
