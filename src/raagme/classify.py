@@ -26,9 +26,9 @@ from .errors import DomainError, InputError
 from .combinatorics import (all_untransvectable_strongly, has_finite_out,
                             has_untransvectable_nonabelian_class, untransvectable_vertices)
 from .extension import ball_graph, build_ext_ball, ue_restriction
-from .isomorphism import canonical_hash, find_isomorphism
+from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
-from .subgroups import enumerate_findex_graphs
+from .subgroups import _gluing_classes
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -246,13 +246,19 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
             "the clique-reduced form of H has an untransvectable vertex that is "
             "not strongly untransvectable, while every untransvectable vertex on "
             "the finite-Out side is; measure equivalence preserves this property")
-    result = enumerate_findex_graphs(
-        gamma_g, min(max_vertices, lam.n_vertices), max_steps)
-    for w in result.witnesses:
-        iso = find_isomorphism(w.graph, lam)
-        if iso is not None:
+    # look lam's canonical key up as the search runs; the isomorphism is
+    # read off the two canonical orders, as find_isomorphism does
+    target = canonical_form(lam)
+    classes = _gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps)
+    while True:
+        try:
+            cf, w = next(classes)
+        except StopIteration as done:
+            truncated = done.value
+            break
+        if cf.key == target.key:
             witness = {"chain": w.chain_json(), "index": w.index}
-            witness.update(_iso_witness(iso))
+            witness.update(_iso_witness(dict(zip(cf.order, target.order))))
             return Decision(
                 EQUIVALENT, "finite-index-witness",
                 f"H is a graph product of free abelian groups over the defining "
@@ -264,5 +270,5 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
         "no separating invariant found and no finite-index witness within the "
         "search budget; the star-gluing enumeration is not known to be complete",
         witness={"rigidity_hypotheses": RigidityReport(True, True).to_json(),
-                 "search_truncated": result.truncated},
+                 "search_truncated": truncated},
         budget=budget)

@@ -29,7 +29,7 @@ from .classify import RigidityReport, decide_me, decide_oe, invariant_report
 from .combinatorics import out_inventory
 from .extension import ball_json, build_ext_ball, ue_restriction
 from .formats import load_presentation, presentation_to_json_dict
-from .presentation import clique_reduce, expand_to_raag
+from .presentation import clique_reduce, expand_to_raag, raag
 from .subgroups import enumerate_findex_graphs
 
 VERDICT_EXIT = {"equivalent": 0, "not_equivalent": 1, "unknown": 3}
@@ -162,7 +162,7 @@ def _cmd_me(args):
 
 def _cmd_extball(args):
     p = _load(args.file)
-    ball = build_ext_ball(p, args.L)
+    ball = build_ext_ball(raag(_defining_graph(p)), args.L)
     if args.ue:
         ball = ue_restriction(ball)
     if args.format == "json":

@@ -36,7 +36,10 @@ class _Canonizer:
     partial trace already exceeds the best known trace are pruned, and at
     every node the target-cell vertices are explored one per orbit of the
     automorphisms discovered so far that fix the individualized prefix
-    pointwise (equivalent vertices span identical subtrees).
+    pointwise (equivalent vertices span identical subtrees).  A leaf equal
+    to the best one yields an automorphism that fixes the prefix the two
+    paths share and maps the current branch there onto the explored best
+    branch, so the search returns to that branching node at once.
     """
 
     def __init__(self, verts, adj, init_colors):
@@ -49,6 +52,7 @@ class _Canonizer:
         self.automorphisms = []   # permutations as vertex->vertex lists
 
     def _leaf(self, colors, trace, prefix):
+        """Compare a leaf with the best; on a tie, return the shared prefix length."""
         order = sorted(range(self.n), key=lambda i: colors[i])
         pos = {v: p for p, v in enumerate(order)}
         rows = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
@@ -63,6 +67,11 @@ class _Canonizer:
             for a, b in zip(order, other):
                 sigma[a] = b
             self.automorphisms.append(sigma)
+            shared = 0
+            while prefix[shared] == self.best_prefix[shared]:
+                shared += 1
+            return shared
+        return None
 
     def _cell_orbits(self, cell, prefix):
         """Union-find roots of the cell under prefix-fixing automorphisms."""
@@ -86,16 +95,16 @@ class _Canonizer:
         return find
 
     def _search(self, colors, trace, depth, prefix):
+        """Explore one node; a depth returned means return to that node."""
         colors = _refine(self.n, self.adj, colors)
         trace = trace + (tuple(sorted(colors)),)
         if self.best is not None:
             bt = self.best[0]
             k = len(trace)
             if trace[:k] > bt[:k]:
-                return
+                return None
         if len(set(colors)) == self.n:
-            self._leaf(colors, trace, prefix)
-            return
+            return self._leaf(colors, trace, prefix)
         # smallest color value with a non-singleton cell
         counts = {}
         for c in colors:
@@ -118,12 +127,14 @@ class _Canonizer:
                 done = {find(e) for e in explored}
                 candidates = [u for u in cell if find(u) not in done]
             if not candidates:
-                return
+                return None
             u = candidates[0]
             explored.append(u)
             child = list(colors)
             child[u] = fresh
-            self._search(child, trace, depth + 1, prefix + (u,))
+            back = self._search(child, trace, depth + 1, prefix + (u,))
+            if back is not None and back < depth:
+                return back
 
     def run(self):
         self._search(list(self.init_colors), (), 0, ())
@@ -174,14 +185,31 @@ def _prepare(g, colors):
 class CanonicalForm:
     """Canonical key plus the vertex ordering that realizes it."""
 
-    __slots__ = ("key", "order")
+    __slots__ = ("key", "order", "_canonizer")
 
-    def __init__(self, key, order):
+    def __init__(self, key, order, canonizer=None):
         self.key = key
         self.order = order  # tuple of vertex labels, canonical positions 0..n-1
+        self._canonizer = canonizer
 
     def mapping(self):
         return {v: p for p, v in enumerate(self.order)}
+
+    def orbit_representatives(self):
+        """Least label of each (color-preserving) automorphism orbit, sorted.
+
+        Read off the automorphisms recorded by the search that produced this
+        form: they generate the whole group (``group_order`` multiplies
+        their orbit sizes), so no second search runs.
+        """
+        c = self._canonizer
+        if c is None:
+            return []
+        find = c._cell_orbits(range(c.n), ())
+        least = {}
+        for i, v in enumerate(c.verts):
+            least.setdefault(find(i), v)
+        return list(least.values())
 
     def hexdigest(self):
         return hashlib.sha256(repr(self.key).encode("ascii")).hexdigest()
@@ -196,8 +224,9 @@ def canonical_form(g, colors=None):
     verts, adj, init, palette_tags = _prepare(g, colors)
     if not verts:
         return CanonicalForm((palette_tags, (), ()), ())
-    _, key, order = _Canonizer(verts, adj, init).run()
-    return CanonicalForm((palette_tags,) + key, tuple(verts[i] for i in order))
+    canonizer = _Canonizer(verts, adj, init)
+    _, key, order = canonizer.run()
+    return CanonicalForm((palette_tags,) + key, tuple(verts[i] for i in order), canonizer)
 
 
 def canonical_hash(g, colors=None):
@@ -221,10 +250,6 @@ def find_isomorphism(g, h, colors_g=None, colors_h=None):
         if not h.has_edge(iso[u], iso[w]):  # pragma: no cover - sanity guard
             raise AssertionError("canonical forms agreed but edge map failed")
     return iso
-
-
-def are_isomorphic(g, h, colors_g=None, colors_h=None):
-    return find_isomorphism(g, h, colors_g, colors_h) is not None
 
 
 def automorphism_count(g, colors=None):

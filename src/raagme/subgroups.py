@@ -22,8 +22,11 @@ from .isomorphism import canonical_form
 def star_gluing_kernel(g, v, k):
     """Defining graph of the index-k kernel at vertex v.
 
-    k disjoint copies of g are identified along st(v); unshared vertices of
-    copy i >= 2 are relabeled "c<i>.<label>".  The vertex count is
+    k disjoint copies of g are identified along st(v).  Copy 1 keeps its
+    labels; the unshared vertex x of copy i >= 2 becomes "c<i>.<x>", the "."
+    doubled until the label is neither a vertex of g nor a label issued
+    earlier in this gluing (copies in increasing i, vertices in sorted
+    order), so gluings compose.  The vertex count is
     k * |V| - (k-1) * |st(v)|.
     """
     if not g.has_vertex(v):
@@ -31,22 +34,23 @@ def star_gluing_kernel(g, v, k):
     if not isinstance(k, int) or k < 2:
         raise InputError(f"gluing multiplicity must be an integer >= 2, got {k!r}")
     shared = star(g, v)
-    verts = list(g.sorted_vertices())
+    verts = g.sorted_vertices()
     edges = g.edges()
+    taken = set(verts)
     new_vertices = list(verts)
     new_edges = set(edges)
     for i in range(2, k + 1):
-        def name(x, i=i):
-            return x if x in shared else f"c{i}.{x}"
+        name = {}
         for x in verts:
             if x not in shared:
-                fresh = name(x)
-                if g.has_vertex(fresh):
-                    raise InputError(
-                        f"fresh label {fresh!r} collides with an existing vertex")
-                new_vertices.append(fresh)
+                sep = "."
+                while f"c{i}{sep}{x}" in taken:
+                    sep += "."
+                name[x] = f"c{i}{sep}{x}"
+                taken.add(name[x])
+                new_vertices.append(name[x])
         for x, y in edges:
-            nx, ny = name(x), name(y)
+            nx, ny = name.get(x, x), name.get(y, y)
             new_edges.add((min(nx, ny), max(nx, ny)))
     return SimpleGraph(new_vertices, sorted(new_edges))
 
@@ -75,20 +79,15 @@ class EnumerationResult:
     witnesses: tuple
     truncated: bool
 
-    def graphs(self):
-        return [w.graph for w in self.witnesses]
 
+def _gluing_classes(g, max_vertices, max_steps):
+    """Breadth-first star-gluing search behind enumerate_findex_graphs.
 
-def enumerate_findex_graphs(g, max_vertices, max_steps):
-    """Isomorphism classes of graphs reachable by composed star gluings.
-
-    Requires the base group to have finite outer automorphism group.
-    Breadth-first closure of {g} under star_gluing_kernel at every vertex
-    and every multiplicity whose result stays within ``max_vertices``, to
-    composition depth ``max_steps``; de-duplicated up to isomorphism, each
-    class keeping the first witness found (smallest depth, deterministic
-    order).  ``truncated`` is set when either bound cut the search, so an
-    unmatched target means "not found within budget", not "does not exist".
+    Yields (CanonicalForm, FiniteIndexWitness) for each new isomorphism
+    class, in discovery order, and returns ``truncated``.  A frontier graph
+    is glued only at the least vertex of each automorphism orbit: gluing at
+    v and at its image under an automorphism gives isomorphic children, and
+    the class found first always comes from the least vertex of its orbit.
     """
     if max_vertices < 0 or max_steps < 0:
         raise InputError("enumeration bounds must be >= 0")
@@ -96,9 +95,9 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
         raise DomainError(
             "hypothesis violated: Out of the base group must be finite "
             "(the defining graph admits a transvection or a partial conjugation)")
-    base = FiniteIndexWitness((), 1, g)
-    seen = {canonical_form(g).key: base}
-    witnesses = [base]
+    base = (canonical_form(g), FiniteIndexWitness((), 1, g))
+    seen = {base[0].key}
+    yield base
     frontier = [base]
     # Size-pruned gluings only ever lead to graphs above the vertex budget
     # (the vertex count never shrinks along a chain), so the search is only
@@ -108,10 +107,10 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
         if not frontier:
             break
         nxt = []
-        for w in frontier:
+        for cf, w in frontier:
             cur = w.graph
             n = cur.n_vertices
-            for v in cur.sorted_vertices():
+            for v in cf.orbit_representatives():
                 st_size = len(star(cur, v))
                 if st_size == n:
                     # gluing along the whole graph returns the same graph
@@ -125,14 +124,32 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
                         k += 1
                 for k in ks:
                     child = star_gluing_kernel(cur, v, k)
-                    key = canonical_form(child).key
-                    if key in seen:
+                    ccf = canonical_form(child)
+                    if ccf.key in seen:
                         continue
-                    cw = FiniteIndexWitness(w.chain + ((v, k),), w.index * k, child)
-                    seen[key] = cw
-                    witnesses.append(cw)
-                    nxt.append(cw)
+                    seen.add(ccf.key)
+                    found = (ccf, FiniteIndexWitness(w.chain + ((v, k),), w.index * k, child))
+                    yield found
+                    nxt.append(found)
         frontier = nxt
-    if frontier:
-        truncated = True
-    return EnumerationResult(tuple(witnesses), truncated)
+    return truncated or bool(frontier)
+
+
+def enumerate_findex_graphs(g, max_vertices, max_steps):
+    """Isomorphism classes of graphs reachable by composed star gluings.
+
+    Requires the base group to have finite outer automorphism group.
+    Breadth-first closure of {g} under star_gluing_kernel at every vertex
+    and every multiplicity whose result stays within ``max_vertices``, to
+    composition depth ``max_steps``; de-duplicated up to isomorphism, each
+    class keeping the first witness found (smallest depth, deterministic
+    order).  ``truncated`` is set when either bound cut the search, so an
+    unmatched target means "not found within budget", not "does not exist".
+    """
+    classes = _gluing_classes(g, max_vertices, max_steps)
+    witnesses = []
+    while True:
+        try:
+            witnesses.append(next(classes)[1])
+        except StopIteration as done:
+            return EnumerationResult(tuple(witnesses), done.value)

@@ -11,6 +11,7 @@ import itertools
 
 from raagme.graphs import SimpleGraph
 from raagme.isomorphism import canonical_form
+from raagme.subgroups import star_gluing_kernel
 
 
 def graph_atlas(max_n):
@@ -177,3 +178,48 @@ def all_merge_results(graph, ranks):
 
     rec(graph, dict(ranks))
     return results
+
+
+# -- unpruned star-gluing search oracle ----------------------------------------
+
+def unpruned_gluing_search(g, max_vertices, max_steps, same_class=None):
+    """Breadth-first star-gluing closure that glues at every vertex.
+
+    The reference for the orbit-pruned search: every vertex of every
+    frontier graph, every multiplicity within the vertex budget.  Classes are
+    de-duplicated by canonical key, or by ``same_class(a, b)`` against every
+    class found so far when it is given.  Returns the list of
+    (chain, index, graph) and the truncation flag, which
+    ``enumerate_findex_graphs`` must reproduce exactly.
+    """
+    found = [((), 1, g)]
+    keys = {canonical_form(g).key}
+
+    def is_new(child):
+        if same_class is not None:
+            return not any(same_class(child, other) for _, _, other in found)
+        key = canonical_form(child).key
+        if key in keys:
+            return False
+        keys.add(key)
+        return True
+
+    frontier = list(found)
+    for _ in range(max_steps):
+        nxt = []
+        for chain, index, cur in frontier:
+            n = cur.n_vertices
+            for v in cur.sorted_vertices():
+                st = len(brute_star(cur, v))
+                if st == n:
+                    ks = [2] if n <= max_vertices else []
+                else:
+                    ks = [k for k in range(2, max_vertices + 2)
+                          if k * n - (k - 1) * st <= max_vertices]
+                for k in ks:
+                    child = star_gluing_kernel(cur, v, k)
+                    if is_new(child):
+                        found.append((chain + ((v, k),), index * k, child))
+                        nxt.append(found[-1])
+        frontier = nxt
+    return found, g.n_vertices > max_vertices or bool(frontier)

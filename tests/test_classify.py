@@ -1,11 +1,33 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raagme.combinatorics import has_finite_out
 from raagme.errors import DomainError
-from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
+from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
 from raagme.subgroups import star_gluing_kernel
 from raagme.classify import (decide_me, decide_oe, invariant_report, rigidity_hypotheses,
                              ue_ball_fingerprint)
+
+
+def relabel(g, names):
+    """g with its vertices, in sorted order, renamed to names."""
+    mapping = dict(zip(g.sorted_vertices(), names))
+    return SimpleGraph(list(names), [(mapping[u], mapping[w]) for u, w in g.edges()])
+
+
+def assert_witness_replays(g, lam, witness):
+    replayed = g
+    index = 1
+    for step in witness["chain"]:
+        replayed = star_gluing_kernel(replayed, step["vertex"], step["k"])
+        index *= step["k"]
+    assert witness["index"] == index
+    iso = witness["isomorphism"]
+    assert sorted(iso) == replayed.sorted_vertices()
+    assert sorted(iso.values()) == lam.sorted_vertices()
+    assert sorted(tuple(sorted((iso[u], iso[w]))) for u, w in replayed.edges()) == lam.edges()
 
 
 def ranks_31111(c5):
@@ -128,6 +150,16 @@ class TestDecideMe:
         with pytest.raises(DomainError, match="hypothesis"):
             decide_me(p3, raag(c5))
 
+    def test_depth_two_chain(self, c5):
+        # 15 vertices, reached by no single gluing of C5
+        h = relabel(star_gluing_kernel(star_gluing_kernel(c5, "v1", 2), "v3", 3),
+                    [f"h{i:02d}" for i in range(14, -1, -1)])
+        m = decide_me(c5, raag(h))
+        assert m.verdict == "equivalent"
+        assert m.witness["chain"] == [{"vertex": "v1", "k": 2}, {"vertex": "c2.v3", "k": 3}]
+        assert m.witness["index"] == 6
+        assert_witness_replays(c5, h, m.witness)
+
 
 class TestCrossConsistency:
     def test_oe_implies_me(self, c5):
@@ -151,3 +183,46 @@ class TestCrossConsistency:
             twin = SimpleGraph(sorted(mapping.values()),
                                [(mapping[u], mapping[w]) for u, w in g.edges()])
             assert decide_oe(g, raag(twin)).verdict == "equivalent"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decide_me_relabel_invariant(atlas6, data):
+    # G: a finite-Out atlas graph; H: a seeded gluing chain on G, or a
+    # random graph.  Renaming either side must not change the answer.
+    pool = [g for n in range(1, 7) for g in atlas6[n] if has_finite_out(g)]
+    g = data.draw(st.sampled_from(pool))
+    budget = (14, 2)
+    if data.draw(st.booleans()):
+        h = g
+        for _ in range(data.draw(st.integers(0, 2))):
+            v = data.draw(st.sampled_from(h.sorted_vertices()))
+            k = data.draw(st.integers(2, 3))
+            st_size = len(star(h, v))
+            if k * h.n_vertices - (k - 1) * st_size <= budget[0]:
+                h = star_gluing_kernel(h, v, k)
+    else:
+        n = data.draw(st.integers(2, 7))
+        pairs = [(f"x{i}", f"x{j}") for i in range(n) for j in range(i + 1, n)]
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        h = SimpleGraph([f"x{i}" for i in range(n)],
+                        [e for e, keep in zip(pairs, mask) if keep])
+
+    def renamed(x, prefix):
+        perm = data.draw(st.permutations(range(x.n_vertices)))
+        return relabel(x, [f"{prefix}{i}" for i in perm])
+
+    d = decide_me(g, raag(h), *budget)
+    h2 = renamed(h, "y")
+    dh = decide_me(g, raag(h2), *budget)
+    g2 = renamed(g, "z")
+    dg = decide_me(g2, raag(h), *budget)
+    assert d.verdict == dh.verdict == dg.verdict
+    assert d.reason_code == dh.reason_code == dg.reason_code
+    if d.reason_code == "finite-index-witness":
+        # the search never reads H's labels, so the chain is the same
+        assert dh.witness["chain"] == d.witness["chain"]
+        assert d.witness["index"] == dh.witness["index"] == dg.witness["index"]
+        assert_witness_replays(g, clique_reduce(raag(h)).graph, d.witness)
+        assert_witness_replays(g, clique_reduce(raag(h2)).graph, dh.witness)
+        assert_witness_replays(g2, clique_reduce(raag(h)).graph, dg.witness)

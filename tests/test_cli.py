@@ -5,7 +5,10 @@ from pathlib import Path
 
 from raagme.classify import rigidity_hypotheses
 from raagme.cli import main, run_command
+from raagme.extension import ball_json, build_ext_ball
 from raagme.formats import load_presentation, parse_json_presentation
+from raagme.presentation import expand_to_raag, raag
+from raagme.subgroups import star_gluing_kernel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -100,6 +103,46 @@ class TestReports:
         doc = json.loads(out)
         assert [w["index"] for w in doc["witnesses"]] == [1, 2]
         assert doc["truncated"] is True
+
+    def test_subgroups_default_budget(self):
+        # the default 16/2 budget composes two gluings on C5
+        base = load_presentation(fx("c5.json")).graph
+        code, out = run("subgroups", fx("c5.json"), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["witnesses"]) == 12 and doc["truncated"] is True
+        assert max(len(w["chain"]) for w in doc["witnesses"]) == 2
+        for w in doc["witnesses"]:
+            g = base
+            for step in w["chain"]:
+                g = star_gluing_kernel(g, step["vertex"], step["k"])
+            assert [v["id"] for v in w["vertices"]] == g.sorted_vertices()
+            assert [tuple(e) for e in w["edges"]] == g.edges()
+        # the double has partial conjugations at the glued vertex, so its Out
+        # is infinite: a hypothesis error, reported as such
+        code, out = run("subgroups", fx("c5double.json"))
+        assert code == 2 and "hypothesis violated" in out
+
+    def test_me_default_budget_depth_two(self, tmp_path):
+        base = load_presentation(fx("c5.json")).graph
+        h = star_gluing_kernel(star_gluing_kernel(base, "v1", 2), "v3", 3)
+        names = {v: f"h{i}" for i, v in enumerate(reversed(h.sorted_vertices()))}
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "vertices": sorted(names.values()),
+            "edges": [[names[u], names[w]] for u, w in h.edges()]}))
+        code, out = run("me", fx("c5.json"), str(path), "--format", "json",
+                        "--exit-status")
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        assert len(witness["chain"]) == 2 and witness["index"] == 6
+
+    def test_extball_rank_file(self):
+        code, out = run("extball", fx("c5ranks.json"), "-L", "1", "--format", "json")
+        assert code == 0
+        p = load_presentation(fx("c5ranks.json"))
+        expected = ball_json(build_ext_ball(raag(expand_to_raag(p)), 1))
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_analyze(self):
         code, out = run("analyze", fx("c5.json"), "--ball-bound", "0")

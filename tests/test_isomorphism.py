@@ -13,8 +13,9 @@ from helpers import brute_automorphism_count
 
 from raagme.errors import InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
-from raagme.isomorphism import (automorphism_count, canonical_form, canonical_hash,
-                                find_isomorphism)
+from raagme.isomorphism import (_Canonizer, _prepare, automorphism_count, canonical_form,
+                                canonical_hash, find_isomorphism)
+from raagme.subgroups import star_gluing_kernel
 
 
 def relabel(g, mapping):
@@ -90,7 +91,7 @@ def test_automorphism_count_vs_bruteforce(atlas6):
         assert automorphism_count(g) == brute_automorphism_count(g)
 
 
-def nx_automorphism_count(g, colors=None):
+def nx_automorphisms(g, colors=None):
     """Test-only reference: enumerate every automorphism with networkx."""
     G = nx.Graph()
     G.add_nodes_from(g.sorted_vertices())
@@ -100,7 +101,11 @@ def nx_automorphism_count(g, colors=None):
     else:
         nx.set_node_attributes(G, colors, "color")
         matcher = GraphMatcher(G, G, node_match=lambda a, b: a["color"] == b["color"])
-    return sum(1 for _ in matcher.isomorphisms_iter())
+    return matcher.isomorphisms_iter()
+
+
+def nx_automorphism_count(g, colors=None):
+    return sum(1 for _ in nx_automorphisms(g, colors))
 
 
 def test_automorphism_count_vs_networkx_atlas(atlas7):
@@ -110,6 +115,27 @@ def test_automorphism_count_vs_networkx_atlas(atlas7):
             assert automorphism_count(g) == nx_automorphism_count(g)
             colors = {v: rng.randrange(3) for v in g.sorted_vertices()}
             assert automorphism_count(g, colors) == nx_automorphism_count(g, colors)
+
+
+def test_orbit_representatives_vs_networkx_atlas(atlas6):
+    rng = random.Random(12)
+    for n in range(1, 7):
+        for g in atlas6[n]:
+            for colors in (None, {v: rng.randrange(3) for v in g.sorted_vertices()}):
+                orbit = {v: {v} for v in g.vertices}
+                for sigma in nx_automorphisms(g, colors):
+                    for v, w in sigma.items():
+                        orbit[v].add(w)
+                expected = sorted({min(o) for o in orbit.values()})
+                assert canonical_form(g, colors).orbit_representatives() == expected
+
+
+def test_orbit_representatives_small_cases():
+    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+    assert canonical_form(c5).orbit_representatives() == ["v1"]
+    marked = {"v1": 1, "v2": 0, "v3": 0, "v4": 0, "v5": 0}
+    assert canonical_form(c5, marked).orbit_representatives() == ["v1", "v2", "v3"]
+    assert canonical_form(SimpleGraph([])).orbit_representatives() == []
 
 
 def partitions(n, largest=None):
@@ -154,6 +180,22 @@ def test_automorphism_count_relabel_invariant(data):
     g = SimpleGraph(verts, edges)
     relabel_map = {verts[i]: f"w{perm[i]}" for i in range(n)}
     assert automorphism_count(g) == automorphism_count(relabel(g, relabel_map))
+
+
+def test_canonizer_returns_to_branching_node_on_tie():
+    # ten copies of C5 glued along a closed star, randomly relabelled: Aut
+    # has order 2 * 10!.  A leaf equal to the best one sends the search back
+    # to the node where the two paths part, so each recorded automorphism
+    # joins two orbits there instead of one being recorded per equal leaf.
+    h = star_gluing_kernel(cycle_graph(["v1", "v2", "v3", "v4", "v5"]), "v1", 10)
+    for seed in range(5):
+        names = [f"x{i:02d}" for i in range(h.n_vertices)]
+        random.Random(seed).shuffle(names)
+        g = relabel(h, dict(zip(h.sorted_vertices(), names)))
+        canonizer = _Canonizer(*_prepare(g, None)[:3])
+        canonizer.run()
+        assert canonizer.group_order() == 2 * math.factorial(10)
+        assert len(canonizer.automorphisms) < g.n_vertices
 
 
 def test_automorphism_count_with_colors():

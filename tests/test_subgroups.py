@@ -1,9 +1,24 @@
+import itertools
+
+import networkx as nx
 import pytest
 
+from helpers import unpruned_gluing_search
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, star
 from raagme.combinatorics import has_finite_out
 from raagme.subgroups import FiniteIndexWitness, enumerate_findex_graphs, star_gluing_kernel
+
+
+def finite_out_graphs(atlas, max_n):
+    return [g for n in range(1, max_n + 1) for g in atlas[n] if has_finite_out(g)]
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges())
+    return h
 
 
 class TestStarGluing:
@@ -33,6 +48,23 @@ class TestStarGluing:
                 for k in (2, 3):
                     got = star_gluing_kernel(g, v, k)
                     assert got.n_vertices == k * g.n_vertices - (k - 1) * len(star(g, v))
+
+    def test_gluings_compose(self, c5):
+        d = star_gluing_kernel(star_gluing_kernel(c5, "v1", 2), "v1", 3)
+        assert d.sorted_vertices() == [
+            "c2..v3", "c2..v4", "c2.c2.v3", "c2.c2.v4", "c2.v3", "c2.v4",
+            "c3.c2.v3", "c3.c2.v4", "c3.v3", "c3.v4", "v1", "v2", "v3", "v4", "v5"]
+        assert d.n_vertices == 3 * 7 - 2 * 3
+        assert d.has_edge("v2", "c2..v3") and d.has_edge("c2.c2.v4", "v5")
+        assert d.has_edge("c3.c2.v3", "c3.c2.v4") and not d.has_edge("c2.v4", "c2..v3")
+
+    def test_labels_avoid_earlier_issued_labels(self):
+        # ".a" takes "c2..a" first (sorted order), so "a", whose plain copy
+        # label is a vertex, escalates past it
+        g = SimpleGraph([".a", "a", "c2.a", "h"], [])
+        d = star_gluing_kernel(g, "h", 2)
+        assert d.sorted_vertices() == [
+            ".a", "a", "c2...a", "c2..a", "c2.a", "c2.c2.a", "h"]
 
     def test_bad_input(self, c5):
         with pytest.raises(InputError):
@@ -66,6 +98,30 @@ class TestEnumeration:
             for _, k in w.chain:
                 index *= k
             assert index == w.index
+
+    def test_c5_default_budget(self, c5):
+        res = enumerate_findex_graphs(c5, 16, 2)
+        assert len(res.witnesses) == 12 and res.truncated
+        assert max(w.graph.n_vertices for w in res.witnesses) == 16
+        for w in res.witnesses:
+            assert w.replay(c5) == w.graph
+
+    def test_matches_unpruned_search(self, atlas7):
+        # gluing once per automorphism orbit finds the same classes, with
+        # the same witnesses in the same order, as gluing at every vertex
+        for g, (max_vertices, max_steps) in itertools.product(
+                finite_out_graphs(atlas7, 7), ((16, 2), (14, 3), (24, 1))):
+            res = enumerate_findex_graphs(g, max_vertices, max_steps)
+            expected, truncated = unpruned_gluing_search(g, max_vertices, max_steps)
+            assert [(w.chain, w.index, w.graph) for w in res.witnesses] == expected
+            assert res.truncated == truncated
+
+    def test_class_counts_vs_networkx(self, atlas6):
+        for g in finite_out_graphs(atlas6, 6):
+            res = enumerate_findex_graphs(g, 12, 2)
+            classes, _ = unpruned_gluing_search(
+                g, 12, 2, lambda a, b: nx.is_isomorphic(to_nx(a), to_nx(b)))
+            assert len(res.witnesses) == len(classes)
 
     def test_infinite_out_rejected(self, p3, f2_graph):
         with pytest.raises(DomainError, match="finite"):
