@@ -39,17 +39,13 @@ def _json_dump(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _load(path):
-    return load_presentation(path)
-
-
 def _defining_graph(p):
     """Defining graph of the group presented by p (expand non-unit ranks)."""
     return p.graph if p.is_unit_rank() else expand_to_raag(p)
 
 
 def _cmd_analyze(args):
-    p = _load(args.file)
+    p = load_presentation(args.file)
     report = invariant_report(p, ball_bound=args.ball_bound)
     rig = RigidityReport(not report.nonabelian_untransvectable_class,
                          report.all_untransvectable_strongly)
@@ -76,7 +72,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_reduce(args):
-    p = _load(args.file)
+    p = load_presentation(args.file)
     reduced = clique_reduce(p)
     if args.format == "json":
         return 0, _json_dump(presentation_to_json_dict(reduced))
@@ -92,7 +88,7 @@ def _yn(b):
 
 
 def _cmd_out(args):
-    p = _load(args.file)
+    p = load_presentation(args.file)
     g = _defining_graph(p)
     inv = out_inventory(g)
     if args.format == "json":
@@ -146,22 +142,22 @@ ME_RULE = ("measure equivalent iff H is a graph product of free abelian groups "
 
 
 def _cmd_oe(args):
-    pg = _load(args.g_file)
-    h = _load(args.h_file)
+    pg = load_presentation(args.g_file)
+    h = load_presentation(args.h_file)
     decision = decide_oe(_defining_graph(pg), h)
     return _decision_output(args, decision, OE_RULE)
 
 
 def _cmd_me(args):
-    pg = _load(args.g_file)
-    h = _load(args.h_file)
+    pg = load_presentation(args.g_file)
+    h = load_presentation(args.h_file)
     decision = decide_me(_defining_graph(pg), h,
                          max_vertices=args.max_vertices, max_steps=args.max_steps)
     return _decision_output(args, decision, ME_RULE)
 
 
 def _cmd_extball(args):
-    p = _load(args.file)
+    p = load_presentation(args.file)
     ball = build_ext_ball(raag(_defining_graph(p)), args.L)
     if args.ue:
         ball = ue_restriction(ball)
@@ -177,7 +173,7 @@ def _cmd_extball(args):
 
 
 def _cmd_subgroups(args):
-    p = _load(args.file)
+    p = load_presentation(args.file)
     g = _defining_graph(p)
     result = enumerate_findex_graphs(g, args.max_vertices, args.max_steps)
     if args.format == "json":

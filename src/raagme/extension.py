@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError
 from .combinatorics import has_finite_out, untransvectable_vertices
 from .words import (NormalFormWord, ParabolicHandle, canonical_parabolic,
-                    enumerate_cyclic_handles)
+                    enumerate_cyclic_handles, normalizes)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,12 @@ class ExtBall:
 
 
 def build_ext_ball(p, L):
-    """All canonical cyclic handles of conjugator length <= L, with commutation edges."""
+    """All canonical cyclic handles of conjugator length <= L, with commutation edges.
+
+    Nodes g<v>g^-1 and h<w>h^-1 are joined when h w h^-1 normalizes g<v>g^-1,
+    that is when g^-1 h w h^-1 g lies in G_st(v); by Servatius' centralizer
+    theorem this is exactly when the two subgroups commute.
+    """
     if L < 0:
         raise InputError("ball radius must be >= 0")
     if not p.is_unit_rank():
@@ -104,13 +109,12 @@ def build_ext_ball(p, L):
         ))
     order = sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key())
     nodes = [nodes[i] for i in order]
-    gens = [handles[i].generator_word() for i in order]
-    inverses = [w.inverse() for w in gens]
+    handles = [handles[i] for i in order]
+    gens = [h.generator_word() for h in handles]
     adjacency = [set() for _ in nodes]
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            commutator = gens[i] * gens[j] * inverses[i] * inverses[j]
-            if commutator.is_identity():
+            if normalizes(handles[i], gens[j]):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return ExtBall(p, L, nodes, adjacency)

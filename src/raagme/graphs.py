@@ -201,11 +201,6 @@ def join_factors(g):
     return connected_components(opposite_graph(g))
 
 
-def is_complete(g):
-    n = g.n_vertices
-    return g.n_edges == n * (n - 1) // 2
-
-
 # -- small constructors, mostly for tests and fixtures ------------------------
 
 def path_graph(labels):

@@ -54,6 +54,11 @@ def _is_zero(e):
     return e == 0 if isinstance(e, int) else not any(e)
 
 
+def _letter_length(syllables):
+    """Sum of the L1 norms of the exponents of a syllable tuple."""
+    return sum(abs(e) if isinstance(e, int) else sum(map(abs, e)) for _, e in syllables)
+
+
 def _negate(e):
     if isinstance(e, int):
         return -e
@@ -143,10 +148,7 @@ class NormalFormWord:
     @property
     def word_length(self):
         """Total letter length: the sum of the L1 norms of the exponents."""
-        total = 0
-        for _, e in self.syllables:
-            total += abs(e) if isinstance(e, int) else sum(abs(c) for c in e)
-        return total
+        return _letter_length(self.syllables)
 
     def support(self):
         return frozenset(v for v, _ in self.syllables)
@@ -232,10 +234,7 @@ class ParabolicHandle:
 
     @property
     def conjugator_length(self):
-        total = 0
-        for _, e in self.conjugator:
-            total += abs(e) if isinstance(e, int) else sum(abs(c) for c in e)
-        return total
+        return _letter_length(self.conjugator)
 
     def conjugator_word(self):
         return NormalFormWord(self.presentation, self.conjugator)
@@ -270,14 +269,16 @@ def canonical_parabolic(p, conjugator, type_vertices):
 
 
 def parabolics_commute(h1, h2):
-    """Whether two cyclic parabolic subgroups commute elementwise."""
+    """Whether two cyclic parabolic subgroups commute elementwise.
+
+    The generator of h2 commutes with h1 exactly when it normalizes h1: the
+    centralizer and the normalizer of a vertex subgroup are both G_st(v).
+    """
     if h1.presentation != h2.presentation:
         raise InputError("handles belong to different presentations")
     if len(h1.type_vertices) != 1 or len(h2.type_vertices) != 1:
         raise InputError("commutation test expects cyclic parabolic handles")
-    a = h1.generator_word()
-    b = h2.generator_word()
-    return (a * b * a.inverse() * b.inverse()).is_identity()
+    return normalizes(h1, h2.generator_word())
 
 
 def normalizes(h, x):

@@ -7,6 +7,7 @@ definitions with no shared code paths beyond the SimpleGraph container.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from raagme.graphs import SimpleGraph
@@ -130,6 +131,25 @@ def shuffle_oracle_nf(adjacency, syllables):
                     stack.append(nxt)
     best_len = min(len(w) for w in seen)
     return min(w for w in seen if len(w) == best_len)
+
+
+# -- four-fold commutator oracle -----------------------------------------------
+
+def generators_commute(a, b):
+    """Whether two normal-form words commute: a b a^-1 b^-1 is the identity."""
+    return (a * b * a.inverse() * b.inverse()).is_identity()
+
+
+def commutator_adjacent(ball, i, j):
+    """Edge test for an extension ball by multiplying out the commutator of
+    the generators of nodes i and j."""
+    gens = _ball_generators(ball)
+    return generators_commute(gens[i], gens[j])
+
+
+@functools.lru_cache(maxsize=4)
+def _ball_generators(ball):
+    return tuple(ball.handle(i).generator_word() for i in range(ball.n_nodes))
 
 
 # -- stepwise clique-reduction oracle ------------------------------------------

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagme.combinatorics import has_finite_out
-from raagme.errors import DomainError
+from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
 from raagme.subgroups import star_gluing_kernel
@@ -149,6 +149,12 @@ class TestDecideMe:
     def test_infinite_out_hypothesis(self, p3, c5):
         with pytest.raises(DomainError, match="hypothesis"):
             decide_me(p3, raag(c5))
+
+    def test_negative_bounds_rejected(self, c5):
+        double = raag(star_gluing_kernel(c5, "v1", 2))
+        for bound in ({"max_steps": -1}, {"max_vertices": -1}):
+            with pytest.raises(InputError, match="bounds must be >= 0"):
+                decide_me(c5, double, **bound)
 
     def test_depth_two_chain(self, c5):
         # 15 vertices, reached by no single gluing of C5

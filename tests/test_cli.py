@@ -168,6 +168,11 @@ class TestErrorsAndDeterminism:
         code, out = run("out", str(bad))
         assert code == 2 and "rank" in out
 
+    def test_negative_budgets_exit_two(self):
+        for argv in (["me", fx("c5.json"), fx("c5double.json"), "--max-steps", "-1"],
+                     ["subgroups", fx("c5.json"), "--max-vertices", "-1"]):
+            assert run(*argv) == (2, "error: enumeration bounds must be >= 0\n")
+
     def test_byte_determinism(self):
         for argv in (
             ["analyze", fx("c5.json"), "--ball-bound", "1"],

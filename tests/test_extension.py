@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import commutator_adjacent
+from raagme.classify import ue_ball_fingerprint
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph
 from raagme.isomorphism import find_isomorphism
@@ -11,6 +15,14 @@ from raagme.extension import (ball_graph, ball_json, build_ext_ball,
 
 def z2p():
     return raag(SimpleGraph(["a", "b"], [("a", "b")]))
+
+
+def prism():
+    return SimpleGraph(
+        ["a1", "a2", "a3", "b1", "b2", "b3"],
+        [("a1", "a2"), ("a2", "a3"), ("a1", "a3"),
+         ("b1", "b2"), ("b2", "b3"), ("b1", "b3"),
+         ("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
 
 
 class TestBallConstruction:
@@ -178,22 +190,26 @@ class TestBallInvariants:
                 keys.add((n.conjugator, n.vertex))
             assert len(keys) == b.n_nodes
 
-    def test_edges_match_membership_oracle(self, c5, counterexample_graph, f2_graph):
-        # independent commutation criterion: g<v>g^-1 and h<w>h^-1 commute
-        # exactly when the normal form of h^-1 g v g^-1 h is supported in st(w)
+    def test_edges_match_membership_oracle(self, c5, counterexample_graph, f2_graph, atlas6):
+        # two independent commutation criteria: g<v>g^-1 and h<w>h^-1 commute
+        # exactly when the normal form of h^-1 g v g^-1 h is supported in
+        # st(w), and exactly when the commutator of the generators is trivial
         from raagme.graphs import star
         from raagme.words import NormalFormWord
-        for graph, L in ((c5, 1), (f2_graph, 2), (counterexample_graph, 1)):
+        cases = [(c5, 1), (f2_graph, 2), (counterexample_graph, 1), (c5, 2), (prism(), 2)]
+        cases += [(g, 1) for n in range(1, 6) for g in atlas6[n]]
+        for graph, L in cases:
             p = raag(graph)
             b = build_ext_ball(p, L)
-            conjs = [NormalFormWord(p, b.nodes[i].conjugator) for i in range(b.n_nodes)]
+            conjs = [NormalFormWord(p, n.conjugator) for n in b.nodes]
+            gens = [c * NormalFormWord(p, ((n.vertex, 1),)) * c.inverse()
+                    for c, n in zip(conjs, b.nodes)]
             for i in range(b.n_nodes):
                 for j in range(i + 1, b.n_nodes):
-                    z = conjs[j].inverse() * conjs[i] * \
-                        NormalFormWord(p, ((b.nodes[i].vertex, 1),)) * \
-                        conjs[i].inverse() * conjs[j]
+                    z = conjs[j].inverse() * gens[i] * conjs[j]
                     expected = z.support() <= star(graph, b.nodes[j].vertex)
                     assert (j in b.adjacency[i]) == expected, (i, j)
+                    assert commutator_adjacent(b, i, j) == expected, (i, j)
 
     def test_separation_beyond_finite_out(self, counterexample_graph):
         # the star-removal disconnection needs no hypothesis on Out: it
@@ -205,18 +221,33 @@ class TestBallInvariants:
             assert rep.violations == ()
 
     def test_transvection_free_ue_identity_on_prism(self):
-        prism = SimpleGraph(
-            ["a1", "a2", "a3", "b1", "b2", "b3"],
-            [("a1", "a2"), ("a2", "a3"), ("a1", "a3"),
-             ("b1", "b2"), ("b2", "b3"), ("b1", "b3"),
-             ("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
         from raagme.combinatorics import has_finite_out
-        assert has_finite_out(prism)
-        b = build_ext_ball(raag(prism), 1)
+        g = prism()
+        assert has_finite_out(g)
+        b = build_ext_ball(raag(g), 1)
         assert ue_restriction(b).n_nodes == b.n_nodes
-        for v in prism.sorted_vertices():
+        for v in g.sorted_vertices():
             rep = star_separation_check(b, b.standard_node(v))
             assert rep.violations == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ball_relabel_invariant(data):
+    # ball sizes and untransvectable-ball fingerprints are properties of the
+    # group, so renaming the vertices of the defining graph changes neither
+    n = data.draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, mask) if keep]
+    perm = data.draw(st.permutations(range(n)))
+    g = SimpleGraph([f"x{i}" for i in range(n)], [(f"x{i}", f"x{j}") for i, j in edges])
+    h = SimpleGraph([f"y{perm[i]}" for i in range(n)],
+                    [(f"y{perm[i]}", f"y{perm[j]}") for i, j in edges])
+    bg, bh = build_ext_ball(raag(g), 1), build_ext_ball(raag(h), 1)
+    assert (bg.n_nodes, bg.n_edges) == (bh.n_nodes, bh.n_edges)
+    for L in (0, 1):
+        assert ue_ball_fingerprint(g, L) == ue_ball_fingerprint(h, L)
 
 
 class TestExport:

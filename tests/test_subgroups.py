@@ -123,6 +123,11 @@ class TestEnumeration:
                 g, 12, 2, lambda a, b: nx.is_isomorphic(to_nx(a), to_nx(b)))
             assert len(res.witnesses) == len(classes)
 
+    def test_negative_bounds_rejected(self, c5):
+        for bounds in ((-1, 2), (16, -1)):
+            with pytest.raises(InputError, match="bounds must be >= 0"):
+                enumerate_findex_graphs(c5, *bounds)
+
     def test_infinite_out_rejected(self, p3, f2_graph):
         with pytest.raises(DomainError, match="finite"):
             enumerate_findex_graphs(p3, 10, 1)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import shuffle_oracle_nf
+from helpers import generators_commute, shuffle_oracle_nf
 
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph
@@ -27,6 +27,16 @@ def c5p():
 
 def random_word(rng, verts, length):
     return [(rng.choice(verts), rng.choice([-2, -1, 1, 2])) for _ in range(length)]
+
+
+def random_exponent(rng, rank):
+    """A random non-zero exponent for a vertex group of the given rank."""
+    if rank == 1:
+        return rng.choice([-2, -1, 1, 2])
+    while True:
+        e = tuple(rng.randint(-2, 2) for _ in range(rank))
+        if any(e):
+            return e
 
 
 class TestNormalForm:
@@ -180,6 +190,27 @@ class TestCommutationAndNormalizers:
         assert not parabolics_commute(canonical_parabolic(c5p(), [], {"v1"}),
                                       canonical_parabolic(c5p(), [("v4", 1)], {"v2"}))
 
+    def test_commute_matches_commutator(self, atlas6):
+        # the normalizer test agrees with the four-fold commutator of the
+        # generators, also over vertex groups of rank 2 and 3
+        rng = random.Random(31)
+        seen = []
+        for g in atlas6[4][::2] + atlas6[5][::7]:
+            verts = g.sorted_vertices()
+            p = GraphProductPresentation(g, {v: rng.randint(1, 3) for v in verts})
+
+            def handle():
+                conj = [(v, random_exponent(rng, p.rank(v)))
+                        for v in rng.choices(verts, k=rng.randint(0, 3))]
+                return canonical_parabolic(p, conj, {rng.choice(verts)})
+
+            for _ in range(120):
+                h1, h2 = handle(), handle()
+                expected = generators_commute(h1.generator_word(), h2.generator_word())
+                assert parabolics_commute(h1, h2) == expected
+                seen.append(expected)
+        assert 0.1 < sum(seen) / len(seen) < 0.9
+
     def test_commute_requires_cyclic(self):
         h1 = canonical_parabolic(f2(), [], {"a", "b"})
         h2 = canonical_parabolic(f2(), [], {"a"})
@@ -213,7 +244,7 @@ class TestCommutationAndNormalizers:
                 h = canonical_parabolic(p, random_word(rng, verts, rng.randint(0, 3)), {v})
                 x = word(p, random_word(rng, verts, rng.randint(0, 4)))
                 gen = h.generator_word()
-                commutes = (x * gen * x.inverse() * gen.inverse()).is_identity()
+                commutes = generators_commute(x, gen)
                 inverts = (x * gen * x.inverse() * gen).is_identity()
                 assert normalizes(h, x) == (commutes or inverts)
                 assert not inverts  # biorderable: conjugation never inverts
