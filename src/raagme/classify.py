@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError
 from .combinatorics import (all_untransvectable_strongly, has_finite_out,
                             has_untransvectable_nonabelian_class, untransvectable_vertices)
-from .extension import ball_graph, build_ext_ball, ue_restriction
+from .extension import ball_graph, ball_prefix, build_ext_ball, ue_restriction
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
-from .subgroups import _gluing_classes
+from .subgroups import _check_bounds, _gluing_classes
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -112,18 +112,16 @@ class InvariantReport:
         }
 
 
-def ue_ball_fingerprint(graph, L):
-    """Canonical hash of the untransvectable ball of radius L over the graph."""
-    ball = ue_restriction(build_ext_ball(raag(graph), L))
-    return canonical_hash(ball_graph(ball))
-
-
 def invariant_report(p, ball_bound=2):
     if p.graph.n_vertices == 0:
         raise InputError("invariant report is undefined for the trivial presentation")
     reduced = clique_reduce(p)
     rg = reduced.graph
-    fingerprints = tuple((L, ue_ball_fingerprint(rg, L)) for L in range(ball_bound + 1))
+    # one ball at the largest radius, sliced for the smaller ones; a
+    # negative bound asks for no fingerprints
+    ue = ue_restriction(build_ext_ball(raag(rg), max(ball_bound, 0)))
+    fingerprints = tuple((L, canonical_hash(ball_graph(ball_prefix(ue, L))))
+                         for L in range(ball_bound + 1))
     return InvariantReport(
         clique_reduced_form=reduced,
         out_finite=has_finite_out(rg),
@@ -248,6 +246,7 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
             "the finite-Out side is; measure equivalence preserves this property")
     # look lam's canonical key up as the search runs; the isomorphism is
     # read off the two canonical orders, as find_isomorphism does
+    _check_bounds(max_vertices, max_steps)
     target = canonical_form(lam)
     classes = _gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps)
     while True:

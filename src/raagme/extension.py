@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 from .combinatorics import has_finite_out, untransvectable_vertices
-from .words import (NormalFormWord, ParabolicHandle, canonical_parabolic,
-                    enumerate_cyclic_handles, normalizes)
+from .words import (ParabolicHandle, canonical_parabolic, enumerate_cyclic_handles,
+                    normalizes)
 
 
 @dataclass(frozen=True)
@@ -120,20 +120,31 @@ def build_ext_ball(p, L):
     return ExtBall(p, L, nodes, adjacency)
 
 
-def ue_restriction(b):
-    """Full subgraph of the ball on the untransvectable nodes."""
-    keep = [i for i, n in enumerate(b.nodes) if n.untransvectable]
+def _restrict(b, keep, L):
+    """Full subgraph of the ball on the ascending node indices keep, as radius L."""
     renum = {old: new for new, old in enumerate(keep)}
     nodes = [b.nodes[i] for i in keep]
     adjacency = [frozenset(renum[j] for j in b.adjacency[i] if j in renum) for i in keep]
-    return ExtBall(b.presentation, b.L, nodes, adjacency)
+    return ExtBall(b.presentation, L, nodes, adjacency)
 
 
-def ball_graph(b, prefix="n"):
+def ue_restriction(b):
+    """Full subgraph of the ball on the untransvectable nodes."""
+    return _restrict(b, [i for i, n in enumerate(b.nodes) if n.untransvectable], b.L)
+
+
+def ball_prefix(b, L):
+    """The radius-L ball inside b (or inside its untransvectable restriction)."""
+    if not 0 <= L <= b.L:
+        raise InputError(f"radius {L} outside 0..{b.L}")
+    return _restrict(b, [i for i, n in enumerate(b.nodes) if n.length <= L], L)
+
+
+def ball_graph(b):
     """The ball as a plain SimpleGraph with synthetic deterministic labels."""
     from .graphs import SimpleGraph
     width = len(str(max(b.n_nodes - 1, 0)))
-    labels = [f"{prefix}{i:0{width}d}" for i in range(b.n_nodes)]
+    labels = [f"n{i:0{width}d}" for i in range(b.n_nodes)]
     edges = [(labels[i], labels[j]) for i, j in b.edges()]
     return SimpleGraph(labels, edges)
 
@@ -170,10 +181,8 @@ def translate_index(b, v_index, w_index):
 
 def _translate(b, gv, w_index):
     """translate_index with the generator word g_v of node v given."""
-    p = b.presentation
     w = b.nodes[w_index]
-    conj = gv * NormalFormWord(p, w.conjugator)
-    h = canonical_parabolic(p, conj, {w.vertex})
+    h = canonical_parabolic(b.presentation, gv.syllables + w.conjugator, {w.vertex})
     return b._index.get((h.conjugator, w.vertex))
 
 

@@ -232,12 +232,10 @@ def sniff_format(path, text):
     return "json" if head in ("{", "[") else "dot"
 
 
-def load_presentation(path, fmt=None):
+def load_presentation(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    if fmt is None:
-        fmt = sniff_format(path, text)
-    return parse_presentation(text, fmt)
+    return parse_presentation(text, sniff_format(path, text))

@@ -55,9 +55,6 @@ class GraphProductPresentation:
     def is_unit_rank(self):
         return all(r == 1 for r in self._ranks.values())
 
-    def total_rank(self):
-        return sum(self._ranks.values())
-
     def __eq__(self, other):
         if not isinstance(other, GraphProductPresentation):
             return NotImplemented

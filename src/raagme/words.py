@@ -65,6 +65,11 @@ def _negate(e):
     return tuple(-x for x in e)
 
 
+def _inverse(syllables):
+    """Syllables of the inverse word: reversed, exponents negated."""
+    return tuple((v, _negate(e)) for v, e in reversed(syllables))
+
+
 def _push(adj, pile, v, e):
     """Append one syllable to a reduced pile, keeping it reduced.
 
@@ -113,12 +118,6 @@ def _lex_order(adj, reduced):
     return tuple(out)
 
 
-def normalize_syllables(p, syllables):
-    adj = p.graph.adjacency
-    syls = [_validate_syllable(p, s) for s in syllables]
-    return _lex_order(adj, _reduce(adj, syls))
-
-
 @dataclass(frozen=True)
 class NormalFormWord:
     """A group element in normal form over a fixed presentation.
@@ -132,7 +131,7 @@ class NormalFormWord:
 
     @classmethod
     def from_syllables(cls, p, syllables):
-        return cls(p, normalize_syllables(p, syllables))
+        return multiply_and_normalize(p, syllables, ())
 
     @classmethod
     def identity(cls, p):
@@ -140,10 +139,6 @@ class NormalFormWord:
 
     def is_identity(self):
         return not self.syllables
-
-    @property
-    def syllable_length(self):
-        return len(self.syllables)
 
     @property
     def word_length(self):
@@ -154,8 +149,8 @@ class NormalFormWord:
         return frozenset(v for v, _ in self.syllables)
 
     def inverse(self):
-        inv = tuple((v, _negate(e)) for v, e in reversed(self.syllables))
-        return NormalFormWord(self.presentation, inv)
+        p = self.presentation
+        return NormalFormWord(p, _lex_order(p.graph.adjacency, _inverse(self.syllables)))
 
     def __mul__(self, other):
         return multiply_and_normalize(self.presentation, self, other)
@@ -179,12 +174,13 @@ def _coerce(p, w):
 
 
 def multiply_and_normalize(p, w1, w2):
-    """Normal form of the product of two words over the presentation p."""
+    """Normal form of the product of two words over the presentation p.
+
+    The product is the reduction of the concatenated syllables; only the
+    returned word is put in lexicographic order.
+    """
     adj = p.graph.adjacency
-    syls = _reduce(adj, _coerce(p, w1))
-    for v, e in _coerce(p, w2):
-        _push(adj, pile=syls, v=v, e=e)
-    return NormalFormWord(p, _lex_order(adj, syls))
+    return NormalFormWord(p, _lex_order(adj, _reduce(adj, _coerce(p, w1) + _coerce(p, w2))))
 
 
 def word(p, syllables):
@@ -195,23 +191,21 @@ def word(p, syllables):
 def _strip_to_coset_rep(adj, reduced, members):
     """Minimal representative of (reduced word) * G_members, lex ordered.
 
-    Repeatedly deletes a syllable whose vertex lies in ``members`` and whose
-    following syllables all commute with it (scanning from the right), which
-    peels a right factor in the standard subgroup; the remainder is the
-    unique shortest element of the coset.
+    Deletes every syllable whose vertex lies in ``members`` and commutes
+    with all syllables kept after it, peeling a right factor in the standard
+    subgroup; the remainder is the unique shortest element of the coset.
+    Whether a position can be deleted depends only on the syllables after
+    it, so one right-to-left pass suffices, and a deleted syllable never
+    blocked a merge (see _push), so the remainder stays reduced.
     """
-    syls = list(reduced)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(syls) - 1, -1, -1):
-            v = syls[i][0]
-            if v in members and all(u in adj[v] for u, _ in syls[i + 1:]):
-                del syls[i]
-                syls = _reduce(adj, syls)
-                changed = True
-                break
-    return _lex_order(adj, syls)
+    kept = []
+    after = set()
+    for v, e in reversed(reduced):
+        if v in members and after <= adj[v]:
+            continue
+        kept.append((v, e))
+        after.add(v)
+    return _lex_order(adj, kept[::-1])
 
 
 @dataclass(frozen=True)
@@ -236,16 +230,13 @@ class ParabolicHandle:
     def conjugator_length(self):
         return _letter_length(self.conjugator)
 
-    def conjugator_word(self):
-        return NormalFormWord(self.presentation, self.conjugator)
-
-    def generator_word(self, power=1):
-        """The element conj * v^power * conj^-1 for a cyclic handle."""
+    def generator_word(self):
+        """The element conj * v * conj^-1 for a cyclic handle (first basis vector of v)."""
         v = self.type_vertex
-        e = power if self.presentation.rank(v) == 1 else \
-            tuple(power if i == 0 else 0 for i in range(self.presentation.rank(v)))
-        c = self.conjugator_word()
-        return c * NormalFormWord(self.presentation, ((v, e),)) * c.inverse()
+        r = self.presentation.rank(v)
+        e = 1 if r == 1 else (1,) + (0,) * (r - 1)
+        c = self.conjugator
+        return multiply_and_normalize(self.presentation, c + ((v, e),), _inverse(c))
 
     def key(self):
         return (self.conjugator, tuple(sorted(self.type_vertices)))
@@ -288,21 +279,17 @@ def normalizes(h, x):
     g^-1 x g lies in the standard normalizer G_st(v).
     """
     p = h.presentation
-    v = h.type_vertex
-    c = h.conjugator_word()
-    if not isinstance(x, NormalFormWord):
-        x = NormalFormWord.from_syllables(p, x)
-    conj = c.inverse() * x * c
-    return conj.support() <= star(p.graph, v)
+    st = star(p.graph, h.type_vertex)
+    c = h.conjugator
+    # a reduced word's support is that of the element, whatever its shuffle
+    return all(u in st for u, _ in
+               _reduce(p.graph.adjacency, _inverse(c) + _coerce(p, x) + c))
 
 
 def conjugate_handle(h, x):
     """Canonical handle of x (h subgroup) x^-1."""
     p = h.presentation
-    if not isinstance(x, NormalFormWord):
-        x = NormalFormWord.from_syllables(p, x)
-    new_conj = x * h.conjugator_word()
-    return canonical_parabolic(p, new_conj, h.type_vertices)
+    return canonical_parabolic(p, _coerce(p, x) + h.conjugator, h.type_vertices)
 
 
 def _letters(p, vertices):

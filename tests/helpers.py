@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: these are the brute-force reference
 implementations the library is checked against, written straight from the
-definitions with no shared code paths beyond the SimpleGraph container.
+definitions, and the slower paths the library replaced (products of normal
+forms, the restart loop of coset stripping, one ball per radius), kept as
+oracles for the faster ones.
 """
 
 from __future__ import annotations
@@ -10,9 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 
-from raagme.graphs import SimpleGraph
-from raagme.isomorphism import canonical_form
+from raagme.extension import ball_graph, build_ext_ball, ue_restriction
+from raagme.graphs import SimpleGraph, star
+from raagme.isomorphism import canonical_form, canonical_hash
+from raagme.presentation import raag
 from raagme.subgroups import star_gluing_kernel
+from raagme.words import NormalFormWord, _lex_order, _reduce, word
 
 
 def graph_atlas(max_n):
@@ -40,6 +45,15 @@ def graph_atlas(max_n):
 
 # known counts of simple graphs up to isomorphism on 1..7 vertices
 ATLAS_SIZES = [1, 2, 4, 11, 34, 156, 1044]
+
+
+def prism():
+    """Two triangles joined by a perfect matching: transvection-free, finite Out."""
+    return SimpleGraph(
+        ["a1", "a2", "a3", "b1", "b2", "b3"],
+        [("a1", "a2"), ("a2", "a3"), ("a1", "a3"),
+         ("b1", "b2"), ("b2", "b3"), ("b1", "b3"),
+         ("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
 
 
 # -- brute-force automorphism-inventory oracle --------------------------------
@@ -150,6 +164,43 @@ def commutator_adjacent(ball, i, j):
 @functools.lru_cache(maxsize=4)
 def _ball_generators(ball):
     return tuple(ball.handle(i).generator_word() for i in range(ball.n_nodes))
+
+
+# -- normal-form product oracles for the words layer -----------------------------
+
+def normalizes_by_products(h, x):
+    """Whether x normalizes the cyclic handle h: c^-1 x c, multiplied out as
+    normal-form words, is supported in st(v)."""
+    p = h.presentation
+    c = NormalFormWord(p, h.conjugator)
+    if not isinstance(x, NormalFormWord):
+        x = word(p, x)
+    return (c.inverse() * x * c).support() <= star(p.graph, h.type_vertex)
+
+
+def strip_by_restart(adj, reduced, members):
+    """Coset representative by repeated deletion: delete the rightmost syllable
+    in members commuting with everything after it, re-reduce, rescan."""
+    syls = list(reduced)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(syls) - 1, -1, -1):
+            v = syls[i][0]
+            if v in members and all(u in adj[v] for u, _ in syls[i + 1:]):
+                del syls[i]
+                syls = _reduce(adj, syls)
+                changed = True
+                break
+    return _lex_order(adj, syls)
+
+
+# -- per-radius ball fingerprint oracle ------------------------------------------
+
+def ue_ball_fingerprint(graph, L):
+    """Canonical hash of the untransvectable ball of radius L over the graph,
+    built at radius L itself rather than sliced from a larger ball."""
+    return canonical_hash(ball_graph(ue_restriction(build_ext_ball(raag(graph), L))))
 
 
 # -- stepwise clique-reduction oracle ------------------------------------------

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import prism, ue_ball_fingerprint
 from raagme.combinatorics import has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
 from raagme.subgroups import star_gluing_kernel
-from raagme.classify import (decide_me, decide_oe, invariant_report, rigidity_hypotheses,
-                             ue_ball_fingerprint)
+from raagme.classify import decide_me, decide_oe, invariant_report, rigidity_hypotheses
 
 
 def relabel(g, names):
@@ -57,12 +57,18 @@ class TestInvariantReport:
         assert rep.clique_reduced_form.graph == c5
         assert rep.out_finite  # of the reduced graph
 
-    def test_fingerprints_are_iso_invariants(self, c5):
+    def test_fingerprints_are_iso_invariants(self, c5, atlas6):
         other = cycle_graph(["a", "b", "c", "d", "e"])
         for L in (0, 1):
             assert ue_ball_fingerprint(c5, L) == ue_ball_fingerprint(other, L)
         assert ue_ball_fingerprint(c5, 0) != ue_ball_fingerprint(
             path_graph(["a", "b", "c", "d", "e"]), 0)
+        # the report slices one ball; the oracle builds one ball per radius
+        for g in [c5, prism()] + [g for n in range(1, 6) for g in atlas6[n]]:
+            rep = invariant_report(raag(g), ball_bound=2)
+            rg = rep.clique_reduced_form.graph
+            assert rep.ue_ball_fingerprints == tuple(
+                (L, ue_ball_fingerprint(rg, L)) for L in range(3))
 
 
 class TestRigidityHypotheses:
@@ -149,12 +155,34 @@ class TestDecideMe:
     def test_infinite_out_hypothesis(self, p3, c5):
         with pytest.raises(DomainError, match="hypothesis"):
             decide_me(p3, raag(c5))
+        # checked before the search bounds
+        with pytest.raises(DomainError, match="hypothesis"):
+            decide_me(p3, raag(c5), max_steps=-1)
 
     def test_negative_bounds_rejected(self, c5):
         double = raag(star_gluing_kernel(c5, "v1", 2))
         for bound in ({"max_steps": -1}, {"max_vertices": -1}):
             with pytest.raises(InputError, match="bounds must be >= 0"):
                 decide_me(c5, double, **bound)
+
+    def test_finite_out_checked_once(self, c5, monkeypatch):
+        # decide_me and enumerate_findex_graphs each evaluate has_finite_out
+        # once, counted through both modules' bindings
+        import raagme.classify
+        import raagme.subgroups
+        from raagme.subgroups import enumerate_findex_graphs
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return has_finite_out(g)
+
+        monkeypatch.setattr(raagme.classify, "has_finite_out", counted)
+        monkeypatch.setattr(raagme.subgroups, "has_finite_out", counted)
+        assert decide_me(c5, raag(star_gluing_kernel(c5, "v1", 2))).verdict == "equivalent"
+        assert calls == [c5]
+        enumerate_findex_graphs(c5, 16, 2)
+        assert calls == [c5, c5]
 
     def test_depth_two_chain(self, c5):
         # 15 vertices, reached by no single gluing of C5

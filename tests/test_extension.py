@@ -2,27 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import commutator_adjacent
-from raagme.classify import ue_ball_fingerprint
+from helpers import commutator_adjacent, prism, ue_ball_fingerprint
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph
 from raagme.isomorphism import find_isomorphism
 from raagme.presentation import GraphProductPresentation, raag
-from raagme.extension import (ball_graph, ball_json, build_ext_ball,
+from raagme.extension import (ball_graph, ball_json, ball_prefix, build_ext_ball,
                               star_complement_connectivity_check, star_separation_check,
                               translate_index, ue_restriction)
 
 
 def z2p():
     return raag(SimpleGraph(["a", "b"], [("a", "b")]))
-
-
-def prism():
-    return SimpleGraph(
-        ["a1", "a2", "a3", "b1", "b2", "b3"],
-        [("a1", "a2"), ("a2", "a3"), ("a1", "a3"),
-         ("b1", "b2"), ("b2", "b3"), ("b1", "b3"),
-         ("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
 
 
 class TestBallConstruction:
@@ -257,3 +248,8 @@ class TestExport:
         assert doc["node_count"] == 6 and doc["edge_count"] == 0
         assert doc == ball_json(build_ext_ball(raag(f2_graph), 1))
         assert [n["id"] for n in doc["nodes"]] == list(range(6))
+        # the radius-1 ball is a prefix of the radius-2 one
+        big = build_ext_ball(raag(f2_graph), 2)
+        assert ball_json(ball_prefix(big, 1)) == doc
+        with pytest.raises(InputError):
+            ball_prefix(big, 3)

@@ -123,10 +123,11 @@ class TestEnumeration:
                 g, 12, 2, lambda a, b: nx.is_isomorphic(to_nx(a), to_nx(b)))
             assert len(res.witnesses) == len(classes)
 
-    def test_negative_bounds_rejected(self, c5):
-        for bounds in ((-1, 2), (16, -1)):
+    def test_negative_bounds_rejected(self, c5, p3):
+        # the bounds are checked before finite Out
+        for g, bounds in ((c5, (-1, 2)), (c5, (16, -1)), (p3, (-1, 2))):
             with pytest.raises(InputError, match="bounds must be >= 0"):
-                enumerate_findex_graphs(c5, *bounds)
+                enumerate_findex_graphs(g, *bounds)
 
     def test_infinite_out_rejected(self, p3, f2_graph):
         with pytest.raises(DomainError, match="finite"):

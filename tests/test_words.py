@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from helpers import generators_commute, shuffle_oracle_nf
+from helpers import (generators_commute, normalizes_by_products, shuffle_oracle_nf,
+                     strip_by_restart)
 
 from raagme.errors import DomainError, InputError
-from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph
+from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, raag
-from raagme.words import (NormalFormWord, canonical_parabolic, conjugate_handle,
-                          multiply_and_normalize, normalizes, parabolics_commute,
-                          strong_untransvectability_oracle, word)
+from raagme.words import (NormalFormWord, _reduce, _strip_to_coset_rep, canonical_parabolic,
+                          conjugate_handle, multiply_and_normalize, normalizes,
+                          parabolics_commute, strong_untransvectability_oracle, word)
 
 
 def f2():
@@ -105,6 +106,8 @@ class TestNormalForm:
             w2 = word(p, random_word(rng, verts, rng.randint(0, 6)))
             w3 = word(p, random_word(rng, verts, rng.randint(0, 6)))
             assert (w1 * w1.inverse()).is_identity()
+            # the inverse is itself a normal form, comparable by syllables
+            assert w1.inverse() == word(p, [(v, -e) for v, e in reversed(w1.syllables)])
             assert ((w1 * w2) * w3).syllables == (w1 * (w2 * w3)).syllables
 
 
@@ -192,23 +195,39 @@ class TestCommutationAndNormalizers:
 
     def test_commute_matches_commutator(self, atlas6):
         # the normalizer test agrees with the four-fold commutator of the
-        # generators, also over vertex groups of rank 2 and 3
+        # generators and with c^-1 x c multiplied out as normal-form words,
+        # also over vertex groups of rank 2 and 3; conjugated handles agree
+        # with the product path, and the one-pass coset stripping with the
+        # restart loop, on reduced words in any shuffle
         rng = random.Random(31)
         seen = []
         for g in atlas6[4][::2] + atlas6[5][::7]:
             verts = g.sorted_vertices()
+            adj = g.adjacency
             p = GraphProductPresentation(g, {v: rng.randint(1, 3) for v in verts})
 
+            def raw(k):
+                return [(v, random_exponent(rng, p.rank(v))) for v in rng.choices(verts, k=k)]
+
             def handle():
-                conj = [(v, random_exponent(rng, p.rank(v)))
-                        for v in rng.choices(verts, k=rng.randint(0, 3))]
-                return canonical_parabolic(p, conj, {rng.choice(verts)})
+                return canonical_parabolic(p, raw(rng.randint(0, 3)), {rng.choice(verts)})
 
             for _ in range(120):
                 h1, h2 = handle(), handle()
-                expected = generators_commute(h1.generator_word(), h2.generator_word())
+                gen = h2.generator_word()
+                expected = generators_commute(h1.generator_word(), gen)
                 assert parabolics_commute(h1, h2) == expected
+                assert normalizes_by_products(h1, gen) == expected
                 seen.append(expected)
+                x = raw(rng.randint(0, 5))
+                assert normalizes(h1, x) == normalizes_by_products(h1, x)
+                assert conjugate_handle(h1, x) == canonical_parabolic(
+                    p, word(p, x) * NormalFormWord(p, h1.conjugator), h1.type_vertices)
+                types = set(rng.sample(verts, rng.randint(1, 2)))
+                members = types | perp(g, types)
+                reduced = _reduce(adj, raw(rng.randint(0, 7)))
+                assert _strip_to_coset_rep(adj, reduced, members) == \
+                    strip_by_restart(adj, reduced, members)
         assert 0.1 < sum(seen) / len(seen) < 0.9
 
     def test_commute_requires_cyclic(self):
