@@ -1,45 +1,171 @@
 """Graph isomorphism via canonical labeling.
 
-Canonical forms are computed by iterated color refinement plus
-individualization with backtracking, so repeated calls agree and isomorphism
-answers are reproducible byte for byte.  Vertices may carry arbitrary
-mutually-comparable color tags (rank-colored presentations reuse this).  The
-search is exponential in the worst case; the intended scale is defining
-graphs and extension-graph balls of at most a few dozen vertices.
+Canonical forms are computed by color refinement plus individualization with
+backtracking, so repeated calls agree and isomorphism answers are
+reproducible byte for byte.  Vertices may carry arbitrary mutually-comparable
+color tags (rank-colored presentations reuse this).  After an
+individualization, refinement re-keys only the neighbours of the cells that
+changed, and the search keeps its own stack, so its depth is not bounded by
+Python recursion.  The search is exponential in the worst case; extension-graph
+balls of several hundred vertices canonize in seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 
 from .errors import InputError
 
 
-def _refine(n, adj, colors):
-    """Stable 1-dimensional color refinement, canonically re-indexed."""
-    while True:
-        sigs = []
-        for i in range(n):
-            sigs.append((colors[i], tuple(sorted(colors[j] for j in adj[i]))))
-        palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _partition(colors):
+    """Cells of a colouring: (label of each vertex, label -> sorted members).
+
+    A cell is labelled by its first position in colour order.  Labels only
+    need to order the cells: a split keeps the cell's label for its first
+    piece and labels the others by their positions, and an individualized
+    vertex takes a label above every position.
+    """
+    members = defaultdict(list)
+    for v, c in enumerate(colors):
+        members[c].append(v)
+    label = [0] * len(colors)
+    cells = {}
+    start = 0
+    for c in sorted(members):
+        cells[start] = members[c]
+        for v in members[c]:
+            label[v] = start
+        start += len(members[c])
+    return label, cells
+
+
+def _individualize(label, cells, u, fresh):
+    """Copies of (label, cells) with u split off its cell under the label fresh."""
+    label = list(label)
+    cells = dict(cells)
+    cells[label[u]] = [v for v in cells[label[u]] if v != u]
+    cells[fresh] = [u]
+    label[u] = fresh
+    return label, cells
+
+
+def _refine(adj, label, cells, changed):
+    """Split cells until the partition is equitable; return the labels written.
+
+    ``changed`` holds the vertices whose cell changed since the partition was
+    last equitable (every vertex for a first round).  A round keys each
+    neighbour of a changed vertex by the sorted labels of its changed
+    neighbours and splits its cell by those keys, pieces in key order.
+    Members of one cell have equal neighbour counts in every cell that did
+    not change, so the keys order them as their full sorted neighbour labels
+    would, and a cell is touched in all its members or in none.  Only a first
+    round leaves some members of a cell untouched: those have no neighbours,
+    the least key.  ``label`` and ``cells`` are updated in place.
+    """
+    written = set()
+    while changed:
+        keys = defaultdict(list)
+        for w in changed:
+            c = label[w]
+            for v in adj[w]:
+                keys[v].append(c)
+        by_cell = defaultdict(list)
+        for v, key in keys.items():
+            key.sort()
+            by_cell[label[v]].append((key, v))
+        changed = []
+        for start, keyed in by_cell.items():
+            cell = cells[start]
+            if len(cell) == 1:
+                continue
+            keyed.sort()
+            if len(keyed) < len(cell):
+                keyed[:0] = [([], v) for v in cell if v not in keys]
+            if keyed[0][0] == keyed[-1][0]:
+                continue
+            at, piece, last = start, [], keyed[0][0]
+            for key, v in keyed:
+                if key != last:
+                    cells[at] = piece
+                    written.add(at)
+                    at, piece, last = at + len(piece), [], key
+                piece.append(v)
+                label[v] = at
+            cells[at] = piece
+            written.add(at)
+            changed.extend(cell)
+    return written
+
+
+class _Orbits:
+    """Union-find of points under a growing set of permutations."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, points):
+        self.parent = {u: u for u in points}
+
+    def find(self, u):
+        parent = self.parent
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    def join(self, sigma):
+        parent = self.parent
+        for u in parent:
+            v = sigma[u]
+            if v != u and v in parent:
+                ru, rv = self.find(u), self.find(v)
+                if ru != rv:
+                    parent[ru] = rv
+
+
+def _orbit(point, perms):
+    """The orbit of a point under the group the permutations generate."""
+    seen = {point}
+    todo = [point]
+    for x in todo:
+        for sigma in perms:
+            y = sigma[x]
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+class _Node:
+    """An interior search node: its equitable partition and branching state.
+
+    ``entry`` is the node's trace entry, ``eq`` whether the trace up to here
+    equals the best leaf's, ``auts`` the recorded automorphisms fixing
+    ``prefix`` pointwise, and ``orbits`` their orbits on the target cell,
+    joined up to ``merged`` of them.
+    """
+
+    __slots__ = ("label", "cells", "prefix", "entry", "eq", "target", "cell",
+                 "auts", "explored", "orbits", "merged")
 
 
 class _Canonizer:
     """Individualization-refinement search for the minimal labeling.
 
     The canonical key of a graph is the minimum, over all leaves of the
-    search tree, of (refinement trace, leaf encoding).  Branches whose
-    partial trace already exceeds the best known trace are pruned, and at
-    every node the target-cell vertices are explored one per orbit of the
-    automorphisms discovered so far that fix the individualized prefix
-    pointwise (equivalent vertices span identical subtrees).  A leaf equal
-    to the best one yields an automorphism that fixes the prefix the two
-    paths share and maps the current branch there onto the explored best
-    branch, so the search returns to that branching node at once.
+    search tree, of (refinement trace, leaf encoding).  A node's trace entry
+    lists the cells its refinement wrote, as (-label, -size) in label order.
+    Entries are only compared between nodes whose parents have equal traces,
+    hence the same cell labels and sizes; there they order as the sorted
+    colour tuples of the two partitions would.  Each node knows whether its
+    trace equals the best leaf's so far, so pruning looks at the newest entry
+    only.  At every node the target-cell vertices are explored one per orbit
+    of the automorphisms discovered so far that fix the individualized prefix
+    pointwise (equivalent vertices span identical subtrees).  A leaf equal to
+    the best one yields an automorphism that fixes the prefix the two paths
+    share and maps the current branch there onto the explored best branch,
+    so the search returns to that branching node at once.  ``nodes`` counts
+    the nodes refined, pruned ones and leaves included.
     """
 
     def __init__(self, verts, adj, init_colors):
@@ -47,98 +173,109 @@ class _Canonizer:
         self.verts = verts
         self.adj = adj
         self.init_colors = init_colors
-        self.best = None          # (trace, key, order)
+        self.best = None          # (key, order)
+        self.best_trace = None    # trace entries on the path to best
         self.best_prefix = None   # individualized vertices on the path to best
         self.automorphisms = []   # permutations as vertex->vertex lists
-
-    def _leaf(self, colors, trace, prefix):
-        """Compare a leaf with the best; on a tie, return the shared prefix length."""
-        order = sorted(range(self.n), key=lambda i: colors[i])
-        pos = {v: p for p, v in enumerate(order)}
-        rows = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
-        key = (tuple(self.init_colors[v] for v in order), rows)
-        if self.best is None or (trace, key) < (self.best[0], self.best[1]):
-            self.best = (trace, key, order)
-            self.best_prefix = prefix
-        elif (trace, key) == (self.best[0], self.best[1]):
-            # two labelings with the same key differ by an automorphism
-            other = self.best[2]
-            sigma = [0] * self.n
-            for a, b in zip(order, other):
-                sigma[a] = b
-            self.automorphisms.append(sigma)
-            shared = 0
-            while prefix[shared] == self.best_prefix[shared]:
-                shared += 1
-            return shared
-        return None
-
-    def _cell_orbits(self, cell, prefix):
-        """Union-find roots of the cell under prefix-fixing automorphisms."""
-        parent = {u: u for u in cell}
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for sigma in self.automorphisms:
-            if any(sigma[p] != p for p in prefix):
-                continue
-            for u in cell:
-                v = sigma[u]
-                if v in parent:
-                    ru, rv = find(u), find(v)
-                    if ru != rv:
-                        parent[ru] = rv
-        return find
-
-    def _search(self, colors, trace, depth, prefix):
-        """Explore one node; a depth returned means return to that node."""
-        colors = _refine(self.n, self.adj, colors)
-        trace = trace + (tuple(sorted(colors)),)
-        if self.best is not None:
-            bt = self.best[0]
-            k = len(trace)
-            if trace[:k] > bt[:k]:
-                return None
-        if len(set(colors)) == self.n:
-            return self._leaf(colors, trace, prefix)
-        # smallest color value with a non-singleton cell
-        counts = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, k in counts.items() if k > 1)
-        cell = [i for i in range(self.n) if colors[i] == target]
-        fresh = self.n + depth
-        explored = []
-        find = None
-        known_auts = -1
-        while True:
-            # recompute orbits only when automorphisms found in an earlier
-            # branch of this very node can prune the remaining candidates
-            if len(self.automorphisms) != known_auts:
-                known_auts = len(self.automorphisms)
-                find = self._cell_orbits(cell, prefix) if known_auts else None
-            if find is None:
-                candidates = [u for u in cell if u not in explored]
-            else:
-                done = {find(e) for e in explored}
-                candidates = [u for u in cell if find(u) not in done]
-            if not candidates:
-                return None
-            u = candidates[0]
-            explored.append(u)
-            child = list(colors)
-            child[u] = fresh
-            back = self._search(child, trace, depth + 1, prefix + (u,))
-            if back is not None and back < depth:
-                return back
+        self.nodes = 0
 
     def run(self):
-        self._search(list(self.init_colors), (), 0, ())
+        """Search the whole tree with an explicit stack; return best."""
+        n, adj = self.n, self.adj
+        label, cells = _partition(self.init_colors)
+        _refine(adj, label, cells, range(n))
+        stack = []
+        self._visit(stack, label, cells, (), (), [], False)
+        while stack:
+            node = stack[-1]
+            u = self._next_vertex(node)
+            if u is None:
+                stack.pop()
+                continue
+            # individualized vertices are labelled above every position, in
+            # the order of their depths
+            label, cells = _individualize(node.label, node.cells, u, n + len(stack) - 1)
+            written = _refine(adj, label, cells, node.cell)
+            entry = tuple((-q, -len(cells[q])) for q in sorted(written))
+            auts = [sigma for sigma in node.auts if sigma[u] == u]
+            self._visit(stack, label, cells, node.prefix + (u,), entry, auts, node.eq)
         return self.best
+
+    def _visit(self, stack, label, cells, prefix, entry, auts, parent_eq):
+        """Prune a refined node, score it as a leaf, or push it."""
+        self.nodes += 1
+        depth = len(prefix)
+        eq = False
+        if parent_eq:
+            best = self.best_trace
+            if depth == len(best) or entry > best[depth]:
+                return
+            eq = entry == best[depth]
+        if len(cells) == self.n:
+            self._leaf(stack, label, prefix, entry, eq)
+            return
+        # smallest label with a non-singleton cell; every cell below the
+        # parent's target is a singleton
+        target = stack[-1].target if stack else 0
+        while len(cells.get(target, ())) < 2:
+            target += 1
+        node = _Node()
+        node.label, node.cells, node.prefix = label, cells, prefix
+        node.entry, node.eq, node.auts = entry, eq, auts
+        node.target, node.cell = target, cells[target]
+        node.explored, node.orbits, node.merged = set(), None, 0
+        stack.append(node)
+
+    def _leaf(self, stack, label, prefix, entry, eq):
+        """Compare a leaf with the best; on a tie, return to the shared prefix."""
+        n = self.n
+        order = sorted(range(n), key=label.__getitem__)
+        pos = [0] * n
+        for p, v in enumerate(order):
+            pos[v] = p
+        rows = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
+        key = (tuple(self.init_colors[v] for v in order), rows)
+        if eq and len(self.best_trace) == len(prefix) + 1:
+            if key > self.best[0]:
+                return
+            if key == self.best[0]:
+                # two labelings with the same key differ by an automorphism
+                sigma = [0] * n
+                for a, b in zip(order, self.best[1]):
+                    sigma[a] = b
+                self.automorphisms.append(sigma)
+                shared = 0
+                while prefix[shared] == self.best_prefix[shared]:
+                    shared += 1
+                del stack[shared + 1:]
+                for node in stack:
+                    node.auts.append(sigma)
+                return
+        self.best = (key, order)
+        self.best_trace = [node.entry for node in stack] + [entry]
+        self.best_prefix = prefix
+        for node in stack:
+            node.eq = True
+
+    @staticmethod
+    def _next_vertex(node):
+        """The first target-cell vertex in no explored vertex's orbit, or None."""
+        cell, explored = node.cell, node.explored
+        if node.merged < len(node.auts) and explored:
+            if node.orbits is None:
+                node.orbits = _Orbits(cell)
+            for sigma in node.auts[node.merged:]:
+                node.orbits.join(sigma)
+            node.merged = len(node.auts)
+        if node.orbits is None:
+            u = next((v for v in cell if v not in explored), None)
+        else:
+            find = node.orbits.find
+            done = {find(e) for e in explored}
+            u = next((v for v in cell if find(v) not in done), None)
+        if u is not None:
+            explored.add(u)
+        return u
 
     def group_order(self):
         """Order of the automorphism group, by orbit-stabilizer along best_prefix.
@@ -151,11 +288,10 @@ class _Canonizer:
         recorded automorphisms give each stabilizer orbit exactly.
         """
         order = 1
-        prefix = self.best_prefix
-        for d, b in enumerate(prefix):
-            find = self._cell_orbits(range(self.n), prefix[:d])
-            root = find(b)
-            order *= sum(1 for u in range(self.n) if find(u) == root)
+        auts = self.automorphisms
+        for b in self.best_prefix:
+            order *= len(_orbit(b, auts))
+            auts = [sigma for sigma in auts if sigma[b] == b]
         return order
 
 
@@ -205,10 +341,12 @@ class CanonicalForm:
         c = self._canonizer
         if c is None:
             return []
-        find = c._cell_orbits(range(c.n), ())
+        orbits = _Orbits(range(c.n))
+        for sigma in c.automorphisms:
+            orbits.join(sigma)
         least = {}
         for i, v in enumerate(c.verts):
-            least.setdefault(find(i), v)
+            least.setdefault(orbits.find(i), v)
         return list(least.values())
 
     def hexdigest(self):
@@ -225,7 +363,7 @@ def canonical_form(g, colors=None):
     if not verts:
         return CanonicalForm((palette_tags, (), ()), ())
     canonizer = _Canonizer(verts, adj, init)
-    _, key, order = canonizer.run()
+    key, order = canonizer.run()
     return CanonicalForm((palette_tags,) + key, tuple(verts[i] for i in order), canonizer)
 
 

@@ -1,0 +1,198 @@
+"""The incremental canonizer against the full-round recursive one it replaced.
+
+Both must search the same tree: same key and order, the same automorphisms
+recorded in the same order, the same path to the best leaf and the same
+number of nodes, hence the same group order and orbit representatives.
+"""
+
+import math
+import random
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import CanonizerByRounds, orbit_representatives_by_rounds, prism, refine_by_rounds
+
+from raagme.extension import ball_graph, build_ext_ball, ue_restriction
+from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, opposite_graph
+from raagme.isomorphism import (_Canonizer, _individualize, _partition, _prepare, _refine,
+                                automorphism_count, canonical_form)
+from raagme.presentation import raag
+
+
+class CountingCanonizerByRounds(CanonizerByRounds):
+    nodes = 0
+
+    def _search(self, *args):
+        self.nodes += 1
+        return super()._search(*args)
+
+
+def assert_same_search(g, colors=None):
+    form = canonical_form(g, colors)
+    new = form._canonizer
+    verts, adj, init, palette_tags = _prepare(g, colors)
+    if not verts:
+        assert new is None
+        return
+    old = CountingCanonizerByRounds(verts, adj, init)
+    _, key, order = old.run()
+    assert form.key == (palette_tags,) + key
+    assert form.order == tuple(verts[i] for i in order)
+    assert new.automorphisms == old.automorphisms
+    assert new.best_prefix == old.best_prefix
+    assert new.nodes == old.nodes
+    assert new.group_order() == old.group_order()
+    assert form.orbit_representatives() == orbit_representatives_by_rounds(old)
+
+
+def relabel_randomly(g, seed):
+    names = [f"x{i:03d}" for i in range(g.n_vertices)]
+    random.Random(seed).shuffle(names)
+    m = dict(zip(g.sorted_vertices(), names))
+    return SimpleGraph(names, [(m[u], m[w]) for u, w in g.edges()])
+
+
+def ue_ball(g, L):
+    return ball_graph(ue_restriction(build_ext_ball(raag(g), L)))
+
+
+def test_same_search_on_atlas(atlas7):
+    rng = random.Random(61)
+    for n in range(1, 8):
+        for g in atlas7[n]:
+            assert_same_search(g)
+            assert_same_search(g, {v: rng.randrange(3) for v in g.sorted_vertices()})
+
+
+def test_same_search_on_random_graphs():
+    rng = random.Random(62)
+    for _ in range(160):
+        n = rng.randint(8, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8))
+        verts = [f"v{i:02d}" for i in range(n)]
+        edges = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        g = SimpleGraph(verts, edges)
+        assert_same_search(g)
+        assert_same_search(g, {v: rng.randrange(3) for v in verts})
+
+
+# Two cubic graphs from a wider random search.  On the first, trace entries
+# ordered by +label rather than -label pick another best leaf; on the second,
+# a child that also keeps the automorphisms moving its new vertex joins
+# orbits wrongly and prunes a branch.
+SEPARATING_CUBIC_GRAPHS = (
+    (12, [(0, 6), (0, 8), (0, 9), (1, 6), (1, 9), (1, 11), (2, 3), (2, 4), (2, 5), (3, 6),
+          (3, 9), (4, 5), (4, 7), (5, 10), (7, 8), (7, 11), (8, 10), (10, 11)]),
+    (8, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 5), (2, 7), (3, 4), (4, 7),
+         (5, 6), (6, 7)]),
+)
+
+
+def test_same_search_on_random_regular_graphs():
+    for n, edges in SEPARATING_CUBIC_GRAPHS:
+        verts = [f"v{i:02d}" for i in range(n)]
+        assert_same_search(SimpleGraph(verts, [(verts[a], verts[b]) for a, b in edges]))
+    # pairings of d copies of each vertex, loops and repeated edges dropped
+    rng = random.Random(63)
+    for _ in range(150):
+        n, d = rng.randrange(8, 31, 2), rng.choice((3, 4))
+        ends = [i for i in range(n) for _ in range(d)]
+        rng.shuffle(ends)
+        verts = [f"v{i:02d}" for i in range(n)]
+        g = SimpleGraph(verts, {(verts[min(a, b)], verts[max(a, b)])
+                                for a, b in zip(ends[::2], ends[1::2]) if a != b})
+        assert_same_search(g)
+
+
+def test_same_search_on_edgeless_graphs_and_matchings():
+    assert_same_search(SimpleGraph([]))
+    for n in range(1, 31):
+        assert_same_search(edgeless_graph([f"v{i:02d}" for i in range(n)]))
+    for k in range(1, 16):
+        verts = [f"v{i:02d}" for i in range(2 * k + 2)]
+        # k edges plus two isolated vertices
+        assert_same_search(SimpleGraph(verts, [(verts[2 * i], verts[2 * i + 1])
+                                               for i in range(k)]))
+
+
+def test_same_search_on_relabelled_ue_balls():
+    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+    c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+    for seed, g in enumerate((c5, prism(), c7_complement)):
+        assert_same_search(relabel_randomly(ue_ball(g, 2), seed))
+
+
+def test_c5_ball_search_tree_size():
+    # the radius-2 untransvectable ball of C5 (145 nodes): 504 search nodes,
+    # as many as the full-round recursive search makes on it
+    canonizer = _Canonizer(*_prepare(ue_ball(cycle_graph(["v1", "v2", "v3", "v4", "v5"]), 2),
+                                     None)[:3])
+    canonizer.run()
+    assert canonizer.nodes == 504
+
+
+def test_search_depth_not_bounded_by_recursion_limit():
+    # a perfect matching of 60 edges individualizes 60 vertices deep
+    verts = [f"v{i:03d}" for i in range(120)]
+    g = SimpleGraph(verts, [(verts[2 * i], verts[2 * i + 1]) for i in range(60)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        form = canonical_form(g)
+        count = automorphism_count(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(form._canonizer.best_prefix) == 60
+    assert count == 2 ** 60 * math.factorial(60)
+
+
+def dense(labels):
+    rank = {q: i for i, q in enumerate(sorted(set(labels)))}
+    return [rank[q] for q in labels]
+
+
+def assert_cells_match(label, cells):
+    members = {}
+    for v, q in enumerate(label):
+        members.setdefault(q, []).append(v)
+    assert cells == members
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_incremental_refine_matches_full_rounds(data):
+    n = data.draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [[] for _ in range(n)]
+    for (i, j), keep in zip(pairs, mask):
+        if keep:
+            adj[i].append(j)
+            adj[j].append(i)
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    colors = dense(colors)
+    # a first round over every vertex
+    equitable = refine_by_rounds(n, adj, colors)
+    label, cells = _partition(colors)
+    _refine(adj, label, cells, range(n))
+    assert dense(label) == equitable
+    assert_cells_match(label, cells)
+    # then one vertex of a non-singleton cell individualized, as the search does
+    shared = [v for v in range(n) if equitable.count(equitable[v]) > 1]
+    if not shared:
+        return
+    u = data.draw(st.sampled_from(shared))
+    individualized = list(equitable)
+    individualized[u] = n
+    label, cells = _partition(equitable)
+    cell = cells[label[u]]
+    label, cells = _individualize(label, cells, u, n)
+    _refine(adj, label, cells, cell)
+    assert dense(label) == refine_by_rounds(n, adj, individualized)
+    assert_cells_match(label, cells)
