@@ -10,21 +10,19 @@ finite extension-graph balls, and star-gluing finite-index subgroups.
 
 from .errors import DomainError, InputError, ParseError, RaagmeError
 from .graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
-                     edgeless_graph, full_subgraph, join_factors, link, link_and_star,
-                     opposite_graph, path_graph, perp, star)
+                     edgeless_graph, full_subgraph, join_factors, link, opposite_graph,
+                     path_graph, perp, star)
 from .isomorphism import (automorphism_count, canonical_form, canonical_hash,
                           find_isomorphism)
 from .presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
 from .combinatorics import (CvClassification, OutInventory, all_untransvectable_strongly,
-                            check_collapsibility_equivalence, cv_classification,
-                            has_finite_out, has_untransvectable_nonabelian_class,
-                            is_collapsible, is_free_product_of_free_abelians,
-                            is_strongly_untransvectable, is_transvectable_subgraph,
-                            is_transvectable_vertex, out_inventory,
-                            untransvectable_vertices)
+                            cv_classification, has_finite_out,
+                            has_untransvectable_nonabelian_class, is_collapsible,
+                            is_free_product_of_free_abelians, is_strongly_untransvectable,
+                            is_transvectable_subgraph, is_transvectable_vertex,
+                            out_inventory, untransvectable_vertices)
 from .words import (NormalFormWord, ParabolicHandle, canonical_parabolic,
-                    multiply_and_normalize, normalizes, parabolics_commute,
-                    strong_untransvectability_oracle, word)
+                    multiply_and_normalize, normalizes, word)
 from .extension import (ExtBall, build_ext_ball, star_complement_connectivity_check,
                         star_separation_check, ue_restriction)
 from .subgroups import FiniteIndexWitness, enumerate_findex_graphs, star_gluing_kernel

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError
 from .combinatorics import (all_untransvectable_strongly, has_finite_out,
                             has_untransvectable_nonabelian_class, untransvectable_vertices)
-from .extension import ball_graph, ball_prefix, build_ext_ball, ue_restriction
+from .extension import ball_graph, ball_prefix, build_ext_ball
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
 from .subgroups import _check_bounds, _gluing_classes
@@ -117,9 +117,9 @@ def invariant_report(p, ball_bound=2):
         raise InputError("invariant report is undefined for the trivial presentation")
     reduced = clique_reduce(p)
     rg = reduced.graph
-    # one ball at the largest radius, sliced for the smaller ones; a
-    # negative bound asks for no fingerprints
-    ue = ue_restriction(build_ext_ball(raag(rg), max(ball_bound, 0)))
+    # one untransvectable ball at the largest radius, sliced for the
+    # smaller ones; a negative bound asks for no fingerprints
+    ue = build_ext_ball(raag(rg), max(ball_bound, 0), ue=True)
     fingerprints = tuple((L, canonical_hash(ball_graph(ball_prefix(ue, L))))
                          for L in range(ball_bound + 1))
     return InvariantReport(

@@ -27,7 +27,7 @@ import sys
 from .errors import RaagmeError
 from .classify import RigidityReport, decide_me, decide_oe, invariant_report
 from .combinatorics import out_inventory
-from .extension import ball_json, build_ext_ball, ue_restriction
+from .extension import ball_json, build_ext_ball
 from .formats import load_presentation, presentation_to_json_dict
 from .presentation import clique_reduce, expand_to_raag, raag
 from .subgroups import enumerate_findex_graphs
@@ -158,9 +158,7 @@ def _cmd_me(args):
 
 def _cmd_extball(args):
     p = load_presentation(args.file)
-    ball = build_ext_ball(raag(_defining_graph(p)), args.L)
-    if args.ue:
-        ball = ue_restriction(ball)
+    ball = build_ext_ball(raag(_defining_graph(p)), args.L, ue=args.ue)
     if args.format == "json":
         return 0, _json_dump(ball_json(ball))
     kind = "untransvectable extension ball" if args.ue else "extension ball"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError
-from .graphs import connected_components, full_subgraph, link, opposite_graph, perp, star
+from .graphs import connected_components, full_subgraph, link, opposite_graph, star
 from .isomorphism import automorphism_count
 
 
@@ -61,12 +61,6 @@ class CvClassification:
     classes: tuple
     class_kind: dict
     untransvectable_classes: tuple
-
-    def class_of(self, v):
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise InputError(f"unknown vertex {v!r}")
 
 
 def cv_classification(g):
@@ -171,48 +165,6 @@ def is_collapsible(g, s):
     return True
 
 
-@dataclass(frozen=True)
-class CollapsibilityReport:
-    """Both sides of the collapsibility equivalence, with a failure witness.
-
-    ``by_definition`` is the outside-star test; ``by_closure`` quantifies
-    over all non-empty subsets T of the support, checking
-    T u perp(T) <= s u perp(s).  The two must agree; ``witness`` is the
-    first T (smallest size, then lexicographic) violating the closure.
-    """
-
-    support: frozenset
-    by_definition: bool
-    by_closure: bool
-    witness: frozenset | None = None
-
-    @property
-    def agree(self):
-        return self.by_definition == self.by_closure
-
-
-def _subsets_by_size(items):
-    from itertools import combinations
-    items = sorted(items)
-    for k in range(1, len(items) + 1):
-        for combo in combinations(items, k):
-            yield frozenset(combo)
-
-
-def check_collapsibility_equivalence(g, s):
-    s = frozenset(s)
-    if not s:
-        raise InputError("collapsibility is undefined for the empty subgraph")
-    cond1 = is_collapsible(g, s)
-    closure = s | perp(g, s)
-    witness = None
-    for theta in _subsets_by_size(s):
-        if not (theta | perp(g, theta)) <= closure:
-            witness = theta
-            break
-    return CollapsibilityReport(s, cond1, witness is None, witness)
-
-
 def is_strongly_untransvectable(g, v):
     """Derived test: the subgroup generated by v is strongly untransvectable.
 
@@ -220,8 +172,8 @@ def is_strongly_untransvectable(g, v):
     of the opposite graph of lk(v) contains a vertex that is untransvectable
     in the whole graph (vacuously true for an empty link).  Equivalently, no
     generator outside <v> normalizes every untransvectable cyclic parabolic
-    subgroup commuting with <v>; the word-level bounded search in
-    raagme.words serves as an independent oracle for this criterion.
+    subgroup commuting with <v>; the tests check the criterion against a
+    bounded word-level search for such a generator.
     """
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {v!r}")

@@ -4,8 +4,8 @@ The extension graph has one vertex per cyclic parabolic subgroup (all
 conjugates of the vertex subgroups), with edges between commuting ones.  A
 ball of radius L collects the canonical handles whose conjugator has word
 length at most L; the radius-0 slice is a copy of the defining graph.  The
-untransvectable restriction keeps the nodes whose type vertex is
-untransvectable.
+untransvectable ball keeps the nodes whose type vertex is untransvectable;
+``build_ext_ball(p, L, ue=True)`` builds it directly.
 
 Structural facts about the infinite graph are exposed as finite-scale
 checks: removing the star of a node separates each remaining node from its
@@ -85,12 +85,15 @@ class ExtBall:
         return ParabolicHandle(self.presentation, node.conjugator, frozenset({node.vertex}))
 
 
-def build_ext_ball(p, L):
+def build_ext_ball(p, L, ue=False):
     """All canonical cyclic handles of conjugator length <= L, with commutation edges.
 
     Nodes g<v>g^-1 and h<w>h^-1 are joined when h w h^-1 normalizes g<v>g^-1,
     that is when g^-1 h w h^-1 g lies in G_st(v); by Servatius' centralizer
-    theorem this is exactly when the two subgroups commute.
+    theorem this is exactly when the two subgroups commute.  With ue=True
+    only handles of untransvectable type are built (conjugator letters
+    still range over every vertex): the ball ue_restriction cuts out of the
+    full one.
     """
     if L < 0:
         raise InputError("ball radius must be >= 0")
@@ -98,7 +101,7 @@ def build_ext_ball(p, L):
         raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
     g = p.graph
     untrans = set(untransvectable_vertices(g)) if g.n_vertices else set()
-    handles = enumerate_cyclic_handles(p, g.vertices, g.vertices, L)
+    handles = enumerate_cyclic_handles(p, untrans if ue else g.vertices, g.vertices, L)
     nodes = []
     for h in handles:
         nodes.append(ExtNode(
@@ -134,7 +137,7 @@ def ue_restriction(b):
 
 
 def ball_prefix(b, L):
-    """The radius-L ball inside b (or inside its untransvectable restriction)."""
+    """The radius-L ball inside b (untransvectable if b is)."""
     if not 0 <= L <= b.L:
         raise InputError(f"radius {L} outside 0..{b.L}")
     return _restrict(b, [i for i, n in enumerate(b.nodes) if n.length <= L], L)
@@ -169,18 +172,11 @@ def _components(b, removed):
     return comp, label
 
 
-def translate_index(b, v_index, w_index):
-    """Index of the conjugate of node w by the generator of node v, or None.
-
-    The translate is the canonical handle of g_v (w subgroup) g_v^-1 where
-    g_v is the generator of the cyclic subgroup at v; None when it falls
-    outside the ball.
-    """
-    return _translate(b, b.handle(v_index).generator_word(), w_index)
-
-
 def _translate(b, gv, w_index):
-    """translate_index with the generator word g_v of node v given."""
+    """Index of the node g_v (w subgroup) g_v^-1, or None outside the ball.
+
+    gv is the generator word of the cyclic subgroup at some node v.
+    """
     w = b.nodes[w_index]
     h = canonical_parabolic(b.presentation, gv.syllables + w.conjugator, {w.vertex})
     return b._index.get((h.conjugator, w.vertex))
@@ -230,10 +226,9 @@ def star_separation_check(b, v_index):
         if w in removed:
             continue
         t = _translate(b, gv, w)
+        # conjugating by g_v preserves commuting with <g_v>, so a node
+        # outside the star never translates into it
         if t is None:
-            skipped += 1
-            continue
-        if t in removed:  # cannot happen: the star of v is invariant
             skipped += 1
             continue
         entries.append(SeparationEntry(

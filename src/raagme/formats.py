@@ -28,10 +28,6 @@ def presentation_to_json_dict(p):
     }
 
 
-def presentation_to_json(p):
-    return json.dumps(presentation_to_json_dict(p), indent=2) + "\n"
-
-
 def _presentation_from_parts(names, ranks, edges):
     try:
         graph = SimpleGraph(names, sorted(set(edges)))

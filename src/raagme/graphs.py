@@ -91,9 +91,6 @@ class SimpleGraph:
     def n_edges(self):
         return sum(len(ns) for ns in self._adj.values()) // 2
 
-    def degree(self, v):
-        return len(self.neighbors(v))
-
     def __eq__(self, other):
         if not isinstance(other, SimpleGraph):
             return NotImplemented
@@ -135,12 +132,6 @@ def link(g, v):
 def star(g, v):
     """v together with all vertices adjacent to it."""
     return g.neighbors(v) | {v}
-
-
-def link_and_star(g, v):
-    """The pair (link, star) of a vertex."""
-    lk = g.neighbors(v)
-    return lk, lk | {v}
 
 
 def perp(g, s):

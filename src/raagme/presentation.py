@@ -111,7 +111,7 @@ def clique_reduce(p):
 
 
 def expansion_label(v, i, taken):
-    """Deterministic fresh label for the i-th clique vertex expanding v."""
+    """Deterministic label for the i-th clique vertex expanding v, not in taken."""
     sep = "#"
     while f"{v}{sep}{i}" in taken:
         sep += "#"
@@ -134,9 +134,8 @@ def expand_to_raag(p):
             names[v] = [v]
         else:
             names[v] = [expansion_label(v, i, taken) for i in range(1, r + 1)]
+            taken.update(names[v])
     verts = [x for v in g.sorted_vertices() for x in names[v]]
-    if len(set(verts)) != len(verts):
-        raise InputError("expansion labels collide; rename the vertices")
     edges = []
     for v in g.sorted_vertices():
         group = names[v]

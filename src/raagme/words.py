@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
-from .graphs import link, perp, star
-from .combinatorics import is_transvectable_vertex, untransvectable_vertices
+from .errors import InputError
+from .graphs import perp, star
 from .presentation import GraphProductPresentation
 
 
@@ -130,10 +129,6 @@ class NormalFormWord:
     syllables: tuple
 
     @classmethod
-    def from_syllables(cls, p, syllables):
-        return multiply_and_normalize(p, syllables, ())
-
-    @classmethod
     def identity(cls, p):
         return cls(p, ())
 
@@ -185,7 +180,7 @@ def multiply_and_normalize(p, w1, w2):
 
 def word(p, syllables):
     """Convenience constructor for a normal-form word."""
-    return NormalFormWord.from_syllables(p, syllables)
+    return multiply_and_normalize(p, syllables, ())
 
 
 def _strip_to_coset_rep(adj, reduced, members):
@@ -259,19 +254,6 @@ def canonical_parabolic(p, conjugator, type_vertices):
     return ParabolicHandle(p, _strip_to_coset_rep(adj, reduced, members), type_vertices)
 
 
-def parabolics_commute(h1, h2):
-    """Whether two cyclic parabolic subgroups commute elementwise.
-
-    The generator of h2 commutes with h1 exactly when it normalizes h1: the
-    centralizer and the normalizer of a vertex subgroup are both G_st(v).
-    """
-    if h1.presentation != h2.presentation:
-        raise InputError("handles belong to different presentations")
-    if len(h1.type_vertices) != 1 or len(h2.type_vertices) != 1:
-        raise InputError("commutation test expects cyclic parabolic handles")
-    return normalizes(h1, h2.generator_word())
-
-
 def normalizes(h, x):
     """Whether the element x normalizes the cyclic parabolic subgroup of h.
 
@@ -284,12 +266,6 @@ def normalizes(h, x):
     # a reduced word's support is that of the element, whatever its shuffle
     return all(u in st for u, _ in
                _reduce(p.graph.adjacency, _inverse(c) + _coerce(p, x) + c))
-
-
-def conjugate_handle(h, x):
-    """Canonical handle of x (h subgroup) x^-1."""
-    p = h.presentation
-    return canonical_parabolic(p, _coerce(p, x) + h.conjugator, h.type_vertices)
 
 
 def _letters(p, vertices):
@@ -332,34 +308,3 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
                     nxt.append(h2)
         frontier = nxt
     return [handles[k] for k in sorted(handles)]
-
-
-def strong_untransvectability_oracle(g, v, conj_len_bound=4):
-    """Bounded word-level test for strong untransvectability of <v>.
-
-    Enumerates the untransvectable cyclic parabolic subgroups commuting with
-    <v> whose canonical conjugator has length at most the bound (they all
-    have a conjugator in the star subgroup of v, so letters are drawn from
-    lk(v)), then asks whether some generator indexed by lk(v) normalizes all
-    of them.  If none does the answer True is definitive; an answer False
-    only certifies that the enumerated sub-collection has a common
-    normalizer bigger than <v>, so it is relative to the bound.
-    """
-    if not g.has_vertex(v):
-        raise InputError(f"unknown vertex {v!r}")
-    if is_transvectable_vertex(g, v):
-        raise DomainError(
-            "strong untransvectability defined only for untransvectable vertices")
-    if conj_len_bound < 0:
-        raise InputError("conjugator length bound must be >= 0")
-    p = GraphProductPresentation(g)
-    lk = sorted(link(g, v))
-    stv = star(g, v)
-    untrans = set(untransvectable_vertices(g))
-    types = sorted(w for w in stv if w in untrans)
-    collection = enumerate_cyclic_handles(p, types, lk, conj_len_bound)
-    for x in lk:
-        witness = NormalFormWord(p, ((x, 1),))
-        if all(normalizes(h, witness) for h in collection):
-            return False
-    return True

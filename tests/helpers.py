@@ -2,22 +2,30 @@
 
 Everything here is deliberately naive: these are the brute-force reference
 implementations the library is checked against, written straight from the
-definitions, and the slower paths the library replaced (products of normal
-forms, the restart loop of coset stripping, one ball per radius, full-round
-refinement with a recursive search), kept as oracles for the faster ones.
+definitions (the word-level strong untransvectability search, the
+subgroup-closure form of collapsibility), and the slower paths the library
+replaced (products of normal forms, the restart loop of coset stripping, one
+ball per radius, the full ball cut down to its untransvectable nodes,
+full-round refinement with a recursive search), kept as oracles for the
+faster ones.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 
-from raagme.extension import ball_graph, build_ext_ball, ue_restriction
-from raagme.graphs import SimpleGraph, star
+from raagme.combinatorics import (is_collapsible, is_transvectable_vertex,
+                                  untransvectable_vertices)
+from raagme.errors import DomainError, InputError
+from raagme.extension import _translate, ball_graph, build_ext_ball, ue_restriction
+from raagme.graphs import SimpleGraph, link, perp, star
 from raagme.isomorphism import canonical_form, canonical_hash
-from raagme.presentation import raag
+from raagme.presentation import GraphProductPresentation, raag
 from raagme.subgroups import star_gluing_kernel
-from raagme.words import NormalFormWord, _lex_order, _reduce, word
+from raagme.words import (NormalFormWord, _coerce, _lex_order, _reduce, canonical_parabolic,
+                          enumerate_cyclic_handles, normalizes, word)
 
 
 def graph_atlas(max_n):
@@ -351,6 +359,109 @@ def strip_by_restart(adj, reduced, members):
                 changed = True
                 break
     return _lex_order(adj, syls)
+
+
+# -- handle arithmetic on top of the normalizer test ----------------------------
+
+def parabolics_commute(h1, h2):
+    """Whether two cyclic parabolic subgroups commute elementwise.
+
+    The generator of h2 commutes with h1 exactly when it normalizes h1: the
+    centralizer and the normalizer of a vertex subgroup are both G_st(v).
+    """
+    if h1.presentation != h2.presentation:
+        raise InputError("handles belong to different presentations")
+    if len(h1.type_vertices) != 1 or len(h2.type_vertices) != 1:
+        raise InputError("commutation test expects cyclic parabolic handles")
+    return normalizes(h1, h2.generator_word())
+
+
+def conjugate_handle(h, x):
+    """Canonical handle of x (h subgroup) x^-1."""
+    p = h.presentation
+    return canonical_parabolic(p, _coerce(p, x) + h.conjugator, h.type_vertices)
+
+
+def translate_index(b, v_index, w_index):
+    """Index of the conjugate of node w by the generator of node v, or None
+    when it falls outside the ball."""
+    return _translate(b, b.handle(v_index).generator_word(), w_index)
+
+
+# -- word-level strong untransvectability oracle ---------------------------------
+
+def strong_untransvectability_oracle(g, v, conj_len_bound=4):
+    """Bounded word-level test for strong untransvectability of <v>.
+
+    Enumerates the untransvectable cyclic parabolic subgroups commuting with
+    <v> whose canonical conjugator has length at most the bound (they all
+    have a conjugator in the star subgroup of v, so letters are drawn from
+    lk(v)), then asks whether some generator indexed by lk(v) normalizes all
+    of them.  If none does the answer True is definitive; an answer False
+    only certifies that the enumerated sub-collection has a common
+    normalizer bigger than <v>, so it is relative to the bound.
+    """
+    if not g.has_vertex(v):
+        raise InputError(f"unknown vertex {v!r}")
+    if is_transvectable_vertex(g, v):
+        raise DomainError(
+            "strong untransvectability defined only for untransvectable vertices")
+    if conj_len_bound < 0:
+        raise InputError("conjugator length bound must be >= 0")
+    p = GraphProductPresentation(g)
+    lk = sorted(link(g, v))
+    stv = star(g, v)
+    untrans = set(untransvectable_vertices(g))
+    types = sorted(w for w in stv if w in untrans)
+    collection = enumerate_cyclic_handles(p, types, lk, conj_len_bound)
+    for x in lk:
+        witness = NormalFormWord(p, ((x, 1),))
+        if all(normalizes(h, witness) for h in collection):
+            return False
+    return True
+
+
+# -- subgroup-closure collapsibility oracle --------------------------------------
+
+@dataclass(frozen=True)
+class CollapsibilityReport:
+    """Both sides of the collapsibility equivalence, with a failure witness.
+
+    ``by_definition`` is the outside-star test; ``by_closure`` quantifies
+    over all non-empty subsets T of the support, checking
+    T u perp(T) <= s u perp(s).  The two must agree; ``witness`` is the
+    first T (smallest size, then lexicographic) violating the closure.
+    """
+
+    support: frozenset
+    by_definition: bool
+    by_closure: bool
+    witness: frozenset | None = None
+
+    @property
+    def agree(self):
+        return self.by_definition == self.by_closure
+
+
+def subsets_by_size(items):
+    items = sorted(items)
+    for k in range(1, len(items) + 1):
+        for combo in itertools.combinations(items, k):
+            yield frozenset(combo)
+
+
+def check_collapsibility_equivalence(g, s):
+    s = frozenset(s)
+    if not s:
+        raise InputError("collapsibility is undefined for the empty subgraph")
+    cond1 = is_collapsible(g, s)
+    closure = s | perp(g, s)
+    witness = None
+    for theta in subsets_by_size(s):
+        if not (theta | perp(g, theta)) <= closure:
+            witness = theta
+            break
+    return CollapsibilityReport(s, cond1, witness is None, witness)
 
 
 # -- per-radius ball fingerprint oracle ------------------------------------------

@@ -13,15 +13,16 @@ import sys
 import time
 from pathlib import Path
 
-from helpers import brute_pc_sites, brute_transvections, shuffle_oracle_nf
+from helpers import (brute_pc_sites, brute_transvections, check_collapsibility_equivalence,
+                     shuffle_oracle_nf, strong_untransvectability_oracle)
 
 from raagme.graphs import SimpleGraph, star
 from raagme.isomorphism import find_isomorphism
 from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
-from raagme.combinatorics import (check_collapsibility_equivalence, is_collapsible,
-                                  is_strongly_untransvectable, is_transvection_free,
-                                  out_inventory, untransvectable_vertices)
-from raagme.words import strong_untransvectability_oracle, word
+from raagme.combinatorics import (is_collapsible, is_strongly_untransvectable,
+                                  is_transvection_free, out_inventory,
+                                  untransvectable_vertices)
+from raagme.words import word
 from raagme.extension import (ball_graph, build_ext_ball, star_complement_connectivity_check,
                               star_separation_check)
 from raagme.subgroups import enumerate_findex_graphs, star_gluing_kernel

@@ -6,7 +6,8 @@ from helpers import prism, ue_ball_fingerprint
 from raagme.combinatorics import has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
-from raagme.presentation import GraphProductPresentation, clique_reduce, raag
+from raagme.isomorphism import canonical_hash
+from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
 from raagme.subgroups import star_gluing_kernel
 from raagme.classify import decide_me, decide_oe, invariant_report, rigidity_hypotheses
 
@@ -69,6 +70,26 @@ class TestInvariantReport:
             rg = rep.clique_reduced_form.graph
             assert rep.ue_ball_fingerprints == tuple(
                 (L, ue_ball_fingerprint(rg, L)) for L in range(3))
+
+    def test_f3_makes_no_commutation_test(self, f3_graph, c5, monkeypatch):
+        # F3 has no untransvectable vertex, so the ball the report
+        # fingerprints is empty and needs no normalizer test; counted
+        # through the extension module's binding
+        import raagme.extension
+        from raagme.words import normalizes
+        calls = []
+
+        def counted(h, x):
+            calls.append(h)
+            return normalizes(h, x)
+
+        monkeypatch.setattr(raagme.extension, "normalizes", counted)
+        rep = invariant_report(raag(f3_graph), ball_bound=3)
+        assert calls == []
+        empty = canonical_hash(SimpleGraph([]))
+        assert rep.ue_ball_fingerprints == tuple((L, empty) for L in range(4))
+        invariant_report(raag(c5), ball_bound=1)
+        assert calls
 
 
 class TestRigidityHypotheses:
@@ -260,3 +281,38 @@ def test_decide_me_relabel_invariant(atlas6, data):
         assert_witness_replays(g, clique_reduce(raag(h)).graph, d.witness)
         assert_witness_replays(g, clique_reduce(raag(h2)).graph, dh.witness)
         assert_witness_replays(g2, clique_reduce(raag(h)).graph, dg.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decide_oe_relabel_invariant(atlas6, data):
+    # G: a finite-Out atlas graph; H: G itself or any atlas graph.  Renaming
+    # either side, blowing up the ranks of H, or expanding those ranks to a
+    # unit-rank defining graph leaves the clique-reduced graph of H as it
+    # is, so the verdict stays; every witness maps edges onto edges.
+    pool = [g for n in range(1, 7) for g in atlas6[n] if has_finite_out(g)]
+    g = data.draw(st.sampled_from(pool))
+    h = g if data.draw(st.booleans()) else data.draw(
+        st.sampled_from(atlas6[data.draw(st.integers(1, 6))]))
+
+    def renamed(x, prefix):
+        perm = data.draw(st.permutations(range(x.n_vertices)))
+        return relabel(x, [f"{prefix}{i}" for i in perm])
+
+    h2 = renamed(h, "y")
+    ranks = data.draw(st.lists(st.integers(1, 3), min_size=h.n_vertices,
+                               max_size=h.n_vertices))
+    blown = GraphProductPresentation(h2, dict(zip(h2.sorted_vertices(), ranks)))
+    g2 = renamed(g, "z")
+    cases = [(g, raag(h)), (g, raag(h2)), (g, blown), (g2, blown),
+             (g2, raag(expand_to_raag(blown)))]
+    decisions = [decide_oe(gg, hh) for gg, hh in cases]
+    assert len({(d.verdict, d.reason_code) for d in decisions}) == 1
+    for (gg, hh), d in zip(cases, decisions):
+        if d.witness is not None:
+            iso = d.witness["isomorphism"]
+            lam = clique_reduce(hh).graph
+            assert sorted(iso) == lam.sorted_vertices()
+            assert sorted(iso.values()) == gg.sorted_vertices()
+            assert sorted(tuple(sorted((iso[u], iso[w]))) for u, w in lam.edges()) == \
+                gg.edges()

@@ -144,6 +144,21 @@ class TestReports:
         expected = ball_json(build_ext_ball(raag(expand_to_raag(p)), 1))
         assert out == json.dumps(expected, indent=2) + "\n"
 
+    def test_expansion_labels_file(self):
+        # a and a# both expand to a##1 unless issued labels are reserved
+        code, out = run("out", fx("expansion_labels.json"), "--format", "json")
+        assert code == 0 and json.loads(out)["vertices"] == 5
+        code, out = run("extball", fx("expansion_labels.json"), "-L", "0", "--format", "json")
+        assert code == 0
+        assert sorted(n["type"] for n in json.loads(out)["nodes"]) == [
+            "a###1", "a##1", "a##2", "a#1", "a#2"]
+        # the expanded graph, K4 plus a point, has transvections
+        for argv in (("oe", fx("expansion_labels.json"), fx("c5.json")),
+                     ("me", fx("expansion_labels.json"), fx("c5.json")),
+                     ("subgroups", fx("expansion_labels.json"))):
+            code, out = run(*argv)
+            assert code == 2 and "hypothesis violated" in out
+
     def test_analyze(self):
         code, out = run("analyze", fx("c5.json"), "--ball-bound", "0")
         assert code == 0

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from helpers import brute_pc_sites, brute_transvections
+from helpers import brute_pc_sites, brute_transvections, check_collapsibility_equivalence
 
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, full_subgraph, path_graph
-from raagme.combinatorics import (all_untransvectable_strongly, check_collapsibility_equivalence,
-                                  cv_classification, has_finite_out,
+from raagme.combinatorics import (all_untransvectable_strongly, cv_classification,
+                                  has_finite_out,
                                   has_untransvectable_nonabelian_class, is_collapsible,
                                   is_free_product_of_free_abelians, is_strongly_untransvectable,
                                   is_transvectable_subgraph, is_transvectable_vertex,

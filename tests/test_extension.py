@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import commutator_adjacent, prism, ue_ball_fingerprint
+from helpers import commutator_adjacent, prism, translate_index, ue_ball_fingerprint
 from raagme.errors import DomainError, InputError
-from raagme.graphs import SimpleGraph
-from raagme.isomorphism import find_isomorphism
-from raagme.presentation import GraphProductPresentation, raag
+from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
+from raagme.isomorphism import canonical_hash, find_isomorphism
+from raagme.presentation import GraphProductPresentation, clique_reduce, raag
 from raagme.extension import (ball_graph, ball_json, ball_prefix, build_ext_ball,
                               star_complement_connectivity_check, star_separation_check,
-                              translate_index, ue_restriction)
+                              ue_restriction)
 
 
 def z2p():
@@ -95,6 +95,24 @@ class TestUeRestriction:
         b = build_ext_ball(raag(SimpleGraph(["a"])), 2)
         assert ue_restriction(b).n_nodes == b.n_nodes == 1
 
+    def test_direct_build_matches_restriction(self, atlas6, c5, f3_graph, p3):
+        # handles of untransvectable type only, conjugated by every letter,
+        # give the full ball cut down to its untransvectable nodes
+        # (the atlas graphs in the clique-reduced form invariant_report sees)
+        c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+        named = [(c5, 2), (prism(), 2), (c7_complement, 2), (f3_graph, 3), (p3, 3)]
+        atlas = [(clique_reduce(raag(g)).graph, 2) for n in range(1, 6) for g in atlas6[n]]
+        assert len(atlas) == 52
+        for graph, L in named + atlas:
+            p = raag(graph)
+            assert ball_json(build_ext_ball(p, L, ue=True)) == \
+                ball_json(ue_restriction(build_ext_ball(p, L)))
+        for graph, L in named:
+            direct = build_ext_ball(raag(graph), L, ue=True)
+            for k in range(L + 1):
+                assert canonical_hash(ball_graph(ball_prefix(direct, k))) == \
+                    ue_ball_fingerprint(graph, k)
+
     def test_standard_flags_match_graph(self, counterexample_graph):
         from raagme.combinatorics import is_transvectable_vertex
         b = build_ext_ball(raag(counterexample_graph), 0)
@@ -117,6 +135,17 @@ class TestStarSeparation:
         rep = star_separation_check(b, b.standard_node("a"))
         assert rep.violations == ()
         assert all(not e.same_component for e in rep.entries)
+
+    def test_no_translate_enters_the_star(self, c5, counterexample_graph, f2_graph):
+        # conjugating by g_v preserves commuting with <g_v>, so a node
+        # outside the closed star of v never translates into it
+        for graph, L in ((c5, 2), (counterexample_graph, 1), (f2_graph, 2)):
+            b = build_ext_ball(raag(graph), L)
+            for v in range(b.n_nodes):
+                star_v = b.star_of(v)
+                for w in range(b.n_nodes):
+                    if w not in star_v:
+                        assert translate_index(b, v, w) not in star_v
 
     def test_z2_vacuous(self):
         b = build_ext_ball(z2p(), 2)

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 from raagme.errors import ParseError
 from raagme.formats import (parse_dot_presentation, parse_json_presentation,
-                            parse_presentation, presentation_to_json, sniff_format)
+                            parse_presentation, presentation_to_json_dict, sniff_format)
 from raagme.presentation import GraphProductPresentation
 
 
@@ -103,7 +105,7 @@ class TestRoundTrip:
     def test_json_round_trip(self, c5):
         p = GraphProductPresentation(
             c5, {"v1": 3, "v2": 1, "v3": 1, "v4": 1, "v5": 1})
-        text = presentation_to_json(p)
+        text = json.dumps(presentation_to_json_dict(p), indent=2) + "\n"
         again = parse_presentation(text, "json")
         assert again == p
 

@@ -2,8 +2,8 @@ import pytest
 
 from raagme.errors import InputError
 from raagme.graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
-                           edgeless_graph, full_subgraph, join_factors, link, link_and_star,
-                           opposite_graph, path_graph, perp)
+                           edgeless_graph, full_subgraph, join_factors, link, opposite_graph,
+                           path_graph, perp, star)
 
 
 def test_construction_rejects_bad_input():
@@ -47,12 +47,11 @@ def test_full_subgraph_unknown_vertex():
 
 def test_link_and_star():
     g = path_graph(["a", "b", "c"])
-    lk, st = link_and_star(g, "b")
-    assert lk == {"a", "c"} and st == {"a", "b", "c"}
+    assert link(g, "b") == {"a", "c"} and star(g, "b") == {"a", "b", "c"}
     g1 = edgeless_graph(["v"])
-    assert link_and_star(g1, "v") == (frozenset(), {"v"})
+    assert (link(g1, "v"), star(g1, "v")) == (frozenset(), {"v"})
     c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
-    assert link_and_star(c5, "v1") == ({"v2", "v5"}, {"v1", "v2", "v5"})
+    assert (link(c5, "v1"), star(c5, "v1")) == ({"v2", "v5"}, {"v1", "v2", "v5"})
     with pytest.raises(InputError):
         link(g, "nope")
 

@@ -117,6 +117,16 @@ def test_expansion_label_collision_escalates():
     assert g.n_vertices == 3
 
 
+def test_expansion_labels_avoid_issued_ones():
+    # a's first label a#1 is taken, so it issues a##1, which is also a#'s
+    # first choice: labels issued earlier count as taken
+    p = GraphProductPresentation(SimpleGraph(["a", "a#", "a#1"], [("a", "a#")]),
+                                 {"a": 2, "a#": 2, "a#1": 1})
+    g = expand_to_raag(p)
+    assert g.sorted_vertices() == ["a###1", "a##1", "a##2", "a#1", "a#2"]
+    assert g.n_edges == 6
+
+
 def test_round_trip_small(atlas6):
     import itertools
     for g in atlas6[4]:

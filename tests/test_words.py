@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from helpers import (generators_commute, normalizes_by_products, shuffle_oracle_nf,
-                     strip_by_restart)
+from helpers import (conjugate_handle, generators_commute, normalizes_by_products,
+                     parabolics_commute, shuffle_oracle_nf, strip_by_restart,
+                     strong_untransvectability_oracle)
 
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, raag
 from raagme.words import (NormalFormWord, _reduce, _strip_to_coset_rep, canonical_parabolic,
-                          conjugate_handle, multiply_and_normalize, normalizes,
-                          parabolics_commute, strong_untransvectability_oracle, word)
+                          multiply_and_normalize, normalizes, word)
 
 
 def f2():
