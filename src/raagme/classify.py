@@ -28,7 +28,7 @@ from .combinatorics import (all_untransvectable_strongly, has_finite_out,
 from .extension import ball_graph, ball_prefix, build_ext_ball
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
-from .subgroups import _check_bounds, _gluing_classes
+from .subgroups import gluing_classes
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -97,6 +97,11 @@ class InvariantReport:
     untransvectable: tuple
     ue_ball_fingerprints: tuple   # ((L, hex digest), ...)
 
+    @property
+    def rigidity(self):
+        return RigidityReport(not self.nonabelian_untransvectable_class,
+                              self.all_untransvectable_strongly)
+
     def to_json(self):
         rg = self.clique_reduced_form
         return {
@@ -144,11 +149,24 @@ def rigidity_hypotheses(h):
     )
 
 
-def _require_finite_out(gamma_g):
-    if not has_finite_out(gamma_g):
+def _trivial_decision(gamma_g, h):
+    """The checks both decisions open with, then the Decision if a group is trivial.
+
+    Raises on an h that is not a presentation, then on a non-empty gamma_g
+    with infinite Out; returns None when neither group is trivial.
+    """
+    if not isinstance(h, GraphProductPresentation):
+        raise InputError("second argument must be a GraphProductPresentation")
+    if gamma_g.n_vertices and not has_finite_out(gamma_g):
         raise DomainError(
             "hypothesis violated: Out(G) must be finite "
             "(the defining graph of G admits a transvection or a partial conjugation)")
+    if gamma_g.n_vertices == h.graph.n_vertices == 0:
+        return Decision(EQUIVALENT, "trivial-both", "both groups are trivial")
+    if gamma_g.n_vertices == 0 or h.graph.n_vertices == 0:
+        return Decision(NOT_EQUIVALENT, "trivial-mismatch",
+                        "exactly one of the groups is trivial")
+    return None
 
 
 def _iso_witness(iso):
@@ -162,17 +180,9 @@ def decide_oe(gamma_g, h):
     underlying graph isomorphic to gamma_g.  Requires Out of the first group
     to be finite (then gamma_g is automatically clique-reduced).
     """
-    if not isinstance(h, GraphProductPresentation):
-        raise InputError("second argument must be a GraphProductPresentation")
-    if gamma_g.n_vertices == 0:
-        if h.graph.n_vertices == 0:
-            return Decision(EQUIVALENT, "trivial-both", "both groups are trivial")
-        return Decision(NOT_EQUIVALENT, "trivial-mismatch",
-                        "exactly one of the groups is trivial")
-    _require_finite_out(gamma_g)
-    if h.graph.n_vertices == 0:
-        return Decision(NOT_EQUIVALENT, "trivial-mismatch",
-                        "exactly one of the groups is trivial")
+    trivial = _trivial_decision(gamma_g, h)
+    if trivial is not None:
+        return trivial
     # finite Out forces gamma_g clique-reduced (star twins admit transvections)
     assert clique_reduce(raag(gamma_g)).graph == gamma_g
     reduced = clique_reduce(h)
@@ -200,21 +210,12 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     star-gluing enumeration is not known to reach every finite-index RAAG
     subgroup, so absence of a witness is not a disproof).
     """
-    if not isinstance(h, GraphProductPresentation):
-        raise InputError("second argument must be a GraphProductPresentation")
-    budget = {"max_vertices": max_vertices, "max_steps": max_steps}
     # trivial and cyclic (amenable) groups first: Z^m and Z^n are orbit
     # equivalent for all m, n >= 1, and an amenable group is never measure
     # equivalent to a non-amenable one
-    if gamma_g.n_vertices == 0:
-        if h.graph.n_vertices == 0:
-            return Decision(EQUIVALENT, "trivial-both", "both groups are trivial")
-        return Decision(NOT_EQUIVALENT, "trivial-mismatch",
-                        "exactly one of the groups is trivial")
-    _require_finite_out(gamma_g)
-    if h.graph.n_vertices == 0:
-        return Decision(NOT_EQUIVALENT, "trivial-mismatch",
-                        "exactly one of the groups is trivial")
+    trivial = _trivial_decision(gamma_g, h)
+    if trivial is not None:
+        return trivial
     reduced = clique_reduce(h)
     lam = reduced.graph
     g_cyclic = gamma_g.n_vertices == 1
@@ -246,9 +247,8 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
             "the finite-Out side is; measure equivalence preserves this property")
     # look lam's canonical key up as the search runs; the isomorphism is
     # read off the two canonical orders, as find_isomorphism does
-    _check_bounds(max_vertices, max_steps)
+    classes = gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps)
     target = canonical_form(lam)
-    classes = _gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps)
     while True:
         try:
             cf, w = next(classes)
@@ -270,4 +270,4 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
         "search budget; the star-gluing enumeration is not known to be complete",
         witness={"rigidity_hypotheses": RigidityReport(True, True).to_json(),
                  "search_truncated": truncated},
-        budget=budget)
+        budget={"max_vertices": max_vertices, "max_steps": max_steps})

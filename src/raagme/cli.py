@@ -25,7 +25,7 @@ import json
 import sys
 
 from .errors import RaagmeError
-from .classify import RigidityReport, decide_me, decide_oe, invariant_report
+from .classify import decide_me, decide_oe, invariant_report
 from .combinatorics import out_inventory
 from .extension import ball_json, build_ext_ball
 from .formats import load_presentation, presentation_to_json_dict
@@ -47,11 +47,9 @@ def _defining_graph(p):
 def _cmd_analyze(args):
     p = load_presentation(args.file)
     report = invariant_report(p, ball_bound=args.ball_bound)
-    rig = RigidityReport(not report.nonabelian_untransvectable_class,
-                         report.all_untransvectable_strongly)
     if args.format == "json":
         doc = report.to_json()
-        doc["rigidity_hypotheses"] = rig.to_json()
+        doc["rigidity_hypotheses"] = report.rigidity.to_json()
         return 0, _json_dump(doc)
     rg = report.clique_reduced_form
     lines = [
@@ -64,7 +62,7 @@ def _cmd_analyze(args):
         f"untransvectable non-abelian class: {_yn(report.nonabelian_untransvectable_class)}",
         f"all untransvectable vertices strongly untransvectable: "
         f"{_yn(report.all_untransvectable_strongly)}",
-        "rigidity hypotheses hold: " + _yn(rig.both_hold),
+        "rigidity hypotheses hold: " + _yn(report.rigidity.both_hold),
     ]
     for L, digest in report.ue_ball_fingerprints:
         lines.append(f"untransvectable ball fingerprint L={L}: {digest[:16]}")

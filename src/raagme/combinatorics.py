@@ -16,19 +16,28 @@ from .graphs import connected_components, full_subgraph, link, opposite_graph, s
 from .isomorphism import automorphism_count
 
 
-def dominates(g, w, v):
-    """True when lk(v) is contained in st(w), i.e. v <= w in the CV preorder."""
-    return link(g, v) <= star(g, w)
+def _dominators(g):
+    """v -> frozenset of the w with lk(v) <= st(w), v included, in label order.
+
+    The one evaluation of the CV preorder: every vertex predicate reads it.
+    """
+    stars = {w: star(g, w) for w in g.sorted_vertices()}
+    leq = {}
+    for v in stars:
+        lk = link(g, v)
+        leq[v] = frozenset(w for w, st in stars.items() if lk <= st)
+    return leq
 
 
 def is_transvectable_vertex(g, v):
     """Some vertex w distinct from v satisfies lk(v) <= st(w)."""
-    lk = link(g, v)
-    return any(w != v and lk <= star(g, w) for w in g.sorted_vertices())
+    if not g.has_vertex(v):
+        raise InputError(f"unknown vertex {v!r}")
+    return len(_dominators(g)[v]) > 1
 
 
 def untransvectable_vertices(g):
-    return [v for v in g.sorted_vertices() if not is_transvectable_vertex(g, v)]
+    return [v for v, up in _dominators(g).items() if len(up) == 1]
 
 
 def is_transvectable_subgraph(g, s):
@@ -42,8 +51,8 @@ def is_transvectable_subgraph(g, s):
     for v in s:
         if not g.has_vertex(v):
             raise InputError(f"unknown vertex {v!r}")
-    outside = sorted(g.vertices - s)
-    return any(all(dominates(g, w, v) for v in s) for w in outside)
+    leq = _dominators(g)
+    return bool(frozenset.intersection(*(leq[v] for v in s)) - s)
 
 
 @dataclass(frozen=True)
@@ -66,11 +75,10 @@ class CvClassification:
 def cv_classification(g):
     if g.n_vertices == 0:
         raise InputError("CV classification is undefined for the empty graph")
-    verts = g.sorted_vertices()
-    leq = {v: frozenset(w for w in verts if dominates(g, w, v)) for v in verts}
+    leq = _dominators(g)
     seen = set()
     classes = []
-    for v in verts:
+    for v in leq:
         if v in seen:
             continue
         cls = frozenset(w for w in leq[v] if v in leq[w])
@@ -85,11 +93,7 @@ def cv_classification(g):
             members = sorted(cls)
             adjacent = g.has_edge(members[0], members[1])
             kind[cls] = "abelian" if adjacent else "non-abelian"
-    maximal = []
-    for cls in classes:
-        v = min(cls)
-        if all(w in cls for w in leq[v]):
-            maximal.append(cls)
+    maximal = [cls for cls in classes if leq[min(cls)] <= cls]
     return CvClassification(leq, tuple(classes), kind, tuple(maximal))
 
 
@@ -115,8 +119,8 @@ class OutInventory:
 
 def _transvections(g):
     """Ordered pairs (v, w), v != w, with lk(v) <= st(w), in label order."""
-    verts = g.sorted_vertices()
-    return ((v, w) for v in verts for w in verts if v != w and dominates(g, w, v))
+    leq = _dominators(g)
+    return ((v, w) for v in leq for w in leq if w != v and w in leq[v])
 
 
 def _star_cuts(g):
@@ -177,28 +181,27 @@ def is_strongly_untransvectable(g, v):
     """
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {v!r}")
-    if is_transvectable_vertex(g, v):
+    untrans = set(untransvectable_vertices(g))
+    if v not in untrans:
         raise DomainError(
             "strong untransvectability defined only for untransvectable vertices")
-    lk = link(g, v)
-    if not lk:
-        return True
-    untrans = set(untransvectable_vertices(g))
-    for comp in connected_components(opposite_graph(full_subgraph(g, lk))):
-        if not comp & untrans:
-            return False
-    return True
+    return _strongly_untransvectable(g, v, untrans)
+
+
+def _strongly_untransvectable(g, v, untrans):
+    """Every component of the opposite graph of lk(v) meets the set untrans."""
+    return all(comp & untrans for comp in
+               connected_components(opposite_graph(full_subgraph(g, link(g, v)))))
 
 
 def all_untransvectable_strongly(g):
     """Every untransvectable vertex passes the strong untransvectability test."""
-    return all(is_strongly_untransvectable(g, v) for v in untransvectable_vertices(g))
+    untrans = set(untransvectable_vertices(g))
+    return all(_strongly_untransvectable(g, v, untrans) for v in sorted(untrans))
 
 
 def has_untransvectable_nonabelian_class(g):
     """Some maximal CV class is non-abelian with at least two vertices."""
-    if g.n_vertices == 0:
-        raise InputError("CV classification is undefined for the empty graph")
     cv = cv_classification(g)
     return any(cv.class_kind[cls] == "non-abelian" for cls in cv.untransvectable_classes)
 

@@ -100,7 +100,7 @@ def build_ext_ball(p, L, ue=False):
     if not p.is_unit_rank():
         raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
     g = p.graph
-    untrans = set(untransvectable_vertices(g)) if g.n_vertices else set()
+    untrans = set(untransvectable_vertices(g))
     handles = enumerate_cyclic_handles(p, untrans if ue else g.vertices, g.vertices, L)
     nodes = []
     for h in handles:

@@ -3,10 +3,9 @@
 Canonical forms are computed by color refinement plus individualization with
 backtracking, so repeated calls agree and isomorphism answers are
 reproducible byte for byte.  Vertices may carry arbitrary mutually-comparable
-color tags (rank-colored presentations reuse this).  After an
-individualization, refinement re-keys only the neighbours of the cells that
-changed, and the search keeps its own stack, so its depth is not bounded by
-Python recursion.  The search is exponential in the worst case; extension-graph
+color tags.  After an individualization, refinement re-keys only the
+neighbours of the cells that changed, and the search keeps its own stack, so
+its depth is not bounded by Python recursion.  The search is exponential in the worst case; extension-graph
 balls of several hundred vertices canonize in seconds.
 """
 
@@ -349,6 +348,10 @@ class CanonicalForm:
             least.setdefault(orbits.find(i), v)
         return list(least.values())
 
+    def group_order(self):
+        """Order of the (color-preserving) automorphism group, from the same search."""
+        return 1 if self._canonizer is None else self._canonizer.group_order()
+
     def hexdigest(self):
         return hashlib.sha256(repr(self.key).encode("ascii")).hexdigest()
 
@@ -396,9 +399,4 @@ def automorphism_count(g, colors=None):
     Shares the canonizer's search: the order is read off the automorphisms
     it records, so it costs one canonical labeling.
     """
-    verts, adj, init, _ = _prepare(g, colors)
-    if not verts:
-        return 1
-    canonizer = _Canonizer(verts, adj, init)
-    canonizer.run()
-    return canonizer.group_order()
+    return canonical_form(g, colors).group_order()

@@ -80,9 +80,11 @@ class EnumerationResult:
     truncated: bool
 
 
-def _check_bounds(max_vertices, max_steps):
+def gluing_classes(g, max_vertices, max_steps):
+    """Check the bounds, then start the search of _gluing_classes."""
     if max_vertices < 0 or max_steps < 0:
         raise InputError("enumeration bounds must be >= 0")
+    return _gluing_classes(g, max_vertices, max_steps)
 
 
 def _gluing_classes(g, max_vertices, max_steps):
@@ -93,7 +95,7 @@ def _gluing_classes(g, max_vertices, max_steps):
     is glued only at the least vertex of each automorphism orbit: gluing at
     v and at its image under an automorphism gives isomorphic children, and
     the class found first always comes from the least vertex of its orbit.
-    Callers check the bounds (_check_bounds) and that Out of g is finite.
+    Callers check that Out of g is finite.
     """
     base = (canonical_form(g), FiniteIndexWitness((), 1, g))
     seen = {base[0].key}
@@ -146,12 +148,11 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
     order).  ``truncated`` is set when either bound cut the search, so an
     unmatched target means "not found within budget", not "does not exist".
     """
-    _check_bounds(max_vertices, max_steps)
+    classes = gluing_classes(g, max_vertices, max_steps)
     if not has_finite_out(g):
         raise DomainError(
             "hypothesis violated: Out of the base group must be finite "
             "(the defining graph admits a transvection or a partial conjugation)")
-    classes = _gluing_classes(g, max_vertices, max_steps)
     witnesses = []
     while True:
         try:

@@ -16,8 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from raagme.combinatorics import (is_collapsible, is_transvectable_vertex,
-                                  untransvectable_vertices)
+from raagme.combinatorics import is_collapsible
 from raagme.errors import DomainError, InputError
 from raagme.extension import _translate, ball_graph, build_ext_ball, ue_restriction
 from raagme.graphs import SimpleGraph, link, perp, star
@@ -232,12 +231,29 @@ def brute_star(g, v):
     return set(g.neighbors(v)) | {v}
 
 
+def brute_dominates(g, w, v):
+    """v <= w in the CV preorder: lk(v) is contained in st(w)."""
+    return brute_link(g, v) <= brute_star(g, w)
+
+
+def brute_untransvectable(g):
+    """Vertices dominated by no other vertex, in label order."""
+    verts = g.sorted_vertices()
+    return [v for v in verts
+            if not any(w != v and brute_dominates(g, w, v) for w in verts)]
+
+
+def brute_transvectable_subgraph(g, s):
+    """Some vertex outside s dominates every vertex of s."""
+    return any(all(brute_dominates(g, w, v) for v in s) for w in g.vertices - set(s))
+
+
 def brute_transvections(g):
     verts = g.sorted_vertices()
     out = []
     for v in verts:
         for w in verts:
-            if v != w and brute_link(g, v) <= brute_star(g, w):
+            if v != w and brute_dominates(g, w, v):
                 out.append((v, w))
     return out
 
@@ -403,7 +419,8 @@ def strong_untransvectability_oracle(g, v, conj_len_bound=4):
     """
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {v!r}")
-    if is_transvectable_vertex(g, v):
+    untrans = set(brute_untransvectable(g))
+    if v not in untrans:
         raise DomainError(
             "strong untransvectability defined only for untransvectable vertices")
     if conj_len_bound < 0:
@@ -411,7 +428,6 @@ def strong_untransvectability_oracle(g, v, conj_len_bound=4):
     p = GraphProductPresentation(g)
     lk = sorted(link(g, v))
     stv = star(g, v)
-    untrans = set(untransvectable_vertices(g))
     types = sorted(w for w in stv if w in untrans)
     collection = enumerate_cyclic_handles(p, types, lk, conj_len_bound)
     for x in lk:

@@ -2,11 +2,14 @@ import itertools
 
 import pytest
 
-from helpers import brute_pc_sites, brute_transvections, check_collapsibility_equivalence
+from helpers import (brute_dominates, brute_pc_sites, brute_transvectable_subgraph,
+                     brute_transvections, brute_untransvectable,
+                     check_collapsibility_equivalence)
 
+import raagme.combinatorics
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, full_subgraph, path_graph
-from raagme.combinatorics import (all_untransvectable_strongly, cv_classification,
+from raagme.combinatorics import (_dominators, all_untransvectable_strongly, cv_classification,
                                   has_finite_out,
                                   has_untransvectable_nonabelian_class, is_collapsible,
                                   is_free_product_of_free_abelians, is_strongly_untransvectable,
@@ -73,6 +76,39 @@ class TestTransvectability:
             for cls in cv.classes:
                 assert (cls in cv.untransvectable_classes) == (
                     not is_transvectable_subgraph(g, cls))
+
+
+class TestDominationByDefinition:
+    def test_predicates_match_definition_upto7(self, atlas7):
+        # every reader of the CV preorder against lk(v) <= st(w) written out
+        for n in range(1, 8):
+            for g in atlas7[n]:
+                verts = g.sorted_vertices()
+                untrans = brute_untransvectable(g)
+                assert untransvectable_vertices(g) == untrans
+                assert cv_classification(g).leq == {
+                    v: frozenset(w for w in verts if brute_dominates(g, w, v)) for v in verts}
+                for v in verts:
+                    assert is_transvectable_vertex(g, v) == (v not in untrans)
+                for k in (1, 2, 3):
+                    for s in itertools.combinations(verts, k):
+                        assert is_transvectable_subgraph(g, s) == \
+                            brute_transvectable_subgraph(g, s), (g.edges(), s)
+
+    def test_one_domination_pass_per_call(self, counterexample_graph, monkeypatch):
+        g = counterexample_graph
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return _dominators(h)
+
+        monkeypatch.setattr(raagme.combinatorics, "_dominators", counted)
+        for predicate in (all_untransvectable_strongly, untransvectable_vertices,
+                          cv_classification, lambda h: is_strongly_untransvectable(h, "v0")):
+            calls.clear()
+            predicate(g)
+            assert calls == [g]
 
 
 class TestOutInventory:
