@@ -327,9 +327,6 @@ class CanonicalForm:
         self.order = order  # tuple of vertex labels, canonical positions 0..n-1
         self._canonizer = canonizer
 
-    def mapping(self):
-        return {v: p for p, v in enumerate(self.order)}
-
     def orbit_representatives(self):
         """Least label of each (color-preserving) automorphism orbit, sorted.
 

@@ -1,8 +1,10 @@
-"""Normal forms and parabolic-subgroup arithmetic in graph products.
+"""Normal forms and parabolic-subgroup arithmetic in right-angled Artin groups.
 
-Elements are words of syllables (vertex, exponent); for a rank-1 vertex the
-exponent is a non-zero integer, for a rank-n vertex group a non-zero integer
-vector of length n.  A word is reduced when no two syllables on the same
+Words are over RAAG presentations (every vertex of rank 1): elements are
+words of syllables (vertex, exponent) with a non-zero integer exponent.  A
+graph product with higher-rank vertex groups is handled through
+``raag(expand_to_raag(p))``, since a vertex group Z^r is the RAAG over an
+r-clique.  A word is reduced when no two syllables on the same
 vertex can be brought together by shuffling across pairwise-commuting
 syllables; reduction is performed by left-greedy piling.  Among all
 shufflings of a reduced word we keep the lexicographically least (by vertex
@@ -27,46 +29,23 @@ def _validate_syllable(p, syl):
     v, e = syl
     if not p.graph.has_vertex(v):
         raise InputError(f"generator {v!r} not in the presentation")
-    r = p.rank(v)
-    if r == 1:
-        if not isinstance(e, int) or e == 0:
-            raise InputError(f"exponent of {v!r} must be a non-zero integer, got {e!r}")
-        return (v, e)
-    try:
-        e = tuple(e)
-    except TypeError:
+    if p.rank(v) != 1:
         raise InputError(
-            f"exponent of {v!r} must be a non-zero integer vector of length {r}") from None
-    if len(e) != r or not all(isinstance(c, int) for c in e) or not any(e):
-        raise InputError(
-            f"exponent of {v!r} must be a non-zero integer vector of length {r}")
+            f"words are over RAAGs, but {v!r} has rank {p.rank(v)}; "
+            "use raag(expand_to_raag(p))")
+    if not isinstance(e, int) or e == 0:
+        raise InputError(f"exponent of {v!r} must be a non-zero integer, got {e!r}")
     return (v, e)
 
 
-def _merge_exponents(a, b):
-    if isinstance(a, int):
-        return a + b
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _is_zero(e):
-    return e == 0 if isinstance(e, int) else not any(e)
-
-
 def _letter_length(syllables):
-    """Sum of the L1 norms of the exponents of a syllable tuple."""
-    return sum(abs(e) if isinstance(e, int) else sum(map(abs, e)) for _, e in syllables)
-
-
-def _negate(e):
-    if isinstance(e, int):
-        return -e
-    return tuple(-x for x in e)
+    """Sum of the absolute values of the exponents of a syllable tuple."""
+    return sum(abs(e) for _, e in syllables)
 
 
 def _inverse(syllables):
     """Syllables of the inverse word: reversed, exponents negated."""
-    return tuple((v, _negate(e)) for v, e in reversed(syllables))
+    return tuple((v, -e) for v, e in reversed(syllables))
 
 
 def _push(adj, pile, v, e):
@@ -82,8 +61,8 @@ def _push(adj, pile, v, e):
     while i >= 0:
         u, f = pile[i]
         if u == v:
-            m = _merge_exponents(f, e)
-            if _is_zero(m):
+            m = f + e
+            if m == 0:
                 del pile[i]
             else:
                 pile[i] = (v, m)
@@ -128,16 +107,12 @@ class NormalFormWord:
     presentation: GraphProductPresentation
     syllables: tuple
 
-    @classmethod
-    def identity(cls, p):
-        return cls(p, ())
-
     def is_identity(self):
         return not self.syllables
 
     @property
     def word_length(self):
-        """Total letter length: the sum of the L1 norms of the exponents."""
+        """Total letter length: the sum of the absolute values of the exponents."""
         return _letter_length(self.syllables)
 
     def support(self):
@@ -153,11 +128,7 @@ class NormalFormWord:
     def __repr__(self):
         if not self.syllables:
             return "<identity>"
-        parts = []
-        for v, e in self.syllables:
-            parts.append(f"{v}^{e}" if (isinstance(e, int) and e != 1) or not isinstance(e, int)
-                         else v)
-        return " ".join(parts)
+        return " ".join(v if e == 1 else f"{v}^{e}" for v, e in self.syllables)
 
 
 def _coerce(p, w):
@@ -179,7 +150,17 @@ def multiply_and_normalize(p, w1, w2):
 
 
 def word(p, syllables):
-    """Convenience constructor for a normal-form word."""
+    """Convenience constructor for a normal-form word.
+
+    Exponents are non-zero integers; syllables on one vertex merge across
+    commuting syllables and drop out when they cancel.
+
+    >>> from .graphs import SimpleGraph
+    >>> from .presentation import raag
+    >>> p = raag(SimpleGraph(["a", "b", "c"], [("a", "b")]))
+    >>> word(p, [("a", 2), ("b", 1), ("a", -2), ("c", 3)])
+    b c^3
+    """
     return multiply_and_normalize(p, syllables, ())
 
 
@@ -226,12 +207,10 @@ class ParabolicHandle:
         return _letter_length(self.conjugator)
 
     def generator_word(self):
-        """The element conj * v * conj^-1 for a cyclic handle (first basis vector of v)."""
-        v = self.type_vertex
-        r = self.presentation.rank(v)
-        e = 1 if r == 1 else (1,) + (0,) * (r - 1)
+        """The element conj * v * conj^-1 for a cyclic handle."""
         c = self.conjugator
-        return multiply_and_normalize(self.presentation, c + ((v, e),), _inverse(c))
+        return multiply_and_normalize(self.presentation, c + ((self.type_vertex, 1),),
+                                      _inverse(c))
 
     def key(self):
         return (self.conjugator, tuple(sorted(self.type_vertices)))
@@ -268,19 +247,8 @@ def normalizes(h, x):
                _reduce(p.graph.adjacency, _inverse(c) + _coerce(p, x) + c))
 
 
-def _letters(p, vertices):
-    out = []
-    for v in sorted(vertices):
-        if p.rank(v) == 1:
-            out.append((v, 1))
-            out.append((v, -1))
-        else:
-            r = p.rank(v)
-            for i in range(r):
-                unit = tuple(1 if j == i else 0 for j in range(r))
-                out.append((v, unit))
-                out.append((v, tuple(-c for c in unit)))
-    return out
+def _letters(vertices):
+    return [(v, e) for v in sorted(vertices) for e in (1, -1)]
 
 
 def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
@@ -290,7 +258,7 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     every handle whose canonical conjugator is a word of length at most
     ``length_bound`` over the letter vertices appears exactly once.
     """
-    letters = _letters(p, letter_vertices)
+    letters = _letters(letter_vertices)
     handles = {}
     frontier = []
     for v in sorted(types):

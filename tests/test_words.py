@@ -9,7 +9,7 @@ from helpers import (conjugate_handle, generators_commute, normalizes_by_product
 
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
-from raagme.presentation import GraphProductPresentation, raag
+from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
 from raagme.words import (NormalFormWord, _reduce, _strip_to_coset_rep, canonical_parabolic,
                           multiply_and_normalize, normalizes, word)
 
@@ -28,16 +28,6 @@ def c5p():
 
 def random_word(rng, verts, length):
     return [(rng.choice(verts), rng.choice([-2, -1, 1, 2])) for _ in range(length)]
-
-
-def random_exponent(rng, rank):
-    """A random non-zero exponent for a vertex group of the given rank."""
-    if rank == 1:
-        return rng.choice([-2, -1, 1, 2])
-    while True:
-        e = tuple(rng.randint(-2, 2) for _ in range(rank))
-        if any(e):
-            return e
 
 
 class TestNormalForm:
@@ -60,15 +50,26 @@ class TestNormalForm:
         with pytest.raises(InputError):
             multiply_and_normalize(z2(), w1, w1)
 
-    def test_vector_exponents(self):
+    def test_rejects_higher_rank_vertices(self):
+        # words are over RAAGs: a syllable on a rank-2 vertex is refused with
+        # a pointer to the expansion, whatever its exponent
         p = GraphProductPresentation(SimpleGraph(["a", "b"], [("a", "b")]),
                                      {"a": 2, "b": 1})
-        w = word(p, [("a", (1, 2)), ("b", 3), ("a", (-1, -2))])
-        assert w.syllables == (("b", 3),)
-        with pytest.raises(InputError):
-            word(p, [("a", (0, 0))])
-        with pytest.raises(InputError):
-            word(p, [("a", 1)])
+        calls = [
+            lambda: word(p, [("a", 1)]),
+            lambda: word(p, [("a", (1, 2)), ("b", 3), ("a", (-1, -2))]),
+            lambda: multiply_and_normalize(p, [("b", 1)], [("a", -1)]),
+            lambda: canonical_parabolic(p, [("a", 1)], {"b"}),
+            lambda: normalizes(canonical_parabolic(p, [], {"b"}), [("a", 1)]),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="expand_to_raag"):
+                call()
+        # the rank-1 vertex keeps its contract: non-zero integers only
+        assert word(p, [("b", 2), ("b", -1)]).syllables == (("b", 1),)
+        for e in (0, 1.0, (1,), "1"):
+            with pytest.raises(InputError, match="non-zero integer"):
+                word(p, [("b", e)])
 
     def test_matches_shuffle_oracle_exhaustive_small(self, atlas6):
         # every word of length <= 3 (all exponents in {-2,-1,1,2} would blow
@@ -196,21 +197,22 @@ class TestCommutationAndNormalizers:
     def test_commute_matches_commutator(self, atlas6):
         # the normalizer test agrees with the four-fold commutator of the
         # generators and with c^-1 x c multiplied out as normal-form words,
-        # also over vertex groups of rank 2 and 3; conjugated handles agree
-        # with the product path, and the one-pass coset stripping with the
+        # also over graph products with vertex groups of rank 2 and 3, taken
+        # through their expansion to a RAAG; conjugated handles agree with
+        # the product path, and the one-pass coset stripping with the
         # restart loop, on reduced words in any shuffle
         rng = random.Random(31)
         seen = []
-        for g in atlas6[4][::2] + atlas6[5][::7]:
+        for base in atlas6[4][::2] + atlas6[5][::7]:
+            ranks = {v: rng.randint(1, 3) for v in base.sorted_vertices()}
+            p = raag(expand_to_raag(GraphProductPresentation(base, ranks)))
+            g = p.graph
             verts = g.sorted_vertices()
             adj = g.adjacency
-            p = GraphProductPresentation(g, {v: rng.randint(1, 3) for v in verts})
-
-            def raw(k):
-                return [(v, random_exponent(rng, p.rank(v))) for v in rng.choices(verts, k=k)]
 
             def handle():
-                return canonical_parabolic(p, raw(rng.randint(0, 3)), {rng.choice(verts)})
+                return canonical_parabolic(p, random_word(rng, verts, rng.randint(0, 3)),
+                                           {rng.choice(verts)})
 
             for _ in range(120):
                 h1, h2 = handle(), handle()
@@ -219,13 +221,13 @@ class TestCommutationAndNormalizers:
                 assert parabolics_commute(h1, h2) == expected
                 assert normalizes_by_products(h1, gen) == expected
                 seen.append(expected)
-                x = raw(rng.randint(0, 5))
+                x = random_word(rng, verts, rng.randint(0, 5))
                 assert normalizes(h1, x) == normalizes_by_products(h1, x)
                 assert conjugate_handle(h1, x) == canonical_parabolic(
                     p, word(p, x) * NormalFormWord(p, h1.conjugator), h1.type_vertices)
                 types = set(rng.sample(verts, rng.randint(1, 2)))
                 members = types | perp(g, types)
-                reduced = _reduce(adj, raw(rng.randint(0, 7)))
+                reduced = _reduce(adj, random_word(rng, verts, rng.randint(0, 7)))
                 assert _strip_to_coset_rep(adj, reduced, members) == \
                     strip_by_restart(adj, reduced, members)
         assert 0.1 < sum(seen) / len(seen) < 0.9
