@@ -22,7 +22,7 @@ from .combinatorics import (CvClassification, OutInventory, all_untransvectable_
                             is_transvectable_subgraph, is_transvectable_vertex,
                             out_inventory, untransvectable_vertices)
 from .words import (NormalFormWord, ParabolicHandle, canonical_parabolic,
-                    multiply_and_normalize, normalizes, word)
+                    multiply_and_normalize, word)
 from .extension import (ExtBall, build_ext_ball, star_complement_connectivity_check,
                         star_separation_check, ue_restriction)
 from .subgroups import FiniteIndexWitness, enumerate_findex_graphs, star_gluing_kernel

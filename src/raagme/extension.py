@@ -7,6 +7,15 @@ length at most L; the radius-0 slice is a copy of the defining graph.  The
 untransvectable ball keeps the nodes whose type vertex is untransvectable;
 ``build_ext_ball(p, L, ue=True)`` builds it directly.
 
+Edges come from ``words.commutation_adjacency``, which tests only pairs of
+nodes g<v>g^-1, h<w>h^-1 with w in lk(v).  Two facts make that filter
+exact: by abelianization the subgroups cannot commute when w is outside
+st(v), and by the retraction onto G_st(v) two commuting conjugates of one
+generator are the same subgroup.  The test itself reduces g^-1 h once and
+strips its right factor in G_st(w); the remainder r' gives the reduced word
+r' w r'^-1 for g^-1 h w h^-1 g, so the nodes commute exactly when every
+letter of r' lies in st(v) (Servatius: the centralizer of v is G_st(v)).
+
 Structural facts about the infinite graph are exposed as finite-scale
 checks: removing the star of a node separates each remaining node from its
 translate under the node's subgroup, and (for groups with finite outer
@@ -22,8 +31,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 from .combinatorics import has_finite_out, untransvectable_vertices
-from .words import (ParabolicHandle, canonical_parabolic, enumerate_cyclic_handles,
-                    normalizes)
+from .words import (ParabolicHandle, canonical_parabolic, commutation_adjacency,
+                    enumerate_cyclic_handles)
 
 
 @dataclass(frozen=True)
@@ -88,9 +97,14 @@ class ExtBall:
 def build_ext_ball(p, L, ue=False):
     """All canonical cyclic handles of conjugator length <= L, with commutation edges.
 
-    Nodes g<v>g^-1 and h<w>h^-1 are joined when h w h^-1 normalizes g<v>g^-1,
-    that is when g^-1 h w h^-1 g lies in G_st(v); by Servatius' centralizer
-    theorem this is exactly when the two subgroups commute.  With ue=True
+    Nodes g<v>g^-1 and h<w>h^-1 are joined when g^-1 h w h^-1 g lies in
+    G_st(v), the centralizer of v (Servatius), that is when the two
+    subgroups commute.  Only pairs with w in lk(v) can be joined: for w
+    outside st(v) the abelianization rules the edge out, and for w = v the
+    retraction onto G_st(v) makes commuting conjugates equal.  Each such
+    pair costs one reduction of g^-1 h, stripped of its right factor in
+    G_st(w); the stripped word r' makes r' w r'^-1 reduced, so the pair is
+    an edge exactly when r' is supported in st(v).  With ue=True
     only handles of untransvectable type are built (conjugator letters
     still range over every vertex): the ball ue_restriction cuts out of the
     full one.
@@ -112,14 +126,7 @@ def build_ext_ball(p, L, ue=False):
         ))
     order = sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key())
     nodes = [nodes[i] for i in order]
-    handles = [handles[i] for i in order]
-    gens = [h.generator_word() for h in handles]
-    adjacency = [set() for _ in nodes]
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if normalizes(handles[i], gens[j]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    adjacency = commutation_adjacency([handles[i] for i in order])
     return ExtBall(p, L, nodes, adjacency)
 
 

@@ -25,14 +25,18 @@ from .graphs import perp, star
 from .presentation import GraphProductPresentation
 
 
-def _validate_syllable(p, syl):
-    v, e = syl
-    if not p.graph.has_vertex(v):
-        raise InputError(f"generator {v!r} not in the presentation")
+def _require_rank_one(p, v):
     if p.rank(v) != 1:
         raise InputError(
             f"words are over RAAGs, but {v!r} has rank {p.rank(v)}; "
             "use raag(expand_to_raag(p))")
+
+
+def _validate_syllable(p, syl):
+    v, e = syl
+    if not p.graph.has_vertex(v):
+        raise InputError(f"generator {v!r} not in the presentation")
+    _require_rank_one(p, v)
     if not isinstance(e, int) or e == 0:
         raise InputError(f"exponent of {v!r} must be a non-zero integer, got {e!r}")
     return (v, e)
@@ -73,8 +77,9 @@ def _push(adj, pile, v, e):
     pile.append((v, e))
 
 
-def _reduce(adj, syllables):
-    pile = []
+def _reduce(adj, syllables, start=()):
+    """Reduced word of ``start`` (already reduced) followed by ``syllables``."""
+    pile = list(start)
     for v, e in syllables:
         _push(adj, pile, v, e)
     return pile
@@ -164,15 +169,16 @@ def word(p, syllables):
     return multiply_and_normalize(p, syllables, ())
 
 
-def _strip_to_coset_rep(adj, reduced, members):
-    """Minimal representative of (reduced word) * G_members, lex ordered.
+def _strip_right_factor(adj, reduced, members):
+    """Peel the right factor in G_members off a reduced word.
 
     Deletes every syllable whose vertex lies in ``members`` and commutes
-    with all syllables kept after it, peeling a right factor in the standard
-    subgroup; the remainder is the unique shortest element of the coset.
-    Whether a position can be deleted depends only on the syllables after
-    it, so one right-to-left pass suffices, and a deleted syllable never
-    blocked a merge (see _push), so the remainder stays reduced.
+    with all syllables kept after it; the remainder is the unique shortest
+    element of the coset (reduced word) * G_members.  Whether a position can
+    be deleted depends only on the syllables after it, so one right-to-left
+    pass suffices, and a deleted syllable never blocked a merge (see _push),
+    so the remainder stays reduced.  Returns the kept syllables right to
+    left, and the set of their vertices (the support of the remainder).
     """
     kept = []
     after = set()
@@ -181,6 +187,12 @@ def _strip_to_coset_rep(adj, reduced, members):
             continue
         kept.append((v, e))
         after.add(v)
+    return kept, after
+
+
+def _strip_to_coset_rep(adj, reduced, members):
+    """Minimal representative of (reduced word) * G_members, lex ordered."""
+    kept, _ = _strip_right_factor(adj, reduced, members)
     return _lex_order(adj, kept[::-1])
 
 
@@ -227,24 +239,72 @@ def canonical_parabolic(p, conjugator, type_vertices):
     for v in type_vertices:
         if not p.graph.has_vertex(v):
             raise InputError(f"unknown vertex {v!r} in parabolic type")
+        _require_rank_one(p, v)
     adj = p.graph.adjacency
     members = type_vertices | perp(p.graph, type_vertices)
     reduced = _reduce(adj, _coerce(p, conjugator))
     return ParabolicHandle(p, _strip_to_coset_rep(adj, reduced, members), type_vertices)
 
 
-def normalizes(h, x):
-    """Whether the element x normalizes the cyclic parabolic subgroup of h.
+def _conjugates_commute(adj, g_inv, h, st_v, st_w):
+    """Whether g<v>g^-1 and h<w>h^-1 commute, for canonical conjugators g, h
+    and adjacent types v, w; g_inv is the (reduced) inverse of g.
 
-    Decided by membership: x g <v> g^-1 x^-1 = g <v> g^-1 exactly when
-    g^-1 x g lies in the standard normalizer G_st(v).
+    Let r' be the reduction of g^-1 h stripped of its right factor in
+    G_st(w).  That factor commutes with w, so g^-1 h w h^-1 g = r' w r'^-1,
+    and that word is reduced: a cancellation, or a merge with w, would need
+    a syllable of r' that lies in st(w) and can be moved to its right end,
+    and the strip removed all of those.  So its support is supp(r') plus w,
+    and w lies in st(v).
     """
-    p = h.presentation
-    st = star(p.graph, h.type_vertex)
-    c = h.conjugator
-    # a reduced word's support is that of the element, whatever its shuffle
-    return all(u in st for u, _ in
-               _reduce(p.graph.adjacency, _inverse(c) + _coerce(p, x) + c))
+    return _strip_right_factor(adj, _reduce(adj, h, g_inv), st_w)[1] <= st_v
+
+
+def commutation_adjacency(handles):
+    """Edge sets of the commutation graph on distinct canonical cyclic handles.
+
+    ``handles`` are canonical cyclic handles over one RAAG presentation, as
+    ``enumerate_cyclic_handles`` returns them; entry i of the result is the
+    set of indices j whose subgroup commutes with that of handle i.
+
+    Nodes g<v>g^-1 and h<w>h^-1 commute exactly when g^-1 h w h^-1 g lies in
+    the centralizer of v, which is G_st(v) (Servatius).  Only pairs of
+    adjacent types are tested, which loses no edge:
+
+    - if w is not in st(v), the image of g^-1 h w h^-1 g in the
+      abelianization is the basis vector of w, outside that of G_st(v);
+    - if w = v and x = g^-1 h v h^-1 g lies in G_st(v), the retraction
+      G -> G_st(v) fixes x, so x is a conjugate of v inside
+      G_st(v) = <v> x G_lk(v), which is v itself: the two subgroups
+      coincide, and distinct canonical handles are distinct subgroups.
+
+    Each pair of adjacent types is visited once, so the pass makes one test
+    per pair of nodes whose types are the ends of an edge of the defining
+    graph (Kim-Koberda: adjacent nodes of the extension graph have adjacent
+    types).  A test pushes the syllables of h onto g^-1 and makes one
+    right-to-left strip pass; g^-1 and st(v) are computed once per node.
+    """
+    adjacency = [set() for _ in handles]
+    if not handles:
+        return adjacency
+    graph = handles[0].presentation.graph
+    adj = graph.adjacency
+    by_type = {}
+    for j, h in enumerate(handles):
+        by_type.setdefault(h.type_vertex, []).append(j)
+    stars = {v: star(graph, v) for v in by_type}
+    later = {v: [w for w in adj[v] if w > v and w in by_type] for v in by_type}
+    for i, hi in enumerate(handles):
+        v = hi.type_vertex
+        st_v = stars[v]
+        g_inv = _inverse(hi.conjugator)
+        for w in later[v]:
+            st_w = stars[w]
+            for j in by_type[w]:
+                if _conjugates_commute(adj, g_inv, handles[j].conjugator, st_v, st_w):
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+    return adjacency
 
 
 def _letters(vertices):

@@ -4,10 +4,10 @@ Everything here is deliberately naive: these are the brute-force reference
 implementations the library is checked against, written straight from the
 definitions (the word-level strong untransvectability search, the
 subgroup-closure form of collapsibility), and the slower paths the library
-replaced (products of normal forms, the restart loop of coset stripping, one
-ball per radius, the full ball cut down to its untransvectable nodes,
-full-round refinement with a recursive search), kept as oracles for the
-faster ones.
+replaced (products of normal forms, the restart loop of coset stripping, the
+normalizer test on every pair of ball nodes, one ball per radius, the full
+ball cut down to its untransvectable nodes, full-round refinement with a
+recursive search), kept as oracles for the faster ones.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from raagme.combinatorics import is_collapsible
+from raagme.combinatorics import is_collapsible, untransvectable_vertices
 from raagme.errors import DomainError, InputError
-from raagme.extension import _translate, ball_graph, build_ext_ball, ue_restriction
+from raagme.extension import (ExtBall, ExtNode, _translate, ball_graph, build_ext_ball,
+                              ue_restriction)
 from raagme.graphs import SimpleGraph, link, perp, star
 from raagme.isomorphism import canonical_form, canonical_hash
 from raagme.presentation import GraphProductPresentation, raag
 from raagme.subgroups import star_gluing_kernel
-from raagme.words import (NormalFormWord, _coerce, _lex_order, _reduce, canonical_parabolic,
-                          enumerate_cyclic_handles, normalizes, word)
+from raagme.words import (NormalFormWord, _coerce, _inverse, _lex_order, _reduce,
+                          canonical_parabolic, enumerate_cyclic_handles, word)
 
 
 def graph_atlas(max_n):
@@ -379,6 +380,20 @@ def strip_by_restart(adj, reduced, members):
 
 # -- handle arithmetic on top of the normalizer test ----------------------------
 
+def normalizes(h, x):
+    """Whether the element x normalizes the cyclic parabolic subgroup of h.
+
+    Decided by membership: x g <v> g^-1 x^-1 = g <v> g^-1 exactly when
+    g^-1 x g lies in the standard normalizer G_st(v).
+    """
+    p = h.presentation
+    st = star(p.graph, h.type_vertex)
+    c = h.conjugator
+    # a reduced word's support is that of the element, whatever its shuffle
+    return all(u in st for u, _ in
+               _reduce(p.graph.adjacency, _inverse(c) + _coerce(p, x) + c))
+
+
 def parabolics_commute(h1, h2):
     """Whether two cyclic parabolic subgroups commute elementwise.
 
@@ -478,6 +493,39 @@ def check_collapsibility_equivalence(g, s):
             witness = theta
             break
     return CollapsibilityReport(s, cond1, witness is None, witness)
+
+
+# -- all-pairs extension-ball oracle ---------------------------------------------
+
+def build_ext_ball_by_pairs(p, L, ue=False):
+    """build_ext_ball with every pair of nodes put to the normalizer test:
+    nodes i < j are joined when the generator of j normalizes handle i."""
+    if L < 0:
+        raise InputError("ball radius must be >= 0")
+    if not p.is_unit_rank():
+        raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
+    g = p.graph
+    untrans = set(untransvectable_vertices(g))
+    handles = enumerate_cyclic_handles(p, untrans if ue else g.vertices, g.vertices, L)
+    nodes = []
+    for h in handles:
+        nodes.append(ExtNode(
+            conjugator=h.conjugator,
+            vertex=h.type_vertex,
+            length=h.conjugator_length,
+            untransvectable=h.type_vertex in untrans,
+        ))
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key())
+    nodes = [nodes[i] for i in order]
+    handles = [handles[i] for i in order]
+    gens = [h.generator_word() for h in handles]
+    adjacency = [set() for _ in nodes]
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if normalizes(handles[i], gens[j]):
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    return ExtBall(p, L, nodes, adjacency)
 
 
 # -- per-radius ball fingerprint oracle ------------------------------------------

@@ -73,17 +73,17 @@ class TestInvariantReport:
 
     def test_f3_makes_no_commutation_test(self, f3_graph, c5, monkeypatch):
         # F3 has no untransvectable vertex, so the ball the report
-        # fingerprints is empty and needs no normalizer test; counted
-        # through the extension module's binding
+        # fingerprints is empty and no handle reaches the commutation pass;
+        # counted through the extension module's binding
         import raagme.extension
-        from raagme.words import normalizes
+        from raagme.words import commutation_adjacency
         calls = []
 
-        def counted(h, x):
-            calls.append(h)
-            return normalizes(h, x)
+        def counted(handles):
+            calls.extend(handles)
+            return commutation_adjacency(handles)
 
-        monkeypatch.setattr(raagme.extension, "normalizes", counted)
+        monkeypatch.setattr(raagme.extension, "commutation_adjacency", counted)
         rep = invariant_report(raag(f3_graph), ball_bound=3)
         assert calls == []
         empty = canonical_hash(SimpleGraph([]))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import commutator_adjacent, prism, translate_index, ue_ball_fingerprint
+from helpers import (build_ext_ball_by_pairs, commutator_adjacent, prism, translate_index,
+                     ue_ball_fingerprint)
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
@@ -14,6 +15,10 @@ from raagme.extension import (ball_graph, ball_json, ball_prefix, build_ext_ball
 
 def z2p():
     return raag(SimpleGraph(["a", "b"], [("a", "b")]))
+
+
+def square_path():
+    return SimpleGraph(["v", "w", "b", "a"], [("v", "w"), ("w", "b"), ("b", "a")])
 
 
 class TestBallConstruction:
@@ -231,6 +236,44 @@ class TestBallInvariants:
                     assert (j in b.adjacency[i]) == expected, (i, j)
                     assert commutator_adjacent(b, i, j) == expected, (i, j)
 
+    def test_matches_all_pairs_oracle(self, atlas6, c5):
+        # the adjacent-type pass gives the ball that the normalizer test on
+        # every pair of nodes gives
+        c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+        cases = [(g, 1, ue) for n in range(1, 7) for g in atlas6[n] for ue in (False, True)]
+        cases += [(g, 2, False) for g in (square_path(), c5, prism(), c7_complement)]
+        cases += [(square_path(), 2, True), (c5, 3, True)]
+        for graph, L, ue in cases:
+            p = raag(graph)
+            assert ball_json(build_ext_ball(p, L, ue=ue)) == \
+                ball_json(build_ext_ball_by_pairs(p, L, ue=ue)), (graph, L, ue)
+
+    def test_edge_through_cancelling_conjugators(self):
+        # on the path v-w-b-a, <w> commutes with b<v>b^-1; conjugating by a
+        # joins a<w>a^-1 to ab<v>(ab)^-1, whose conjugator is the longer one:
+        # the pair test reduces (ab)^-1 a = b^-1 across a cancellation
+        b = build_ext_ball(raag(square_path()), 2)
+        i = b.node_index((("a", 1),), "w")
+        j = b.node_index((("a", 1), ("b", 1)), "v")
+        assert j in b.adjacency[i]
+        assert b.node_index((("b", 1),), "v") in b.adjacency[b.standard_node("w")]
+
+    def test_only_adjacent_types_are_tested(self, c5, monkeypatch):
+        # the radius-2 ball of C5 has 29 nodes of each type, so the pass
+        # tests 5 edges x 29^2 pairs rather than all 145 choose 2
+        import raagme.words
+        test = raagme.words._conjugates_commute
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return test(*args)
+
+        monkeypatch.setattr(raagme.words, "_conjugates_commute", counted)
+        b = build_ext_ball(raag(c5), 2)
+        assert b.n_nodes == 145
+        assert len(calls) == 5 * 29 ** 2 == 4205
+
     def test_separation_beyond_finite_out(self, counterexample_graph):
         # the star-removal disconnection needs no hypothesis on Out: it
         # holds on the cone-extended 5-cycle, which has transvectable
@@ -268,6 +311,20 @@ def test_ball_relabel_invariant(data):
     assert (bg.n_nodes, bg.n_edges) == (bh.n_nodes, bh.n_edges)
     for L in (0, 1):
         assert ue_ball_fingerprint(g, L) == ue_ball_fingerprint(h, L)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_ball_matches_all_pairs_oracle(data):
+    n = data.draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = SimpleGraph([f"x{i}" for i in range(n)],
+                    [(f"x{i}", f"x{j}") for (i, j), keep in zip(pairs, mask) if keep])
+    L = data.draw(st.integers(0, 2))
+    ue = data.draw(st.booleans())
+    p = raag(g)
+    assert ball_json(build_ext_ball(p, L, ue=ue)) == ball_json(build_ext_ball_by_pairs(p, L, ue=ue))
 
 
 class TestExport:

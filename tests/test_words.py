@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import (conjugate_handle, generators_commute, normalizes_by_products,
+from helpers import (conjugate_handle, generators_commute, normalizes, normalizes_by_products,
                      parabolics_commute, shuffle_oracle_nf, strip_by_restart,
                      strong_untransvectability_oracle)
 
@@ -11,7 +11,8 @@ from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
 from raagme.words import (NormalFormWord, _reduce, _strip_to_coset_rep, canonical_parabolic,
-                          multiply_and_normalize, normalizes, word)
+                          commutation_adjacency, enumerate_cyclic_handles,
+                          multiply_and_normalize, word)
 
 
 def f2():
@@ -70,6 +71,17 @@ class TestNormalForm:
         for e in (0, 1.0, (1,), "1"):
             with pytest.raises(InputError, match="non-zero integer"):
                 word(p, [("b", e)])
+
+    def test_rejects_higher_rank_type_vertices(self):
+        # a parabolic type on a rank-2 vertex is refused like a syllable on it
+        p = GraphProductPresentation(SimpleGraph(["a", "b"], [("a", "b")]),
+                                     {"a": 2, "b": 1})
+        with pytest.raises(InputError, match="expand_to_raag"):
+            canonical_parabolic(p, (), {"a"})
+        with pytest.raises(InputError, match="expand_to_raag"):
+            enumerate_cyclic_handles(p, {"a"}, {"b"}, 1)
+        assert [h.key() for h in enumerate_cyclic_handles(p, {"b"}, {"b"}, 1)] == \
+            [((), ("b",))]
 
     def test_matches_shuffle_oracle_exhaustive_small(self, atlas6):
         # every word of length <= 3 (all exponents in {-2,-1,1,2} would blow
@@ -231,6 +243,25 @@ class TestCommutationAndNormalizers:
                 assert _strip_to_coset_rep(adj, reduced, members) == \
                     strip_by_restart(adj, reduced, members)
         assert 0.1 < sum(seen) / len(seen) < 0.9
+
+    def test_commutation_adjacency_matches_pairwise_test(self, atlas6):
+        # on any distinct canonical handles, not only on a ball, the pass
+        # agrees with the normalizer test on every pair
+        rng = random.Random(7)
+        for g in atlas6[4] + atlas6[5][::5]:
+            p = raag(g)
+            verts = g.sorted_vertices()
+            handles = {}
+            for _ in range(40):
+                h = canonical_parabolic(p, random_word(rng, verts, rng.randint(0, 4)),
+                                        {rng.choice(verts)})
+                handles[h.key()] = h
+            handles = list(handles.values())
+            adjacency = commutation_adjacency(handles)
+            for i, h1 in enumerate(handles):
+                assert adjacency[i] == {j for j, h2 in enumerate(handles)
+                                        if j != i and parabolics_commute(h1, h2)}
+        assert commutation_adjacency([]) == []
 
     def test_commute_requires_cyclic(self):
         h1 = canonical_parabolic(f2(), [], {"a", "b"})
