@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError
-from .combinatorics import (all_untransvectable_strongly, has_finite_out,
-                            has_untransvectable_nonabelian_class, untransvectable_vertices)
+from .combinatorics import cv_classification, has_finite_out
 from .extension import ball_graph, ball_prefix, build_ext_ball
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
@@ -127,25 +126,14 @@ def invariant_report(p, ball_bound=2):
     ue = build_ext_ball(raag(rg), max(ball_bound, 0), ue=True)
     fingerprints = tuple((L, canonical_hash(ball_graph(ball_prefix(ue, L))))
                          for L in range(ball_bound + 1))
+    cv = cv_classification(rg)
     return InvariantReport(
         clique_reduced_form=reduced,
         out_finite=has_finite_out(rg),
-        nonabelian_untransvectable_class=has_untransvectable_nonabelian_class(rg),
-        all_untransvectable_strongly=all_untransvectable_strongly(rg),
-        untransvectable=tuple(untransvectable_vertices(rg)),
+        nonabelian_untransvectable_class=cv.nonabelian_untransvectable_class,
+        all_untransvectable_strongly=cv.all_untransvectable_strongly,
+        untransvectable=cv.untransvectable,
         ue_ball_fingerprints=fingerprints,
-    )
-
-
-def rigidity_hypotheses(h):
-    """Evaluate the two rigidity hypotheses on the clique-reduced form of h."""
-    reduced = clique_reduce(h)
-    rg = reduced.graph
-    if rg.n_vertices == 0:
-        return RigidityReport(True, True)
-    return RigidityReport(
-        no_nonabelian_untransvectable_class=not has_untransvectable_nonabelian_class(rg),
-        every_untransvectable_vertex_strong=all_untransvectable_strongly(rg),
     )
 
 
@@ -233,13 +221,14 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     # invariant pre-filter: both quantities are measure equivalence
     # invariants of clique-reduced groups, and both are trivially satisfied
     # on the finite-Out side
-    if has_untransvectable_nonabelian_class(lam):
+    cv = cv_classification(lam)
+    if cv.nonabelian_untransvectable_class:
         return Decision(
             NOT_EQUIVALENT, "invariant-nonabelian-class",
             "the clique-reduced form of H has an untransvectable non-abelian "
             "domination class while G (finite Out) has none; measure equivalence "
             "preserves the existence of such a class")
-    if not all_untransvectable_strongly(lam):
+    if not cv.all_untransvectable_strongly:
         return Decision(
             NOT_EQUIVALENT, "invariant-strong-untransvectability",
             "the clique-reduced form of H has an untransvectable vertex that is "

@@ -63,13 +63,17 @@ class CvClassification:
     reflexive relation).  ``class_kind`` assigns "singleton", "abelian"
     (all members pairwise adjacent) or "non-abelian" (no two adjacent).  A
     class is untransvectable exactly when it is maximal for the induced
-    partial order on classes.
+    partial order on classes.  The untransvectable vertices (label order) and
+    the two rigidity predicates below them are read off the same relation.
     """
 
     leq: dict
     classes: tuple
     class_kind: dict
     untransvectable_classes: tuple
+    untransvectable: tuple
+    nonabelian_untransvectable_class: bool
+    all_untransvectable_strongly: bool
 
 
 def cv_classification(g):
@@ -94,7 +98,11 @@ def cv_classification(g):
             adjacent = g.has_edge(members[0], members[1])
             kind[cls] = "abelian" if adjacent else "non-abelian"
     maximal = [cls for cls in classes if leq[min(cls)] <= cls]
-    return CvClassification(leq, tuple(classes), kind, tuple(maximal))
+    untrans = tuple(v for v, up in leq.items() if len(up) == 1)
+    return CvClassification(
+        leq, tuple(classes), kind, tuple(maximal), untrans,
+        any(kind[cls] == "non-abelian" for cls in maximal),
+        all(_strongly_untransvectable(g, v, untrans) for v in untrans))
 
 
 @dataclass(frozen=True)
@@ -189,21 +197,19 @@ def is_strongly_untransvectable(g, v):
 
 
 def _strongly_untransvectable(g, v, untrans):
-    """Every component of the opposite graph of lk(v) meets the set untrans."""
-    return all(comp & untrans for comp in
+    """Every component of the opposite graph of lk(v) meets the vertices untrans."""
+    return all(not comp.isdisjoint(untrans) for comp in
                connected_components(opposite_graph(full_subgraph(g, link(g, v)))))
 
 
 def all_untransvectable_strongly(g):
     """Every untransvectable vertex passes the strong untransvectability test."""
-    untrans = set(untransvectable_vertices(g))
-    return all(_strongly_untransvectable(g, v, untrans) for v in sorted(untrans))
+    return g.n_vertices == 0 or cv_classification(g).all_untransvectable_strongly
 
 
 def has_untransvectable_nonabelian_class(g):
     """Some maximal CV class is non-abelian with at least two vertices."""
-    cv = cv_classification(g)
-    return any(cv.class_kind[cls] == "non-abelian" for cls in cv.untransvectable_classes)
+    return cv_classification(g).nonabelian_untransvectable_class
 
 
 def is_free_product_of_free_abelians(g):

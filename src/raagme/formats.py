@@ -41,6 +41,8 @@ def parse_json_presentation(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     raw_vertices = doc.get("vertices")
@@ -234,4 +236,6 @@ def load_presentation(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
     return parse_presentation(text, sniff_format(path, text))

@@ -33,7 +33,7 @@ class GraphProductPresentation:
                 if v not in ranks:
                     raise InputError(f"missing rank for vertex {v!r}")
                 r = ranks[v]
-                if not isinstance(r, int) or r < 1:
+                if not isinstance(r, int) or isinstance(r, bool) or r < 1:
                     raise InputError(f"rank of {v!r} must be a positive integer, got {r!r}")
                 if r > MAX_RANK:
                     raise InputError(f"rank of {v!r} exceeds the supported bound {MAX_RANK}")

@@ -37,7 +37,7 @@ def _validate_syllable(p, syl):
     if not p.graph.has_vertex(v):
         raise InputError(f"generator {v!r} not in the presentation")
     _require_rank_one(p, v)
-    if not isinstance(e, int) or e == 0:
+    if not isinstance(e, int) or isinstance(e, bool) or e == 0:
         raise InputError(f"exponent of {v!r} must be a non-zero integer, got {e!r}")
     return (v, e)
 
@@ -93,7 +93,7 @@ def _lex_order(adj, reduced):
         seen = set()
         best = None
         for i, (v, _) in enumerate(rest):
-            if v not in seen and all(u in adj[v] for u in seen):
+            if v not in seen and seen <= adj[v]:
                 if best is None or v < rest[best][0]:
                     best = i
             seen.add(v)

@@ -1,9 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the tests that run `python -m raagme.cli` in a child process import the
+# package from this checkout's src/, as the tests themselves do
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 from helpers import ATLAS_SIZES, graph_atlas  # noqa: E402
 

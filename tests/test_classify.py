@@ -3,13 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import prism, ue_ball_fingerprint
-from raagme.combinatorics import has_finite_out
+from raagme.combinatorics import (all_untransvectable_strongly, has_finite_out,
+                                  has_untransvectable_nonabelian_class)
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
 from raagme.isomorphism import canonical_hash
 from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
 from raagme.subgroups import star_gluing_kernel
-from raagme.classify import decide_me, decide_oe, invariant_report, rigidity_hypotheses
+from raagme.classify import decide_me, decide_oe, invariant_report
 
 
 def relabel(g, names):
@@ -94,13 +95,25 @@ class TestInvariantReport:
 
 class TestRigidityHypotheses:
     def test_examples(self, c5, f3_graph, counterexample_graph):
-        rep = rigidity_hypotheses(raag(c5))
+        rep = invariant_report(raag(c5), ball_bound=0).rigidity
         assert rep.both_hold
-        rep = rigidity_hypotheses(raag(counterexample_graph))
+        rep = invariant_report(raag(counterexample_graph), ball_bound=0).rigidity
         assert rep.no_nonabelian_untransvectable_class
         assert not rep.every_untransvectable_vertex_strong
-        rep = rigidity_hypotheses(raag(f3_graph))
+        assert not rep.both_hold
+        rep = invariant_report(raag(f3_graph), ball_bound=0).rigidity
         assert not rep.no_nonabelian_untransvectable_class
+        assert not rep.both_hold
+        # read on the clique-reduced graph: the edge a-b collapses to one
+        # rank-2 vertex, leaving two isolated vertices, one non-abelian class
+        edge_point = SimpleGraph(["a", "b", "c"], [("a", "b")])
+        assert not has_untransvectable_nonabelian_class(edge_point)
+        rep = invariant_report(raag(edge_point), ball_bound=0).rigidity
+        rg = clique_reduce(raag(edge_point)).graph
+        assert rg.n_vertices == 2
+        assert has_untransvectable_nonabelian_class(rg)
+        assert not rep.no_nonabelian_untransvectable_class
+        assert rep.every_untransvectable_vertex_strong == all_untransvectable_strongly(rg)
 
 
 class TestDecideOe:

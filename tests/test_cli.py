@@ -3,11 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from raagme.classify import rigidity_hypotheses
 from raagme.cli import main, run_command
+from raagme.combinatorics import all_untransvectable_strongly, has_untransvectable_nonabelian_class
 from raagme.extension import ball_json, build_ext_ball
 from raagme.formats import load_presentation, parse_json_presentation
-from raagme.presentation import expand_to_raag, raag
+from raagme.presentation import clique_reduce, expand_to_raag, raag
 from raagme.subgroups import star_gluing_kernel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -177,6 +177,14 @@ class TestErrorsAndDeterminism:
         code, out = run("out", str(bad))
         assert code == 2 and "line" in out
 
+    def test_malformed_files_exit_two(self, tmp_path):
+        # neither a decoding error nor a recursion error escapes as a traceback
+        bad = tmp_path / "bad.json"
+        for content in (b"\xff\xfe{}", b'{"vertices": ' + b"[" * 50000 + b"]" * 50000 + b"}"):
+            bad.write_bytes(content)
+            code, out = run("reduce", str(bad))
+            assert code == 2 and out.startswith("error: ")
+
     def test_rank_zero_validation(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [{"id": "a", "rank": 0}], "edges": []}')
@@ -232,8 +240,14 @@ def test_analyze_rigidity_block_matches_library(atlas7, tmp_path):
             }))
             code, out = run("analyze", str(path), "--ball-bound", "0", "--format", "json")
             assert code == 0
-            expected = rigidity_hypotheses(load_presentation(str(path))).to_json()
-            assert json.loads(out)["rigidity_hypotheses"] == expected
+            rg = clique_reduce(load_presentation(str(path))).graph
+            no_class = not has_untransvectable_nonabelian_class(rg)
+            strong = all_untransvectable_strongly(rg)
+            assert json.loads(out)["rigidity_hypotheses"] == {
+                "no_nonabelian_untransvectable_class": no_class,
+                "every_untransvectable_vertex_strong": strong,
+                "both_hold": no_class and strong,
+            }
 
 
 def test_console_entry_point_subprocess():

@@ -15,7 +15,9 @@ from raagme.combinatorics import (_dominators, all_untransvectable_strongly, cv_
                                   is_free_product_of_free_abelians, is_strongly_untransvectable,
                                   is_transvectable_subgraph, is_transvectable_vertex,
                                   is_transvection_free, out_inventory, untransvectable_vertices)
+from raagme.classify import decide_me, invariant_report
 from raagme.presentation import clique_reduce, raag
+from raagme.subgroups import star_gluing_kernel
 
 
 class TestCvClassification:
@@ -109,6 +111,40 @@ class TestDominationByDefinition:
             calls.clear()
             predicate(g)
             assert calls == [g]
+
+    def test_one_domination_pass_per_graph_in_classify(self, c5, counterexample_graph,
+                                                         monkeypatch):
+        # invariant_report: has_finite_out, the untransvectable ball and one
+        # CV classification; decide_me: has_finite_out on G, one CV
+        # classification on the reduced H
+        g = counterexample_graph
+        assert clique_reduce(raag(g)).graph == g
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return _dominators(h)
+
+        monkeypatch.setattr(raagme.combinatorics, "_dominators", counted)
+        invariant_report(raag(g), ball_bound=0)
+        assert calls == [g, g, g]
+        for h, verdict in ((g, "not_equivalent"),
+                           (star_gluing_kernel(c5, "v1", 2), "equivalent")):
+            calls.clear()
+            assert decide_me(c5, raag(h)).verdict == verdict
+            assert calls == [c5, h]
+
+    def test_classification_fields_match_predicates(self, atlas7):
+        for n in range(1, 8):
+            for g in atlas7[n]:
+                cv = cv_classification(g)
+                untrans = brute_untransvectable(g)
+                assert list(cv.untransvectable) == untrans
+                assert cv.all_untransvectable_strongly == all(
+                    is_strongly_untransvectable(g, v) for v in untrans)
+                assert cv.nonabelian_untransvectable_class == any(
+                    len(cls) >= 2 and full_subgraph(g, cls).n_edges == 0
+                    for cls in cv.untransvectable_classes)
 
 
 class TestOutInventory:
@@ -226,6 +262,11 @@ class TestGroupLevelInvariants:
         assert has_untransvectable_nonabelian_class(f3_graph)
         assert not has_untransvectable_nonabelian_class(c5)
         assert not has_untransvectable_nonabelian_class(complete_graph(["a", "b", "c"]))
+
+    def test_empty_graph(self):
+        with pytest.raises(InputError):
+            has_untransvectable_nonabelian_class(SimpleGraph([]))
+        assert all_untransvectable_strongly(SimpleGraph([]))
 
     def test_free_products(self, p3, c5):
         g = SimpleGraph(["a", "b", "c", "d", "e"],

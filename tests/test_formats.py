@@ -3,8 +3,9 @@ import json
 import pytest
 
 from raagme.errors import ParseError
-from raagme.formats import (parse_dot_presentation, parse_json_presentation,
-                            parse_presentation, presentation_to_json_dict, sniff_format)
+from raagme.formats import (load_presentation, parse_dot_presentation,
+                            parse_json_presentation, parse_presentation,
+                            presentation_to_json_dict, sniff_format)
 from raagme.presentation import GraphProductPresentation
 
 
@@ -52,6 +53,17 @@ class TestJson:
         p = parse_json_presentation(
             '{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}')
         assert p.graph.n_edges == 1
+
+    def test_deep_nesting_rejected(self):
+        deep = '{"vertices": ' + "[" * 50000 + "]" * 50000 + "}"
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_json_presentation(deep)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b'{"vertices": ["\xff"], "edges": []}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_presentation(str(path))
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ParseError, match="unknown"):

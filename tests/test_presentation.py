@@ -26,6 +26,9 @@ def test_rank_validation():
     g = SimpleGraph(["a"])
     with pytest.raises(InputError):
         GraphProductPresentation(g, {"a": 0})
+    # bool is an int subclass; True would be written out as "rank": true
+    with pytest.raises(InputError):
+        GraphProductPresentation(g, {"a": True})
     with pytest.raises(InputError):
         GraphProductPresentation(g, {"a": 1, "b": 1})
     with pytest.raises(InputError):

@@ -66,9 +66,10 @@ class TestNormalForm:
         for call in calls:
             with pytest.raises(InputError, match="expand_to_raag"):
                 call()
-        # the rank-1 vertex keeps its contract: non-zero integers only
+        # the rank-1 vertex keeps its contract: non-zero integers only (bool
+        # is an int subclass, but True is not an exponent)
         assert word(p, [("b", 2), ("b", -1)]).syllables == (("b", 1),)
-        for e in (0, 1.0, (1,), "1"):
+        for e in (0, 1.0, (1,), "1", True):
             with pytest.raises(InputError, match="non-zero integer"):
                 word(p, [("b", e)])
 
