@@ -5,15 +5,16 @@ Commands::
     raagme analyze FILE [--ball-bound N]
     raagme reduce FILE
     raagme out FILE
-    raagme oe G_FILE H_FILE
-    raagme me G_FILE H_FILE [--max-steps N] [--max-vertices N]
+    raagme oe G_FILE H_FILE [--exit-status]
+    raagme me G_FILE H_FILE [--max-steps N] [--max-vertices N] [--exit-status]
     raagme extball FILE -L N [--ue]
     raagme subgroups FILE [--max-vertices N] [--max-steps N]
 
-Every command accepts ``--format {text,json}``.  With ``--exit-status`` the
-decision commands (oe, me) map their verdict to the exit code: 0 equivalent,
-1 not_equivalent, 3 unknown; exit code 2 is reserved for usage, validation
-and hypothesis errors.  Without the flag, a successful report exits 0.
+Every command accepts ``--format {text,json}``.  The decision commands (oe,
+me) also accept ``--exit-status``, which maps their verdict to the exit code:
+0 equivalent, 1 not_equivalent, 3 unknown; exit code 2 is reserved for usage,
+validation and hypothesis errors.  Without the flag, a successful report
+exits 0.
 Reports are byte-deterministic for identical inputs and flags.
 """
 
@@ -201,9 +202,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default: text)")
-    common.add_argument("--exit-status", action="store_true",
-                        help="map decision verdicts to exit codes "
-                             "(0 equivalent, 1 not_equivalent, 3 unknown)")
+    decision = argparse.ArgumentParser(add_help=False, parents=[common])
+    decision.add_argument("--exit-status", action="store_true",
+                          help="map decision verdicts to exit codes "
+                               "(0 equivalent, 1 not_equivalent, 3 unknown)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", parents=[common],
@@ -223,12 +225,12 @@ def build_parser():
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_out)
 
-    sp = sub.add_parser("oe", parents=[common], help="decide orbit equivalence")
+    sp = sub.add_parser("oe", parents=[decision], help="decide orbit equivalence")
     sp.add_argument("g_file")
     sp.add_argument("h_file")
     sp.set_defaults(func=_cmd_oe)
 
-    sp = sub.add_parser("me", parents=[common], help="decide measure equivalence")
+    sp = sub.add_parser("me", parents=[decision], help="decide measure equivalence")
     sp.add_argument("g_file")
     sp.add_argument("h_file")
     sp.add_argument("--max-steps", type=int, default=3,

@@ -7,14 +7,13 @@ length at most L; the radius-0 slice is a copy of the defining graph.  The
 untransvectable ball keeps the nodes whose type vertex is untransvectable;
 ``build_ext_ball(p, L, ue=True)`` builds it directly.
 
-Edges come from ``words.commutation_adjacency``, which tests only pairs of
-nodes g<v>g^-1, h<w>h^-1 with w in lk(v).  Two facts make that filter
-exact: by abelianization the subgroups cannot commute when w is outside
-st(v), and by the retraction onto G_st(v) two commuting conjugates of one
-generator are the same subgroup.  The test itself reduces g^-1 h once and
-strips its right factor in G_st(w); the remainder r' gives the reduced word
-r' w r'^-1 for g^-1 h w h^-1 g, so the nodes commute exactly when every
-letter of r' lies in st(v) (Servatius: the centralizer of v is G_st(v)).
+Edges come from ``words.commutation_adjacency``, which reads them off each
+node's link.  By Servatius the centralizer of v is G_st(v), and the
+retraction onto G_st(v) shows that the link of g<v>g^-1 is
+g {x<w>x^-1 : w in lk(v), x in G_lk(v)} (Kim-Koberda).  So the handles
+x<w>x^-1 over the letters lk(v) are enumerated once per edge v - w of the
+defining graph, and each node g<v>g^-1 looks up the canonical handle of
+g x<w>x^-1 g^-1 for those x short enough to land in the ball.
 
 Structural facts about the infinite graph are exposed as finite-scale
 checks: removing the star of a node separates each remaining node from its
@@ -97,17 +96,13 @@ class ExtBall:
 def build_ext_ball(p, L, ue=False):
     """All canonical cyclic handles of conjugator length <= L, with commutation edges.
 
-    Nodes g<v>g^-1 and h<w>h^-1 are joined when g^-1 h w h^-1 g lies in
-    G_st(v), the centralizer of v (Servatius), that is when the two
-    subgroups commute.  Only pairs with w in lk(v) can be joined: for w
-    outside st(v) the abelianization rules the edge out, and for w = v the
-    retraction onto G_st(v) makes commuting conjugates equal.  Each such
-    pair costs one reduction of g^-1 h, stripped of its right factor in
-    G_st(w); the stripped word r' makes r' w r'^-1 reduced, so the pair is
-    an edge exactly when r' is supported in st(v).  With ue=True
-    only handles of untransvectable type are built (conjugator letters
-    still range over every vertex): the ball ue_restriction cuts out of the
-    full one.
+    Nodes g<v>g^-1 and h<w>h^-1 are joined when the two subgroups commute.
+    The neighbours of g<v>g^-1 are the g x<w>x^-1 g^-1 with w in lk(v) and
+    x in G_lk(v), so ``commutation_adjacency`` lists the x<w>x^-1 once per
+    edge v - w of the defining graph and looks each node's candidates up
+    among the handles.  With ue=True only handles of untransvectable type
+    are built (conjugator letters still range over every vertex): the ball
+    ue_restriction cuts out of the full one.
     """
     if L < 0:
         raise InputError("ball radius must be >= 0")

@@ -14,10 +14,20 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 
 from .errors import ParseError
 from .graphs import SimpleGraph
 from .presentation import GraphProductPresentation
+
+
+# error messages echo offending input through one bounded repr, so that a
+# huge or deeply nested entry cannot blow up the message
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO.maxlist = _ECHO.maxdict = 4
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+_echo = _ECHO.repr
 
 
 def presentation_to_json_dict(p):
@@ -43,6 +53,8 @@ def parse_json_presentation(text):
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise ParseError("invalid JSON: number too long") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     raw_vertices = doc.get("vertices")
@@ -57,15 +69,15 @@ def parse_json_presentation(text):
             rank = item.get("rank", 1)
             unknown = set(item) - {"id", "rank"}
             if unknown:
-                raise ParseError(f"unknown vertex field {sorted(unknown)[0]!r}")
+                raise ParseError(f"unknown vertex field {_echo(sorted(unknown)[0])}")
         else:
-            raise ParseError(f"vertex entries must be objects or strings, got {item!r}")
+            raise ParseError(f"vertex entries must be objects or strings, got {_echo(item)}")
         if not isinstance(vid, str) or not vid:
-            raise ParseError(f"vertex id must be a non-empty string, got {vid!r}")
+            raise ParseError(f"vertex id must be a non-empty string, got {_echo(vid)}")
         if vid in ranks:
-            raise ParseError(f"duplicate vertex id {vid!r}")
+            raise ParseError(f"duplicate vertex id {_echo(vid)}")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise ParseError(f"rank of {vid!r} must be an integer >= 1, got {rank!r}")
+            raise ParseError(f"rank of {_echo(vid)} must be an integer >= 1, got {_echo(rank)}")
         names.append(vid)
         ranks[vid] = rank
     raw_edges = doc.get("edges", [])
@@ -75,11 +87,11 @@ def parse_json_presentation(text):
     for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 2
                 and all(isinstance(x, str) for x in e)):
-            raise ParseError(f"edges must be pairs of vertex ids, got {e!r}")
+            raise ParseError(f"edges must be pairs of vertex ids, got {_echo(e)}")
         edges.append((min(e), max(e)))
     unknown = set(doc) - {"vertices", "edges"}
     if unknown:
-        raise ParseError(f"unknown top-level field {sorted(unknown)[0]!r}")
+        raise ParseError(f"unknown top-level field {_echo(sorted(unknown)[0])}")
     return _presentation_from_parts(names, ranks, edges)
 
 
@@ -99,7 +111,7 @@ def _dot_tokens(text):
     while pos < len(text):
         m = _DOT_TOKEN.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line=line)
+            raise ParseError(f"unexpected character {_echo(text[pos])}", line=line)
         chunk = m.group(0)
         if m.lastgroup == "name":
             name = chunk
@@ -126,7 +138,7 @@ def parse_dot_presentation(text):
         if tok is None:
             raise ParseError("unexpected end of input", line=line)
         if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, got {tok!r}", line=line)
+            raise ParseError(f"expected {_echo(expect)}, got {_echo(tok)}", line=line)
         i += 1
         return tok, kind, line
 
@@ -145,7 +157,7 @@ def parse_dot_presentation(text):
 
     def declare(v, line):
         if v in ("graph", "node", "edge", "digraph", "subgraph", "strict"):
-            raise ParseError(f"unsupported DOT keyword {v!r}; only node and edge "
+            raise ParseError(f"unsupported DOT keyword {_echo(v)}; only node and edge "
                              "statements are accepted", line=line)
         if v not in ranks:
             names.append(v)
@@ -158,14 +170,14 @@ def parse_dot_presentation(text):
             if tok == "]":
                 break
             if kind != "name":
-                raise ParseError(f"expected attribute name, got {tok!r}", line=line)
+                raise ParseError(f"expected attribute name, got {_echo(tok)}", line=line)
             if tok != "rank":
-                raise ParseError(f"unsupported attribute {tok!r}; only rank=n is "
+                raise ParseError(f"unsupported attribute {_echo(tok)}; only rank=n is "
                                  "accepted", line=line)
             take("=")
             val, _, vline = take()
             if not val.isdigit() or int(val) < 1:
-                raise ParseError(f"rank of {v!r} must be an integer >= 1, got {val!r}",
+                raise ParseError(f"rank of {_echo(v)} must be an integer >= 1, got {_echo(val)}",
                                  line=vline)
             ranks[v] = int(val)
             tok, _, _ = peek()
@@ -178,7 +190,7 @@ def parse_dot_presentation(text):
             take("}")
             break
         if kind != "name":
-            raise ParseError(f"expected a node or edge statement, got {tok!r}", line=line)
+            raise ParseError(f"expected a node or edge statement, got {_echo(tok)}", line=line)
         v, _, vline = take()
         declare(v, vline)
         tok, _, _ = peek()
@@ -187,11 +199,11 @@ def parse_dot_presentation(text):
             take("--")
             w, wkind, wline = take()
             if wkind != "name":
-                raise ParseError(f"expected a vertex name after '--', got {w!r}",
+                raise ParseError(f"expected a vertex name after '--', got {_echo(w)}",
                                  line=wline)
             declare(w, wline)
             if w == chain[-1]:
-                raise ParseError(f"loop edge at {w!r} not allowed", line=wline)
+                raise ParseError(f"loop edge at {_echo(w)} not allowed", line=wline)
             edges.append((min(chain[-1], w), max(chain[-1], w)))
             chain.append(w)
             tok, _, _ = peek()
@@ -205,10 +217,10 @@ def parse_dot_presentation(text):
         elif tok == "}":
             continue
         else:
-            raise ParseError(f"expected ';' or '}}', got {tok!r}", line=line)
+            raise ParseError(f"expected ';' or '}}', got {_echo(tok)}", line=line)
     tok, kind, line = peek()
     if tok is not None:
-        raise ParseError(f"trailing content {tok!r} after closing brace", line=line)
+        raise ParseError(f"trailing content {_echo(tok)} after closing brace", line=line)
     return _presentation_from_parts(names, ranks, edges)
 
 
@@ -217,7 +229,7 @@ def parse_presentation(text, fmt):
         return parse_json_presentation(text)
     if fmt == "dot":
         return parse_dot_presentation(text)
-    raise ParseError(f"unknown input format {fmt!r} (expected json or dot)")
+    raise ParseError(f"unknown input format {_echo(fmt)} (expected json or dot)")
 
 
 def sniff_format(path, text):

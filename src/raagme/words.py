@@ -77,9 +77,8 @@ def _push(adj, pile, v, e):
     pile.append((v, e))
 
 
-def _reduce(adj, syllables, start=()):
-    """Reduced word of ``start`` (already reduced) followed by ``syllables``."""
-    pile = list(start)
+def _reduce(adj, syllables):
+    pile = []
     for v, e in syllables:
         _push(adj, pile, v, e)
     return pile
@@ -169,16 +168,15 @@ def word(p, syllables):
     return multiply_and_normalize(p, syllables, ())
 
 
-def _strip_right_factor(adj, reduced, members):
-    """Peel the right factor in G_members off a reduced word.
+def _strip_to_coset_rep(adj, reduced, members):
+    """Minimal representative of (reduced word) * G_members, lex ordered.
 
     Deletes every syllable whose vertex lies in ``members`` and commutes
-    with all syllables kept after it; the remainder is the unique shortest
-    element of the coset (reduced word) * G_members.  Whether a position can
-    be deleted depends only on the syllables after it, so one right-to-left
-    pass suffices, and a deleted syllable never blocked a merge (see _push),
-    so the remainder stays reduced.  Returns the kept syllables right to
-    left, and the set of their vertices (the support of the remainder).
+    with all syllables kept after it, peeling a right factor in the standard
+    subgroup; the remainder is the unique shortest element of the coset.
+    Whether a position can be deleted depends only on the syllables after
+    it, so one right-to-left pass suffices, and a deleted syllable never
+    blocked a merge (see _push), so the remainder stays reduced.
     """
     kept = []
     after = set()
@@ -187,12 +185,6 @@ def _strip_right_factor(adj, reduced, members):
             continue
         kept.append((v, e))
         after.add(v)
-    return kept, after
-
-
-def _strip_to_coset_rep(adj, reduced, members):
-    """Minimal representative of (reduced word) * G_members, lex ordered."""
-    kept, _ = _strip_right_factor(adj, reduced, members)
     return _lex_order(adj, kept[::-1])
 
 
@@ -246,20 +238,6 @@ def canonical_parabolic(p, conjugator, type_vertices):
     return ParabolicHandle(p, _strip_to_coset_rep(adj, reduced, members), type_vertices)
 
 
-def _conjugates_commute(adj, g_inv, h, st_v, st_w):
-    """Whether g<v>g^-1 and h<w>h^-1 commute, for canonical conjugators g, h
-    and adjacent types v, w; g_inv is the (reduced) inverse of g.
-
-    Let r' be the reduction of g^-1 h stripped of its right factor in
-    G_st(w).  That factor commutes with w, so g^-1 h w h^-1 g = r' w r'^-1,
-    and that word is reduced: a cancellation, or a merge with w, would need
-    a syllable of r' that lies in st(w) and can be moved to its right end,
-    and the strip removed all of those.  So its support is supp(r') plus w,
-    and w lies in st(v).
-    """
-    return _strip_right_factor(adj, _reduce(adj, h, g_inv), st_w)[1] <= st_v
-
-
 def commutation_adjacency(handles):
     """Edge sets of the commutation graph on distinct canonical cyclic handles.
 
@@ -267,43 +245,53 @@ def commutation_adjacency(handles):
     ``enumerate_cyclic_handles`` returns them; entry i of the result is the
     set of indices j whose subgroup commutes with that of handle i.
 
-    Nodes g<v>g^-1 and h<w>h^-1 commute exactly when g^-1 h w h^-1 g lies in
-    the centralizer of v, which is G_st(v) (Servatius).  Only pairs of
-    adjacent types are tested, which loses no edge:
+    The edges are read off each node's link.  Nodes g<v>g^-1 and h<w>h^-1
+    commute exactly when z = y w y^-1, y = g^-1 h, lies in the centralizer
+    of v, which is G_st(v) (Servatius).  The retraction G -> G_st(v) then
+    fixes z.  It kills w outside st(v), so w lies in st(v), and z equals
+    y' w y'^-1 for the image y' = v^k x of y in G_st(v) = <v> x G_lk(v),
+    with x in G_lk(v); v^k commutes with x w x^-1, so z = x w x^-1.  If
+    w = v then z = v and the two subgroups coincide.  Otherwise w lies in
+    lk(v) and the neighbour is g x<w>x^-1 g^-1 (Kim-Koberda: the link of
+    g<v>g^-1 is g {x<w>x^-1 : w in lk(v), x in G_lk(v)}).
 
-    - if w is not in st(v), the image of g^-1 h w h^-1 g in the
-      abelianization is the basis vector of w, outside that of G_st(v);
-    - if w = v and x = g^-1 h v h^-1 g lies in G_st(v), the retraction
-      G -> G_st(v) fixes x, so x is a conjugate of v inside
-      G_st(v) = <v> x G_lk(v), which is v itself: the two subgroups
-      coincide, and distinct canonical handles are distinct subgroups.
-
-    Each pair of adjacent types is visited once, so the pass makes one test
-    per pair of nodes whose types are the ends of an edge of the defining
-    graph (Kim-Koberda: adjacent nodes of the extension graph have adjacent
-    types).  A test pushes the syllables of h onto g^-1 and makes one
-    right-to-left strip pass; g^-1 and st(v) are computed once per node.
+    So for each edge v < w of the defining graph whose ends are both types
+    of handles, one call to ``enumerate_cyclic_handles`` lists the canonical
+    x<w>x^-1 over the letters lk(v), up to the longest conjugator L among
+    the handles, and each node g<v>g^-1 looks up g r<w>r^-1 g^-1 for the
+    listed conjugators r.  The word g r is reduced, because g is the minimal
+    element of g G_st(v) and r lies in G_lk(v); stripping its right factor
+    in G_st(w) gives the canonical conjugator.  The strip keeps all of r,
+    which is already stripped, and keeps at least what survives the strip of
+    g alone, since more syllables after a position only make it harder to
+    delete.  So only the r with |r| <= L - |strip_st(w)(g)| can reach a
+    handle of conjugator length at most L.
     """
     adjacency = [set() for _ in handles]
     if not handles:
         return adjacency
-    graph = handles[0].presentation.graph
-    adj = graph.adjacency
+    p = handles[0].presentation
+    adj = p.graph.adjacency
+    index = {h.key(): i for i, h in enumerate(handles)}
+    L = max(h.conjugator_length for h in handles)
     by_type = {}
-    for j, h in enumerate(handles):
-        by_type.setdefault(h.type_vertex, []).append(j)
-    stars = {v: star(graph, v) for v in by_type}
-    later = {v: [w for w in adj[v] if w > v and w in by_type] for v in by_type}
-    for i, hi in enumerate(handles):
-        v = hi.type_vertex
-        st_v = stars[v]
-        g_inv = _inverse(hi.conjugator)
-        for w in later[v]:
-            st_w = stars[w]
-            for j in by_type[w]:
-                if _conjugates_commute(adj, g_inv, handles[j].conjugator, st_v, st_w):
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
+    for i, h in enumerate(handles):
+        by_type.setdefault(h.type_vertex, []).append(i)
+    for v in by_type:
+        for w in [u for u in adj[v] if u > v and u in by_type]:
+            st_w = star(p.graph, w)
+            rs = sorted((h.conjugator_length, h.conjugator)
+                        for h in enumerate_cyclic_handles(p, {w}, adj[v], L))
+            for i in by_type[v]:
+                g = handles[i].conjugator
+                budget = L - _letter_length(_strip_to_coset_rep(adj, g, st_w))
+                for length, r in rs:
+                    if length > budget:
+                        break
+                    j = index.get((_strip_to_coset_rep(adj, g + r, st_w), (w,)))
+                    if j is not None:
+                        adjacency[i].add(j)
+                        adjacency[j].add(i)
     return adjacency
 
 

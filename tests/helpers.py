@@ -5,9 +5,10 @@ implementations the library is checked against, written straight from the
 definitions (the word-level strong untransvectability search, the
 subgroup-closure form of collapsibility), and the slower paths the library
 replaced (products of normal forms, the restart loop of coset stripping, the
-normalizer test on every pair of ball nodes, one ball per radius, the full
-ball cut down to its untransvectable nodes, full-round refinement with a
-recursive search), kept as oracles for the faster ones.
+normalizer test on every pair of ball nodes, the commutation test on every
+pair of nodes of adjacent types, one ball per radius, the full ball cut down
+to its untransvectable nodes, full-round refinement with a recursive search),
+kept as oracles for the faster ones.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from raagme.isomorphism import canonical_form, canonical_hash
 from raagme.presentation import GraphProductPresentation, raag
 from raagme.subgroups import star_gluing_kernel
 from raagme.words import (NormalFormWord, _coerce, _inverse, _lex_order, _reduce,
-                          canonical_parabolic, enumerate_cyclic_handles, word)
+                          _strip_to_coset_rep, canonical_parabolic, enumerate_cyclic_handles,
+                          word)
 
 
 def graph_atlas(max_n):
@@ -526,6 +528,46 @@ def build_ext_ball_by_pairs(p, L, ue=False):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return ExtBall(p, L, nodes, adjacency)
+
+
+def _conjugates_commute(adj, g_inv, h, st_v, st_w):
+    """Whether g<v>g^-1 and h<w>h^-1 commute, for canonical conjugators g, h
+    and adjacent types v, w; g_inv is the (reduced) inverse of g.
+
+    Let r' be the reduction of g^-1 h stripped of its right factor in
+    G_st(w).  That factor commutes with w, so g^-1 h w h^-1 g = r' w r'^-1,
+    and that word is reduced: a cancellation, or a merge with w, would need
+    a syllable of r' that lies in st(w) and can be moved to its right end,
+    and the strip removed all of those.  So its support is supp(r') plus w,
+    and w lies in st(v).
+    """
+    return {u for u, _ in _strip_to_coset_rep(adj, _reduce(adj, g_inv + h), st_w)} <= st_v
+
+
+def commutation_adjacency_by_pairs(handles):
+    """words.commutation_adjacency by one commutation test per pair of nodes
+    whose types are adjacent in the defining graph."""
+    adjacency = [set() for _ in handles]
+    if not handles:
+        return adjacency
+    graph = handles[0].presentation.graph
+    adj = graph.adjacency
+    by_type = {}
+    for j, h in enumerate(handles):
+        by_type.setdefault(h.type_vertex, []).append(j)
+    stars = {v: star(graph, v) for v in by_type}
+    later = {v: [w for w in adj[v] if w > v and w in by_type] for v in by_type}
+    for i, hi in enumerate(handles):
+        v = hi.type_vertex
+        st_v = stars[v]
+        g_inv = _inverse(hi.conjugator)
+        for w in later[v]:
+            st_w = stars[w]
+            for j in by_type[w]:
+                if _conjugates_commute(adj, g_inv, handles[j].conjugator, st_v, st_w):
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+    return adjacency
 
 
 # -- per-radius ball fingerprint oracle ------------------------------------------

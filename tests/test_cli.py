@@ -3,7 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from raagme.cli import main, run_command
+import pytest
+
+from raagme.cli import _UsageExit, main, run_command
 from raagme.combinatorics import all_untransvectable_strongly, has_untransvectable_nonabelian_class
 from raagme.extension import ball_json, build_ext_ball
 from raagme.formats import load_presentation, parse_json_presentation
@@ -195,6 +197,15 @@ class TestErrorsAndDeterminism:
         for argv in (["me", fx("c5.json"), fx("c5double.json"), "--max-steps", "-1"],
                      ["subgroups", fx("c5.json"), "--max-vertices", "-1"]):
             assert run(*argv) == (2, "error: enumeration bounds must be >= 0\n")
+
+    def test_exit_status_only_on_decisions(self, capsys):
+        with pytest.raises(_UsageExit) as info:
+            run_command(["analyze", fx("c5.json"), "--exit-status"])
+        assert info.value.code == 2
+        for argv in (["reduce", fx("c5.json")], ["out", fx("c5.json")],
+                     ["extball", fx("c5.json"), "-L", "0"], ["subgroups", fx("c5.json")]):
+            assert main(argv + ["--exit-status"]) == 2
+        assert "unrecognized arguments: --exit-status" in capsys.readouterr().err
 
     def test_byte_determinism(self):
         for argv in (

@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (build_ext_ball_by_pairs, commutator_adjacent, prism, translate_index,
-                     ue_ball_fingerprint)
+from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
+                     commutator_adjacent, prism, translate_index, ue_ball_fingerprint)
 from raagme.errors import DomainError, InputError
+from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
 from raagme.extension import (ball_graph, ball_json, ball_prefix, build_ext_ball,
                               star_complement_connectivity_check, star_separation_check,
                               ue_restriction)
+from raagme.words import commutation_adjacency
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def z2p():
@@ -243,36 +249,66 @@ class TestBallInvariants:
         cases = [(g, 1, ue) for n in range(1, 7) for g in atlas6[n] for ue in (False, True)]
         cases += [(g, 2, False) for g in (square_path(), c5, prism(), c7_complement)]
         cases += [(square_path(), 2, True), (c5, 3, True)]
+        c5double = load_presentation(str(FIXTURES / "c5double.json")).graph
+        cases += [(c5double, 2, True)]
         for graph, L, ue in cases:
             p = raag(graph)
             assert ball_json(build_ext_ball(p, L, ue=ue)) == \
                 ball_json(build_ext_ball_by_pairs(p, L, ue=ue)), (graph, L, ue)
 
+    def test_matches_adjacent_type_pairs_oracle(self):
+        # past the reach of the all-pairs oracle (1,062 nodes, 15,093 edges),
+        # the pair test on nodes of adjacent types gives the same edges
+        b = build_ext_ball(raag(prism()), 3)
+        handles = [b.handle(i) for i in range(b.n_nodes)]
+        assert [frozenset(a) for a in commutation_adjacency_by_pairs(handles)] == \
+            list(b.adjacency)
+        assert (b.n_nodes, b.n_edges) == (1062, 15093)
+
     def test_edge_through_cancelling_conjugators(self):
         # on the path v-w-b-a, <w> commutes with b<v>b^-1; conjugating by a
         # joins a<w>a^-1 to ab<v>(ab)^-1, whose conjugator is the longer one:
-        # the pair test reduces (ab)^-1 a = b^-1 across a cancellation
+        # the link of ab<v>(ab)^-1 reaches a<w>a^-1 by stripping b, which
+        # lies in st(w), off the end of ab
         b = build_ext_ball(raag(square_path()), 2)
         i = b.node_index((("a", 1),), "w")
         j = b.node_index((("a", 1), ("b", 1)), "v")
         assert j in b.adjacency[i]
         assert b.node_index((("b", 1),), "v") in b.adjacency[b.standard_node("w")]
 
-    def test_only_adjacent_types_are_tested(self, c5, monkeypatch):
-        # the radius-2 ball of C5 has 29 nodes of each type, so the pass
-        # tests 5 edges x 29^2 pairs rather than all 145 choose 2
+    def test_edges_read_off_links(self, c5, monkeypatch):
+        # the radius-2 ball of C5 has 29 nodes of each type.  The pass lists
+        # the link conjugators once per edge of C5, strips each node's
+        # conjugator once per edge for its budget (5 x 29 = 145 strips), and
+        # strips one candidate per listed conjugator within that budget
         import raagme.words
-        test = raagme.words._conjugates_commute
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return test(*args)
-
-        monkeypatch.setattr(raagme.words, "_conjugates_commute", counted)
         b = build_ext_ball(raag(c5), 2)
         assert b.n_nodes == 145
-        assert len(calls) == 5 * 29 ** 2 == 4205
+        enumerate_handles = raagme.words.enumerate_cyclic_handles
+        strip = raagme.words._strip_to_coset_rep
+        enumerations, strips, inside = [], [], []
+
+        def counted_enumerate(p, types, letters, length_bound):
+            enumerations.append((sorted(types), sorted(letters), length_bound))
+            inside.append(True)
+            try:
+                return enumerate_handles(p, types, letters, length_bound)
+            finally:
+                inside.pop()
+
+        def counted_strip(*args):
+            if not inside:
+                strips.append(args)
+            return strip(*args)
+
+        monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
+        monkeypatch.setattr(raagme.words, "_strip_to_coset_rep", counted_strip)
+        adjacency = commutation_adjacency([b.handle(i) for i in range(b.n_nodes)])
+        assert [frozenset(a) for a in adjacency] == list(b.adjacency)
+        assert sorted(enumerations) == [
+            (["v2"], ["v2", "v5"], 2), (["v3"], ["v1", "v3"], 2), (["v4"], ["v2", "v4"], 2),
+            (["v5"], ["v2", "v5"], 2), (["v5"], ["v3", "v5"], 2)]
+        assert len(strips) == 145 + 605
 
     def test_separation_beyond_finite_out(self, counterexample_graph):
         # the star-removal disconnection needs no hypothesis on Out: it

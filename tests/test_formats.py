@@ -59,6 +59,23 @@ class TestJson:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_json_presentation(deep)
 
+    def test_huge_number_rejected(self):
+        with pytest.raises(ParseError, match="number too long"):
+            parse_json_presentation('{"vertices": [{"id": "a", "rank": 1' + "0" * 5000 + "}]}")
+
+    def test_error_messages_bounded(self):
+        # a huge or deeply nested offending entry is echoed in short form
+        vertex = '{"vertices": [' + "[" * 400 + "]" * 400 + "]}"
+        long_id = json.dumps({"vertices": [{"id": "x" * 5000, "rank": 0}]})
+        edge = '{"vertices": ["a"], "edges": [' + "[" * 400 + "]" * 400 + "]}"
+        for doc, kind in [(vertex, "vertex entries"), (long_id, "rank of 'xxx"),
+                          (edge, "edges must be pairs")]:
+            with pytest.raises(ParseError) as info:
+                parse_json_presentation(doc)
+            assert kind in str(info.value) and len(str(info.value)) < 200
+        with pytest.raises(ParseError, match=r"^rank of 'a' must be an integer >= 1, got 0$"):
+            parse_json_presentation('{"vertices": [{"id": "a", "rank": 0}]}')
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_bytes(b'{"vertices": ["\xff"], "edges": []}')

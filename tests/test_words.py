@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from helpers import (conjugate_handle, generators_commute, normalizes, normalizes_by_products,
-                     parabolics_commute, shuffle_oracle_nf, strip_by_restart,
-                     strong_untransvectability_oracle)
+from helpers import (commutation_adjacency_by_pairs, conjugate_handle, generators_commute,
+                     normalizes, normalizes_by_products, parabolics_commute, shuffle_oracle_nf,
+                     strip_by_restart, strong_untransvectability_oracle)
 
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
@@ -259,10 +259,11 @@ class TestCommutationAndNormalizers:
                 handles[h.key()] = h
             handles = list(handles.values())
             adjacency = commutation_adjacency(handles)
+            assert adjacency == commutation_adjacency_by_pairs(handles)
             for i, h1 in enumerate(handles):
                 assert adjacency[i] == {j for j, h2 in enumerate(handles)
                                         if j != i and parabolics_commute(h1, h2)}
-        assert commutation_adjacency([]) == []
+        assert commutation_adjacency([]) == commutation_adjacency_by_pairs([]) == []
 
     def test_commute_requires_cyclic(self):
         h1 = canonical_parabolic(f2(), [], {"a", "b"})
