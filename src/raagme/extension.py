@@ -21,17 +21,21 @@ translate under the node's subgroup, and (for groups with finite outer
 automorphism group) removing a proper subset of a star that is not exactly
 the link leaves everything connected.  Assertions are made on interior nodes
 (conjugator length at most L-1) only; boundary observations are reported but
-are not violations.
+are not violations.  A separation check makes one batch translation
+(``words.translate_conjugators``) of the nodes outside the star, bounded by
+the ball's longest conjugator, so the translates that leave the ball are
+never lex ordered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, InputError
 from .combinatorics import has_finite_out, untransvectable_vertices
-from .words import (ParabolicHandle, canonical_parabolic, commutation_adjacency,
-                    enumerate_cyclic_handles)
+from .words import (ParabolicHandle, commutation_adjacency, enumerate_cyclic_handles,
+                    translate_conjugators)
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ class ExtBall:
         self.nodes = tuple(nodes)
         self.adjacency = tuple(frozenset(a) for a in adjacency)
         self._index = {node.key(): i for i, node in enumerate(self.nodes)}
+        self._interior = frozenset(i for i, n in enumerate(self.nodes) if n.length <= L - 1)
 
     @property
     def n_nodes(self):
@@ -86,7 +91,11 @@ class ExtBall:
 
     def interior(self):
         """Indices of nodes with conjugator length at most L-1."""
-        return frozenset(i for i, n in enumerate(self.nodes) if n.length <= self.L - 1)
+        return self._interior
+
+    @cached_property
+    def _finite_out(self):
+        return has_finite_out(self.presentation.graph)
 
     def handle(self, i):
         node = self.nodes[i]
@@ -174,16 +183,6 @@ def _components(b, removed):
     return comp, label
 
 
-def _translate(b, gv, w_index):
-    """Index of the node g_v (w subgroup) g_v^-1, or None outside the ball.
-
-    gv is the generator word of the cyclic subgroup at some node v.
-    """
-    w = b.nodes[w_index]
-    h = canonical_parabolic(b.presentation, gv.syllables + w.conjugator, {w.vertex})
-    return b._index.get((h.conjugator, w.vertex))
-
-
 @dataclass(frozen=True)
 class SeparationEntry:
     node: int
@@ -221,13 +220,16 @@ def star_separation_check(b, v_index):
     removed = b.star_of(v_index)
     comp, count = _components(b, removed)
     interior = b.interior()
-    gv = b.handle(v_index).generator_word()
+    outside = [w for w in range(b.n_nodes) if w not in removed]
+    # a translate longer than every node's conjugator is not in the ball;
+    # that bound is L on a built ball, but a hand-built one need not keep to it
+    bound = max(n.length for n in b.nodes)
+    conjugators = translate_conjugators(
+        b.handle(v_index), [b.nodes[w].key() for w in outside], bound)
     entries = []
     skipped = 0
-    for w in range(b.n_nodes):
-        if w in removed:
-            continue
-        t = _translate(b, gv, w)
+    for w, c in zip(outside, conjugators):
+        t = None if c is None else b._index.get((c, b.nodes[w].vertex))
         # conjugating by g_v preserves commuting with <g_v>, so a node
         # outside the star never translates into it
         if t is None:
@@ -262,7 +264,7 @@ class ConnectivityReport:
 def star_complement_connectivity_check(b, v_index, x_indices):
     if not 0 <= v_index < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
-    if not has_finite_out(b.presentation.graph):
+    if not b._finite_out:
         raise DomainError(
             "hypothesis violated: Out of the ambient group must be finite "
             "(the defining graph admits a transvection or a partial conjugation)")

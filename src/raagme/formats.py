@@ -83,15 +83,26 @@ def parse_json_presentation(text):
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError('"edges" must be a list of pairs')
-    edges = []
+    edges, bad = [], []
     for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 2
                 and all(isinstance(x, str) for x in e)):
             raise ParseError(f"edges must be pairs of vertex ids, got {_echo(e)}")
-        edges.append((min(e), max(e)))
+        u, w = edge = (min(e), max(e))
+        edges.append(edge)
+        if u == w or u not in ranks or w not in ranks:
+            bad.append(edge)
     unknown = set(doc) - {"vertices", "edges"}
     if unknown:
         raise ParseError(f"unknown top-level field {_echo(sorted(unknown)[0])}")
+    if bad:
+        # SimpleGraph would echo the ids whole; report the edge it meets
+        # first (edges go to it sorted) with its message, echoed bounded
+        e = min(bad)
+        for x in e:
+            if x not in ranks:
+                raise ParseError(f"unknown vertex {_echo(x)} in edge {_echo(e)}")
+        raise ParseError(f"loop edge at {_echo(e[0])} not allowed in a simple graph")
     return _presentation_from_parts(names, ranks, edges)
 
 

@@ -14,6 +14,12 @@ Parabolic subgroups conjugate to a standard one are represented by canonical
 handles: the conjugator is replaced by the shortlex-least representative of
 its right coset modulo the normalizer of the standard subgroup, so two
 handles are equal exactly when the subgroups are.
+
+Input is validated only at the public entries; the private helpers below
+them take syllables that are already valid and do no checks.  One such core
+(``_canonical_conjugator``: reduce, strip to the coset representative, lex
+order) serves ``canonical_parabolic``, the breadth-first search of
+``enumerate_cyclic_handles`` and the batch ``translate_conjugators``.
 """
 
 from __future__ import annotations
@@ -168,7 +174,7 @@ def word(p, syllables):
     return multiply_and_normalize(p, syllables, ())
 
 
-def _strip_to_coset_rep(adj, reduced, members):
+def _strip_to_coset_rep(adj, reduced, members, length_bound=None):
     """Minimal representative of (reduced word) * G_members, lex ordered.
 
     Deletes every syllable whose vertex lies in ``members`` and commutes
@@ -177,6 +183,9 @@ def _strip_to_coset_rep(adj, reduced, members):
     Whether a position can be deleted depends only on the syllables after
     it, so one right-to-left pass suffices, and a deleted syllable never
     blocked a merge (see _push), so the remainder stays reduced.
+
+    Returns None when the remainder is longer than ``length_bound`` letters;
+    that is tested before the lex order, which only permutes syllables.
     """
     kept = []
     after = set()
@@ -185,7 +194,18 @@ def _strip_to_coset_rep(adj, reduced, members):
             continue
         kept.append((v, e))
         after.add(v)
+    if length_bound is not None and _letter_length(kept) > length_bound:
+        return None
     return _lex_order(adj, kept[::-1])
+
+
+def _canonical_conjugator(adj, syllables, members, length_bound=None):
+    """Canonical conjugator of (syllables) G_members: reduce, strip, lex order.
+
+    The unvalidated core behind the public entries; None when the stripped
+    word is longer than ``length_bound`` letters.
+    """
+    return _strip_to_coset_rep(adj, _reduce(adj, syllables), members, length_bound)
 
 
 @dataclass(frozen=True)
@@ -232,10 +252,34 @@ def canonical_parabolic(p, conjugator, type_vertices):
         if not p.graph.has_vertex(v):
             raise InputError(f"unknown vertex {v!r} in parabolic type")
         _require_rank_one(p, v)
-    adj = p.graph.adjacency
     members = type_vertices | perp(p.graph, type_vertices)
-    reduced = _reduce(adj, _coerce(p, conjugator))
-    return ParabolicHandle(p, _strip_to_coset_rep(adj, reduced, members), type_vertices)
+    conj = _canonical_conjugator(p.graph.adjacency, _coerce(p, conjugator), members)
+    return ParabolicHandle(p, conj, type_vertices)
+
+
+def translate_conjugators(h, pairs, length_bound):
+    """Canonical conjugators of the translates of cyclic handles by one generator.
+
+    ``h`` is a cyclic handle g<v>g^-1 with generator x = g v g^-1, and
+    ``pairs`` are the (conjugator, type) of cyclic handles c<t>c^-1 over the
+    same RAAG presentation, as ball nodes hold them; their conjugators are
+    not re-validated.  Entry i of the result is the canonical conjugator of
+    the translate (x c)<t>(x c)^-1 of pair i, or None when it is longer than
+    ``length_bound`` letters.  The generator word is built once and st(t)
+    found once per type; the modulus G_st(t) is the normalizer of <t>.
+    """
+    p = h.presentation
+    adj = p.graph.adjacency
+    x = h.generator_word().syllables
+    stars = {}
+    out = []
+    for c, t in pairs:
+        st = stars.get(t)
+        if st is None:
+            _require_rank_one(p, t)
+            st = stars[t] = star(p.graph, t)
+        out.append(_canonical_conjugator(adj, x + c, st, length_bound))
+    return out
 
 
 def commutation_adjacency(handles):
@@ -306,21 +350,25 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     every handle whose canonical conjugator is a word of length at most
     ``length_bound`` over the letter vertices appears exactly once.
     """
-    letters = _letters(letter_vertices)
     handles = {}
     frontier = []
     for v in sorted(types):
         h = canonical_parabolic(p, (), {v})
         handles[h.key()] = h
         frontier.append(h)
+    if length_bound > 0:  # letters are checked once, and only if a step is taken
+        letters = [_validate_syllable(p, s) for s in _letters(letter_vertices)]
+        stars = {h.type_vertex: star(p.graph, h.type_vertex) for h in frontier}
+    adj = p.graph.adjacency
     for _ in range(length_bound):
         nxt = []
         for h in frontier:
+            t = h.type_vertex
             for letter in letters:
-                h2 = canonical_parabolic(
-                    p, (letter,) + h.conjugator, h.type_vertices)
-                if h2.key() not in handles:
-                    handles[h2.key()] = h2
+                conj = _canonical_conjugator(adj, (letter,) + h.conjugator, stars[t])
+                key = (conj, (t,))
+                if key not in handles:
+                    handles[key] = h2 = ParabolicHandle(p, conj, h.type_vertices)
                     nxt.append(h2)
         frontier = nxt
     return [handles[k] for k in sorted(handles)]

@@ -7,8 +7,9 @@ subgroup-closure form of collapsibility), and the slower paths the library
 replaced (products of normal forms, the restart loop of coset stripping, the
 normalizer test on every pair of ball nodes, the commutation test on every
 pair of nodes of adjacent types, one ball per radius, the full ball cut down
-to its untransvectable nodes, full-round refinement with a recursive search),
-kept as oracles for the faster ones.
+to its untransvectable nodes, full-round refinement with a recursive search,
+one validated canonical_parabolic per star-separation translate), kept as
+oracles for the faster ones.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 from raagme.combinatorics import is_collapsible, untransvectable_vertices
 from raagme.errors import DomainError, InputError
-from raagme.extension import (ExtBall, ExtNode, _translate, ball_graph, build_ext_ball,
-                              ue_restriction)
+from raagme.extension import (ExtBall, ExtNode, SeparationEntry, SeparationReport,
+                              _components, ball_graph, build_ext_ball, ue_restriction)
 from raagme.graphs import SimpleGraph, link, perp, star
 from raagme.isomorphism import canonical_form, canonical_hash
 from raagme.presentation import GraphProductPresentation, raag
@@ -415,10 +416,42 @@ def conjugate_handle(h, x):
     return canonical_parabolic(p, _coerce(p, x) + h.conjugator, h.type_vertices)
 
 
+def _translate(b, gv, w_index):
+    """Index of the node g_v (w subgroup) g_v^-1, or None outside the ball:
+    one validated canonical_parabolic, with no length bound.
+
+    gv is the generator word of the cyclic subgroup at some node v.
+    """
+    w = b.nodes[w_index]
+    h = canonical_parabolic(b.presentation, gv.syllables + w.conjugator, {w.vertex})
+    return b._index.get((h.conjugator, w.vertex))
+
+
 def translate_index(b, v_index, w_index):
     """Index of the conjugate of node w by the generator of node v, or None
     when it falls outside the ball."""
     return _translate(b, b.handle(v_index).generator_word(), w_index)
+
+
+def star_separation_by_nodes(b, v_index):
+    """star_separation_check translating one node at a time: the path the
+    batch translation (words.translate_conjugators) replaced."""
+    removed = b.star_of(v_index)
+    comp, count = _components(b, removed)
+    interior = b.interior()
+    gv = b.handle(v_index).generator_word()
+    entries = []
+    skipped = 0
+    for w in range(b.n_nodes):
+        if w in removed:
+            continue
+        t = _translate(b, gv, w)
+        if t is None:
+            skipped += 1
+            continue
+        entries.append(SeparationEntry(w, t, comp[w] == comp[t],
+                                       w in interior and t in interior))
+    return SeparationReport(v_index, count, tuple(entries), skipped)
 
 
 # -- word-level strong untransvectability oracle ---------------------------------

@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
-                     commutator_adjacent, prism, translate_index, ue_ball_fingerprint)
+                     commutator_adjacent, prism, star_separation_by_nodes, translate_index,
+                     ue_ball_fingerprint)
+from raagme.combinatorics import has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
-from raagme.extension import (ball_graph, ball_json, ball_prefix, build_ext_ball,
+from raagme.extension import (ExtBall, ball_graph, ball_json, ball_prefix, build_ext_ball,
                               star_complement_connectivity_check, star_separation_check,
                               ue_restriction)
 from raagme.words import commutation_adjacency
@@ -158,6 +160,49 @@ class TestStarSeparation:
                     if w not in star_v:
                         assert translate_index(b, v, w) not in star_v
 
+    def test_matches_per_node_oracle(self, c5, counterexample_graph, f2_graph):
+        c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+        for graph, L in ((c5, 2), (prism(), 2), (c7_complement, 2),
+                         (counterexample_graph, 1), (f2_graph, 2)):
+            b = build_ext_ball(raag(graph), L)
+            for i in sorted(b.interior()):
+                assert star_separation_check(b, i) == star_separation_by_nodes(b, i)
+
+    def test_matches_per_node_oracle_on_cut_and_hand_built_balls(self, c5,
+                                                                 counterexample_graph):
+        ue = ue_restriction(build_ext_ball(raag(counterexample_graph), 2))
+        prefix = ball_prefix(build_ext_ball(raag(c5), 3), 2)
+        # a hand-built ball whose L is below its longest conjugator: the
+        # translates of length 2 are nodes of it, so the length bound is the
+        # longest conjugator, not L
+        b2 = build_ext_ball(raag(c5), 2)
+        hand = ExtBall(b2.presentation, 1, b2.nodes, b2.adjacency)
+        for b in (ue, prefix, hand):
+            for i in sorted(b.interior()):
+                assert star_separation_check(b, i) == star_separation_by_nodes(b, i)
+        rep = star_separation_check(hand, hand.standard_node("v1"))
+        assert any(hand.nodes[e.translate].length > hand.L for e in rep.entries)
+
+    def test_only_in_ball_translates_lex_ordered(self, c5, monkeypatch):
+        # the length of a translate is tested before its lex order, so a
+        # check lex-orders the generator word and the translates that land
+        # in the ball, not the others
+        import raagme.words
+        b = build_ext_ball(raag(c5), 2)
+        lex_order = raagme.words._lex_order
+        calls = []
+
+        def counted(adj, reduced):
+            calls.append(len(reduced))
+            return lex_order(adj, reduced)
+
+        monkeypatch.setattr(raagme.words, "_lex_order", counted)
+        for i in sorted(b.interior()):
+            calls.clear()
+            rep = star_separation_check(b, i)
+            assert len(calls) == len(rep.entries) + 1
+            assert rep.skipped_outside_ball > len(rep.entries)
+
     def test_z2_vacuous(self):
         b = build_ext_ball(z2p(), 2)
         rep = star_separation_check(b, b.standard_node("a"))
@@ -203,8 +248,24 @@ class TestStarComplementConnectivity:
     def test_infinite_out_rejected(self, p3):
         b = build_ext_ball(raag(p3), 1)
         i = b.standard_node("b")
-        with pytest.raises(DomainError, match="finite"):
-            star_complement_connectivity_check(b, i, {i})
+        for _ in range(2):
+            with pytest.raises(DomainError, match="finite"):
+                star_complement_connectivity_check(b, i, {i})
+
+    def test_finite_out_evaluated_once_per_ball(self, c5, monkeypatch):
+        import raagme.extension
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return has_finite_out(g)
+
+        monkeypatch.setattr(raagme.extension, "has_finite_out", counted)
+        b = build_ext_ball(raag(c5), 2)
+        for v in c5.sorted_vertices():
+            i = b.standard_node(v)
+            assert star_complement_connectivity_check(b, i, {i}).interior_connected
+        assert len(calls) == 1
 
 
 class TestBallInvariants:
@@ -320,7 +381,6 @@ class TestBallInvariants:
             assert rep.violations == ()
 
     def test_transvection_free_ue_identity_on_prism(self):
-        from raagme.combinatorics import has_finite_out
         g = prism()
         assert has_finite_out(g)
         b = build_ext_ball(raag(g), 1)

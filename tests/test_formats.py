@@ -68,13 +68,24 @@ class TestJson:
         vertex = '{"vertices": [' + "[" * 400 + "]" * 400 + "]}"
         long_id = json.dumps({"vertices": [{"id": "x" * 5000, "rank": 0}]})
         edge = '{"vertices": ["a"], "edges": [' + "[" * 400 + "]" * 400 + "]}"
+        unknown_end = json.dumps({"vertices": ["a"], "edges": [["a", "z" * 5000]]})
+        loop = json.dumps({"vertices": ["y" * 5000], "edges": [["y" * 5000] * 2]})
         for doc, kind in [(vertex, "vertex entries"), (long_id, "rank of 'xxx"),
-                          (edge, "edges must be pairs")]:
+                          (edge, "edges must be pairs"), (unknown_end, "unknown vertex 'zzz"),
+                          (loop, "loop edge at 'yyy")]:
             with pytest.raises(ParseError) as info:
                 parse_json_presentation(doc)
             assert kind in str(info.value) and len(str(info.value)) < 200
-        with pytest.raises(ParseError, match=r"^rank of 'a' must be an integer >= 1, got 0$"):
-            parse_json_presentation('{"vertices": [{"id": "a", "rank": 0}]}')
+        for doc, message in [
+                ('{"vertices": [{"id": "a", "rank": 0}]}',
+                 "rank of 'a' must be an integer >= 1, got 0"),
+                ('{"vertices": ["a"], "edges": [["b", "a"]]}',
+                 "unknown vertex 'b' in edge ('a', 'b')"),
+                ('{"vertices": ["a"], "edges": [["a", "a"]]}',
+                 "loop edge at 'a' not allowed in a simple graph")]:
+            with pytest.raises(ParseError) as info:
+                parse_json_presentation(doc)
+            assert str(info.value) == message
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "g.json"

@@ -12,7 +12,7 @@ from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, 
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
 from raagme.words import (NormalFormWord, _reduce, _strip_to_coset_rep, canonical_parabolic,
                           commutation_adjacency, enumerate_cyclic_handles,
-                          multiply_and_normalize, word)
+                          multiply_and_normalize, translate_conjugators, word)
 
 
 def f2():
@@ -81,6 +81,10 @@ class TestNormalForm:
             canonical_parabolic(p, (), {"a"})
         with pytest.raises(InputError, match="expand_to_raag"):
             enumerate_cyclic_handles(p, {"a"}, {"b"}, 1)
+        with pytest.raises(InputError, match="expand_to_raag"):
+            enumerate_cyclic_handles(p, {"b"}, {"a"}, 1)
+        with pytest.raises(InputError, match="expand_to_raag"):
+            translate_conjugators(canonical_parabolic(p, (), {"b"}), [((), "a")], 1)
         assert [h.key() for h in enumerate_cyclic_handles(p, {"b"}, {"b"}, 1)] == \
             [((), ("b",))]
 
@@ -243,6 +247,32 @@ class TestCommutationAndNormalizers:
                 reduced = _reduce(adj, random_word(rng, verts, rng.randint(0, 7)))
                 assert _strip_to_coset_rep(adj, reduced, members) == \
                     strip_by_restart(adj, reduced, members)
+        assert 0.1 < sum(seen) / len(seen) < 0.9
+
+    def test_translate_conjugators_match_canonical_parabolic(self, atlas6):
+        # the batch translation agrees with one validated canonical_parabolic
+        # per pair, and answers None exactly past the length bound
+        rng = random.Random(13)
+        seen = []
+        for g in atlas6[4] + atlas6[5][::5]:
+            p = raag(g)
+            verts = g.sorted_vertices()
+
+            def handle():
+                return canonical_parabolic(p, random_word(rng, verts, rng.randint(0, 3)),
+                                           {rng.choice(verts)})
+
+            for _ in range(5):
+                h = handle()
+                pairs = [(k.conjugator, k.type_vertex) for k in (handle() for _ in range(20))]
+                bound = rng.randint(0, 4)
+                gen = h.generator_word().syllables
+                expected = []
+                for c, t in pairs:
+                    k = canonical_parabolic(p, gen + c, {t})
+                    expected.append(k.conjugator if k.conjugator_length <= bound else None)
+                assert translate_conjugators(h, pairs, bound) == expected
+                seen += [c is None for c in expected]
         assert 0.1 < sum(seen) / len(seen) < 0.9
 
     def test_commutation_adjacency_matches_pairwise_test(self, atlas6):
