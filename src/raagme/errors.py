@@ -1,4 +1,14 @@
-"""Exception types shared by all raagme modules."""
+"""Exception types shared by all raagme modules, and the echo their messages use."""
+
+import reprlib
+
+# error messages echo offending input through one bounded repr, so that a
+# huge or deeply nested entry cannot blow up the message
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO.maxlist = _ECHO.maxdict = 4
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+echo = _ECHO.repr
 
 
 class RaagmeError(Exception):

@@ -14,20 +14,10 @@ from __future__ import annotations
 
 import json
 import re
-import reprlib
 
-from .errors import ParseError
+from .errors import ParseError, echo
 from .graphs import SimpleGraph
 from .presentation import GraphProductPresentation
-
-
-# error messages echo offending input through one bounded repr, so that a
-# huge or deeply nested entry cannot blow up the message
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 2
-_ECHO.maxlist = _ECHO.maxdict = 4
-_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
-_echo = _ECHO.repr
 
 
 def presentation_to_json_dict(p):
@@ -69,40 +59,29 @@ def parse_json_presentation(text):
             rank = item.get("rank", 1)
             unknown = set(item) - {"id", "rank"}
             if unknown:
-                raise ParseError(f"unknown vertex field {_echo(sorted(unknown)[0])}")
+                raise ParseError(f"unknown vertex field {echo(sorted(unknown)[0])}")
         else:
-            raise ParseError(f"vertex entries must be objects or strings, got {_echo(item)}")
+            raise ParseError(f"vertex entries must be objects or strings, got {echo(item)}")
         if not isinstance(vid, str) or not vid:
-            raise ParseError(f"vertex id must be a non-empty string, got {_echo(vid)}")
+            raise ParseError(f"vertex id must be a non-empty string, got {echo(vid)}")
         if vid in ranks:
-            raise ParseError(f"duplicate vertex id {_echo(vid)}")
+            raise ParseError(f"duplicate vertex id {echo(vid)}")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise ParseError(f"rank of {_echo(vid)} must be an integer >= 1, got {_echo(rank)}")
+            raise ParseError(f"rank of {echo(vid)} must be an integer >= 1, got {echo(rank)}")
         names.append(vid)
         ranks[vid] = rank
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError('"edges" must be a list of pairs')
-    edges, bad = [], []
+    edges = []
     for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 2
                 and all(isinstance(x, str) for x in e)):
-            raise ParseError(f"edges must be pairs of vertex ids, got {_echo(e)}")
-        u, w = edge = (min(e), max(e))
-        edges.append(edge)
-        if u == w or u not in ranks or w not in ranks:
-            bad.append(edge)
+            raise ParseError(f"edges must be pairs of vertex ids, got {echo(e)}")
+        edges.append((min(e), max(e)))
     unknown = set(doc) - {"vertices", "edges"}
     if unknown:
-        raise ParseError(f"unknown top-level field {_echo(sorted(unknown)[0])}")
-    if bad:
-        # SimpleGraph would echo the ids whole; report the edge it meets
-        # first (edges go to it sorted) with its message, echoed bounded
-        e = min(bad)
-        for x in e:
-            if x not in ranks:
-                raise ParseError(f"unknown vertex {_echo(x)} in edge {_echo(e)}")
-        raise ParseError(f"loop edge at {_echo(e[0])} not allowed in a simple graph")
+        raise ParseError(f"unknown top-level field {echo(sorted(unknown)[0])}")
     return _presentation_from_parts(names, ranks, edges)
 
 
@@ -122,7 +101,7 @@ def _dot_tokens(text):
     while pos < len(text):
         m = _DOT_TOKEN.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {_echo(text[pos])}", line=line)
+            raise ParseError(f"unexpected character {echo(text[pos])}", line=line)
         chunk = m.group(0)
         if m.lastgroup == "name":
             name = chunk
@@ -149,7 +128,7 @@ def parse_dot_presentation(text):
         if tok is None:
             raise ParseError("unexpected end of input", line=line)
         if expect is not None and tok != expect:
-            raise ParseError(f"expected {_echo(expect)}, got {_echo(tok)}", line=line)
+            raise ParseError(f"expected {echo(expect)}, got {echo(tok)}", line=line)
         i += 1
         return tok, kind, line
 
@@ -168,7 +147,7 @@ def parse_dot_presentation(text):
 
     def declare(v, line):
         if v in ("graph", "node", "edge", "digraph", "subgraph", "strict"):
-            raise ParseError(f"unsupported DOT keyword {_echo(v)}; only node and edge "
+            raise ParseError(f"unsupported DOT keyword {echo(v)}; only node and edge "
                              "statements are accepted", line=line)
         if v not in ranks:
             names.append(v)
@@ -181,14 +160,14 @@ def parse_dot_presentation(text):
             if tok == "]":
                 break
             if kind != "name":
-                raise ParseError(f"expected attribute name, got {_echo(tok)}", line=line)
+                raise ParseError(f"expected attribute name, got {echo(tok)}", line=line)
             if tok != "rank":
-                raise ParseError(f"unsupported attribute {_echo(tok)}; only rank=n is "
+                raise ParseError(f"unsupported attribute {echo(tok)}; only rank=n is "
                                  "accepted", line=line)
             take("=")
             val, _, vline = take()
             if not val.isdigit() or int(val) < 1:
-                raise ParseError(f"rank of {_echo(v)} must be an integer >= 1, got {_echo(val)}",
+                raise ParseError(f"rank of {echo(v)} must be an integer >= 1, got {echo(val)}",
                                  line=vline)
             ranks[v] = int(val)
             tok, _, _ = peek()
@@ -201,7 +180,7 @@ def parse_dot_presentation(text):
             take("}")
             break
         if kind != "name":
-            raise ParseError(f"expected a node or edge statement, got {_echo(tok)}", line=line)
+            raise ParseError(f"expected a node or edge statement, got {echo(tok)}", line=line)
         v, _, vline = take()
         declare(v, vline)
         tok, _, _ = peek()
@@ -210,11 +189,11 @@ def parse_dot_presentation(text):
             take("--")
             w, wkind, wline = take()
             if wkind != "name":
-                raise ParseError(f"expected a vertex name after '--', got {_echo(w)}",
+                raise ParseError(f"expected a vertex name after '--', got {echo(w)}",
                                  line=wline)
             declare(w, wline)
             if w == chain[-1]:
-                raise ParseError(f"loop edge at {_echo(w)} not allowed", line=wline)
+                raise ParseError(f"loop edge at {echo(w)} not allowed", line=wline)
             edges.append((min(chain[-1], w), max(chain[-1], w)))
             chain.append(w)
             tok, _, _ = peek()
@@ -228,10 +207,10 @@ def parse_dot_presentation(text):
         elif tok == "}":
             continue
         else:
-            raise ParseError(f"expected ';' or '}}', got {_echo(tok)}", line=line)
+            raise ParseError(f"expected ';' or '}}', got {echo(tok)}", line=line)
     tok, kind, line = peek()
     if tok is not None:
-        raise ParseError(f"trailing content {_echo(tok)} after closing brace", line=line)
+        raise ParseError(f"trailing content {echo(tok)} after closing brace", line=line)
     return _presentation_from_parts(names, ranks, edges)
 
 
@@ -240,7 +219,7 @@ def parse_presentation(text, fmt):
         return parse_json_presentation(text)
     if fmt == "dot":
         return parse_dot_presentation(text)
-    raise ParseError(f"unknown input format {_echo(fmt)} (expected json or dot)")
+    raise ParseError(f"unknown input format {echo(fmt)} (expected json or dot)")
 
 
 def sniff_format(path, text):

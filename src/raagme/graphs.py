@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import InputError
+from .errors import InputError, echo
 
 
 class SimpleGraph:
@@ -30,21 +30,21 @@ class SimpleGraph:
         adj = {}
         for v in vertices:
             if not isinstance(v, str) or not v:
-                raise InputError(f"vertex label must be a non-empty string, got {v!r}")
+                raise InputError(f"vertex label must be a non-empty string, got {echo(v)}")
             if v in adj:
-                raise InputError(f"duplicate vertex {v!r}")
+                raise InputError(f"duplicate vertex {echo(v)}")
             adj[v] = set()
         for e in edges:
             try:
                 u, w = e
             except (TypeError, ValueError):
-                raise InputError(f"edge must be a pair of vertices, got {e!r}") from None
+                raise InputError(f"edge must be a pair of vertices, got {echo(e)}") from None
             if u not in adj:
-                raise InputError(f"unknown vertex {u!r} in edge {e!r}")
+                raise InputError(f"unknown vertex {echo(u)} in edge {echo(e)}")
             if w not in adj:
-                raise InputError(f"unknown vertex {w!r} in edge {e!r}")
+                raise InputError(f"unknown vertex {echo(w)} in edge {echo(e)}")
             if u == w:
-                raise InputError(f"loop edge at {u!r} not allowed in a simple graph")
+                raise InputError(f"loop edge at {echo(u)} not allowed in a simple graph")
             adj[u].add(w)
             adj[w].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}

@@ -1,42 +1,19 @@
 """Graph isomorphism via canonical labeling.
 
-Canonical forms are computed by color refinement plus individualization with
-backtracking, so repeated calls agree and isomorphism answers are
-reproducible byte for byte.  Vertices may carry arbitrary mutually-comparable
-color tags.  After an individualization, refinement re-keys only the
-neighbours of the cells that changed, and the search keeps its own stack, so
-its depth is not bounded by Python recursion.  The search is exponential in the worst case; extension-graph
-balls of several hundred vertices canonize in seconds.
+Canonical forms of plain (uncolored) graphs are computed by color
+refinement plus individualization with backtracking, so repeated calls agree
+and isomorphism answers are reproducible byte for byte.  The search starts
+from the unit partition.  After an individualization, refinement re-keys
+only the neighbours of the cells that changed, and the search keeps its own
+stack, so its depth is not bounded by Python recursion.  The search is
+exponential in the worst case; extension-graph balls of several hundred
+vertices canonize in seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-
-from .errors import InputError
-
-
-def _partition(colors):
-    """Cells of a colouring: (label of each vertex, label -> sorted members).
-
-    A cell is labelled by its first position in colour order.  Labels only
-    need to order the cells: a split keeps the cell's label for its first
-    piece and labels the others by their positions, and an individualized
-    vertex takes a label above every position.
-    """
-    members = defaultdict(list)
-    for v, c in enumerate(colors):
-        members[c].append(v)
-    label = [0] * len(colors)
-    cells = {}
-    start = 0
-    for c in sorted(members):
-        cells[start] = members[c]
-        for v in members[c]:
-            label[v] = start
-        start += len(members[c])
-    return label, cells
 
 
 def _individualize(label, cells, u, fresh):
@@ -167,11 +144,10 @@ class _Canonizer:
     the nodes refined, pruned ones and leaves included.
     """
 
-    def __init__(self, verts, adj, init_colors):
+    def __init__(self, verts, adj):
         self.n = len(verts)
         self.verts = verts
         self.adj = adj
-        self.init_colors = init_colors
         self.best = None          # (key, order)
         self.best_trace = None    # trace entries on the path to best
         self.best_prefix = None   # individualized vertices on the path to best
@@ -181,7 +157,7 @@ class _Canonizer:
     def run(self):
         """Search the whole tree with an explicit stack; return best."""
         n, adj = self.n, self.adj
-        label, cells = _partition(self.init_colors)
+        label, cells = [0] * n, {0: list(range(n))}
         _refine(adj, label, cells, range(n))
         stack = []
         self._visit(stack, label, cells, (), (), [], False)
@@ -232,8 +208,7 @@ class _Canonizer:
         pos = [0] * n
         for p, v in enumerate(order):
             pos[v] = p
-        rows = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
-        key = (tuple(self.init_colors[v] for v in order), rows)
+        key = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
         if eq and len(self.best_trace) == len(prefix) + 1:
             if key > self.best[0]:
                 return
@@ -294,31 +269,13 @@ class _Canonizer:
         return order
 
 
-def _prepare(g, colors):
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [sorted(index[w] for w in g.neighbors(v)) for v in verts]
-    if colors is None:
-        init = [0] * len(verts)
-        palette_tags = ()
-    else:
-        tags = []
-        for v in verts:
-            if v not in colors:
-                raise InputError(f"vertex {v!r} missing from the coloring")
-            tags.append(colors[v])
-        try:
-            distinct = sorted(set(tags))
-        except TypeError:
-            raise InputError("color tags must be mutually comparable") from None
-        palette = {t: c for c, t in enumerate(distinct)}
-        init = [palette[t] for t in tags]
-        palette_tags = tuple(distinct)
-    return verts, adj, init, palette_tags
-
-
 class CanonicalForm:
-    """Canonical key plus the vertex ordering that realizes it."""
+    """Canonical key plus the vertex ordering that realizes it.
+
+    The key is the adjacency rows of the graph relabelled by canonical
+    position: row p lists the sorted positions of the neighbours of the
+    vertex at position p.
+    """
 
     __slots__ = ("key", "order", "_canonizer")
 
@@ -328,7 +285,7 @@ class CanonicalForm:
         self._canonizer = canonizer
 
     def orbit_representatives(self):
-        """Least label of each (color-preserving) automorphism orbit, sorted.
+        """Least label of each automorphism orbit, sorted.
 
         Read off the automorphisms recorded by the search that produced this
         form: they generate the whole group (``group_order`` multiplies
@@ -346,41 +303,45 @@ class CanonicalForm:
         return list(least.values())
 
     def group_order(self):
-        """Order of the (color-preserving) automorphism group, from the same search."""
+        """Order of the automorphism group, from the same search."""
         return 1 if self._canonizer is None else self._canonizer.group_order()
 
     def hexdigest(self):
-        return hashlib.sha256(repr(self.key).encode("ascii")).hexdigest()
+        # hashed in the format of the former colored key (no palette, every
+        # vertex color 0), so that digests recorded by earlier versions stay valid
+        legacy = ((), (0,) * len(self.key), self.key)
+        return hashlib.sha256(repr(legacy).encode("ascii")).hexdigest()
 
 
-def canonical_form(g, colors=None):
-    """Canonical form of a (possibly vertex-colored) graph.
+def canonical_form(g):
+    """Canonical form of a graph.
 
-    Two graphs have equal canonical keys if and only if there is a
-    color-preserving isomorphism between them.
+    Two graphs have equal canonical keys if and only if they are isomorphic.
     """
-    verts, adj, init, palette_tags = _prepare(g, colors)
+    verts = g.sorted_vertices()
     if not verts:
-        return CanonicalForm((palette_tags, (), ()), ())
-    canonizer = _Canonizer(verts, adj, init)
+        return CanonicalForm((), ())
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [sorted(index[w] for w in g.neighbors(v)) for v in verts]
+    canonizer = _Canonizer(verts, adj)
     key, order = canonizer.run()
-    return CanonicalForm((palette_tags,) + key, tuple(verts[i] for i in order), canonizer)
+    return CanonicalForm(key, tuple(verts[i] for i in order), canonizer)
 
 
-def canonical_hash(g, colors=None):
+def canonical_hash(g):
     """Deterministic hex digest of the canonical form."""
-    return canonical_form(g, colors).hexdigest()
+    return canonical_form(g).hexdigest()
 
 
-def find_isomorphism(g, h, colors_g=None, colors_h=None):
-    """A color-preserving isomorphism g -> h as a dict, or None.
+def find_isomorphism(g, h):
+    """An isomorphism g -> h as a dict, or None.
 
     Deterministic: the map is read off the two canonical labelings, so
     repeated calls agree, and the maps found for (g, h) and (h, g) are
     mutually inverse.
     """
-    cg = canonical_form(g, colors_g)
-    ch = canonical_form(h, colors_h)
+    cg = canonical_form(g)
+    ch = canonical_form(h)
     if cg.key != ch.key:
         return None
     iso = dict(zip(cg.order, ch.order))
@@ -390,10 +351,10 @@ def find_isomorphism(g, h, colors_g=None, colors_h=None):
     return iso
 
 
-def automorphism_count(g, colors=None):
-    """Order of the (color-preserving) automorphism group.
+def automorphism_count(g):
+    """Order of the automorphism group.
 
     Shares the canonizer's search: the order is read off the automorphisms
     it records, so it costs one canonical labeling.
     """
-    return canonical_form(g, colors).group_order()
+    return canonical_form(g).group_order()

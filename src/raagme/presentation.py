@@ -10,7 +10,7 @@ expansion goes the other way, back to a defining graph with unit ranks.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, echo
 from .graphs import SimpleGraph, star
 
 MAX_RANK = 1 << 16
@@ -31,16 +31,17 @@ class GraphProductPresentation:
             self._ranks = {}
             for v in graph.sorted_vertices():
                 if v not in ranks:
-                    raise InputError(f"missing rank for vertex {v!r}")
+                    raise InputError(f"missing rank for vertex {echo(v)}")
                 r = ranks[v]
                 if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-                    raise InputError(f"rank of {v!r} must be a positive integer, got {r!r}")
+                    raise InputError(
+                        f"rank of {echo(v)} must be a positive integer, got {echo(r)}")
                 if r > MAX_RANK:
-                    raise InputError(f"rank of {v!r} exceeds the supported bound {MAX_RANK}")
+                    raise InputError(f"rank of {echo(v)} exceeds the supported bound {MAX_RANK}")
                 self._ranks[v] = r
             extra = set(ranks) - set(self._ranks)
             if extra:
-                raise InputError(f"rank given for unknown vertex {sorted(extra)[0]!r}")
+                raise InputError(f"rank given for unknown vertex {echo(sorted(extra)[0])}")
 
     def rank(self, v):
         try:
@@ -97,7 +98,7 @@ def clique_reduce(p):
         total = sum(p.rank(v) for v in members)
         if total > MAX_RANK:
             raise InputError(
-                f"merged rank {total} at {label!r} exceeds the supported bound {MAX_RANK}")
+                f"merged rank {total} at {echo(label)} exceeds the supported bound {MAX_RANK}")
         rank[label] = total
         for v in members:
             rep[v] = label

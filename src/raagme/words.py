@@ -174,18 +174,16 @@ def word(p, syllables):
     return multiply_and_normalize(p, syllables, ())
 
 
-def _strip_to_coset_rep(adj, reduced, members, length_bound=None):
-    """Minimal representative of (reduced word) * G_members, lex ordered.
+def _strip_to_coset_rep(adj, reduced, members):
+    """Minimal representative of (reduced word) * G_members, as a syllable list.
 
     Deletes every syllable whose vertex lies in ``members`` and commutes
     with all syllables kept after it, peeling a right factor in the standard
     subgroup; the remainder is the unique shortest element of the coset.
     Whether a position can be deleted depends only on the syllables after
     it, so one right-to-left pass suffices, and a deleted syllable never
-    blocked a merge (see _push), so the remainder stays reduced.
-
-    Returns None when the remainder is longer than ``length_bound`` letters;
-    that is tested before the lex order, which only permutes syllables.
+    blocked a merge (see _push), so the remainder stays reduced.  It is not
+    lex ordered.
     """
     kept = []
     after = set()
@@ -194,18 +192,21 @@ def _strip_to_coset_rep(adj, reduced, members, length_bound=None):
             continue
         kept.append((v, e))
         after.add(v)
-    if length_bound is not None and _letter_length(kept) > length_bound:
-        return None
-    return _lex_order(adj, kept[::-1])
+    kept.reverse()
+    return kept
 
 
 def _canonical_conjugator(adj, syllables, members, length_bound=None):
     """Canonical conjugator of (syllables) G_members: reduce, strip, lex order.
 
     The unvalidated core behind the public entries; None when the stripped
-    word is longer than ``length_bound`` letters.
+    word is longer than ``length_bound`` letters.  The length is tested
+    before the lex order, which only permutes syllables.
     """
-    return _strip_to_coset_rep(adj, _reduce(adj, syllables), members, length_bound)
+    kept = _strip_to_coset_rep(adj, _reduce(adj, syllables), members)
+    if length_bound is not None and _letter_length(kept) > length_bound:
+        return None
+    return _lex_order(adj, kept)
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,8 @@ def commutation_adjacency(handles):
     which is already stripped, and keeps at least what survives the strip of
     g alone, since more syllables after a position only make it harder to
     delete.  So only the r with |r| <= L - |strip_st(w)(g)| can reach a
-    handle of conjugator length at most L.
+    handle of conjugator length at most L.  Their strips can still be longer
+    than L; those are looked up as None, without a lex order.
     """
     adjacency = [set() for _ in handles]
     if not handles:
@@ -332,7 +334,7 @@ def commutation_adjacency(handles):
                 for length, r in rs:
                     if length > budget:
                         break
-                    j = index.get((_strip_to_coset_rep(adj, g + r, st_w), (w,)))
+                    j = index.get((_canonical_conjugator(adj, g + r, st_w, L), (w,)))
                     if j is not None:
                         adjacency[i].add(j)
                         adjacency[j].add(i)

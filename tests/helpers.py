@@ -9,7 +9,8 @@ normalizer test on every pair of ball nodes, the commutation test on every
 pair of nodes of adjacent types, one ball per radius, the full ball cut down
 to its untransvectable nodes, full-round refinement with a recursive search,
 one validated canonical_parabolic per star-separation translate), kept as
-oracles for the faster ones.
+oracles for the faster ones.  Rank-preserving isomorphism of presentations,
+which the library never needs, is checked with networkx.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import networkx as nx
 
 from raagme.combinatorics import is_collapsible, untransvectable_vertices
 from raagme.errors import DomainError, InputError
@@ -99,11 +102,10 @@ class CanonizerByRounds:
     branch, so the search returns to that branching node at once.
     """
 
-    def __init__(self, verts, adj, init_colors):
+    def __init__(self, verts, adj):
         self.n = len(verts)
         self.verts = verts
         self.adj = adj
-        self.init_colors = init_colors
         self.best = None          # (trace, key, order)
         self.best_prefix = None   # individualized vertices on the path to best
         self.automorphisms = []   # permutations as vertex->vertex lists
@@ -112,8 +114,7 @@ class CanonizerByRounds:
         """Compare a leaf with the best; on a tie, return the shared prefix length."""
         order = sorted(range(self.n), key=lambda i: colors[i])
         pos = {v: p for p, v in enumerate(order)}
-        rows = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
-        key = (tuple(self.init_colors[v] for v in order), rows)
+        key = tuple(tuple(sorted(pos[j] for j in self.adj[v])) for v in order)
         if self.best is None or (trace, key) < (self.best[0], self.best[1]):
             self.best = (trace, key, order)
             self.best_prefix = prefix
@@ -194,7 +195,7 @@ class CanonizerByRounds:
                 return back
 
     def run(self):
-        self._search(list(self.init_colors), (), 0, ())
+        self._search([0] * self.n, (), 0, ())
         return self.best
 
     def group_order(self):
@@ -611,6 +612,24 @@ def ue_ball_fingerprint(graph, L):
     return canonical_hash(ball_graph(ue_restriction(build_ext_ball(raag(graph), L))))
 
 
+# -- rank-preserving isomorphism oracle ----------------------------------------
+
+def rank_isomorphic(g, ranks_g, h, ranks_h):
+    """Whether some isomorphism g -> h maps each vertex to one of equal rank.
+
+    The library compares plain graphs only; this networkx check is the
+    test-only reference for presentations with ranks.
+    """
+    def nx_graph(graph, ranks):
+        out = nx.Graph()
+        out.add_nodes_from((v, {"rank": ranks[v]}) for v in graph.sorted_vertices())
+        out.add_edges_from(graph.edges())
+        return out
+
+    return nx.is_isomorphic(nx_graph(g, ranks_g), nx_graph(h, ranks_h),
+                            node_match=lambda a, b: a["rank"] == b["rank"])
+
+
 # -- stepwise clique-reduction oracle ------------------------------------------
 
 def merge_pair(graph, ranks, x, y):
@@ -642,14 +661,11 @@ def mergeable_pairs(graph):
 def all_merge_results(graph, ranks):
     """Every fully-merged (graph, ranks) reachable by stepwise pair merges."""
     results = []
-    seen = set()
 
     def rec(g, r):
         pairs = mergeable_pairs(g)
         if not pairs:
-            key = (canonical_form(g, r).key,)
-            if key not in seen:
-                seen.add(key)
+            if not any(rank_isomorphic(g, r, h, s) for h, s in results):
                 results.append((g, r))
             return
         for x, y in pairs:

@@ -88,7 +88,7 @@ def test_criterion_3_clique_reduction_soundness(atlas6):
     """Idempotence everywhere; merge-order independence on <= 5 vertices;
     expand-then-reduce is the identity on clique-reduced inputs with ranks
     <= 3 on <= 6 vertices."""
-    from helpers import all_merge_results
+    from helpers import all_merge_results, rank_isomorphic
     t0 = time.time()
     for n in range(1, 7):
         for g in atlas6[n]:
@@ -102,8 +102,7 @@ def test_criterion_3_clique_reduction_soundness(atlas6):
             q = clique_reduce(p)
             for graph, ranks in all_merge_results(g, p.ranks):
                 r = GraphProductPresentation(graph, ranks)
-                assert find_isomorphism(r.graph, q.graph, r.ranks, q.ranks) \
-                    is not None, g.edges()
+                assert rank_isomorphic(r.graph, r.ranks, q.graph, q.ranks), g.edges()
 
     trips = 0
     for n in range(1, 7):

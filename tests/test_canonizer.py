@@ -16,8 +16,7 @@ from helpers import CanonizerByRounds, orbit_representatives_by_rounds, prism, r
 
 from raagme.extension import ball_graph, build_ext_ball, ue_restriction
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, opposite_graph
-from raagme.isomorphism import (_Canonizer, _individualize, _partition, _prepare, _refine,
-                                automorphism_count, canonical_form)
+from raagme.isomorphism import _individualize, _refine, automorphism_count, canonical_form
 from raagme.presentation import raag
 
 
@@ -29,16 +28,18 @@ class CountingCanonizerByRounds(CanonizerByRounds):
         return super()._search(*args)
 
 
-def assert_same_search(g, colors=None):
-    form = canonical_form(g, colors)
+def assert_same_search(g):
+    form = canonical_form(g)
     new = form._canonizer
-    verts, adj, init, palette_tags = _prepare(g, colors)
+    verts = g.sorted_vertices()
     if not verts:
-        assert new is None
+        assert new is None and form.key == ()
         return
-    old = CountingCanonizerByRounds(verts, adj, init)
+    index = {v: i for i, v in enumerate(verts)}
+    old = CountingCanonizerByRounds(verts, [sorted(index[w] for w in g.neighbors(v))
+                                            for v in verts])
     _, key, order = old.run()
-    assert form.key == (palette_tags,) + key
+    assert form.key == key
     assert form.order == tuple(verts[i] for i in order)
     assert new.automorphisms == old.automorphisms
     assert new.best_prefix == old.best_prefix
@@ -59,11 +60,9 @@ def ue_ball(g, L):
 
 
 def test_same_search_on_atlas(atlas7):
-    rng = random.Random(61)
     for n in range(1, 8):
         for g in atlas7[n]:
             assert_same_search(g)
-            assert_same_search(g, {v: rng.randrange(3) for v in g.sorted_vertices()})
 
 
 def test_same_search_on_random_graphs():
@@ -74,9 +73,7 @@ def test_same_search_on_random_graphs():
         verts = [f"v{i:02d}" for i in range(n)]
         edges = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
-        g = SimpleGraph(verts, edges)
-        assert_same_search(g)
-        assert_same_search(g, {v: rng.randrange(3) for v in verts})
+        assert_same_search(SimpleGraph(verts, edges))
 
 
 # Two cubic graphs from a wider random search.  On the first, trace entries
@@ -128,10 +125,8 @@ def test_same_search_on_relabelled_ue_balls():
 def test_c5_ball_search_tree_size():
     # the radius-2 untransvectable ball of C5 (145 nodes): 504 search nodes,
     # as many as the full-round recursive search makes on it
-    canonizer = _Canonizer(*_prepare(ue_ball(cycle_graph(["v1", "v2", "v3", "v4", "v5"]), 2),
-                                     None)[:3])
-    canonizer.run()
-    assert canonizer.nodes == 504
+    form = canonical_form(ue_ball(cycle_graph(["v1", "v2", "v3", "v4", "v5"]), 2))
+    assert form._canonizer.nodes == 504
 
 
 def test_search_depth_not_bounded_by_recursion_limit():
@@ -175,24 +170,22 @@ def test_incremental_refine_matches_full_rounds(data):
         if keep:
             adj[i].append(j)
             adj[j].append(i)
-    colors = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    colors = dense(colors)
-    # a first round over every vertex
-    equitable = refine_by_rounds(n, adj, colors)
-    label, cells = _partition(colors)
+    # a first round over every vertex of the unit partition
+    label, cells = [0] * n, {0: list(range(n))}
     _refine(adj, label, cells, range(n))
-    assert dense(label) == equitable
+    assert dense(label) == refine_by_rounds(n, adj, [0] * n)
     assert_cells_match(label, cells)
-    # then one vertex of a non-singleton cell individualized, as the search does
-    shared = [v for v in range(n) if equitable.count(equitable[v]) > 1]
-    if not shared:
-        return
-    u = data.draw(st.sampled_from(shared))
-    individualized = list(equitable)
-    individualized[u] = n
-    label, cells = _partition(equitable)
-    cell = cells[label[u]]
-    label, cells = _individualize(label, cells, u, n)
-    _refine(adj, label, cells, cell)
-    assert dense(label) == refine_by_rounds(n, adj, individualized)
-    assert_cells_match(label, cells)
+    # then vertices of non-singleton cells individualized one after another,
+    # each labelled above every position, as the search does
+    for depth in range(n):
+        shared = [v for v in range(n) if len(cells[label[v]]) > 1]
+        if not shared:
+            return
+        u = data.draw(st.sampled_from(shared))
+        individualized = dense(label)
+        individualized[u] = n + depth
+        cell = cells[label[u]]
+        label, cells = _individualize(label, cells, u, n + depth)
+        _refine(adj, label, cells, cell)
+        assert dense(label) == refine_by_rounds(n, adj, individualized)
+        assert_cells_match(label, cells)

@@ -371,6 +371,49 @@ class TestBallInvariants:
             (["v5"], ["v2", "v5"], 2), (["v5"], ["v3", "v5"], 2)]
         assert len(strips) == 145 + 605
 
+    def test_link_lookups_lex_order_only_ball_nodes(self, c5, monkeypatch):
+        # on the radius-3 ball of C5 (885 nodes) the pass strips 7,220 words
+        # outside the link enumerations: 885 for the budgets, 6,335 link
+        # candidates.  Budgets and candidates longer than L = 3 (4,920 of
+        # them) are never lex ordered; the 1,415 candidates that land on a
+        # node are, one per edge.  Each of the 7,220 strips was lex ordered
+        # before the length bound moved out of the strip.
+        import raagme.words
+        b = build_ext_ball(raag(c5), 3)
+        enumerate_handles = raagme.words.enumerate_cyclic_handles
+        strip, lex_order = raagme.words._strip_to_coset_rep, raagme.words._lex_order
+        strips, lex_orders, inside = [], [], []
+
+        def counted_enumerate(*args):
+            inside.append(True)
+            try:
+                return enumerate_handles(*args)
+            finally:
+                inside.pop()
+
+        def counted_strip(*args):
+            kept = strip(*args)
+            if not inside:
+                strips.append(sum(abs(e) for _, e in kept))
+            return kept
+
+        def counted_lex_order(*args):
+            if not inside:
+                lex_orders.append(args)
+            return lex_order(*args)
+
+        monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
+        monkeypatch.setattr(raagme.words, "_strip_to_coset_rep", counted_strip)
+        monkeypatch.setattr(raagme.words, "_lex_order", counted_lex_order)
+        handles = [b.handle(i) for i in range(b.n_nodes)]
+        adjacency = commutation_adjacency(handles)
+        assert [frozenset(a) for a in adjacency] == \
+            [frozenset(a) for a in commutation_adjacency_by_pairs(handles)]
+        n_edges = sum(len(a) for a in adjacency) // 2
+        assert (b.n_nodes, n_edges) == (885, 1415)
+        assert len(strips) == 7220 and sum(1 for n in strips if n > 3) == 4920
+        assert len(lex_orders) == n_edges == len(strips) - 885 - 4920
+
     def test_separation_beyond_finite_out(self, counterexample_graph):
         # the star-removal disconnection needs no hypothesis on Out: it
         # holds on the cone-extended 5-cycle, which has transvectable

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from raagme.errors import ParseError
+from raagme.errors import InputError, ParseError
 from raagme.formats import (load_presentation, parse_dot_presentation,
                             parse_json_presentation, parse_presentation,
                             presentation_to_json_dict, sniff_format)
-from raagme.presentation import GraphProductPresentation
+from raagme.presentation import GraphProductPresentation, clique_reduce
 
 
 C5_JSON = """{
@@ -70,12 +70,20 @@ class TestJson:
         edge = '{"vertices": ["a"], "edges": [' + "[" * 400 + "]" * 400 + "]}"
         unknown_end = json.dumps({"vertices": ["a"], "edges": [["a", "z" * 5000]]})
         loop = json.dumps({"vertices": ["y" * 5000], "edges": [["y" * 5000] * 2]})
+        big_rank = json.dumps({"vertices": [{"id": "w" * 5000, "rank": 70000}]})
         for doc, kind in [(vertex, "vertex entries"), (long_id, "rank of 'xxx"),
                           (edge, "edges must be pairs"), (unknown_end, "unknown vertex 'zzz"),
-                          (loop, "loop edge at 'yyy")]:
+                          (loop, "loop edge at 'yyy"), (big_rank, "rank of 'www")]:
             with pytest.raises(ParseError) as info:
                 parse_json_presentation(doc)
             assert kind in str(info.value) and len(str(info.value)) < 200
+        # two adjacent vertices with equal stars merge into one rank past the bound
+        merged = parse_json_presentation(json.dumps(
+            {"vertices": [{"id": "m" * 5000, "rank": 40000}, {"id": "n" * 5000, "rank": 40000}],
+             "edges": [["m" * 5000, "n" * 5000]]}))
+        with pytest.raises(InputError) as info:
+            clique_reduce(merged)
+        assert "merged rank 80000 at 'mmm" in str(info.value) and len(str(info.value)) < 200
         for doc, message in [
                 ('{"vertices": [{"id": "a", "rank": 0}]}',
                  "rank of 'a' must be an integer >= 1, got 0"),

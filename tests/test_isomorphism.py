@@ -1,20 +1,18 @@
-import itertools
 import math
 import random
 from collections import Counter
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from helpers import brute_automorphism_count
+from helpers import brute_automorphism_count, prism
 
-from raagme.errors import InputError
+from raagme.extension import ball_graph, build_ext_ball
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
-from raagme.isomorphism import (_Canonizer, _prepare, automorphism_count, canonical_form,
-                                canonical_hash, find_isomorphism)
+from raagme.isomorphism import automorphism_count, canonical_form, canonical_hash, find_isomorphism
+from raagme.presentation import raag
 from raagme.subgroups import star_gluing_kernel
 
 
@@ -36,17 +34,6 @@ def test_c5_vs_path_none():
     c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
     p5 = path_graph(["a", "b", "c", "d", "e"])
     assert find_isomorphism(c5, p5) is None
-
-
-def test_color_constraint():
-    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
-    colors_g = {"v1": 3, "v2": 1, "v3": 1, "v4": 1, "v5": 1}
-    colors_h = {"v1": 1, "v2": 1, "v3": 3, "v4": 1, "v5": 1}
-    iso = find_isomorphism(c5, c5, colors_g, colors_h)
-    assert iso is not None and iso["v1"] == "v3"
-    # colors are compared by value, not by palette position
-    assert find_isomorphism(c5, c5, colors_g,
-                            {"v1": 4, "v2": 1, "v3": 1, "v4": 1, "v5": 1}) is None
 
 
 def test_deterministic_and_symmetric():
@@ -80,6 +67,20 @@ def test_canonical_hash_stable():
     assert canonical_hash(c5) != canonical_hash(path_graph(["a", "b", "c", "d", "e"]))
 
 
+def test_canonical_hash_pinned():
+    # the digest format is part of the output: reports and recorded ball
+    # fingerprints hold these strings
+    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+    ball = ball_graph(build_ext_ball(raag(c5), 2, ue=True))
+    assert ball.n_vertices == 145
+    for g, digest in [
+            (SimpleGraph([]), "b8e3ecee405b4b61bee01fd988125f77f9498e764b26253fafd352a25acee168"),
+            (c5, "e015c5e7530c4c0184742d6ddffffaa02262287c0e18a80a79b6b3effc4013d3"),
+            (prism(), "cd8816695ee958d98b625e89f7ff19d91678abdb0d40327bb173d5fcc95c278a"),
+            (ball, "bfc6c462b2599d76b3195824c0763443ed708636a2308ced808f553f211ced1e")]:
+        assert canonical_hash(g) == digest
+
+
 def test_automorphism_count_small():
     assert automorphism_count(cycle_graph(["v1", "v2", "v3", "v4", "v5"])) == 10
     assert automorphism_count(SimpleGraph(["v"])) == 1
@@ -91,50 +92,36 @@ def test_automorphism_count_vs_bruteforce(atlas6):
         assert automorphism_count(g) == brute_automorphism_count(g)
 
 
-def nx_automorphisms(g, colors=None):
+def nx_automorphisms(g):
     """Test-only reference: enumerate every automorphism with networkx."""
     G = nx.Graph()
     G.add_nodes_from(g.sorted_vertices())
     G.add_edges_from(g.edges())
-    if colors is None:
-        matcher = GraphMatcher(G, G)
-    else:
-        nx.set_node_attributes(G, colors, "color")
-        matcher = GraphMatcher(G, G, node_match=lambda a, b: a["color"] == b["color"])
-    return matcher.isomorphisms_iter()
-
-
-def nx_automorphism_count(g, colors=None):
-    return sum(1 for _ in nx_automorphisms(g, colors))
+    return GraphMatcher(G, G).isomorphisms_iter()
 
 
 def test_automorphism_count_vs_networkx_atlas(atlas7):
-    rng = random.Random(11)
     for n in range(1, 8):
         for g in atlas7[n]:
-            assert automorphism_count(g) == nx_automorphism_count(g)
-            colors = {v: rng.randrange(3) for v in g.sorted_vertices()}
-            assert automorphism_count(g, colors) == nx_automorphism_count(g, colors)
+            assert automorphism_count(g) == sum(1 for _ in nx_automorphisms(g))
 
 
 def test_orbit_representatives_vs_networkx_atlas(atlas6):
-    rng = random.Random(12)
     for n in range(1, 7):
         for g in atlas6[n]:
-            for colors in (None, {v: rng.randrange(3) for v in g.sorted_vertices()}):
-                orbit = {v: {v} for v in g.vertices}
-                for sigma in nx_automorphisms(g, colors):
-                    for v, w in sigma.items():
-                        orbit[v].add(w)
-                expected = sorted({min(o) for o in orbit.values()})
-                assert canonical_form(g, colors).orbit_representatives() == expected
+            orbit = {v: {v} for v in g.vertices}
+            for sigma in nx_automorphisms(g):
+                for v, w in sigma.items():
+                    orbit[v].add(w)
+            expected = sorted({min(o) for o in orbit.values()})
+            assert canonical_form(g).orbit_representatives() == expected
 
 
 def test_orbit_representatives_small_cases():
     c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
     assert canonical_form(c5).orbit_representatives() == ["v1"]
-    marked = {"v1": 1, "v2": 0, "v3": 0, "v4": 0, "v5": 0}
-    assert canonical_form(c5, marked).orbit_representatives() == ["v1", "v2", "v3"]
+    assert canonical_form(path_graph(["a", "b", "c", "d"])).orbit_representatives() == \
+        ["a", "b"]
     assert canonical_form(SimpleGraph([])).orbit_representatives() == []
 
 
@@ -192,27 +179,6 @@ def test_canonizer_returns_to_branching_node_on_tie():
         names = [f"x{i:02d}" for i in range(h.n_vertices)]
         random.Random(seed).shuffle(names)
         g = relabel(h, dict(zip(h.sorted_vertices(), names)))
-        canonizer = _Canonizer(*_prepare(g, None)[:3])
-        canonizer.run()
+        canonizer = canonical_form(g)._canonizer
         assert canonizer.group_order() == 2 * math.factorial(10)
         assert len(canonizer.automorphisms) < g.n_vertices
-
-
-def test_automorphism_count_with_colors():
-    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
-    assert automorphism_count(c5, {"v1": 2, "v2": 1, "v3": 1, "v4": 1, "v5": 1}) == 2
-
-
-def test_missing_color_rejected():
-    g = path_graph(["a", "b"])
-    with pytest.raises(InputError):
-        canonical_form(g, {"a": 1})
-
-
-def test_colored_iso_respects_colors_exhaustively():
-    g = path_graph(["a", "b", "c", "d"])
-    for colors in itertools.product((1, 2), repeat=4):
-        cg = dict(zip(g.sorted_vertices(), colors))
-        iso = find_isomorphism(g, g, cg, cg)
-        assert iso is not None
-        assert all(cg[v] == cg[iso[v]] for v in cg)
