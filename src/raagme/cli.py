@@ -162,9 +162,10 @@ def _cmd_extball(args):
         return 0, _json_dump(ball_json(ball))
     kind = "untransvectable extension ball" if args.ue else "extension ball"
     lines = [f"{kind} at L={args.L}: {ball.n_nodes} nodes, {ball.n_edges} edges"]
+    untrans = ball.untransvectable
     for i, node in enumerate(ball.nodes):
         conj = " ".join(f"{v}^{e}" for v, e in node.conjugator) or "-"
-        flag = "u" if node.untransvectable else " "
+        flag = "u" if node.vertex in untrans else " "
         lines.append(f"  [{i:3d}] {flag} len {node.length}  <{node.vertex}>  conj {conj}")
     return 0, "\n".join(lines) + "\n"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, echo
 from .graphs import connected_components, full_subgraph, link, opposite_graph, star
 from .isomorphism import automorphism_count
 
@@ -32,7 +32,7 @@ def _dominators(g):
 def is_transvectable_vertex(g, v):
     """Some vertex w distinct from v satisfies lk(v) <= st(w)."""
     if not g.has_vertex(v):
-        raise InputError(f"unknown vertex {v!r}")
+        raise InputError(f"unknown vertex {echo(v)}")
     return len(_dominators(g)[v]) > 1
 
 
@@ -50,7 +50,7 @@ def is_transvectable_subgraph(g, s):
         raise InputError("transvectability is undefined for the empty subgraph")
     for v in s:
         if not g.has_vertex(v):
-            raise InputError(f"unknown vertex {v!r}")
+            raise InputError(f"unknown vertex {echo(v)}")
     leq = _dominators(g)
     return bool(frozenset.intersection(*(leq[v] for v in s)) - s)
 
@@ -188,7 +188,7 @@ def is_strongly_untransvectable(g, v):
     bounded word-level search for such a generator.
     """
     if not g.has_vertex(v):
-        raise InputError(f"unknown vertex {v!r}")
+        raise InputError(f"unknown vertex {echo(v)}")
     untrans = set(untransvectable_vertices(g))
     if v not in untrans:
         raise DomainError(

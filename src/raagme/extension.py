@@ -2,10 +2,11 @@
 
 The extension graph has one vertex per cyclic parabolic subgroup (all
 conjugates of the vertex subgroups), with edges between commuting ones.  A
-ball of radius L collects the canonical handles whose conjugator has word
-length at most L; the radius-0 slice is a copy of the defining graph.  The
-untransvectable ball keeps the nodes whose type vertex is untransvectable;
-``build_ext_ball(p, L, ue=True)`` builds it directly.
+ball of radius L collects the canonical handles (``words.ParabolicHandle``,
+the ball's nodes) whose conjugator has word length at most L; the radius-0
+slice is a copy of the defining graph.  The untransvectable ball keeps the
+nodes whose vertex is untransvectable; ``build_ext_ball(p, L, ue=True)``
+builds it directly.
 
 Edges come from ``words.commutation_adjacency``, which reads them off each
 node's link.  By Servatius the centralizer of v is G_st(v), and the
@@ -32,30 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, echo
 from .combinatorics import has_finite_out, untransvectable_vertices
-from .words import (ParabolicHandle, commutation_adjacency, enumerate_cyclic_handles,
-                    translate_conjugators)
-
-
-@dataclass(frozen=True)
-class ExtNode:
-    """A canonical cyclic parabolic handle inside a ball."""
-
-    conjugator: tuple
-    vertex: str
-    length: int
-    untransvectable: bool
-
-    def key(self):
-        return (self.conjugator, self.vertex)
-
-    def sort_key(self):
-        return (self.length, self.vertex, self.conjugator)
+from .words import commutation_adjacency, enumerate_cyclic_handles, translate_conjugators
 
 
 class ExtBall:
-    """Radius-L truncation of the extension graph of a RAAG presentation."""
+    """Radius-L truncation of the extension graph; the nodes are canonical handles."""
 
     def __init__(self, presentation, L, nodes, adjacency):
         self.presentation = presentation
@@ -81,7 +65,8 @@ class ExtBall:
         try:
             return self._index[(tuple(conjugator), vertex)]
         except KeyError:
-            raise InputError(f"no node {conjugator!r} . <{vertex}> in this ball") from None
+            raise InputError(
+                f"no node {echo(conjugator)} . <{echo(vertex)}> in this ball") from None
 
     def standard_node(self, vertex):
         return self.node_index((), vertex)
@@ -97,9 +82,10 @@ class ExtBall:
     def _finite_out(self):
         return has_finite_out(self.presentation.graph)
 
-    def handle(self, i):
-        node = self.nodes[i]
-        return ParabolicHandle(self.presentation, node.conjugator, frozenset({node.vertex}))
+    @cached_property
+    def untransvectable(self):
+        """The untransvectable vertices, the types of the untransvectable nodes."""
+        return frozenset(untransvectable_vertices(self.presentation.graph))
 
 
 def build_ext_ball(p, L, ue=False):
@@ -118,20 +104,9 @@ def build_ext_ball(p, L, ue=False):
     if not p.is_unit_rank():
         raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
     g = p.graph
-    untrans = set(untransvectable_vertices(g))
-    handles = enumerate_cyclic_handles(p, untrans if ue else g.vertices, g.vertices, L)
-    nodes = []
-    for h in handles:
-        nodes.append(ExtNode(
-            conjugator=h.conjugator,
-            vertex=h.type_vertex,
-            length=h.conjugator_length,
-            untransvectable=h.type_vertex in untrans,
-        ))
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key())
-    nodes = [nodes[i] for i in order]
-    adjacency = commutation_adjacency([handles[i] for i in order])
-    return ExtBall(p, L, nodes, adjacency)
+    types = untransvectable_vertices(g) if ue else g.vertices
+    nodes = sorted(enumerate_cyclic_handles(p, types, g.vertices, L), key=lambda h: h.sort_key())
+    return ExtBall(p, L, nodes, commutation_adjacency(nodes))
 
 
 def _restrict(b, keep, L):
@@ -144,7 +119,8 @@ def _restrict(b, keep, L):
 
 def ue_restriction(b):
     """Full subgraph of the ball on the untransvectable nodes."""
-    return _restrict(b, [i for i, n in enumerate(b.nodes) if n.untransvectable], b.L)
+    untrans = b.untransvectable
+    return _restrict(b, [i for i, n in enumerate(b.nodes) if n.vertex in untrans], b.L)
 
 
 def ball_prefix(b, L):
@@ -225,7 +201,7 @@ def star_separation_check(b, v_index):
     # that bound is L on a built ball, but a hand-built one need not keep to it
     bound = max(n.length for n in b.nodes)
     conjugators = translate_conjugators(
-        b.handle(v_index), [b.nodes[w].key() for w in outside], bound)
+        b.nodes[v_index], [b.nodes[w].key() for w in outside], bound)
     entries = []
     skipped = 0
     for w, c in zip(outside, conjugators):
@@ -292,6 +268,7 @@ def star_complement_connectivity_check(b, v_index, x_indices):
 
 def ball_json(b):
     """Node/edge document for export; deterministic ordering."""
+    untrans = b.untransvectable
     nodes = []
     for i, n in enumerate(b.nodes):
         nodes.append({
@@ -299,7 +276,7 @@ def ball_json(b):
             "conjugator": [[v, e] for v, e in n.conjugator],
             "type": n.vertex,
             "length": n.length,
-            "untransvectable": n.untransvectable,
+            "untransvectable": n.vertex in untrans,
         })
     return {
         "L": b.L,

@@ -66,7 +66,7 @@ class SimpleGraph:
         try:
             return self._adj[v]
         except KeyError:
-            raise InputError(f"unknown vertex {v!r}") from None
+            raise InputError(f"unknown vertex {echo(v)}") from None
 
     def has_vertex(self, v):
         return v in self._adj
@@ -109,7 +109,7 @@ def _check_subset(g, s):
     s = frozenset(s)
     for v in s:
         if not g.has_vertex(v):
-            raise InputError(f"unknown vertex {v!r}")
+            raise InputError(f"unknown vertex {echo(v)}")
     return s
 
 

@@ -47,7 +47,7 @@ class GraphProductPresentation:
         try:
             return self._ranks[v]
         except KeyError:
-            raise InputError(f"unknown vertex {v!r}") from None
+            raise InputError(f"unknown vertex {echo(v)}") from None
 
     @property
     def ranks(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, echo
 from .graphs import SimpleGraph, star
 from .combinatorics import has_finite_out
 from .isomorphism import canonical_form
@@ -30,9 +30,9 @@ def star_gluing_kernel(g, v, k):
     k * |V| - (k-1) * |st(v)|.
     """
     if not g.has_vertex(v):
-        raise InputError(f"unknown vertex {v!r}")
+        raise InputError(f"unknown vertex {echo(v)}")
     if not isinstance(k, int) or k < 2:
-        raise InputError(f"gluing multiplicity must be an integer >= 2, got {k!r}")
+        raise InputError(f"gluing multiplicity must be an integer >= 2, got {echo(k)}")
     shared = star(g, v)
     verts = g.sorted_vertices()
     edges = g.edges()

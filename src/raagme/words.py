@@ -10,10 +10,10 @@ syllables; reduction is performed by left-greedy piling.  Among all
 shufflings of a reduced word we keep the lexicographically least (by vertex
 label), which makes equality a tuple comparison.
 
-Parabolic subgroups conjugate to a standard one are represented by canonical
-handles: the conjugator is replaced by the shortlex-least representative of
-its right coset modulo the normalizer of the standard subgroup, so two
-handles are equal exactly when the subgroups are.
+Cyclic parabolic subgroups g<v>g^-1 are represented by canonical handles:
+the conjugator is replaced by the shortlex-least representative of its right
+coset modulo the normalizer G_st(v) of <v>, so two handles are equal exactly
+when the subgroups are.  The handles are the nodes of extension balls.
 
 Input is validated only at the public entries; the private helpers below
 them take syllables that are already valid and do no checks.  One such core
@@ -24,27 +24,27 @@ order) serves ``canonical_parabolic``, the breadth-first search of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import InputError
-from .graphs import perp, star
+from .errors import InputError, echo
+from .graphs import star
 from .presentation import GraphProductPresentation
 
 
 def _require_rank_one(p, v):
     if p.rank(v) != 1:
         raise InputError(
-            f"words are over RAAGs, but {v!r} has rank {p.rank(v)}; "
+            f"words are over RAAGs, but {echo(v)} has rank {p.rank(v)}; "
             "use raag(expand_to_raag(p))")
 
 
 def _validate_syllable(p, syl):
     v, e = syl
     if not p.graph.has_vertex(v):
-        raise InputError(f"generator {v!r} not in the presentation")
+        raise InputError(f"generator {echo(v)} not in the presentation")
     _require_rank_one(p, v)
     if not isinstance(e, int) or isinstance(e, bool) or e == 0:
-        raise InputError(f"exponent of {v!r} must be a non-zero integer, got {e!r}")
+        raise InputError(f"exponent of {echo(v)} must be a non-zero integer, got {echo(e)}")
     return (v, e)
 
 
@@ -211,60 +211,64 @@ def _canonical_conjugator(adj, syllables, members, length_bound=None):
 
 @dataclass(frozen=True)
 class ParabolicHandle:
-    """Canonical representative of a parabolic subgroup g G_T g^-1.
+    """Canonical representative of a cyclic parabolic subgroup g<v>g^-1.
 
     The conjugator is the shortlex-least word in its coset modulo the
-    normalizer G_T x G_{T^perp}, so equal subgroups yield identical handles.
+    normalizer G_st(v) of <v>, so equal subgroups yield identical handles.
+    ``length`` is the letter length of the conjugator.
     """
 
     presentation: GraphProductPresentation
     conjugator: tuple
-    type_vertices: frozenset
+    vertex: str
+    length: int = field(init=False, compare=False)
 
-    @property
-    def type_vertex(self):
-        if len(self.type_vertices) != 1:
-            raise InputError("not a cyclic parabolic handle")
-        return next(iter(self.type_vertices))
-
-    @property
-    def conjugator_length(self):
-        return _letter_length(self.conjugator)
+    def __post_init__(self):
+        object.__setattr__(self, "length", _letter_length(self.conjugator))
 
     def generator_word(self):
-        """The element conj * v * conj^-1 for a cyclic handle."""
+        """The element conj * v * conj^-1."""
         c = self.conjugator
-        return multiply_and_normalize(self.presentation, c + ((self.type_vertex, 1),),
-                                      _inverse(c))
+        return multiply_and_normalize(self.presentation, c + ((self.vertex, 1),), _inverse(c))
 
     def key(self):
-        return (self.conjugator, tuple(sorted(self.type_vertices)))
+        return (self.conjugator, self.vertex)
+
+    def sort_key(self):
+        return (self.length, self.vertex, self.conjugator)
 
     def __repr__(self):
-        t = ",".join(sorted(self.type_vertices))
         c = NormalFormWord(self.presentation, self.conjugator)
-        return f"<{t}>" if not self.conjugator else f"{c!r}.<{t}>"
+        return f"<{self.vertex}>" if not self.conjugator else f"{c!r}.<{self.vertex}>"
 
 
-def canonical_parabolic(p, conjugator, type_vertices):
-    """Canonical handle of (conjugator) G_type (conjugator)^-1."""
-    type_vertices = frozenset(type_vertices)
-    for v in type_vertices:
-        if not p.graph.has_vertex(v):
-            raise InputError(f"unknown vertex {v!r} in parabolic type")
-        _require_rank_one(p, v)
-    members = type_vertices | perp(p.graph, type_vertices)
-    conj = _canonical_conjugator(p.graph.adjacency, _coerce(p, conjugator), members)
-    return ParabolicHandle(p, conj, type_vertices)
+def canonical_parabolic(p, conjugator, vertex):
+    """Canonical handle of (conjugator) <vertex> (conjugator)^-1.
+
+    The conjugator is stripped modulo G_st(vertex), the normalizer of the
+    vertex subgroup.  In the path a - b - c the generator b is central, so
+    every conjugate of <b> is <b> itself:
+
+    >>> from .graphs import path_graph
+    >>> from .presentation import raag
+    >>> p = raag(path_graph(["a", "b", "c"]))
+    >>> canonical_parabolic(p, [("a", 1), ("c", -2)], "b").key()
+    ((), 'b')
+    """
+    if not p.graph.has_vertex(vertex):
+        raise InputError(f"unknown vertex {echo(vertex)} in parabolic type")
+    _require_rank_one(p, vertex)
+    conj = _canonical_conjugator(p.graph.adjacency, _coerce(p, conjugator), star(p.graph, vertex))
+    return ParabolicHandle(p, conj, vertex)
 
 
 def translate_conjugators(h, pairs, length_bound):
     """Canonical conjugators of the translates of cyclic handles by one generator.
 
     ``h`` is a cyclic handle g<v>g^-1 with generator x = g v g^-1, and
-    ``pairs`` are the (conjugator, type) of cyclic handles c<t>c^-1 over the
-    same RAAG presentation, as ball nodes hold them; their conjugators are
-    not re-validated.  Entry i of the result is the canonical conjugator of
+    ``pairs`` are the keys (conjugator, vertex) of cyclic handles c<t>c^-1
+    over the same RAAG presentation; their conjugators are not
+    re-validated.  Entry i of the result is the canonical conjugator of
     the translate (x c)<t>(x c)^-1 of pair i, or None when it is longer than
     ``length_bound`` letters.  The generator word is built once and st(t)
     found once per type; the modulus G_st(t) is the normalizer of <t>.
@@ -319,14 +323,14 @@ def commutation_adjacency(handles):
     p = handles[0].presentation
     adj = p.graph.adjacency
     index = {h.key(): i for i, h in enumerate(handles)}
-    L = max(h.conjugator_length for h in handles)
+    L = max(h.length for h in handles)
     by_type = {}
     for i, h in enumerate(handles):
-        by_type.setdefault(h.type_vertex, []).append(i)
+        by_type.setdefault(h.vertex, []).append(i)
     for v in by_type:
         for w in [u for u in adj[v] if u > v and u in by_type]:
             st_w = star(p.graph, w)
-            rs = sorted((h.conjugator_length, h.conjugator)
+            rs = sorted((h.length, h.conjugator)
                         for h in enumerate_cyclic_handles(p, {w}, adj[v], L))
             for i in by_type[v]:
                 g = handles[i].conjugator
@@ -334,7 +338,7 @@ def commutation_adjacency(handles):
                 for length, r in rs:
                     if length > budget:
                         break
-                    j = index.get((_canonical_conjugator(adj, g + r, st_w, L), (w,)))
+                    j = index.get((_canonical_conjugator(adj, g + r, st_w, L), w))
                     if j is not None:
                         adjacency[i].add(j)
                         adjacency[j].add(i)
@@ -350,27 +354,30 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
 
     Breadth-first over conjugator word length with canonical deduplication;
     every handle whose canonical conjugator is a word of length at most
-    ``length_bound`` over the letter vertices appears exactly once.
+    ``length_bound`` over the letter vertices appears exactly once, in
+    ``key()`` order.
     """
+    if length_bound < 0:
+        raise InputError("conjugator length bound must be >= 0")
     handles = {}
     frontier = []
     for v in sorted(types):
-        h = canonical_parabolic(p, (), {v})
+        h = canonical_parabolic(p, (), v)
         handles[h.key()] = h
         frontier.append(h)
     if length_bound > 0:  # letters are checked once, and only if a step is taken
         letters = [_validate_syllable(p, s) for s in _letters(letter_vertices)]
-        stars = {h.type_vertex: star(p.graph, h.type_vertex) for h in frontier}
+        stars = {h.vertex: star(p.graph, h.vertex) for h in frontier}
     adj = p.graph.adjacency
     for _ in range(length_bound):
         nxt = []
         for h in frontier:
-            t = h.type_vertex
+            t = h.vertex
             for letter in letters:
                 conj = _canonical_conjugator(adj, (letter,) + h.conjugator, stars[t])
-                key = (conj, (t,))
+                key = (conj, t)
                 if key not in handles:
-                    handles[key] = h2 = ParabolicHandle(p, conj, h.type_vertices)
+                    handles[key] = h2 = ParabolicHandle(p, conj, t)
                     nxt.append(h2)
         frontier = nxt
     return [handles[k] for k in sorted(handles)]

@@ -9,8 +9,10 @@ normalizer test on every pair of ball nodes, the commutation test on every
 pair of nodes of adjacent types, one ball per radius, the full ball cut down
 to its untransvectable nodes, full-round refinement with a recursive search,
 one validated canonical_parabolic per star-separation translate), kept as
-oracles for the faster ones.  Rank-preserving isomorphism of presentations,
-which the library never needs, is checked with networkx.
+oracles for the faster ones.  The handle oracles, like the words layer, know
+only cyclic parabolic subgroups g<v>g^-1, the nodes of extension balls.
+Rank-preserving isomorphism of presentations, which the library never needs,
+is checked with networkx.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import networkx as nx
 
 from raagme.combinatorics import is_collapsible, untransvectable_vertices
 from raagme.errors import DomainError, InputError
-from raagme.extension import (ExtBall, ExtNode, SeparationEntry, SeparationReport,
-                              _components, ball_graph, build_ext_ball, ue_restriction)
+from raagme.extension import (ExtBall, SeparationEntry, SeparationReport, _components,
+                              ball_graph, build_ext_ball, ue_restriction)
 from raagme.graphs import SimpleGraph, link, perp, star
 from raagme.isomorphism import canonical_form, canonical_hash
 from raagme.presentation import GraphProductPresentation, raag
@@ -350,7 +352,7 @@ def commutator_adjacent(ball, i, j):
 
 @functools.lru_cache(maxsize=4)
 def _ball_generators(ball):
-    return tuple(ball.handle(i).generator_word() for i in range(ball.n_nodes))
+    return tuple(n.generator_word() for n in ball.nodes)
 
 
 # -- normal-form product oracles for the words layer -----------------------------
@@ -362,7 +364,7 @@ def normalizes_by_products(h, x):
     c = NormalFormWord(p, h.conjugator)
     if not isinstance(x, NormalFormWord):
         x = word(p, x)
-    return (c.inverse() * x * c).support() <= star(p.graph, h.type_vertex)
+    return (c.inverse() * x * c).support() <= star(p.graph, h.vertex)
 
 
 def strip_by_restart(adj, reduced, members):
@@ -391,7 +393,7 @@ def normalizes(h, x):
     g^-1 x g lies in the standard normalizer G_st(v).
     """
     p = h.presentation
-    st = star(p.graph, h.type_vertex)
+    st = star(p.graph, h.vertex)
     c = h.conjugator
     # a reduced word's support is that of the element, whatever its shuffle
     return all(u in st for u, _ in
@@ -406,15 +408,13 @@ def parabolics_commute(h1, h2):
     """
     if h1.presentation != h2.presentation:
         raise InputError("handles belong to different presentations")
-    if len(h1.type_vertices) != 1 or len(h2.type_vertices) != 1:
-        raise InputError("commutation test expects cyclic parabolic handles")
     return normalizes(h1, h2.generator_word())
 
 
 def conjugate_handle(h, x):
     """Canonical handle of x (h subgroup) x^-1."""
     p = h.presentation
-    return canonical_parabolic(p, _coerce(p, x) + h.conjugator, h.type_vertices)
+    return canonical_parabolic(p, _coerce(p, x) + h.conjugator, h.vertex)
 
 
 def _translate(b, gv, w_index):
@@ -424,14 +424,14 @@ def _translate(b, gv, w_index):
     gv is the generator word of the cyclic subgroup at some node v.
     """
     w = b.nodes[w_index]
-    h = canonical_parabolic(b.presentation, gv.syllables + w.conjugator, {w.vertex})
-    return b._index.get((h.conjugator, w.vertex))
+    h = canonical_parabolic(b.presentation, gv.syllables + w.conjugator, w.vertex)
+    return b._index.get(h.key())
 
 
 def translate_index(b, v_index, w_index):
     """Index of the conjugate of node w by the generator of node v, or None
     when it falls outside the ball."""
-    return _translate(b, b.handle(v_index).generator_word(), w_index)
+    return _translate(b, b.nodes[v_index].generator_word(), w_index)
 
 
 def star_separation_by_nodes(b, v_index):
@@ -440,7 +440,7 @@ def star_separation_by_nodes(b, v_index):
     removed = b.star_of(v_index)
     comp, count = _components(b, removed)
     interior = b.interior()
-    gv = b.handle(v_index).generator_word()
+    gv = b.nodes[v_index].generator_word()
     entries = []
     skipped = 0
     for w in range(b.n_nodes):
@@ -541,24 +541,13 @@ def build_ext_ball_by_pairs(p, L, ue=False):
     if not p.is_unit_rank():
         raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
     g = p.graph
-    untrans = set(untransvectable_vertices(g))
-    handles = enumerate_cyclic_handles(p, untrans if ue else g.vertices, g.vertices, L)
-    nodes = []
-    for h in handles:
-        nodes.append(ExtNode(
-            conjugator=h.conjugator,
-            vertex=h.type_vertex,
-            length=h.conjugator_length,
-            untransvectable=h.type_vertex in untrans,
-        ))
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key())
-    nodes = [nodes[i] for i in order]
-    handles = [handles[i] for i in order]
-    gens = [h.generator_word() for h in handles]
+    types = untransvectable_vertices(g) if ue else g.vertices
+    nodes = sorted(enumerate_cyclic_handles(p, types, g.vertices, L), key=lambda h: h.sort_key())
+    gens = [h.generator_word() for h in nodes]
     adjacency = [set() for _ in nodes]
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if normalizes(handles[i], gens[j]):
+            if normalizes(nodes[i], gens[j]):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return ExtBall(p, L, nodes, adjacency)
@@ -588,11 +577,11 @@ def commutation_adjacency_by_pairs(handles):
     adj = graph.adjacency
     by_type = {}
     for j, h in enumerate(handles):
-        by_type.setdefault(h.type_vertex, []).append(j)
+        by_type.setdefault(h.vertex, []).append(j)
     stars = {v: star(graph, v) for v in by_type}
     later = {v: [w for w in adj[v] if w > v and w in by_type] for v in by_type}
     for i, hi in enumerate(handles):
-        v = hi.type_vertex
+        v = hi.vertex
         st_v = stars[v]
         g_inv = _inverse(hi.conjugator)
         for w in later[v]:

@@ -130,8 +130,32 @@ class TestUeRestriction:
         from raagme.combinatorics import is_transvectable_vertex
         b = build_ext_ball(raag(counterexample_graph), 0)
         for n in b.nodes:
-            assert n.untransvectable == (not is_transvectable_vertex(
+            assert (n.vertex in b.untransvectable) == (not is_transvectable_vertex(
                 counterexample_graph, n.vertex))
+
+    def test_full_ball_makes_no_domination_pass(self, counterexample_graph, monkeypatch):
+        # only the untransvectable ball needs the untransvectable vertices to
+        # build; a full ball finds them on the first read of its flags
+        import raagme.combinatorics
+        from raagme.combinatorics import _dominators
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return _dominators(g)
+
+        monkeypatch.setattr(raagme.combinatorics, "_dominators", counted)
+        p = raag(counterexample_graph)
+        b = build_ext_ball(p, 1)
+        assert calls == []
+        doc = ball_json(b)
+        assert calls == [counterexample_graph]
+        ball_json(b)
+        assert calls == [counterexample_graph]
+        assert sum(n["untransvectable"] for n in doc["nodes"]) == ue_restriction(b).n_nodes
+        calls.clear()
+        build_ext_ball(p, 1, ue=True)
+        assert calls == [counterexample_graph]
 
 
 class TestStarSeparation:
@@ -275,11 +299,11 @@ class TestBallInvariants:
             p = raag(graph)
             b = build_ext_ball(p, L)
             keys = set()
-            for n in b.nodes:
-                h = canonical_parabolic(p, n.conjugator, {n.vertex})
-                assert h.conjugator == n.conjugator  # already canonical
-                assert h.conjugator_length == n.length <= L
-                keys.add((n.conjugator, n.vertex))
+            for i, n in enumerate(b.nodes):
+                assert canonical_parabolic(p, n.conjugator, n.vertex) == n  # already canonical
+                assert b.node_index(*n.key()) == i
+                assert n.length == sum(abs(e) for _, e in n.conjugator) <= L
+                keys.add(n.key())
             assert len(keys) == b.n_nodes
 
     def test_edges_match_membership_oracle(self, c5, counterexample_graph, f2_graph, atlas6):
@@ -321,8 +345,7 @@ class TestBallInvariants:
         # past the reach of the all-pairs oracle (1,062 nodes, 15,093 edges),
         # the pair test on nodes of adjacent types gives the same edges
         b = build_ext_ball(raag(prism()), 3)
-        handles = [b.handle(i) for i in range(b.n_nodes)]
-        assert [frozenset(a) for a in commutation_adjacency_by_pairs(handles)] == \
+        assert [frozenset(a) for a in commutation_adjacency_by_pairs(b.nodes)] == \
             list(b.adjacency)
         assert (b.n_nodes, b.n_edges) == (1062, 15093)
 
@@ -364,7 +387,7 @@ class TestBallInvariants:
 
         monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
         monkeypatch.setattr(raagme.words, "_strip_to_coset_rep", counted_strip)
-        adjacency = commutation_adjacency([b.handle(i) for i in range(b.n_nodes)])
+        adjacency = commutation_adjacency(b.nodes)
         assert [frozenset(a) for a in adjacency] == list(b.adjacency)
         assert sorted(enumerations) == [
             (["v2"], ["v2", "v5"], 2), (["v3"], ["v1", "v3"], 2), (["v4"], ["v2", "v4"], 2),
@@ -405,10 +428,9 @@ class TestBallInvariants:
         monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
         monkeypatch.setattr(raagme.words, "_strip_to_coset_rep", counted_strip)
         monkeypatch.setattr(raagme.words, "_lex_order", counted_lex_order)
-        handles = [b.handle(i) for i in range(b.n_nodes)]
-        adjacency = commutation_adjacency(handles)
+        adjacency = commutation_adjacency(b.nodes)
         assert [frozenset(a) for a in adjacency] == \
-            [frozenset(a) for a in commutation_adjacency_by_pairs(handles)]
+            [frozenset(a) for a in commutation_adjacency_by_pairs(b.nodes)]
         n_edges = sum(len(a) for a in adjacency) // 2
         assert (b.n_nodes, n_edges) == (885, 1415)
         assert len(strips) == 7220 and sum(1 for n in strips if n > 3) == 4920

@@ -2,11 +2,17 @@ import json
 
 import pytest
 
+from raagme.combinatorics import (is_strongly_untransvectable, is_transvectable_subgraph,
+                                  is_transvectable_vertex)
 from raagme.errors import InputError, ParseError
+from raagme.extension import build_ext_ball
 from raagme.formats import (load_presentation, parse_dot_presentation,
                             parse_json_presentation, parse_presentation,
                             presentation_to_json_dict, sniff_format)
-from raagme.presentation import GraphProductPresentation, clique_reduce
+from raagme.graphs import SimpleGraph, cycle_graph, full_subgraph, perp
+from raagme.presentation import GraphProductPresentation, clique_reduce, raag
+from raagme.subgroups import star_gluing_kernel
+from raagme.words import canonical_parabolic, word
 
 
 C5_JSON = """{
@@ -163,3 +169,58 @@ class TestRoundTrip:
         assert sniff_format("x.gv", "") == "dot"
         assert sniff_format("data", "  {\"vertices\": []}") == "json"
         assert sniff_format("data", "graph { }") == "dot"
+
+
+_C5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+
+
+def _rank_two(x):
+    return GraphProductPresentation(SimpleGraph([x]), {x: 2})
+
+
+def _c5_ball():
+    return build_ext_ball(raag(_C5), 0)
+
+# (entry point called with one offending id x, its message for x = "zz")
+ECHO_CASES = {
+    "neighbors": (lambda x: _C5.neighbors(x), "unknown vertex 'zz'"),
+    "has_edge": (lambda x: _C5.has_edge(x, "v1"), "unknown vertex 'zz'"),
+    "full_subgraph": (lambda x: full_subgraph(_C5, {x}), "unknown vertex 'zz'"),
+    "perp": (lambda x: perp(_C5, {x}), "unknown vertex 'zz'"),
+    "rank": (lambda x: raag(_C5).rank(x), "unknown vertex 'zz'"),
+    "is_transvectable_vertex": (lambda x: is_transvectable_vertex(_C5, x),
+                                "unknown vertex 'zz'"),
+    "is_transvectable_subgraph": (lambda x: is_transvectable_subgraph(_C5, {x}),
+                                  "unknown vertex 'zz'"),
+    "is_strongly_untransvectable": (lambda x: is_strongly_untransvectable(_C5, x),
+                                    "unknown vertex 'zz'"),
+    "star_gluing_kernel-vertex": (lambda x: star_gluing_kernel(_C5, x, 2),
+                                  "unknown vertex 'zz'"),
+    "star_gluing_kernel-k": (lambda x: star_gluing_kernel(_C5, "v1", x),
+                             "gluing multiplicity must be an integer >= 2, got 'zz'"),
+    "word-generator": (lambda x: word(raag(_C5), [(x, 1)]),
+                       "generator 'zz' not in the presentation"),
+    "word-exponent": (lambda x: word(raag(_C5), [("v1", x)]),
+                      "exponent of 'v1' must be a non-zero integer, got 'zz'"),
+    "word-rank": (lambda x: word(_rank_two(x), [(x, 1)]),
+                  "words are over RAAGs, but 'zz' has rank 2; use raag(expand_to_raag(p))"),
+    "canonical_parabolic": (lambda x: canonical_parabolic(raag(_C5), (), x),
+                            "unknown vertex 'zz' in parabolic type"),
+    "node_index-vertex": (lambda x: _c5_ball().node_index((), x),
+                          "no node () . <'zz'> in this ball"),
+    "node_index-conjugator": (lambda x: _c5_ball().node_index(((x, 1),), "v1"),
+                              "no node (('zz', 1),) . <'v1'> in this ball"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ECHO_CASES))
+def test_library_errors_echo_bounded(case):
+    # an offending id is echoed through errors.echo: a 5,000-character id
+    # gives a short message, and a short id is echoed whole
+    call, short = ECHO_CASES[case]
+    with pytest.raises(InputError) as info:
+        call("x" * 5000)
+    assert "'xxx" in str(info.value) and len(str(info.value)) < 200
+    with pytest.raises(InputError) as info:
+        call("zz")
+    assert str(info.value) == short
