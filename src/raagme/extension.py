@@ -64,7 +64,9 @@ class ExtBall:
     def node_index(self, conjugator, vertex):
         try:
             return self._index[(tuple(conjugator), vertex)]
-        except KeyError:
+        except (KeyError, TypeError):
+            # an unhashable vertex id gets the graph's own message
+            self.presentation.graph.has_vertex(vertex)
             raise InputError(
                 f"no node {echo(conjugator)} . <{echo(vertex)}> in this ball") from None
 

@@ -39,9 +39,11 @@ class SimpleGraph:
                 u, w = e
             except (TypeError, ValueError):
                 raise InputError(f"edge must be a pair of vertices, got {echo(e)}") from None
-            if u not in adj:
+            # every vertex is a string, so a non-string end (even an
+            # unhashable one) is unknown
+            if not isinstance(u, str) or u not in adj:
                 raise InputError(f"unknown vertex {echo(u)} in edge {echo(e)}")
-            if w not in adj:
+            if not isinstance(w, str) or w not in adj:
                 raise InputError(f"unknown vertex {echo(w)} in edge {echo(e)}")
             if u == w:
                 raise InputError(f"loop edge at {echo(u)} not allowed in a simple graph")
@@ -67,12 +69,18 @@ class SimpleGraph:
             return self._adj[v]
         except KeyError:
             raise InputError(f"unknown vertex {echo(v)}") from None
+        except TypeError:
+            raise _unhashable(v) from None
 
     def has_vertex(self, v):
-        return v in self._adj
+        try:
+            return v in self._adj
+        except TypeError:
+            raise _unhashable(v) from None
 
     def has_edge(self, u, w):
-        return w in self.neighbors(u)
+        nbrs = self.neighbors(u)
+        return self.has_vertex(w) and w in nbrs
 
     def edges(self):
         """Sorted list of edges, each as a sorted pair."""
@@ -105,12 +113,17 @@ class SimpleGraph:
         return f"SimpleGraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
 
+def _unhashable(v):
+    """The error for an id that a vertex lookup rejected: no vertex can equal it."""
+    return InputError(f"vertex id must be hashable, got {echo(v)}")
+
+
 def _check_subset(g, s):
-    s = frozenset(s)
+    s = list(s)
     for v in s:
         if not g.has_vertex(v):
             raise InputError(f"unknown vertex {echo(v)}")
-    return s
+    return frozenset(s)
 
 
 def full_subgraph(g, s):

@@ -9,6 +9,7 @@ import math
 import random
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,8 @@ from helpers import CanonizerByRounds, orbit_representatives_by_rounds, prism, r
 
 from raagme.extension import ball_graph, build_ext_ball, ue_restriction
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, opposite_graph
-from raagme.isomorphism import _individualize, _refine, automorphism_count, canonical_form
+from raagme.isomorphism import (_Canonizer, _individualize, _refine, automorphism_count,
+                                 canonical_form)
 from raagme.presentation import raag
 
 
@@ -127,6 +129,62 @@ def test_c5_ball_search_tree_size():
     # as many as the full-round recursive search makes on it
     form = canonical_form(ue_ball(cycle_graph(["v1", "v2", "v3", "v4", "v5"]), 2))
     assert form._canonizer.nodes == 504
+
+
+def test_c5_radius_3_ball_search():
+    # the radius-3 untransvectable ball of C5: the size of its search tree,
+    # the automorphisms recorded, the canonical path, |Aut| and the digest
+    g = ue_ball(cycle_graph(["v1", "v2", "v3", "v4", "v5"]), 3)
+    form = canonical_form(g)
+    c = form._canonizer
+    assert g.n_vertices == 885
+    assert c.nodes == 14528
+    assert len(c.automorphisms) == 177
+    assert len(c.best_prefix) == 145
+    assert form.group_order() == 478904856520590268236983445984471619880855975682375680
+    assert form.hexdigest() == (
+        "b18e465385a0ee4be2dded472db4c41c7c6408b0d96364b51c430941a5167a36")
+
+
+class TiedLeafOutcomes(_Canonizer):
+    """Counts how each leaf whose trace ties the best leaf's ends."""
+
+    def __init__(self, verts, adj):
+        super().__init__(verts, adj)
+        self.outcomes = dict.fromkeys(("automorphism", "larger", "smaller"), 0)
+
+    def _leaf(self, stack, label, prefix, entry, eq):
+        tied = eq and len(self.best_trace) == len(prefix) + 1
+        best, found = self.best, len(self.automorphisms)
+        super()._leaf(stack, label, prefix, entry, eq)
+        if tied:
+            outcome = ("automorphism" if len(self.automorphisms) > found
+                       else "larger" if self.best is best else "smaller")
+            self.outcomes[outcome] += 1
+
+
+# one graph per way a tied leaf can end, from a random search over graphs
+# on 3-12 vertices: its labeling is an automorphism image of the best one,
+# or its first differing row is larger, or smaller (a new best)
+TIED_LEAF_GRAPHS = {
+    "automorphism": (3, [(0, 1), (1, 2)]),
+    "larger": (8, [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 5), (4, 6),
+                   (4, 7), (5, 7)]),
+    "smaller": (8, [(0, 1), (0, 4), (0, 6), (1, 3), (1, 6), (1, 7), (2, 3), (2, 5), (2, 7),
+                    (3, 4), (3, 5)]),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(TIED_LEAF_GRAPHS))
+def test_tied_leaf_outcomes(outcome):
+    n, edges = TIED_LEAF_GRAPHS[outcome]
+    verts = [f"v{i}" for i in range(n)]
+    g = SimpleGraph(verts, [(verts[a], verts[b]) for a, b in edges])
+    counter = TiedLeafOutcomes(verts, [sorted(verts.index(w) for w in g.neighbors(v))
+                                       for v in verts])
+    counter.run()
+    assert counter.outcomes[outcome] > 0
+    assert_same_search(g)
 
 
 def test_search_depth_not_bounded_by_recursion_limit():

@@ -9,7 +9,7 @@ from raagme.extension import build_ext_ball
 from raagme.formats import (load_presentation, parse_dot_presentation,
                             parse_json_presentation, parse_presentation,
                             presentation_to_json_dict, sniff_format)
-from raagme.graphs import SimpleGraph, cycle_graph, full_subgraph, perp
+from raagme.graphs import SimpleGraph, cycle_graph, full_subgraph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
 from raagme.subgroups import star_gluing_kernel
 from raagme.words import canonical_parabolic, word
@@ -224,3 +224,27 @@ def test_library_errors_echo_bounded(case):
     with pytest.raises(InputError) as info:
         call("zz")
     assert str(info.value) == short
+
+
+_PATH = path_graph(["a", "b", "c"])
+_UNHASHABLE = "vertex id must be hashable, got ['a']"
+
+# (call with the unhashable id ["a"], its message)
+UNHASHABLE_CASES = {
+    "neighbors": (lambda: _PATH.neighbors(["a"]), _UNHASHABLE),
+    "has_vertex": (lambda: _PATH.has_vertex(["a"]), _UNHASHABLE),
+    "has_edge": (lambda: _PATH.has_edge("b", ["a"]), _UNHASHABLE),
+    "full_subgraph": (lambda: full_subgraph(_PATH, [["a"]]), _UNHASHABLE),
+    "node_index": (lambda: build_ext_ball(raag(_PATH), 0).node_index((), ["a"]), _UNHASHABLE),
+    "canonical_parabolic": (lambda: canonical_parabolic(raag(_PATH), (), ["a"]), _UNHASHABLE),
+    "edge": (lambda: SimpleGraph(["a", "b"], [(["a"], "b")]),
+             "unknown vertex ['a'] in edge (['a'], 'b')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNHASHABLE_CASES))
+def test_unhashable_id_is_an_input_error(case):
+    call, message = UNHASHABLE_CASES[case]
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
