@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 from .combinatorics import cv_classification, has_finite_out
-from .extension import ball_graph, ball_prefix, build_ext_ball
+from .extension import ball_graph, ball_prefix, build_ball_of_types
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
 from .subgroups import gluing_classes
@@ -121,15 +121,17 @@ def invariant_report(p, ball_bound=2):
         raise InputError("invariant report is undefined for the trivial presentation")
     reduced = clique_reduce(p)
     rg = reduced.graph
+    # one domination pass: the classification also gives the types of the
+    # untransvectable ball and the transvection half of finite Out
+    cv = cv_classification(rg)
     # one untransvectable ball at the largest radius, sliced for the
     # smaller ones; a negative bound asks for no fingerprints
-    ue = build_ext_ball(raag(rg), max(ball_bound, 0), ue=True)
+    ue = build_ball_of_types(raag(rg), max(ball_bound, 0), cv.untransvectable)
     fingerprints = tuple((L, canonical_hash(ball_graph(ball_prefix(ue, L))))
                          for L in range(ball_bound + 1))
-    cv = cv_classification(rg)
     return InvariantReport(
         clique_reduced_form=reduced,
-        out_finite=has_finite_out(rg),
+        out_finite=cv.out_finite,
         nonabelian_untransvectable_class=cv.nonabelian_untransvectable_class,
         all_untransvectable_strongly=cv.all_untransvectable_strongly,
         untransvectable=cv.untransvectable,

@@ -9,7 +9,8 @@ untransvectability of a cyclic parabolic subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, InputError, echo
 from .graphs import connected_components, full_subgraph, link, opposite_graph, star
@@ -64,7 +65,8 @@ class CvClassification:
     (all members pairwise adjacent) or "non-abelian" (no two adjacent).  A
     class is untransvectable exactly when it is maximal for the induced
     partial order on classes.  The untransvectable vertices (label order) and
-    the two rigidity predicates below them are read off the same relation.
+    the two rigidity predicates below them are read off the same relation, as
+    is the transvection half of ``out_finite``.
     """
 
     leq: dict
@@ -74,6 +76,12 @@ class CvClassification:
     untransvectable: tuple
     nonabelian_untransvectable_class: bool
     all_untransvectable_strongly: bool
+    graph: object = field(repr=False, compare=False)
+
+    @cached_property
+    def out_finite(self):
+        """``has_finite_out`` of the classified graph, without a second pass."""
+        return _out_finite(self.graph, self.leq)
 
 
 def cv_classification(g):
@@ -102,7 +110,7 @@ def cv_classification(g):
     return CvClassification(
         leq, tuple(classes), kind, tuple(maximal), untrans,
         any(kind[cls] == "non-abelian" for cls in maximal),
-        all(_strongly_untransvectable(g, v, untrans) for v in untrans))
+        all(_strongly_untransvectable(g, v, untrans) for v in untrans), g)
 
 
 @dataclass(frozen=True)
@@ -125,9 +133,8 @@ class OutInventory:
         return not self.transvections and not self.partial_conjugation_sites
 
 
-def _transvections(g):
+def _transvections(leq):
     """Ordered pairs (v, w), v != w, with lk(v) <= st(w), in label order."""
-    leq = _dominators(g)
     return ((v, w) for v in leq for w in leq if w != v and w in leq[v])
 
 
@@ -145,7 +152,7 @@ def out_inventory(g):
     if g.n_vertices == 0:
         raise InputError("automorphism inventory is undefined for the empty graph")
     return OutInventory(
-        transvections=tuple(_transvections(g)),
+        transvections=tuple(_transvections(_dominators(g))),
         partial_conjugation_sites=tuple((v, comp) for v, comps in _star_cuts(g)
                                         for comp in comps),
         inversions=tuple(g.sorted_vertices()),
@@ -153,13 +160,18 @@ def out_inventory(g):
     )
 
 
+def _out_finite(g, leq):
+    """No transvections (read off g's domination relation) and no partial conjugations."""
+    return next(_transvections(leq), None) is None and next(_star_cuts(g), None) is None
+
+
 def has_finite_out(g):
     """No transvections and no partial conjugations, without counting Aut."""
-    return is_transvection_free(g) and next(_star_cuts(g), None) is None
+    return _out_finite(g, _dominators(g))
 
 
 def is_transvection_free(g):
-    return next(_transvections(g), None) is None
+    return next(_transvections(_dominators(g)), None) is None
 
 
 def is_collapsible(g, s):

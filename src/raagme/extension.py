@@ -101,13 +101,23 @@ def build_ext_ball(p, L, ue=False):
     are built (conjugator letters still range over every vertex): the ball
     ue_restriction cuts out of the full one.
     """
+    g = p.graph
+    return build_ball_of_types(p, L, untransvectable_vertices(g) if ue else g.vertices)
+
+
+def build_ball_of_types(p, L, types):
+    """The canonical cyclic handles g<v>g^-1 of conjugator length <= L with v in types.
+
+    ``build_ext_ball`` passes every vertex, or the untransvectable ones; a
+    caller that already holds the CV classification passes its
+    ``untransvectable`` and so skips a second domination pass.
+    """
     if L < 0:
         raise InputError("ball radius must be >= 0")
     if not p.is_unit_rank():
         raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
-    g = p.graph
-    types = untransvectable_vertices(g) if ue else g.vertices
-    nodes = sorted(enumerate_cyclic_handles(p, types, g.vertices, L), key=lambda h: h.sort_key())
+    nodes = sorted(enumerate_cyclic_handles(p, types, p.graph.vertices, L),
+                   key=lambda h: h.sort_key())
     return ExtBall(p, L, nodes, commutation_adjacency(nodes))
 
 

@@ -3,77 +3,127 @@
 Canonical forms of plain (uncolored) graphs are computed by color
 refinement plus individualization with backtracking, so repeated calls agree
 and isomorphism answers are reproducible byte for byte.  The search starts
-from the unit partition.  After an individualization, refinement re-keys
-only the neighbours of the cells that changed, and the search keeps its own
-stack, so its depth is not bounded by Python recursion.  A leaf whose
-trace ties the best leaf's is first tested as an automorphism image of it,
-in one pass over the edges.  The search is exponential in the worst case:
-on a 2-core Xeon with CPython 3.11 the 885-node radius-3 untransvectable
-extension-graph ball of the 5-cycle canonizes in about 1.05 s, and the
-5,779-node one of ``tests/fixtures/c5double.json`` in about 130 s.
+from the unit partition.  After an individualization, refinement keys only
+the neighbours of the individualized vertex, then those of the pieces that
+split, leaving out the last piece of each split cell (Hopcroft's trick, as
+in McKay and Piperno, *Practical graph isomorphism II*, 2014).  A node
+filters the automorphisms that fix its prefix only once it needs their
+orbits.  The search keeps its own stack, so its depth is not bounded by
+Python recursion, and it runs with the cyclic garbage collector paused.  A
+leaf whose trace ties the best leaf's is first tested as an automorphism
+image of it, in one pass over the edges.  The search is exponential in the
+worst case: on a 2-core Xeon with CPython 3.11 the 885-node radius-3
+untransvectable extension-graph ball of the 5-cycle canonizes in about
+0.55 s, and the 5,779-node one of ``tests/fixtures/c5double.json`` in about
+35 s.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from collections import defaultdict
 
 
 def _individualize(label, cells, u, fresh):
-    """Copies of (label, cells) with u split off its cell under the label fresh."""
+    """Copies of (label, cells) with u split off its cell under the label fresh.
+
+    ``cells`` keeps only cells of two or more members, so u gets no entry,
+    and neither does its old cell when one member is left.
+    """
     label = list(label)
     cells = dict(cells)
-    cells[label[u]] = [v for v in cells[label[u]] if v != u]
-    cells[fresh] = [u]
+    q = label[u]
+    rest = [v for v in cells[q] if v != u]
+    if len(rest) > 1:
+        cells[q] = rest
+    else:
+        del cells[q]
     label[u] = fresh
     return label, cells
 
 
 def _refine(adj, label, cells, changed):
-    """Split cells until the partition is equitable; return the labels written.
+    """Split cells until the partition is equitable; return the cells written.
 
-    ``changed`` holds the vertices whose cell changed since the partition was
-    last equitable (every vertex for a first round).  A round keys each
-    neighbour of a changed vertex by the sorted labels of its changed
-    neighbours and splits its cell by those keys, pieces in key order; a
-    vertex alone in its cell never splits, so it is never keyed.
-    Members of one cell have equal neighbour counts in every cell that did
-    not change, so the keys order them as their full sorted neighbour labels
-    would, and a cell is touched in all its members or in none.  Only a first
-    round leaves some members of a cell untouched: those have no neighbours,
-    the least key.  ``label`` and ``cells`` are updated in place.
+    ``label`` maps each vertex to the label of its cell, the cell's first
+    position; ``cells`` maps the label of each cell of two or more members to
+    its members in vertex order, and a vertex alone in its cell is in
+    ``label`` only.  Both are updated in place.  The result maps each label
+    written to the size of its cell.
+
+    ``changed`` holds the vertices whose cells changed since the partition
+    was last equitable: every vertex from the unit partition, or just the
+    vertex u that ``_individualize`` split off.  A round keys each neighbour
+    of a changed vertex by the labels of its changed neighbours and splits
+    its cell by those keys, pieces in key order; a vertex alone in its cell
+    never splits, so it is never keyed.  The next ``changed`` lists the new
+    pieces cell by cell in label order, so every key comes out sorted.
+
+    The keys order each cell as whole-cell keys would: the sorted labels of
+    a vertex's neighbours in every cell that changed, the old cell of u
+    included.
+
+    - After ``_individualize`` the parent partition is equitable, so the
+      members of a cell have one count c of neighbours in u's old cell C.
+      Their whole-cell keys are ``[start] * (c - x) + [fresh] * x``, where
+      start is C's label, fresh > start is u's and x is 1 if the member is
+      adjacent to u, else 0.  The key ``[fresh] * x`` orders the cell the
+      same way, and members not adjacent to u keep the least key ``[]``.
+      From the unit partition the first round keys by degree.
+    - A round leaves the last piece (the highest label) of each cell it
+      splits out of the next ``changed``.  From the second round on, the
+      members of a cell have equal neighbour counts in every cell that split
+      in the previous round: by induction from the equitable parent, or from
+      the degree round.  So their whole-cell keys have equal lengths, and
+      the count in a last piece is that total minus the counts in the kept
+      pieces.  At the least label where two members' whole-cell keys hold
+      different counts, the member with more of that label has the smaller
+      key.  That label is not a last piece, since a lower piece of the same
+      cell would differ too.  From the second round on, every key ends with
+      one ``END = 2 * n``, above every label, and a member with no neighbour
+      in the kept pieces has the key ``[END]``.  So the member with more of
+      that label holds it where the other holds a larger label or ``END``,
+      and its key is smaller here too; equal kept counts mean equal keys.
     """
-    written = set()
+    written = {}
+    end = []  # no marker in the first round
     while changed:
         keys = defaultdict(list)
         for w in changed:
             c = label[w]
             for v in adj[w]:
-                if len(cells[label[v]]) > 1:
+                if label[v] in cells:
                     keys[v].append(c)
         by_cell = defaultdict(list)
         for v, key in keys.items():
-            key.sort()
+            key += end
             by_cell[label[v]].append((key, v))
         changed = []
-        for start, keyed in by_cell.items():
+        for start in sorted(by_cell):
+            keyed = by_cell[start]
             cell = cells[start]
             keyed.sort()
             if len(keyed) < len(cell):
-                keyed[:0] = [([], v) for v in cell if v not in keys]
+                untouched = [(end, v) for v in cell if v not in keys]
+                keyed = keyed + untouched if end else untouched + keyed
             if keyed[0][0] == keyed[-1][0]:
                 continue
+            del cells[start]
             at, piece, last = start, [], keyed[0][0]
             for key, v in keyed:
                 if key != last:
-                    cells[at] = piece
-                    written.add(at)
+                    written[at] = len(piece)
+                    if len(piece) > 1:
+                        cells[at] = piece
+                    changed += piece
                     at, piece, last = at + len(piece), [], key
                 piece.append(v)
                 label[v] = at
-            cells[at] = piece
-            written.add(at)
-            changed.extend(cell)
+            written[at] = len(piece)
+            if len(piece) > 1:
+                cells[at] = piece
+        end = [2 * len(adj)]
     return written
 
 
@@ -120,12 +170,14 @@ class _Node:
 
     ``entry`` is the node's trace entry, ``eq`` whether the trace up to here
     equals the best leaf's, ``auts`` the recorded automorphisms fixing
-    ``prefix`` pointwise, and ``orbits`` their orbits on the target cell,
-    joined up to ``merged`` of them.
+    ``prefix`` pointwise, or None until ``_next_vertex`` first needs them,
+    and ``orbits`` their orbits on the target cell, joined up to ``merged``
+    of them.  ``scan`` is the position in ``cell`` after the vertex
+    explored last.
     """
 
     __slots__ = ("label", "cells", "prefix", "entry", "eq", "target", "cell",
-                 "auts", "explored", "orbits", "merged")
+                 "auts", "explored", "orbits", "merged", "scan")
 
 
 class _Canonizer:
@@ -157,30 +209,45 @@ class _Canonizer:
         self.automorphisms = []   # permutations as vertex->vertex lists
         self.nodes = 0
         self.adjsets = None       # neighbour frozensets, built on the first tie
+        self.higher = None        # each vertex's neighbours above it, likewise
 
     def run(self):
+        """Search the whole tree; return best.
+
+        The cyclic garbage collector is paused meanwhile.  The search makes
+        no reference cycles, and on a deep stack the collector's passes over
+        every node's partition copy cost as much as the search itself.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._search()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _search(self):
         """Search the whole tree with an explicit stack; return best."""
         n, adj = self.n, self.adj
-        label, cells = [0] * n, {0: list(range(n))}
+        label, cells = [0] * n, {0: list(range(n))} if n > 1 else {}
         _refine(adj, label, cells, range(n))
         stack = []
-        self._visit(stack, label, cells, (), (), [], False)
+        self._visit(stack, label, cells, (), (), False)
         while stack:
             node = stack[-1]
-            u = self._next_vertex(node)
+            u = self._next_vertex(stack)
             if u is None:
                 stack.pop()
                 continue
             # individualized vertices are labelled above every position, in
             # the order of their depths
             label, cells = _individualize(node.label, node.cells, u, n + len(stack) - 1)
-            written = _refine(adj, label, cells, node.cell)
-            entry = tuple((-q, -len(cells[q])) for q in sorted(written))
-            auts = [sigma for sigma in node.auts if sigma[u] == u]
-            self._visit(stack, label, cells, node.prefix + (u,), entry, auts, node.eq)
+            written = _refine(adj, label, cells, (u,))
+            entry = tuple((-q, -written[q]) for q in sorted(written))
+            self._visit(stack, label, cells, node.prefix + (u,), entry, node.eq)
         return self.best
 
-    def _visit(self, stack, label, cells, prefix, entry, auts, parent_eq):
+    def _visit(self, stack, label, cells, prefix, entry, parent_eq):
         """Prune a refined node, score it as a leaf, or push it."""
         self.nodes += 1
         depth = len(prefix)
@@ -190,19 +257,21 @@ class _Canonizer:
             if depth == len(best) or entry > best[depth]:
                 return
             eq = entry == best[depth]
-        if len(cells) == self.n:
+        if not cells:
             self._leaf(stack, label, prefix, entry, eq)
             return
         # smallest label with a non-singleton cell; every cell below the
         # parent's target is a singleton
         target = stack[-1].target if stack else 0
-        while len(cells.get(target, ())) < 2:
+        while target not in cells:
             target += 1
         node = _Node()
         node.label, node.cells, node.prefix = label, cells, prefix
-        node.entry, node.eq, node.auts = entry, eq, auts
+        # the root's stabilizer list is every automorphism; a child's is
+        # filtered from its parent's when _next_vertex first needs it
+        node.entry, node.eq, node.auts = entry, eq, None if stack else []
         node.target, node.cell = target, cells[target]
-        node.explored, node.orbits, node.merged = set(), None, 0
+        node.explored, node.orbits, node.merged, node.scan = set(), None, 0, 0
         stack.append(node)
 
     def _leaf(self, stack, label, prefix, entry, eq):
@@ -227,15 +296,21 @@ class _Canonizer:
                 sigma[a] = b
             if self.adjsets is None:
                 self.adjsets = [frozenset(a) for a in adj]
-            adjsets, image = self.adjsets, sigma.__getitem__
-            # sigma is a bijection, so mapping every edge onto an edge is enough
-            if all(adjsets[sigma[v]].issuperset(map(image, adj[v])) for v in range(n)):
+                self.higher = [[w for w in a if w > v] for v, a in enumerate(adj)]
+            adjsets, higher, image = self.adjsets, self.higher, sigma.__getitem__
+            # sigma is a bijection, so mapping every edge onto an edge is
+            # enough; each edge is mapped from its lower end
+            if all(adjsets[sigma[v]].issuperset(map(image, higher[v])) for v in range(n)):
                 self.automorphisms.append(sigma)
                 shared = 0
                 while prefix[shared] == self.best_prefix[shared]:
                     shared += 1
                 del stack[shared + 1:]
+                # sigma fixes every prefix on the stack; an unresolved list
+                # picks it up from its parent's when it is resolved
                 for node in stack:
+                    if node.auts is None:
+                        break
                     node.auts.append(sigma)
                 return
             for start, v in enumerate(order):
@@ -253,23 +328,46 @@ class _Canonizer:
             node.eq = True
 
     @staticmethod
-    def _next_vertex(node):
-        """The first target-cell vertex in no explored vertex's orbit, or None."""
+    def _next_vertex(stack):
+        """The top node's first target-cell vertex in no explored orbit, or None.
+
+        The scan resumes after the vertex returned last: every earlier vertex
+        is explored or in an explored vertex's orbit, and orbits only grow.
+        Orbits matter once a vertex is explored; the node's stabilizer list is
+        then resolved, with those of its unresolved ancestors, by filtering
+        each parent's list down the stack.  These lists equal the ones a
+        child would filter when it is pushed: an automorphism recorded later
+        fixes the prefix of every node still on the stack.
+        """
+        node = stack[-1]
         cell, explored = node.cell, node.explored
-        if node.merged < len(node.auts) and explored:
-            if node.orbits is None:
-                node.orbits = _Orbits(cell)
-            for sigma in node.auts[node.merged:]:
-                node.orbits.join(sigma)
-            node.merged = len(node.auts)
+        if explored:
+            if node.auts is None:
+                top = len(stack) - 1
+                while stack[top].auts is None:
+                    top -= 1
+                for parent, child in zip(stack[top:], stack[top + 1:]):
+                    u = child.prefix[-1]
+                    child.auts = [sigma for sigma in parent.auts if sigma[u] == u]
+            if node.merged < len(node.auts):
+                if node.orbits is None:
+                    node.orbits = _Orbits(cell)
+                for sigma in node.auts[node.merged:]:
+                    node.orbits.join(sigma)
+                node.merged = len(node.auts)
+        rest = range(node.scan, len(cell))
         if node.orbits is None:
-            u = next((v for v in cell if v not in explored), None)
+            # nothing at or after the scan position is explored yet
+            i = node.scan if rest else None
         else:
             find = node.orbits.find
             done = {find(e) for e in explored}
-            u = next((v for v in cell if find(v) not in done), None)
-        if u is not None:
-            explored.add(u)
+            i = next((i for i in rest if find(cell[i]) not in done), None)
+        if i is None:
+            return None
+        u = cell[i]
+        node.scan = i + 1
+        explored.add(u)
         return u
 
     def group_order(self):

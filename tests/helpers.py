@@ -8,7 +8,7 @@ replaced (products of normal forms, the restart loop of coset stripping, the
 normalizer test on every pair of ball nodes, the commutation test on every
 pair of nodes of adjacent types, one ball per radius, the full ball cut down
 to its untransvectable nodes, full-round refinement with a recursive search,
-one validated canonical_parabolic per star-separation translate), kept as
+refinement keyed by whole changed cells, one validated canonical_parabolic per star-separation translate), kept as
 oracles for the faster ones.  The handle oracles, like the words layer, know
 only cyclic parabolic subgroups g<v>g^-1, the nodes of extension balls.
 Rank-preserving isomorphism of presentations, which the library never needs,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import networkx as nx
@@ -217,6 +218,66 @@ class CanonizerByRounds:
             root = find(b)
             order *= sum(1 for u in range(self.n) if find(u) == root)
         return order
+
+
+def individualize_keeping_singletons(label, cells, u, fresh):
+    """Copies of (label, cells) with u split off its cell under the label fresh.
+
+    ``cells`` maps every cell's label to its members, singletons included,
+    as ``refine_by_whole_cells`` reads it.
+    """
+    label = list(label)
+    cells = dict(cells)
+    cells[label[u]] = [v for v in cells[label[u]] if v != u]
+    cells[fresh] = [u]
+    label[u] = fresh
+    return label, cells
+
+
+def refine_by_whole_cells(adj, label, cells, changed):
+    """Split cells until the partition is equitable; return the labels written.
+
+    The refinement the canonizer used before it keyed by fewer vertices:
+    after an individualization ``changed`` is the individualized vertex's
+    whole old cell, every piece of a split cell changes, and each key is the
+    sorted labels of all changed neighbours.  Members of one cell have equal
+    neighbour counts in every cell that did not change, so a cell is touched
+    in all its members or in none, except in a first round, where untouched
+    members have no neighbours, the least key.  ``label`` and ``cells`` are
+    updated in place; ``cells`` holds every cell, singletons included.
+    """
+    written = set()
+    while changed:
+        keys = defaultdict(list)
+        for w in changed:
+            c = label[w]
+            for v in adj[w]:
+                if len(cells[label[v]]) > 1:
+                    keys[v].append(c)
+        by_cell = defaultdict(list)
+        for v, key in keys.items():
+            key.sort()
+            by_cell[label[v]].append((key, v))
+        changed = []
+        for start, keyed in by_cell.items():
+            cell = cells[start]
+            keyed.sort()
+            if len(keyed) < len(cell):
+                keyed[:0] = [([], v) for v in cell if v not in keys]
+            if keyed[0][0] == keyed[-1][0]:
+                continue
+            at, piece, last = start, [], keyed[0][0]
+            for key, v in keyed:
+                if key != last:
+                    cells[at] = piece
+                    written.add(at)
+                    at, piece, last = at + len(piece), [], key
+                piece.append(v)
+                label[v] = at
+            cells[at] = piece
+            written.add(at)
+            changed.extend(cell)
+    return written
 
 
 def orbit_representatives_by_rounds(canonizer):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CanonizerByRounds, orbit_representatives_by_rounds, prism, refine_by_rounds
+from helpers import (CanonizerByRounds, individualize_keeping_singletons,
+                     orbit_representatives_by_rounds, prism, refine_by_rounds, refine_by_whole_cells)
 
 from raagme.extension import ball_graph, build_ext_ball, ue_restriction
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, opposite_graph
@@ -146,6 +147,23 @@ def test_c5_radius_3_ball_search():
         "b18e465385a0ee4be2dded472db4c41c7c6408b0d96364b51c430941a5167a36")
 
 
+def test_prism_radius_3_ball_search():
+    # the radius-3 untransvectable ball of the prism, a dense ball: the size
+    # of its search tree, the automorphisms recorded, the canonical path,
+    # |Aut| and the digest
+    g = ball_graph(build_ext_ball(raag(prism()), 3, ue=True))
+    form = canonical_form(g)
+    c = form._canonizer
+    assert (g.n_vertices, g.n_edges) == (1062, 15093)
+    assert c.nodes == 20948
+    assert len(c.automorphisms) == 213
+    assert len(c.best_prefix) == 174
+    assert form.group_order() == (
+        19746054687854472505859630190688206059792830387602958360183308288)
+    assert form.hexdigest() == (
+        "14f9eb395122fda077069d98c112f0fd9be72a2b6ce92124d2574a11cf57279d")
+
+
 class TiedLeafOutcomes(_Canonizer):
     """Counts how each leaf whose trace ties the best leaf's ends."""
 
@@ -210,11 +228,15 @@ def dense(labels):
     return [rank[q] for q in labels]
 
 
+def non_singleton(cells):
+    return {q: members for q, members in cells.items() if len(members) > 1}
+
+
 def assert_cells_match(label, cells):
     members = {}
     for v, q in enumerate(label):
         members.setdefault(q, []).append(v)
-    assert cells == members
+    assert cells == non_singleton(members)
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,21 +251,57 @@ def test_incremental_refine_matches_full_rounds(data):
             adj[i].append(j)
             adj[j].append(i)
     # a first round over every vertex of the unit partition
-    label, cells = [0] * n, {0: list(range(n))}
+    label, cells = [0] * n, non_singleton({0: list(range(n))})
     _refine(adj, label, cells, range(n))
     assert dense(label) == refine_by_rounds(n, adj, [0] * n)
     assert_cells_match(label, cells)
     # then vertices of non-singleton cells individualized one after another,
     # each labelled above every position, as the search does
     for depth in range(n):
-        shared = [v for v in range(n) if len(cells[label[v]]) > 1]
+        shared = [v for v in range(n) if label[v] in cells]
         if not shared:
             return
         u = data.draw(st.sampled_from(shared))
         individualized = dense(label)
         individualized[u] = n + depth
-        cell = cells[label[u]]
         label, cells = _individualize(label, cells, u, n + depth)
-        _refine(adj, label, cells, cell)
+        _refine(adj, label, cells, (u,))
         assert dense(label) == refine_by_rounds(n, adj, individualized)
         assert_cells_match(label, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_refine_matches_whole_cells(data):
+    # random graphs with isolated vertices, sparse to complete, individualized
+    # down to the discrete partition: keyed by the individualized vertex and
+    # the kept pieces, refinement writes the labels, cells and member order
+    # that keying by whole changed cells writes (the canonizer keeps only
+    # the cells of two or more members, and the size of each cell written)
+    n = data.draw(st.integers(1, 40))
+    isolated = data.draw(st.integers(0, n))
+    p = data.draw(st.sampled_from((0.05, 0.15, 0.3, 0.5, 0.8, 0.95, 1.0)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    adj = [[] for _ in range(n)]
+    for i in range(n - isolated):
+        for j in range(i + 1, n - isolated):
+            if rng.random() < p:
+                adj[i].append(j)
+                adj[j].append(i)
+    old_label, old_cells = [0] * n, {0: list(range(n))}
+    label, cells = [0] * n, non_singleton(old_cells)
+    old_written = refine_by_whole_cells(adj, old_label, old_cells, range(n))
+    written = _refine(adj, label, cells, range(n))
+    for depth in range(n + 1):
+        assert label == old_label
+        assert cells == non_singleton(old_cells)
+        assert written == {q: len(old_cells[q]) for q in old_written}
+        if not cells:
+            return
+        u = data.draw(st.sampled_from([v for v in range(n) if label[v] in cells]))
+        old_cell = old_cells[old_label[u]]
+        old_label, old_cells = individualize_keeping_singletons(old_label, old_cells, u,
+                                                                n + depth)
+        old_written = refine_by_whole_cells(adj, old_label, old_cells, old_cell)
+        label, cells = _individualize(label, cells, u, n + depth)
+        written = _refine(adj, label, cells, (u,))

@@ -114,9 +114,9 @@ class TestDominationByDefinition:
 
     def test_one_domination_pass_per_graph_in_classify(self, c5, counterexample_graph,
                                                          monkeypatch):
-        # invariant_report: has_finite_out, the untransvectable ball and one
-        # CV classification; decide_me: has_finite_out on G, one CV
-        # classification on the reduced H
+        # invariant_report: one CV classification, which also gives the
+        # untransvectable ball its types and finite Out its transvections;
+        # decide_me: has_finite_out on G, one CV classification on the reduced H
         g = counterexample_graph
         assert clique_reduce(raag(g)).graph == g
         calls = []
@@ -127,7 +127,7 @@ class TestDominationByDefinition:
 
         monkeypatch.setattr(raagme.combinatorics, "_dominators", counted)
         invariant_report(raag(g), ball_bound=0)
-        assert calls == [g, g, g]
+        assert calls == [g]
         for h, verdict in ((g, "not_equivalent"),
                            (star_gluing_kernel(c5, "v1", 2), "equivalent")):
             calls.clear()
@@ -185,6 +185,7 @@ class TestOutInventory:
                 assert list(inv.transvections) == brute_transvections(g)
                 assert list(inv.partial_conjugation_sites) == brute_pc_sites(g)
                 assert inv.out_finite == has_finite_out(g)
+                assert cv_classification(g).out_finite == inv.out_finite
                 assert is_transvection_free(g) == (not inv.transvections)
 
     def test_transvections_match_cv_order(self, atlas6):

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
                      commutator_adjacent, prism, star_separation_by_nodes, translate_index,
                      ue_ball_fingerprint)
-from raagme.combinatorics import has_finite_out
+from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
-from raagme.extension import (ExtBall, ball_graph, ball_json, ball_prefix, build_ext_ball,
-                              star_complement_connectivity_check, star_separation_check,
-                              ue_restriction)
+from raagme.extension import (ExtBall, ball_graph, ball_json, ball_prefix, build_ball_of_types,
+                              build_ext_ball, star_complement_connectivity_check,
+                              star_separation_check, ue_restriction)
 from raagme.words import commutation_adjacency
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,6 +122,9 @@ class TestUeRestriction:
                 ball_json(ue_restriction(build_ext_ball(p, L)))
         for graph, L in named:
             direct = build_ext_ball(raag(graph), L, ue=True)
+            # the types invariant_report hands over from its CV classification
+            assert ball_json(build_ball_of_types(
+                raag(graph), L, cv_classification(graph).untransvectable)) == ball_json(direct)
             for k in range(L + 1):
                 assert canonical_hash(ball_graph(ball_prefix(direct, k))) == \
                     ue_ball_fingerprint(graph, k)
