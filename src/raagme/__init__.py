@@ -10,17 +10,14 @@ finite extension-graph balls, and star-gluing finite-index subgroups.
 
 from .errors import DomainError, InputError, ParseError, RaagmeError
 from .graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
-                     edgeless_graph, full_subgraph, join_factors, link, opposite_graph,
-                     path_graph, perp, star)
+                     edgeless_graph, full_subgraph, link, opposite_graph, path_graph, perp,
+                     star)
 from .isomorphism import (automorphism_count, canonical_form, canonical_hash,
                           find_isomorphism)
 from .presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
-from .combinatorics import (CvClassification, OutInventory, all_untransvectable_strongly,
-                            cv_classification, has_finite_out,
-                            has_untransvectable_nonabelian_class, is_collapsible,
-                            is_free_product_of_free_abelians, is_strongly_untransvectable,
-                            is_transvectable_subgraph, is_transvectable_vertex,
-                            out_inventory, untransvectable_vertices)
+from .combinatorics import (CvClassification, OutInventory, cv_classification, has_finite_out,
+                            is_collapsible, is_strongly_untransvectable,
+                            is_transvectable_vertex, out_inventory, untransvectable_vertices)
 from .words import (NormalFormWord, ParabolicHandle, canonical_parabolic,
                     multiply_and_normalize, word)
 from .extension import (ExtBall, build_ext_ball, star_complement_connectivity_check,

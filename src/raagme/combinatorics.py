@@ -41,21 +41,6 @@ def untransvectable_vertices(g):
     return [v for v, up in _dominators(g).items() if len(up) == 1]
 
 
-def is_transvectable_subgraph(g, s):
-    """A vertex outside s dominates every vertex of s.
-
-    For a singleton this is vertex transvectability.
-    """
-    s = frozenset(s)
-    if not s:
-        raise InputError("transvectability is undefined for the empty subgraph")
-    for v in s:
-        if not g.has_vertex(v):
-            raise InputError(f"unknown vertex {echo(v)}")
-    leq = _dominators(g)
-    return bool(frozenset.intersection(*(leq[v] for v in s)) - s)
-
-
 @dataclass(frozen=True)
 class CvClassification:
     """CV preorder data: relation, classes, their kinds, the maximal classes.
@@ -170,23 +155,14 @@ def has_finite_out(g):
     return _out_finite(g, _dominators(g))
 
 
-def is_transvection_free(g):
-    return next(_transvections(_dominators(g)), None) is None
-
-
 def is_collapsible(g, s):
     """All vertices of s see the same neighbors outside s."""
-    s = frozenset(s)
-    if not s:
+    # star() looks each id up in g, so an unknown or unhashable one is rejected there
+    stars = {v: star(g, v) for v in s}
+    if not stars:
         raise InputError("collapsibility is undefined for the empty subgraph")
-    outside = None
-    for v in sorted(s):
-        cur = (star(g, v)) - s
-        if outside is None:
-            outside = cur
-        elif cur != outside:
-            return False
-    return True
+    s = frozenset(stars)
+    return len({st - s for st in stars.values()}) == 1
 
 
 def is_strongly_untransvectable(g, v):
@@ -212,24 +188,3 @@ def _strongly_untransvectable(g, v, untrans):
     """Every component of the opposite graph of lk(v) meets the vertices untrans."""
     return all(not comp.isdisjoint(untrans) for comp in
                connected_components(opposite_graph(full_subgraph(g, link(g, v)))))
-
-
-def all_untransvectable_strongly(g):
-    """Every untransvectable vertex passes the strong untransvectability test."""
-    return g.n_vertices == 0 or cv_classification(g).all_untransvectable_strongly
-
-
-def has_untransvectable_nonabelian_class(g):
-    """Some maximal CV class is non-abelian with at least two vertices."""
-    return cv_classification(g).nonabelian_untransvectable_class
-
-
-def is_free_product_of_free_abelians(g):
-    """Every connected component is complete (no induced path on 3 vertices)."""
-    for comp in connected_components(g):
-        members = sorted(comp)
-        for i, u in enumerate(members):
-            for w in members[i + 1:]:
-                if not g.has_edge(u, w):
-                    return False
-    return True

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, InputError, echo
-from .combinatorics import has_finite_out, untransvectable_vertices
+from .combinatorics import cv_classification
 from .words import commutation_adjacency, enumerate_cyclic_handles, translate_conjugators
 
 
@@ -81,13 +81,19 @@ class ExtBall:
         return self._interior
 
     @cached_property
-    def _finite_out(self):
-        return has_finite_out(self.presentation.graph)
+    def _classification(self):
+        """The one CV classification every flag of the ball reads (None if the graph is empty)."""
+        return _classify(self.presentation.graph)
 
     @cached_property
     def untransvectable(self):
         """The untransvectable vertices, the types of the untransvectable nodes."""
-        return frozenset(untransvectable_vertices(self.presentation.graph))
+        cv = self._classification
+        return frozenset(cv.untransvectable if cv else ())
+
+
+def _classify(g):
+    return cv_classification(g) if g.n_vertices else None
 
 
 def build_ext_ball(p, L, ue=False):
@@ -99,10 +105,15 @@ def build_ext_ball(p, L, ue=False):
     edge v - w of the defining graph and looks each node's candidates up
     among the handles.  With ue=True only handles of untransvectable type
     are built (conjugator letters still range over every vertex): the ball
-    ue_restriction cuts out of the full one.
+    ue_restriction cuts out of the full one, holding the CV classification
+    that picked its types.
     """
-    g = p.graph
-    return build_ball_of_types(p, L, untransvectable_vertices(g) if ue else g.vertices)
+    if not ue:
+        return build_ball_of_types(p, L, p.graph.vertices)
+    cv = _classify(p.graph)
+    ball = build_ball_of_types(p, L, cv.untransvectable if cv else ())
+    ball._classification = cv
+    return ball
 
 
 def build_ball_of_types(p, L, types):
@@ -126,7 +137,10 @@ def _restrict(b, keep, L):
     renum = {old: new for new, old in enumerate(keep)}
     nodes = [b.nodes[i] for i in keep]
     adjacency = [frozenset(renum[j] for j in b.adjacency[i] if j in renum) for i in keep]
-    return ExtBall(b.presentation, L, nodes, adjacency)
+    ball = ExtBall(b.presentation, L, nodes, adjacency)
+    if "_classification" in vars(b):    # hand on a classification b has read
+        ball._classification = b._classification
+    return ball
 
 
 def ue_restriction(b):
@@ -252,7 +266,8 @@ class ConnectivityReport:
 def star_complement_connectivity_check(b, v_index, x_indices):
     if not 0 <= v_index < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
-    if not b._finite_out:
+    cv = b._classification
+    if cv is not None and not cv.out_finite:
         raise DomainError(
             "hypothesis violated: Out of the ambient group must be finite "
             "(the defining graph admits a transvection or a partial conjugation)")

@@ -130,10 +130,10 @@ def full_subgraph(g, s):
     """The full (induced) subgraph of g spanned by the vertex set s.
 
     Two vertices of the result are adjacent exactly when they are adjacent
-    in g.
+    in g; only the adjacency of the members of s is read.
     """
     s = _check_subset(g, s)
-    edges = [(u, w) for (u, w) in g.edges() if u in s and w in s]
+    edges = sorted((u, w) for u in s for w in g._adj[u] & s if u < w)
     return SimpleGraph(sorted(s), edges)
 
 
@@ -190,19 +190,6 @@ def connected_components(g):
         seen |= comp
         comps.append(frozenset(comp))
     return comps
-
-
-def join_factors(g):
-    """The unique maximal join decomposition of a non-empty graph.
-
-    Returns the partition of the vertex set into the connected components of
-    the complement graph, ordered by smallest label.  Any two vertices lying
-    in distinct factors are adjacent in g, and no factor splits further as a
-    join.
-    """
-    if g.n_vertices == 0:
-        raise InputError("join decomposition is undefined for the empty graph")
-    return connected_components(opposite_graph(g))
 
 
 # -- small constructors, mostly for tests and fixtures ------------------------

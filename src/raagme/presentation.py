@@ -46,8 +46,10 @@ class GraphProductPresentation:
     def rank(self, v):
         try:
             return self._ranks[v]
-        except KeyError:
-            raise InputError(f"unknown vertex {echo(v)}") from None
+        except (KeyError, TypeError):
+            # the graph's lookup raises the error for an unknown or unhashable id
+            self.graph.neighbors(v)
+            raise
 
     @property
     def ranks(self):

@@ -117,17 +117,6 @@ class NormalFormWord:
     presentation: GraphProductPresentation
     syllables: tuple
 
-    def is_identity(self):
-        return not self.syllables
-
-    @property
-    def word_length(self):
-        """Total letter length: the sum of the absolute values of the exponents."""
-        return _letter_length(self.syllables)
-
-    def support(self):
-        return frozenset(v for v, _ in self.syllables)
-
     def inverse(self):
         p = self.presentation
         return NormalFormWord(p, _lex_order(p.graph.adjacency, _inverse(self.syllables)))

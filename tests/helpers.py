@@ -397,11 +397,23 @@ def shuffle_oracle_nf(adjacency, syllables):
     return min(w for w in seen if len(w) == best_len)
 
 
+# -- facts read off a normal-form word --------------------------------------------
+
+def is_identity(w):
+    """A normal-form word is the identity exactly when it has no syllables."""
+    return not w.syllables
+
+
+def support(w):
+    """The vertices whose letters occur in a normal-form word."""
+    return frozenset(v for v, _ in w.syllables)
+
+
 # -- four-fold commutator oracle -----------------------------------------------
 
 def generators_commute(a, b):
     """Whether two normal-form words commute: a b a^-1 b^-1 is the identity."""
-    return (a * b * a.inverse() * b.inverse()).is_identity()
+    return is_identity(a * b * a.inverse() * b.inverse())
 
 
 def commutator_adjacent(ball, i, j):
@@ -425,7 +437,7 @@ def normalizes_by_products(h, x):
     c = NormalFormWord(p, h.conjugator)
     if not isinstance(x, NormalFormWord):
         x = word(p, x)
-    return (c.inverse() * x * c).support() <= star(p.graph, h.vertex)
+    return support(c.inverse() * x * c) <= star(p.graph, h.vertex)
 
 
 def strip_by_restart(adj, reduced, members):

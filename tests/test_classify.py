@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import prism, ue_ball_fingerprint
-from raagme.combinatorics import (all_untransvectable_strongly, has_finite_out,
-                                  has_untransvectable_nonabelian_class)
+from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
 from raagme.isomorphism import canonical_hash
@@ -107,13 +106,14 @@ class TestRigidityHypotheses:
         # read on the clique-reduced graph: the edge a-b collapses to one
         # rank-2 vertex, leaving two isolated vertices, one non-abelian class
         edge_point = SimpleGraph(["a", "b", "c"], [("a", "b")])
-        assert not has_untransvectable_nonabelian_class(edge_point)
+        assert not cv_classification(edge_point).nonabelian_untransvectable_class
         rep = invariant_report(raag(edge_point), ball_bound=0).rigidity
         rg = clique_reduce(raag(edge_point)).graph
         assert rg.n_vertices == 2
-        assert has_untransvectable_nonabelian_class(rg)
+        cv = cv_classification(rg)
+        assert cv.nonabelian_untransvectable_class
         assert not rep.no_nonabelian_untransvectable_class
-        assert rep.every_untransvectable_vertex_strong == all_untransvectable_strongly(rg)
+        assert rep.every_untransvectable_vertex_strong == cv.all_untransvectable_strongly
 
 
 class TestDecideOe:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from raagme.cli import _UsageExit, main, run_command
-from raagme.combinatorics import all_untransvectable_strongly, has_untransvectable_nonabelian_class
+from raagme.combinatorics import cv_classification
 from raagme.extension import ball_json, build_ext_ball
 from raagme.formats import load_presentation, parse_json_presentation
 from raagme.presentation import clique_reduce, expand_to_raag, raag
@@ -252,8 +252,9 @@ def test_analyze_rigidity_block_matches_library(atlas7, tmp_path):
             code, out = run("analyze", str(path), "--ball-bound", "0", "--format", "json")
             assert code == 0
             rg = clique_reduce(load_presentation(str(path))).graph
-            no_class = not has_untransvectable_nonabelian_class(rg)
-            strong = all_untransvectable_strongly(rg)
+            cv = cv_classification(rg)
+            no_class = not cv.nonabelian_untransvectable_class
+            strong = cv.all_untransvectable_strongly
             assert json.loads(out)["rigidity_hypotheses"] == {
                 "no_nonabelian_untransvectable_class": no_class,
                 "every_untransvectable_vertex_strong": strong,

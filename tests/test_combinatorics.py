@@ -9,12 +9,9 @@ from helpers import (brute_dominates, brute_pc_sites, brute_transvectable_subgra
 import raagme.combinatorics
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, full_subgraph, path_graph
-from raagme.combinatorics import (_dominators, all_untransvectable_strongly, cv_classification,
-                                  has_finite_out,
-                                  has_untransvectable_nonabelian_class, is_collapsible,
-                                  is_free_product_of_free_abelians, is_strongly_untransvectable,
-                                  is_transvectable_subgraph, is_transvectable_vertex,
-                                  is_transvection_free, out_inventory, untransvectable_vertices)
+from raagme.combinatorics import (_dominators, cv_classification, has_finite_out,
+                                  is_collapsible, is_strongly_untransvectable,
+                                  is_transvectable_vertex, out_inventory, untransvectable_vertices)
 from raagme.classify import decide_me, invariant_report
 from raagme.presentation import clique_reduce, raag
 from raagme.subgroups import star_gluing_kernel
@@ -62,22 +59,23 @@ class TestCvClassification:
 
 class TestTransvectability:
     def test_examples(self, p3, c5, f3_graph):
-        assert is_transvectable_subgraph(p3, {"a"})
-        assert not is_transvectable_subgraph(c5, {"v1"})
-        assert not is_transvectable_subgraph(f3_graph, {"a", "b", "c"})
+        assert is_transvectable_vertex(p3, "a")
+        assert not is_transvectable_vertex(c5, "v1")
+        assert cv_classification(f3_graph).untransvectable_classes == (
+            frozenset({"a", "b", "c"}),)
 
     def test_errors(self, p3):
         with pytest.raises(InputError):
-            is_transvectable_subgraph(p3, set())
-        with pytest.raises(InputError):
-            is_transvectable_subgraph(p3, {"zz"})
+            is_transvectable_vertex(p3, "zz")
+        with pytest.raises(InputError, match="hashable"):
+            is_transvectable_vertex(p3, ["a"])
 
     def test_class_untransvectable_iff_maximal(self, atlas6):
         for g in atlas6[5]:
             cv = cv_classification(g)
             for cls in cv.classes:
                 assert (cls in cv.untransvectable_classes) == (
-                    not is_transvectable_subgraph(g, cls))
+                    not brute_transvectable_subgraph(g, cls))
 
 
 class TestDominationByDefinition:
@@ -92,10 +90,6 @@ class TestDominationByDefinition:
                     v: frozenset(w for w in verts if brute_dominates(g, w, v)) for v in verts}
                 for v in verts:
                     assert is_transvectable_vertex(g, v) == (v not in untrans)
-                for k in (1, 2, 3):
-                    for s in itertools.combinations(verts, k):
-                        assert is_transvectable_subgraph(g, s) == \
-                            brute_transvectable_subgraph(g, s), (g.edges(), s)
 
     def test_one_domination_pass_per_call(self, counterexample_graph, monkeypatch):
         g = counterexample_graph
@@ -106,8 +100,8 @@ class TestDominationByDefinition:
             return _dominators(h)
 
         monkeypatch.setattr(raagme.combinatorics, "_dominators", counted)
-        for predicate in (all_untransvectable_strongly, untransvectable_vertices,
-                          cv_classification, lambda h: is_strongly_untransvectable(h, "v0")):
+        for predicate in (untransvectable_vertices, cv_classification,
+                          lambda h: is_strongly_untransvectable(h, "v0")):
             calls.clear()
             predicate(g)
             assert calls == [g]
@@ -186,7 +180,6 @@ class TestOutInventory:
                 assert list(inv.partial_conjugation_sites) == brute_pc_sites(g)
                 assert inv.out_finite == has_finite_out(g)
                 assert cv_classification(g).out_finite == inv.out_finite
-                assert is_transvection_free(g) == (not inv.transvections)
 
     def test_transvections_match_cv_order(self, atlas6):
         for g in atlas6[5]:
@@ -222,7 +215,7 @@ class TestCollapsibility:
 
 class TestStrongUntransvectability:
     def test_transvection_free_always_strong(self, c5):
-        assert is_transvection_free(c5)
+        assert not out_inventory(c5).transvections
         for v in c5.sorted_vertices():
             assert is_strongly_untransvectable(c5, v)
 
@@ -243,7 +236,7 @@ class TestStrongUntransvectability:
         assert not is_strongly_untransvectable(g, "v0")
         for v in ["v2", "v3", "v4", "v5"]:
             assert is_strongly_untransvectable(g, v)
-        assert not all_untransvectable_strongly(g)
+        assert not cv_classification(g).all_untransvectable_strongly
 
     def test_transvectable_vertex_rejected(self, p3):
         assert is_transvectable_vertex(p3, "a")
@@ -253,28 +246,23 @@ class TestStrongUntransvectability:
     def test_transvection_free_implies_all_strong_upto7(self, atlas7):
         for n in range(1, 8):
             for g in atlas7[n]:
-                if is_transvection_free(g):
+                if not out_inventory(g).transvections:
                     assert all(is_strongly_untransvectable(g, v)
                                for v in g.sorted_vertices())
 
 
 class TestGroupLevelInvariants:
     def test_nonabelian_class_examples(self, c5, f3_graph):
-        assert has_untransvectable_nonabelian_class(f3_graph)
-        assert not has_untransvectable_nonabelian_class(c5)
-        assert not has_untransvectable_nonabelian_class(complete_graph(["a", "b", "c"]))
+        assert cv_classification(f3_graph).nonabelian_untransvectable_class
+        assert not cv_classification(c5).nonabelian_untransvectable_class
+        assert not cv_classification(
+            complete_graph(["a", "b", "c"])).nonabelian_untransvectable_class
 
     def test_empty_graph(self):
+        # the trivial group has no CV classes, and its Out is trivial
         with pytest.raises(InputError):
-            has_untransvectable_nonabelian_class(SimpleGraph([]))
-        assert all_untransvectable_strongly(SimpleGraph([]))
-
-    def test_free_products(self, p3, c5):
-        g = SimpleGraph(["a", "b", "c", "d", "e"],
-                        [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
-        assert is_free_product_of_free_abelians(g)
-        assert not is_free_product_of_free_abelians(p3)
-        assert not is_free_product_of_free_abelians(c5)
+            cv_classification(SimpleGraph([]))
+        assert has_finite_out(SimpleGraph([]))
 
     def test_flagged_classes_are_collapsible_free_untransvectable(self, atlas6):
         # every untransvectable non-abelian class is collapsible, spans an
@@ -287,7 +275,7 @@ class TestGroupLevelInvariants:
                 assert len(cls) >= 2
                 assert is_collapsible(g, cls)
                 assert full_subgraph(g, cls).n_edges == 0
-                assert not is_transvectable_subgraph(g, cls)
+                assert not brute_transvectable_subgraph(g, cls)
 
     def test_abelian_classes_are_what_clique_reduce_merges(self, atlas6):
         for g in atlas6[5]:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
-                     commutator_adjacent, prism, star_separation_by_nodes, translate_index,
-                     ue_ball_fingerprint)
+                     commutator_adjacent, prism, star_separation_by_nodes, support,
+                     translate_index, ue_ball_fingerprint)
 from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.formats import load_presentation
@@ -138,7 +138,7 @@ class TestUeRestriction:
 
     def test_full_ball_makes_no_domination_pass(self, counterexample_graph, monkeypatch):
         # only the untransvectable ball needs the untransvectable vertices to
-        # build; a full ball finds them on the first read of its flags
+        # build; a full ball classifies its graph on the first read of a flag
         import raagme.combinatorics
         from raagme.combinatorics import _dominators
         calls = []
@@ -159,6 +159,33 @@ class TestUeRestriction:
         calls.clear()
         build_ext_ball(p, 1, ue=True)
         assert calls == [counterexample_graph]
+
+    def test_one_domination_pass_per_ball(self, c5, monkeypatch):
+        # the finite-Out check and the untransvectable flags read one CV
+        # classification, which the untransvectable ball gets from its build
+        # and a restricted ball gets from the ball it is cut out of
+        import raagme.combinatorics
+        from raagme.combinatorics import _dominators
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return _dominators(g)
+
+        monkeypatch.setattr(raagme.combinatorics, "_dominators", counted)
+        for ue in (True, False):
+            calls.clear()
+            b = build_ext_ball(raag(c5), 2, ue=ue)
+            i = b.standard_node("v1")
+            assert star_complement_connectivity_check(b, i, {i}).interior_connected
+            ball_json(ue_restriction(b))
+            ball_json(ball_prefix(b, 1))
+            assert calls == [c5]
+        empty = build_ext_ball(raag(SimpleGraph([])), 2, ue=True)
+        assert empty.n_nodes == 0 and empty.untransvectable == frozenset()
+        assert ue_restriction(build_ext_ball(raag(SimpleGraph([])), 2)).untransvectable == \
+            frozenset()
+        assert calls == [c5]
 
 
 class TestStarSeparation:
@@ -285,9 +312,9 @@ class TestStarComplementConnectivity:
 
         def counted(g):
             calls.append(g)
-            return has_finite_out(g)
+            return cv_classification(g)
 
-        monkeypatch.setattr(raagme.extension, "has_finite_out", counted)
+        monkeypatch.setattr(raagme.extension, "cv_classification", counted)
         b = build_ext_ball(raag(c5), 2)
         for v in c5.sorted_vertices():
             i = b.standard_node(v)
@@ -326,7 +353,7 @@ class TestBallInvariants:
             for i in range(b.n_nodes):
                 for j in range(i + 1, b.n_nodes):
                     z = conjs[j].inverse() * gens[i] * conjs[j]
-                    expected = z.support() <= star(graph, b.nodes[j].vertex)
+                    expected = support(z) <= star(graph, b.nodes[j].vertex)
                     assert (j in b.adjacency[i]) == expected, (i, j)
                     assert commutator_adjacent(b, i, j) == expected, (i, j)
 

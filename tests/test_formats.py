@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from raagme.combinatorics import (is_strongly_untransvectable, is_transvectable_subgraph,
+from raagme.combinatorics import (is_collapsible, is_strongly_untransvectable,
                                   is_transvectable_vertex)
 from raagme.errors import InputError, ParseError
 from raagme.extension import build_ext_ball
@@ -190,8 +190,7 @@ ECHO_CASES = {
     "rank": (lambda x: raag(_C5).rank(x), "unknown vertex 'zz'"),
     "is_transvectable_vertex": (lambda x: is_transvectable_vertex(_C5, x),
                                 "unknown vertex 'zz'"),
-    "is_transvectable_subgraph": (lambda x: is_transvectable_subgraph(_C5, {x}),
-                                  "unknown vertex 'zz'"),
+    "is_collapsible": (lambda x: is_collapsible(_C5, {"v1", x}), "unknown vertex 'zz'"),
     "is_strongly_untransvectable": (lambda x: is_strongly_untransvectable(_C5, x),
                                     "unknown vertex 'zz'"),
     "star_gluing_kernel-vertex": (lambda x: star_gluing_kernel(_C5, x, 2),
@@ -235,6 +234,8 @@ UNHASHABLE_CASES = {
     "has_vertex": (lambda: _PATH.has_vertex(["a"]), _UNHASHABLE),
     "has_edge": (lambda: _PATH.has_edge("b", ["a"]), _UNHASHABLE),
     "full_subgraph": (lambda: full_subgraph(_PATH, [["a"]]), _UNHASHABLE),
+    "rank": (lambda: raag(_PATH).rank(["a"]), _UNHASHABLE),
+    "is_collapsible": (lambda: is_collapsible(_PATH, [["a"]]), _UNHASHABLE),
     "node_index": (lambda: build_ext_ball(raag(_PATH), 0).node_index((), ["a"]), _UNHASHABLE),
     "canonical_parabolic": (lambda: canonical_parabolic(raag(_PATH), (), ["a"]), _UNHASHABLE),
     "edge": (lambda: SimpleGraph(["a", "b"], [(["a"], "b")]),

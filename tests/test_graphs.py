@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from raagme.errors import InputError
 from raagme.graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
-                           edgeless_graph, full_subgraph, join_factors, link, opposite_graph,
-                           path_graph, perp, star)
+                           edgeless_graph, full_subgraph, link, opposite_graph, path_graph,
+                           perp, star)
 
 
 def test_construction_rejects_bad_input():
@@ -37,6 +39,18 @@ def test_full_subgraph_c5_nonadjacent():
     g = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
     h = full_subgraph(g, {"v1", "v3"})
     assert h.n_vertices == 2 and h.n_edges == 0
+
+
+def test_full_subgraph_matches_filtered_edges(atlas6):
+    # the induced subgraph read off the members' adjacency equals the one
+    # built by filtering every edge of g
+    for g in atlas6[5] + atlas6[6][::5]:
+        verts = g.sorted_vertices()
+        for k in range(len(verts) + 1):
+            for s in itertools.combinations(verts, k):
+                h = full_subgraph(g, s)
+                assert h == SimpleGraph(s, [(u, w) for u, w in g.edges() if u in s and w in s])
+                assert h.sorted_vertices() == list(s)
 
 
 def test_full_subgraph_unknown_vertex():
@@ -91,33 +105,6 @@ def test_opposite_is_involution(atlas6):
     for n in (3, 5):
         for g in atlas6[n]:
             assert opposite_graph(opposite_graph(g)) == g
-
-
-def test_join_factors():
-    tri = complete_graph(["a", "b", "c"])
-    assert join_factors(tri) == [frozenset({"a"}), frozenset({"b"}), frozenset({"c"})]
-    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
-    assert join_factors(c5) == [frozenset(c5.vertices)]
-    square = cycle_graph(["a", "b", "c", "d"])
-    assert join_factors(square) == [frozenset({"a", "c"}), frozenset({"b", "d"})]
-    with pytest.raises(InputError):
-        join_factors(SimpleGraph([]))
-
-
-def test_join_factors_reconstruct(atlas6):
-    # the factors, pairwise joined, give back the original graph
-    for g in atlas6[5]:
-        factors = join_factors(g)
-        edges = set()
-        for f in factors:
-            edges.update(full_subgraph(g, f).edges())
-        for i, f1 in enumerate(factors):
-            for f2 in factors[i + 1:]:
-                for u in f1:
-                    for w in f2:
-                        assert g.has_edge(u, w)
-                        edges.add((min(u, w), max(u, w)))
-        assert sorted(edges) == g.edges()
 
 
 def test_connected_components():
