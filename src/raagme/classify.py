@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 from .combinatorics import cv_classification, has_finite_out
-from .extension import ball_graph, ball_prefix, build_ball_of_types
+from .extension import ball_graph, ball_prefix, build_ext_ball
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
 from .subgroups import gluing_classes
@@ -120,13 +120,11 @@ def invariant_report(p, ball_bound=2):
     if p.graph.n_vertices == 0:
         raise InputError("invariant report is undefined for the trivial presentation")
     reduced = clique_reduce(p)
-    rg = reduced.graph
-    # one domination pass: the classification also gives the types of the
-    # untransvectable ball and the transvection half of finite Out
-    cv = cv_classification(rg)
     # one untransvectable ball at the largest radius, sliced for the
-    # smaller ones; a negative bound asks for no fingerprints
-    ue = build_ball_of_types(raag(rg), max(ball_bound, 0), cv.untransvectable)
+    # smaller ones; a negative bound asks for no fingerprints.  The CV
+    # classification that picked its types gives the flags below.
+    ue = build_ext_ball(raag(reduced.graph), max(ball_bound, 0), ue=True)
+    cv = ue.classification
     fingerprints = tuple((L, canonical_hash(ball_graph(ball_prefix(ue, L))))
                          for L in range(ball_bound + 1))
     return InvariantReport(

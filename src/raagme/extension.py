@@ -6,7 +6,10 @@ ball of radius L collects the canonical handles (``words.ParabolicHandle``,
 the ball's nodes) whose conjugator has word length at most L; the radius-0
 slice is a copy of the defining graph.  The untransvectable ball keeps the
 nodes whose vertex is untransvectable; ``build_ext_ball(p, L, ue=True)``
-builds it directly.
+builds it directly.  Every ball is built by ``build_ext_ball``, which
+classifies the defining graph once and hands that CV classification to the
+ball; a ball cut out of another (``ue_restriction``, ``ball_prefix``) keeps
+the classification of the ball it is cut from.
 
 Edges come from ``words.commutation_adjacency``, which reads them off each
 node's link.  By Servatius the centralizer of v is G_st(v), and the
@@ -31,7 +34,6 @@ never lex ordered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification
@@ -41,9 +43,11 @@ from .words import commutation_adjacency, enumerate_cyclic_handles, translate_co
 class ExtBall:
     """Radius-L truncation of the extension graph; the nodes are canonical handles."""
 
-    def __init__(self, presentation, L, nodes, adjacency):
+    def __init__(self, presentation, L, nodes, adjacency, classification):
         self.presentation = presentation
         self.L = L
+        self.classification = classification    # of the defining graph; None if it is empty
+        self.untransvectable = frozenset(classification.untransvectable if classification else ())
         self.nodes = tuple(nodes)
         self.adjacency = tuple(frozenset(a) for a in adjacency)
         self._index = {node.key(): i for i, node in enumerate(self.nodes)}
@@ -80,20 +84,12 @@ class ExtBall:
         """Indices of nodes with conjugator length at most L-1."""
         return self._interior
 
-    @cached_property
-    def _classification(self):
-        """The one CV classification every flag of the ball reads (None if the graph is empty)."""
-        return _classify(self.presentation.graph)
 
-    @cached_property
-    def untransvectable(self):
-        """The untransvectable vertices, the types of the untransvectable nodes."""
-        cv = self._classification
-        return frozenset(cv.untransvectable if cv else ())
-
-
-def _classify(g):
-    return cv_classification(g) if g.n_vertices else None
+def _integer(x, what):
+    """x, if it is an int and not a bool; otherwise an InputError naming what x is."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {echo(x)}")
+    return x
 
 
 def build_ext_ball(p, L, ue=False):
@@ -103,33 +99,20 @@ def build_ext_ball(p, L, ue=False):
     The neighbours of g<v>g^-1 are the g x<w>x^-1 g^-1 with w in lk(v) and
     x in G_lk(v), so ``commutation_adjacency`` lists the x<w>x^-1 once per
     edge v - w of the defining graph and looks each node's candidates up
-    among the handles.  With ue=True only handles of untransvectable type
-    are built (conjugator letters still range over every vertex): the ball
-    ue_restriction cuts out of the full one, holding the CV classification
-    that picked its types.
+    among the handles.  The defining graph is classified once, here, and
+    the ball holds that classification.  With ue=True only handles of the
+    untransvectable types it names are built (conjugator letters still
+    range over every vertex): the ball ue_restriction cuts out of the full one.
     """
-    if not ue:
-        return build_ball_of_types(p, L, p.graph.vertices)
-    cv = _classify(p.graph)
-    ball = build_ball_of_types(p, L, cv.untransvectable if cv else ())
-    ball._classification = cv
-    return ball
-
-
-def build_ball_of_types(p, L, types):
-    """The canonical cyclic handles g<v>g^-1 of conjugator length <= L with v in types.
-
-    ``build_ext_ball`` passes every vertex, or the untransvectable ones; a
-    caller that already holds the CV classification passes its
-    ``untransvectable`` and so skips a second domination pass.
-    """
-    if L < 0:
+    if _integer(L, "ball radius") < 0:
         raise InputError("ball radius must be >= 0")
     if not p.is_unit_rank():
         raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
-    nodes = sorted(enumerate_cyclic_handles(p, types, p.graph.vertices, L),
-                   key=lambda h: h.sort_key())
-    return ExtBall(p, L, nodes, commutation_adjacency(nodes))
+    g = p.graph
+    cv = cv_classification(g) if g.n_vertices else None
+    types = cv.untransvectable if ue and cv else g.vertices    # no cv: no vertices either
+    nodes = enumerate_cyclic_handles(p, types, g.vertices, L)
+    return ExtBall(p, L, nodes, commutation_adjacency(nodes), cv)
 
 
 def _restrict(b, keep, L):
@@ -137,10 +120,7 @@ def _restrict(b, keep, L):
     renum = {old: new for new, old in enumerate(keep)}
     nodes = [b.nodes[i] for i in keep]
     adjacency = [frozenset(renum[j] for j in b.adjacency[i] if j in renum) for i in keep]
-    ball = ExtBall(b.presentation, L, nodes, adjacency)
-    if "_classification" in vars(b):    # hand on a classification b has read
-        ball._classification = b._classification
-    return ball
+    return ExtBall(b.presentation, L, nodes, adjacency, b.classification)
 
 
 def ue_restriction(b):
@@ -151,7 +131,7 @@ def ue_restriction(b):
 
 def ball_prefix(b, L):
     """The radius-L ball inside b (untransvectable if b is)."""
-    if not 0 <= L <= b.L:
+    if not 0 <= _integer(L, "ball radius") <= b.L:
         raise InputError(f"radius {L} outside 0..{b.L}")
     return _restrict(b, [i for i, n in enumerate(b.nodes) if n.length <= L], L)
 
@@ -215,7 +195,7 @@ class SeparationReport:
 
 
 def star_separation_check(b, v_index):
-    if not 0 <= v_index < b.n_nodes:
+    if not 0 <= _integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
     if b.presentation.graph.n_vertices <= 1:
         raise DomainError("star separation requires a non-cyclic ambient group")
@@ -264,14 +244,14 @@ class ConnectivityReport:
 
 
 def star_complement_connectivity_check(b, v_index, x_indices):
-    if not 0 <= v_index < b.n_nodes:
+    if not 0 <= _integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
-    cv = b._classification
+    x = frozenset(_integer(i, "node index") for i in x_indices)
+    cv = b.classification
     if cv is not None and not cv.out_finite:
         raise DomainError(
             "hypothesis violated: Out of the ambient group must be finite "
             "(the defining graph admits a transvection or a partial conjugation)")
-    x = frozenset(x_indices)
     stv = b.star_of(v_index)
     lkv = b.adjacency[v_index]
     if not x <= stv or x == stv:

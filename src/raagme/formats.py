@@ -17,7 +17,7 @@ import re
 
 from .errors import ParseError, echo
 from .graphs import SimpleGraph
-from .presentation import GraphProductPresentation
+from .presentation import MAX_RANK, GraphProductPresentation
 
 
 def presentation_to_json_dict(p):
@@ -166,8 +166,12 @@ def parse_dot_presentation(text):
                                  "accepted", line=line)
             take("=")
             val, _, vline = take()
-            if not val.isdigit() or int(val) < 1:
+            digits = val.lstrip("0")
+            if not (val.isascii() and val.isdigit()) or not digits:
                 raise ParseError(f"rank of {echo(v)} must be an integer >= 1, got {echo(val)}",
+                                 line=vline)
+            if len(digits) > len(str(MAX_RANK)):    # before int() reads every digit
+                raise ParseError(f"rank of {echo(v)} exceeds the supported bound {MAX_RANK}",
                                  line=vline)
             ranks[v] = int(val)
             tok, _, _ = peek()

@@ -319,8 +319,7 @@ def commutation_adjacency(handles):
     for v in by_type:
         for w in [u for u in adj[v] if u > v and u in by_type]:
             st_w = star(p.graph, w)
-            rs = sorted((h.length, h.conjugator)
-                        for h in enumerate_cyclic_handles(p, {w}, adj[v], L))
+            rs = [(h.length, h.conjugator) for h in enumerate_cyclic_handles(p, {w}, adj[v], L)]
             for i in by_type[v]:
                 g = handles[i].conjugator
                 budget = L - _letter_length(_strip_to_coset_rep(adj, g, st_w))
@@ -344,7 +343,10 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     Breadth-first over conjugator word length with canonical deduplication;
     every handle whose canonical conjugator is a word of length at most
     ``length_bound`` over the letter vertices appears exactly once, in
-    ``key()`` order.
+    ``sort_key()`` order: by conjugator length, then type, then conjugator.
+    That is the node order of an extension ball, and for a single type it is
+    the (length, conjugator) order in which ``commutation_adjacency`` stops
+    at the first conjugator longer than its budget.
     """
     if length_bound < 0:
         raise InputError("conjugator length bound must be >= 0")
@@ -369,4 +371,4 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
                     handles[key] = h2 = ParabolicHandle(p, conj, t)
                     nxt.append(h2)
         frontier = nxt
-    return [handles[k] for k in sorted(handles)]
+    return sorted(handles.values(), key=ParabolicHandle.sort_key)

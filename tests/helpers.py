@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from raagme.combinatorics import is_collapsible, untransvectable_vertices
+from raagme.combinatorics import cv_classification, is_collapsible, untransvectable_vertices
 from raagme.errors import DomainError, InputError
 from raagme.extension import (ExtBall, SeparationEntry, SeparationReport, _components,
                               ball_graph, build_ext_ball, ue_restriction)
@@ -616,6 +616,7 @@ def build_ext_ball_by_pairs(p, L, ue=False):
     g = p.graph
     types = untransvectable_vertices(g) if ue else g.vertices
     nodes = sorted(enumerate_cyclic_handles(p, types, g.vertices, L), key=lambda h: h.sort_key())
+    classification = cv_classification(g) if g.n_vertices else None
     gens = [h.generator_word() for h in nodes]
     adjacency = [set() for _ in nodes]
     for i in range(len(nodes)):
@@ -623,7 +624,7 @@ def build_ext_ball_by_pairs(p, L, ue=False):
             if normalizes(nodes[i], gens[j]):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
-    return ExtBall(p, L, nodes, adjacency)
+    return ExtBall(p, L, nodes, adjacency, classification)
 
 
 def _conjugates_commute(adj, g_inv, h, st_v, st_w):

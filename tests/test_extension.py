@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
                      commutator_adjacent, prism, star_separation_by_nodes, support,
                      translate_index, ue_ball_fingerprint)
+from raagme.classify import invariant_report
 from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
-from raagme.extension import (ExtBall, ball_graph, ball_json, ball_prefix, build_ball_of_types,
-                              build_ext_ball, star_complement_connectivity_check,
-                              star_separation_check, ue_restriction)
+from raagme.extension import (ExtBall, ball_graph, ball_json, ball_prefix, build_ext_ball,
+                              star_complement_connectivity_check, star_separation_check,
+                              ue_restriction)
 from raagme.words import commutation_adjacency
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -56,6 +57,9 @@ class TestBallConstruction:
             build_ext_ball(p, 1)
         with pytest.raises(InputError):
             build_ext_ball(z2p(), -1)
+        for radius in ("1", 1.5, True, None):
+            with pytest.raises(InputError, match="ball radius must be an integer"):
+                build_ext_ball(z2p(), radius)
 
     def test_node_count_monotone(self, c5):
         p = raag(c5)
@@ -122,9 +126,6 @@ class TestUeRestriction:
                 ball_json(ue_restriction(build_ext_ball(p, L)))
         for graph, L in named:
             direct = build_ext_ball(raag(graph), L, ue=True)
-            # the types invariant_report hands over from its CV classification
-            assert ball_json(build_ball_of_types(
-                raag(graph), L, cv_classification(graph).untransvectable)) == ball_json(direct)
             for k in range(L + 1):
                 assert canonical_hash(ball_graph(ball_prefix(direct, k))) == \
                     ue_ball_fingerprint(graph, k)
@@ -136,9 +137,9 @@ class TestUeRestriction:
             assert (n.vertex in b.untransvectable) == (not is_transvectable_vertex(
                 counterexample_graph, n.vertex))
 
-    def test_full_ball_makes_no_domination_pass(self, counterexample_graph, monkeypatch):
-        # only the untransvectable ball needs the untransvectable vertices to
-        # build; a full ball classifies its graph on the first read of a flag
+    def test_ball_build_makes_one_domination_pass(self, counterexample_graph, monkeypatch):
+        # every ball classifies its graph when it is built, full or
+        # untransvectable, and no later read of a flag classifies it again
         import raagme.combinatorics
         from raagme.combinatorics import _dominators
         calls = []
@@ -149,16 +150,14 @@ class TestUeRestriction:
 
         monkeypatch.setattr(raagme.combinatorics, "_dominators", counted)
         p = raag(counterexample_graph)
-        b = build_ext_ball(p, 1)
-        assert calls == []
-        doc = ball_json(b)
-        assert calls == [counterexample_graph]
-        ball_json(b)
-        assert calls == [counterexample_graph]
-        assert sum(n["untransvectable"] for n in doc["nodes"]) == ue_restriction(b).n_nodes
-        calls.clear()
-        build_ext_ball(p, 1, ue=True)
-        assert calls == [counterexample_graph]
+        for ue in (False, True):
+            calls.clear()
+            b = build_ext_ball(p, 1, ue=ue)
+            assert calls == [counterexample_graph]
+            doc = ball_json(b)
+            ball_json(b)
+            assert sum(n["untransvectable"] for n in doc["nodes"]) == ue_restriction(b).n_nodes
+            assert calls == [counterexample_graph]
 
     def test_one_domination_pass_per_ball(self, c5, monkeypatch):
         # the finite-Out check and the untransvectable flags read one CV
@@ -186,6 +185,25 @@ class TestUeRestriction:
         assert ue_restriction(build_ext_ball(raag(SimpleGraph([])), 2)).untransvectable == \
             frozenset()
         assert calls == [c5]
+
+    def test_one_classification_per_ball_family(self, c5, counterexample_graph, f3_graph, p3):
+        # a ball cut out of another holds the very classification object of
+        # the ball it is cut from, and invariant_report reads its flags off
+        # the classification of its untransvectable ball
+        for graph in (c5, counterexample_graph, SimpleGraph([])):
+            for ue in (False, True):
+                b = build_ext_ball(raag(graph), 2, ue=ue)
+                assert ue_restriction(b).classification is b.classification
+                assert ball_prefix(b, 1).classification is b.classification
+                assert ball_prefix(ue_restriction(b), 0).classification is b.classification
+        for graph in (c5, counterexample_graph, prism(), f3_graph, p3):
+            rep = invariant_report(raag(graph), ball_bound=1)
+            rg = clique_reduce(raag(graph)).graph
+            cv = build_ext_ball(raag(rg), 1, ue=True).classification
+            assert (rep.out_finite, rep.untransvectable, rep.nonabelian_untransvectable_class,
+                    rep.all_untransvectable_strongly) == \
+                (cv.out_finite, cv.untransvectable, cv.nonabelian_untransvectable_class,
+                 cv.all_untransvectable_strongly)
 
 
 class TestStarSeparation:
@@ -230,7 +248,7 @@ class TestStarSeparation:
         # translates of length 2 are nodes of it, so the length bound is the
         # longest conjugator, not L
         b2 = build_ext_ball(raag(c5), 2)
-        hand = ExtBall(b2.presentation, 1, b2.nodes, b2.adjacency)
+        hand = ExtBall(b2.presentation, 1, b2.nodes, b2.adjacency, b2.classification)
         for b in (ue, prefix, hand):
             for i in sorted(b.interior()):
                 assert star_separation_check(b, i) == star_separation_by_nodes(b, i)
@@ -266,6 +284,13 @@ class TestStarSeparation:
         b = build_ext_ball(raag(c5), 0)
         with pytest.raises(InputError):
             star_separation_check(b, 99)
+        for index in ("1", 0.0, True, None):
+            with pytest.raises(InputError, match="node index must be an integer"):
+                star_separation_check(b, index)
+            with pytest.raises(InputError, match="node index must be an integer"):
+                star_complement_connectivity_check(b, index, [])
+            with pytest.raises(InputError, match="node index must be an integer"):
+                star_complement_connectivity_check(b, 0, [0, index])
 
     def test_cyclic_ambient_rejected(self):
         b = build_ext_ball(raag(SimpleGraph(["a"])), 1)
@@ -530,3 +555,6 @@ class TestExport:
         assert ball_json(ball_prefix(big, 1)) == doc
         with pytest.raises(InputError):
             ball_prefix(big, 3)
+        for radius in (0.5, "1", False):
+            with pytest.raises(InputError, match="ball radius must be an integer"):
+                ball_prefix(big, radius)

@@ -149,6 +149,14 @@ class TestDot:
     def test_bad_rank(self):
         with pytest.raises(ParseError, match="rank"):
             parse_dot_presentation("graph { a [rank=0]; }")
+        # only ASCII digits are a rank: a superscript two and an Arabic-Indic
+        # three pass str.isdigit but are refused
+        for digit in ("\u00b2", "\u0663"):
+            with pytest.raises(ParseError, match="line 2: rank of 'a' must be an integer"):
+                parse_dot_presentation(f'graph {{\n a [rank="{digit}"]; }}')
+        # an over-long rank is refused before int() reads it, with its line
+        with pytest.raises(ParseError, match="line 3: rank of 'a' exceeds the supported bound"):
+            parse_dot_presentation("graph {\n b;\n a [rank=" + "9" * 5000 + "]; }")
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(ParseError, match="line 2"):
