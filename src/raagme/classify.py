@@ -196,7 +196,11 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     isomorphism; exact "not_equivalent" answers cite a separating invariant;
     search exhaustion returns "unknown" with the budget echoed (the
     star-gluing enumeration is not known to reach every finite-index RAAG
-    subgroup, so absence of a witness is not a disproof).
+    subgroup, so absence of a witness is not a disproof).  The search is
+    bounded by min(max_vertices, |lam|) vertices, lam being the
+    clique-reduced graph of h, and hands back only the classes with lam's
+    degree sequence; lam and each of them are canonized only for that
+    comparison, and the first with lam's canonical key is the witness.
     """
     # trivial and cyclic (amenable) groups first: Z^m and Z^n are orbit
     # equivalent for all m, n >= 1, and an amenable group is never measure
@@ -234,19 +238,24 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
             "the clique-reduced form of H has an untransvectable vertex that is "
             "not strongly untransvectable, while every untransvectable vertex on "
             "the finite-Out side is; measure equivalence preserves this property")
-    # look lam's canonical key up as the search runs; the isomorphism is
-    # read off the two canonical orders, as find_isomorphism does
-    classes = gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps)
-    target = canonical_form(lam)
+    # the search yields only the classes with lam's degree sequence; lam is
+    # canonized at the first of them, and the isomorphism is read off the
+    # two canonical orders, as find_isomorphism does
+    classes = gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps,
+                             lam.degree_sequence())
+    target = None
     while True:
         try:
-            cf, w = next(classes)
+            cls = next(classes)
         except StopIteration as done:
             truncated = done.value
             break
-        if cf.key == target.key:
+        if target is None:
+            target = canonical_form(lam)
+        if cls.form.key == target.key:
+            w = cls.witness
             witness = {"chain": w.chain_json(), "index": w.index}
-            witness.update(_iso_witness(dict(zip(cf.order, target.order))))
+            witness.update(_iso_witness(dict(zip(cls.form.order, target.order))))
             return Decision(
                 EQUIVALENT, "finite-index-witness",
                 f"H is a graph product of free abelian groups over the defining "

@@ -246,7 +246,11 @@ class ConnectivityReport:
 def star_complement_connectivity_check(b, v_index, x_indices):
     if not 0 <= _integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
-    x = frozenset(_integer(i, "node index") for i in x_indices)
+    try:
+        members = iter(x_indices)
+    except TypeError:
+        raise InputError(f"removed node indices must be iterable, got {echo(x_indices)}") from None
+    x = frozenset(_integer(i, "node index") for i in members)
     cv = b.classification
     if cv is not None and not cv.out_finite:
         raise DomainError(

@@ -170,7 +170,8 @@ def parse_dot_presentation(text):
             if not (val.isascii() and val.isdigit()) or not digits:
                 raise ParseError(f"rank of {echo(v)} must be an integer >= 1, got {echo(val)}",
                                  line=vline)
-            if len(digits) > len(str(MAX_RANK)):    # before int() reads every digit
+            # the length test keeps int() from reading an over-long rank
+            if len(digits) > len(str(MAX_RANK)) or int(digits) > MAX_RANK:
                 raise ParseError(f"rank of {echo(v)} exceeds the supported bound {MAX_RANK}",
                                  line=vline)
             ranks[v] = int(val)

@@ -91,6 +91,10 @@ class SimpleGraph:
                     out.append((v, w))
         return sorted(out)
 
+    def degree_sequence(self):
+        """Sorted tuple of the vertex degrees, an isomorphism invariant."""
+        return tuple(sorted(len(ns) for ns in self._adj.values()))
+
     @property
     def n_vertices(self):
         return len(self._adj)

@@ -6,7 +6,9 @@ index k; its defining graph consists of k copies of the original graph glued
 along the closed star of the chosen vertex.  Closing under this construction
 (up to composition depth and vertex budget) enumerates a family of
 finite-index subgroups; the search makes no completeness claim, so consumers
-must treat exhaustion as "unknown", never as "no".
+must treat exhaustion as "unknown", never as "no".  Each class found is a
+GluingClass: its first witness and its degree sequence, with the canonical
+form computed only when the search or the caller needs it.
 """
 
 from __future__ import annotations
@@ -80,59 +82,102 @@ class EnumerationResult:
     truncated: bool
 
 
-def gluing_classes(g, max_vertices, max_steps):
+def _multiplicities(n, st_size, max_vertices):
+    """The k of the gluings along a star of st_size vertices that stay within budget."""
+    if st_size == n:
+        # gluing along the whole graph returns the same graph for every k;
+        # a single k is enough for iso classes
+        return range(2, 3) if n <= max_vertices else range(0)
+    # k * n - (k - 1) * st_size <= max_vertices
+    return range(2, (max_vertices - st_size) // (n - st_size) + 1)
+
+
+class GluingClass:
+    """An isomorphism class met by the gluing search, canonized on first use.
+
+    Carries the first witness found for the class and the sorted degree
+    sequence of its graph, an isomorphism invariant that separates most
+    classes without a canonical form.
+    """
+
+    __slots__ = ("witness", "degrees", "_form")
+
+    def __init__(self, witness):
+        self.witness = witness
+        self.degrees = witness.graph.degree_sequence()
+        self._form = None
+
+    @property
+    def form(self):
+        if self._form is None:
+            self._form = canonical_form(self.witness.graph)
+        return self._form
+
+    def expandable(self, max_vertices):
+        """Whether some gluing of this graph stays within max_vertices."""
+        n = len(self.degrees)
+        return any(_multiplicities(n, d + 1, max_vertices) for d in set(self.degrees))
+
+
+def gluing_classes(g, max_vertices, max_steps, target=None):
     """Check the bounds, then start the search of _gluing_classes."""
     if max_vertices < 0 or max_steps < 0:
         raise InputError("enumeration bounds must be >= 0")
-    return _gluing_classes(g, max_vertices, max_steps)
+    return _gluing_classes(g, max_vertices, max_steps, target)
 
 
-def _gluing_classes(g, max_vertices, max_steps):
+def _gluing_classes(g, max_vertices, max_steps, target):
     """Breadth-first star-gluing search behind enumerate_findex_graphs.
 
-    Yields (CanonicalForm, FiniteIndexWitness) for each new isomorphism
-    class, in discovery order, and returns ``truncated``.  A frontier graph
-    is glued only at the least vertex of each automorphism orbit: gluing at
-    v and at its image under an automorphism gives isomorphic children, and
-    the class found first always comes from the least vertex of its orbit.
-    Callers check that Out of g is finite.
+    Yields a GluingClass for each new isomorphism class, in discovery order,
+    and returns ``truncated``.  Given a ``target`` degree sequence, it yields
+    only the new classes with that sequence.  A frontier graph is glued only
+    at the least vertex of each automorphism orbit: gluing at v and at its
+    image under an automorphism gives isomorphic children, and the class
+    found first always comes from the least vertex of its orbit.  Callers
+    check that Out of g is finite.
+
+    A class is canonized only when the search glues it (the orbits need its
+    form), or when an earlier class has the same degree sequence (then keys
+    decide newness; a new sequence is a new class), or by the caller.  A
+    child the search will not glue and will not yield needs no newness
+    test, except until the last level's first new class, which sets
+    ``truncated``; it is still recorded, so later newness tests stay exact.
     """
-    base = (canonical_form(g), FiniteIndexWitness((), 1, g))
-    seen = {base[0].key}
-    yield base
+    base = GluingClass(FiniteIndexWitness((), 1, g))
+    met = {base.degrees: [base]}     # every class met, by degree sequence
+    if target in (None, base.degrees):
+        yield base
     frontier = [base]
     # Size-pruned gluings only ever lead to graphs above the vertex budget
     # (the vertex count never shrinks along a chain), so the search is only
     # genuinely cut short when the depth limit leaves a frontier unexplored.
     truncated = g.n_vertices > max_vertices
-    for _ in range(max_steps):
+    for step in range(max_steps):
         if not frontier:
             break
+        last = step == max_steps - 1
         nxt = []
-        for cf, w in frontier:
+        for cls in frontier:
+            if not cls.expandable(max_vertices):
+                continue
+            w = cls.witness
             cur = w.graph
-            n = cur.n_vertices
-            for v in cf.orbit_representatives():
-                st_size = len(star(cur, v))
-                if st_size == n:
-                    # gluing along the whole graph returns the same graph
-                    # for every k; a single k is enough for iso classes
-                    ks = [2] if n <= max_vertices else []
-                else:
-                    ks = []
-                    k = 2
-                    while k * n - (k - 1) * st_size <= max_vertices:
-                        ks.append(k)
-                        k += 1
-                for k in ks:
-                    child = star_gluing_kernel(cur, v, k)
-                    ccf = canonical_form(child)
-                    if ccf.key in seen:
+            for v in cls.form.orbit_representatives():
+                for k in _multiplicities(cur.n_vertices, len(cur.neighbors(v)) + 1,
+                                         max_vertices):
+                    child = GluingClass(FiniteIndexWitness(
+                        w.chain + ((v, k),), w.index * k, star_gluing_kernel(cur, v, k)))
+                    wanted = target in (None, child.degrees)
+                    decide = wanted or (child.expandable(max_vertices) if not last else not nxt)
+                    peers = met.setdefault(child.degrees, [])
+                    if decide and any(p.form.key == child.form.key for p in peers):
                         continue
-                    seen.add(ccf.key)
-                    found = (ccf, FiniteIndexWitness(w.chain + ((v, k),), w.index * k, child))
-                    yield found
-                    nxt.append(found)
+                    peers.append(child)
+                    if decide:
+                        nxt.append(child)
+                    if wanted:
+                        yield child
         frontier = nxt
     return truncated or bool(frontier)
 
@@ -156,6 +201,6 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
     witnesses = []
     while True:
         try:
-            witnesses.append(next(classes)[1])
+            witnesses.append(next(classes).witness)
         except StopIteration as done:
             return EnumerationResult(tuple(witnesses), done.value)

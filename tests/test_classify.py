@@ -1,12 +1,16 @@
+import functools
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import prism, ue_ball_fingerprint
+from helpers import prism, ue_ball_fingerprint, unpruned_gluing_search
 from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
-from raagme.isomorphism import canonical_hash
+from raagme.isomorphism import canonical_form, canonical_hash
 from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
 from raagme.subgroups import star_gluing_kernel
 from raagme.classify import decide_me, decide_oe, invariant_report
@@ -218,6 +222,30 @@ class TestDecideMe:
         enumerate_findex_graphs(c5, 16, 2)
         assert calls == [c5, c5]
 
+    def test_canonizations_counted(self, c5, monkeypatch):
+        # a class of the gluing search is canonized only when it is glued,
+        # when an earlier class has its degree sequence, or when it is
+        # compared with lam; counted through both modules' bindings
+        import raagme.classify
+        import raagme.subgroups
+        from raagme.subgroups import enumerate_findex_graphs
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(raagme.classify, "canonical_form", counted, raising=False)
+        monkeypatch.setattr(raagme.subgroups, "canonical_form", counted)
+        assert len(enumerate_findex_graphs(c5, 16, 2).witnesses) == 12
+        assert len(calls) == 12
+        calls.clear()
+        # no gluing of C5 fits in six vertices, and C6's degree sequence is
+        # not C5's, so neither the base nor lam is canonized
+        m = decide_me(c5, raag(cycle_graph([f"h{i}" for i in range(6)])))
+        assert m.reason_code == "search-exhausted" and not m.witness["search_truncated"]
+        assert calls == []
+
     def test_depth_two_chain(self, c5):
         # 15 vertices, reached by no single gluing of C5
         h = relabel(star_gluing_kernel(star_gluing_kernel(c5, "v1", 2), "v3", 3),
@@ -329,3 +357,47 @@ def test_decide_oe_relabel_invariant(atlas6, data):
             assert sorted(iso.values()) == gg.sorted_vertices()
             assert sorted(tuple(sorted((iso[u], iso[w]))) for u, w in lam.edges()) == \
                 gg.edges()
+
+
+def swapped_edges(g):
+    """g after its first degree-preserving swap ab, cd -> ad, cb, or None."""
+    edges = g.edges()
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            rest = [e for e in edges if e not in ((a, b), (c, d))]
+            return SimpleGraph(g.sorted_vertices(), rest + [(a, d), (c, b)])
+    return None
+
+
+def test_decide_me_matches_unpruned_search(atlas7):
+    # the lazily canonized search against the slow reference: the
+    # reference's first class isomorphic to lam gives the witness, and when
+    # none is, its truncation flag is search_truncated.  H runs over the
+    # classes glued within 16 vertices and 3 steps (some beyond a 2-step
+    # budget) and their degree-preserving edge swaps, which mostly reach no
+    # class; so the search meets children of exactly lam's size and last
+    # levels whose first new class sets the flag.
+    outcomes = Counter()
+    for g in (g for n in range(1, 8) for g in atlas7[n] if has_finite_out(g)):
+        reference = functools.cache(lambda mv, ms, g=g: unpruned_gluing_search(g, mv, ms))
+        glued = [h for _, _, h in reference(16, 3)[0]]
+        hs = glued + [h for h in map(swapped_edges, glued) if h is not None]
+        for (max_vertices, max_steps), h in itertools.product(((24, 3), (16, 2), (14, 3)), hs):
+            d = decide_me(g, raag(h), max_vertices, max_steps)
+            if d.reason_code not in ("finite-index-witness", "search-exhausted"):
+                continue
+            lam = clique_reduce(raag(h)).graph
+            found, truncated = reference(min(max_vertices, lam.n_vertices), max_steps)
+            key = canonical_form(lam).key
+            first = next(((chain, index) for chain, index, graph in found
+                          if canonical_form(graph).key == key), None)
+            if first is None:
+                assert d.verdict == "unknown"
+                assert d.witness["search_truncated"] == truncated
+                outcomes["unknown", truncated] += 1
+            else:
+                assert d.verdict == "equivalent"
+                assert [(c["vertex"], c["k"]) for c in d.witness["chain"]] == list(first[0])
+                assert d.witness["index"] == first[1]
+                outcomes["equivalent"] += 1
+    assert min(outcomes[k] for k in ("equivalent", ("unknown", True), ("unknown", False))) > 50

@@ -291,6 +291,9 @@ class TestStarSeparation:
                 star_complement_connectivity_check(b, index, [])
             with pytest.raises(InputError, match="node index must be an integer"):
                 star_complement_connectivity_check(b, 0, [0, index])
+        for x_indices in (None, 3):
+            with pytest.raises(InputError, match="removed node indices must be iterable"):
+                star_complement_connectivity_check(b, 0, x_indices)
 
     def test_cyclic_ambient_rejected(self):
         b = build_ext_ball(raag(SimpleGraph(["a"])), 1)

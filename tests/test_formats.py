@@ -10,7 +10,7 @@ from raagme.formats import (load_presentation, parse_dot_presentation,
                             parse_json_presentation, parse_presentation,
                             presentation_to_json_dict, sniff_format)
 from raagme.graphs import SimpleGraph, cycle_graph, full_subgraph, path_graph, perp
-from raagme.presentation import GraphProductPresentation, clique_reduce, raag
+from raagme.presentation import MAX_RANK, GraphProductPresentation, clique_reduce, raag
 from raagme.subgroups import star_gluing_kernel
 from raagme.words import canonical_parabolic, word
 
@@ -157,6 +157,10 @@ class TestDot:
         # an over-long rank is refused before int() reads it, with its line
         with pytest.raises(ParseError, match="line 3: rank of 'a' exceeds the supported bound"):
             parse_dot_presentation("graph {\n b;\n a [rank=" + "9" * 5000 + "]; }")
+        # so is a rank of as many digits as the bound but above it
+        with pytest.raises(ParseError, match="line 3: rank of 'b' exceeds the supported bound"):
+            parse_dot_presentation("graph {\n a;\n b [rank=70000]; }")
+        assert parse_dot_presentation(f"graph {{ a [rank={MAX_RANK}]; }}").rank("a") == MAX_RANK
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(ParseError, match="line 2"):
