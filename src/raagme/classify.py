@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification, has_finite_out
 from .extension import ball_graph, ball_prefix, build_ext_ball
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
@@ -60,8 +60,9 @@ class RigidityReport:
 
     When both hold and the untransvectable extension graphs agree, a
     finite-index embedding is the only way the groups can be measure
-    equivalent; the report annotates "unknown" verdicts with whichever
-    hypothesis fails.
+    equivalent.  decide_me answers "not_equivalent" when either fails on the
+    side of H, so the report it attaches to an "unknown" verdict always has
+    both holding.
     """
 
     no_nonabelian_untransvectable_class: bool
@@ -119,6 +120,8 @@ class InvariantReport:
 def invariant_report(p, ball_bound=2):
     if p.graph.n_vertices == 0:
         raise InputError("invariant report is undefined for the trivial presentation")
+    if isinstance(ball_bound, bool) or not isinstance(ball_bound, int):
+        raise InputError(f"ball bound must be an integer, got {echo(ball_bound)}")
     reduced = clique_reduce(p)
     # one untransvectable ball at the largest radius, sliced for the
     # smaller ones; a negative bound asks for no fingerprints.  The CV
@@ -241,8 +244,7 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     # the search yields only the classes with lam's degree sequence; lam is
     # canonized at the first of them, and the isomorphism is read off the
     # two canonical orders, as find_isomorphism does
-    classes = gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps,
-                             lam.degree_sequence())
+    classes = gluing_classes(gamma_g, max_vertices, max_steps, lam.degree_sequence())
     target = None
     while True:
         try:

@@ -30,7 +30,7 @@ from .classify import decide_me, decide_oe, invariant_report
 from .combinatorics import out_inventory
 from .extension import ball_json, build_ext_ball
 from .formats import load_presentation, presentation_to_json_dict
-from .presentation import clique_reduce, expand_to_raag, raag
+from .presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
 from .subgroups import enumerate_findex_graphs
 
 VERDICT_EXIT = {"equivalent": 0, "not_equivalent": 1, "unknown": 3}
@@ -43,6 +43,16 @@ def _json_dump(doc):
 def _defining_graph(p):
     """Defining graph of the group presented by p (expand non-unit ranks)."""
     return p.graph if p.is_unit_rank() else expand_to_raag(p)
+
+
+def _finite_out_graph(p):
+    """_defining_graph of p with every rank capped at 2, for the finite-Out commands.
+
+    A rank of 2 or more expands to twins, hence a transvection, so the capped
+    graph has finite Out exactly when the full one has, at a fixed size.
+    """
+    return _defining_graph(GraphProductPresentation(
+        p.graph, {v: min(r, 2) for v, r in p.ranks.items()}))
 
 
 def _cmd_analyze(args):
@@ -143,14 +153,14 @@ ME_RULE = ("measure equivalent iff H is a graph product of free abelian groups "
 def _cmd_oe(args):
     pg = load_presentation(args.g_file)
     h = load_presentation(args.h_file)
-    decision = decide_oe(_defining_graph(pg), h)
+    decision = decide_oe(_finite_out_graph(pg), h)
     return _decision_output(args, decision, OE_RULE)
 
 
 def _cmd_me(args):
     pg = load_presentation(args.g_file)
     h = load_presentation(args.h_file)
-    decision = decide_me(_defining_graph(pg), h,
+    decision = decide_me(_finite_out_graph(pg), h,
                          max_vertices=args.max_vertices, max_steps=args.max_steps)
     return _decision_output(args, decision, ME_RULE)
 
@@ -172,7 +182,7 @@ def _cmd_extball(args):
 
 def _cmd_subgroups(args):
     p = load_presentation(args.file)
-    g = _defining_graph(p)
+    g = _finite_out_graph(p)
     result = enumerate_findex_graphs(g, args.max_vertices, args.max_steps)
     if args.format == "json":
         return 0, _json_dump({

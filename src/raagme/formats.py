@@ -6,7 +6,8 @@ JSON schema::
 
 Ranks default to 1.  The DOT subset accepts node and edge statements only
 (``a;``, ``a [rank=2];``, ``a -- b;``, chains ``a -- b -- c;``), ``//``, ``#``
-and ``/* */`` comments, and an optional ``graph NAME { ... }`` wrapper.
+and ``/* */`` comments, and an optional ``graph NAME { ... }`` or
+``strict graph NAME { ... }`` wrapper.  A DOT syntax error names its line.
 Duplicate edges are collapsed; self-loops and duplicate ids are rejected.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import ParseError, echo
+from .errors import InputError, ParseError, echo
 from .graphs import SimpleGraph
 from .presentation import MAX_RANK, GraphProductPresentation
 
@@ -32,7 +33,7 @@ def _presentation_from_parts(names, ranks, edges):
     try:
         graph = SimpleGraph(names, sorted(set(edges)))
         return GraphProductPresentation(graph, ranks)
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -89,133 +90,110 @@ _DOT_NAME = r'(?:[A-Za-z_][A-Za-z0-9_.]*|[0-9]+|"(?:[^"\\]|\\.)*")'
 _DOT_TOKEN = re.compile(
     r'\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/'
     rf'|(?P<name>{_DOT_NAME})'
-    r'|(?P<op>--|\{|\}|\[|\]|=|;|,)',
+    r'|(?P<op>--|\{|\}|\[|\]|=|;|,)'
+    r'|(?P<bad>.)',
     re.DOTALL,
 )
 
 
-def _dot_tokens(text):
-    pos = 0
-    line = 1
-    out = []
-    while pos < len(text):
-        m = _DOT_TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {echo(text[pos])}", line=line)
-        chunk = m.group(0)
-        if m.lastgroup == "name":
-            name = chunk
-            if name.startswith('"'):
-                name = re.sub(r'\\(.)', r'\1', name[1:-1])
-            out.append((name, "name", line))
-        elif m.lastgroup == "op":
-            out.append((chunk, "op", line))
-        line += chunk.count("\n")
-        pos = m.end()
-    return out
-
-
 def parse_dot_presentation(text):
-    tokens = _dot_tokens(text)
-    i = 0
+    def fail(message, offset):
+        return ParseError(message, line=text.count("\n", 0, offset) + 1)
 
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, "eof", tokens[-1][2] if tokens else 1)
+    # every token is scanned before parsing, so a bad character anywhere wins
+    # over an earlier syntax error; the end of input is a token of its own,
+    # at the offset of the last token
+    tokens = []
+    for m in _DOT_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        tok = m.group()
+        if kind == "bad":
+            raise fail(f"unexpected character {echo(tok)}", m.start())
+        if tok[0] == '"':
+            tok = re.sub(r'\\(.)', r'\1', tok[1:-1])
+        tokens.append((tok, kind, m.start()))
+    tokens.append((None, "eof", tokens[-1][2] if tokens else 0))
+    i = 0
 
     def take(expect=None):
         nonlocal i
-        tok, kind, line = peek()
+        tok, kind, offset = tokens[i]
         if tok is None:
-            raise ParseError("unexpected end of input", line=line)
+            raise fail("unexpected end of input", offset)
         if expect is not None and tok != expect:
-            raise ParseError(f"expected {echo(expect)}, got {echo(tok)}", line=line)
+            raise fail(f"expected {echo(expect)}, got {echo(tok)}", offset)
         i += 1
-        return tok, kind, line
+        return tok, kind, offset
 
-    tok, kind, line = peek()
+    tok, kind, offset = tokens[0]
     if tok == "digraph":
-        raise ParseError("directed graphs are not supported", line=line)
+        raise fail("directed graphs are not supported", offset)
     if kind == "name" and tok in ("graph", "strict"):
-        take()
-        tok, kind, _ = peek()
-        if kind == "name":
-            take()  # optional graph name
+        i = 2 if tokens[1][1] == "name" else 1    # an optional graph name
     take("{")
 
-    names, ranks = [], {}
-    edges = []
-
-    def declare(v, line):
-        if v in ("graph", "node", "edge", "digraph", "subgraph", "strict"):
-            raise ParseError(f"unsupported DOT keyword {echo(v)}; only node and edge "
-                             "statements are accepted", line=line)
-        if v not in ranks:
-            names.append(v)
-            ranks[v] = 1
-
-    def read_attrs(v):
-        take("[")
-        while True:
-            tok, kind, line = take()
-            if tok == "]":
-                break
-            if kind != "name":
-                raise ParseError(f"expected attribute name, got {echo(tok)}", line=line)
-            if tok != "rank":
-                raise ParseError(f"unsupported attribute {echo(tok)}; only rank=n is "
-                                 "accepted", line=line)
-            take("=")
-            val, _, vline = take()
-            digits = val.lstrip("0")
-            if not (val.isascii() and val.isdigit()) or not digits:
-                raise ParseError(f"rank of {echo(v)} must be an integer >= 1, got {echo(val)}",
-                                 line=vline)
-            # the length test keeps int() from reading an over-long rank
-            if len(digits) > len(str(MAX_RANK)) or int(digits) > MAX_RANK:
-                raise ParseError(f"rank of {echo(v)} exceeds the supported bound {MAX_RANK}",
-                                 line=vline)
-            ranks[v] = int(val)
-            tok, _, _ = peek()
-            if tok == ",":
-                take(",")
-
-    while True:
-        tok, kind, line = peek()
-        if tok == "}":
-            take("}")
-            break
+    names, ranks, edges = [], {}, []
+    while tokens[i][0] != "}":
+        tok, kind, start = tokens[i]
         if kind != "name":
-            raise ParseError(f"expected a node or edge statement, got {echo(tok)}", line=line)
-        v, _, vline = take()
-        declare(v, vline)
-        tok, _, _ = peek()
-        chain = [v]
-        while tok == "--":
-            take("--")
-            w, wkind, wline = take()
-            if wkind != "name":
-                raise ParseError(f"expected a vertex name after '--', got {echo(w)}",
-                                 line=wline)
-            declare(w, wline)
-            if w == chain[-1]:
-                raise ParseError(f"loop edge at {echo(w)} not allowed", line=wline)
-            edges.append((min(chain[-1], w), max(chain[-1], w)))
-            chain.append(w)
-            tok, _, _ = peek()
+            raise fail(f"expected a node or edge statement, got {echo(tok)}", start)
+        # the names of a node statement, or of an edge chain joined by '--'
+        prev = None
+        while True:
+            v, kind, offset = take()
+            if kind != "name":
+                raise fail(f"expected a vertex name after '--', got {echo(v)}", offset)
+            if v in ("graph", "node", "edge", "digraph", "subgraph", "strict"):
+                raise fail(f"unsupported DOT keyword {echo(v)}; only node and edge "
+                           "statements are accepted", offset)
+            if v not in ranks:
+                names.append(v)
+                ranks[v] = 1
+            if prev is not None:
+                if v == prev:
+                    raise fail(f"loop edge at {echo(v)} not allowed", offset)
+                edges.append((min(prev, v), max(prev, v)))
+            if tokens[i][0] != "--":
+                break
+            i += 1
+            prev = v
+        tok = tokens[i][0]
         if tok == "[":
-            if len(chain) > 1:
-                raise ParseError("edge attributes are not supported", line=line)
-            read_attrs(v)
-            tok, _, _ = peek()
+            if prev is not None:
+                raise fail("edge attributes are not supported", start)
+            i += 1
+            while True:
+                key, kind, offset = take()
+                if key == "]":
+                    break
+                if kind != "name":
+                    raise fail(f"expected attribute name, got {echo(key)}", offset)
+                if key != "rank":
+                    raise fail(f"unsupported attribute {echo(key)}; only rank=n is "
+                               "accepted", offset)
+                take("=")
+                val, _, offset = take()
+                digits = val.lstrip("0")
+                if not (val.isascii() and val.isdigit()) or not digits:
+                    raise fail(f"rank of {echo(v)} must be an integer >= 1, got {echo(val)}",
+                               offset)
+                # the length test keeps int() from reading an over-long rank
+                if len(digits) > len(str(MAX_RANK)) or int(digits) > MAX_RANK:
+                    raise fail(f"rank of {echo(v)} exceeds the supported bound {MAX_RANK}",
+                               offset)
+                ranks[v] = int(val)
+                if tokens[i][0] == ",":
+                    i += 1
+            tok = tokens[i][0]
         if tok == ";":
-            take(";")
-        elif tok == "}":
-            continue
-        else:
-            raise ParseError(f"expected ';' or '}}', got {echo(tok)}", line=line)
-    tok, kind, line = peek()
+            i += 1
+        elif tok != "}":
+            raise fail(f"expected ';' or '}}', got {echo(tok)}", start)
+    tok, _, offset = tokens[i + 1]
     if tok is not None:
-        raise ParseError(f"trailing content {echo(tok)} after closing brace", line=line)
+        raise fail(f"trailing content {echo(tok)} after closing brace", offset)
     return _presentation_from_parts(names, ranks, edges)
 
 

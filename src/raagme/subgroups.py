@@ -120,9 +120,14 @@ class GluingClass:
 
 
 def gluing_classes(g, max_vertices, max_steps, target=None):
-    """Check the bounds, then start the search of _gluing_classes."""
+    """Check the bounds, then search; a target caps max_vertices at its length."""
+    for bound in (max_vertices, max_steps):
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise InputError(f"enumeration bounds must be integers, got {echo(bound)}")
     if max_vertices < 0 or max_steps < 0:
         raise InputError("enumeration bounds must be >= 0")
+    if target is not None:
+        max_vertices = min(max_vertices, len(target))
     return _gluing_classes(g, max_vertices, max_steps, target)
 
 

@@ -202,6 +202,17 @@ class TestDecideMe:
         for bound in ({"max_steps": -1}, {"max_vertices": -1}):
             with pytest.raises(InputError, match="bounds must be >= 0"):
                 decide_me(c5, double, **bound)
+        # so are bounds that are not integers, bools included
+        for bound, echoed in (({"max_vertices": "24"}, "'24'"), ({"max_steps": 2.0}, "2.0"),
+                              ({"max_steps": None}, "None"), ({"max_vertices": True}, "True")):
+            with pytest.raises(InputError) as info:
+                decide_me(c5, double, **bound)
+            assert str(info.value) == f"enumeration bounds must be integers, got {echoed}"
+        # a ball bound must be an integer too; a negative one asks for no fingerprints
+        for bound in ("2", None, 2.0, False):
+            with pytest.raises(InputError, match="ball bound must be an integer"):
+                invariant_report(raag(c5), ball_bound=bound)
+        assert invariant_report(raag(c5), ball_bound=-1).ue_ball_fingerprints == ()
 
     def test_finite_out_checked_once(self, c5, monkeypatch):
         # decide_me and enumerate_findex_graphs each evaluate has_finite_out

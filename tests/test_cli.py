@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -277,3 +278,25 @@ def test_usage_error_exit_two():
         [sys.executable, "-m", "raagme.cli", "frobnicate"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_finite_out_commands_refuse_high_rank_at_once(tmp_path):
+    # a rank above 1 gives twins, hence infinite Out; oe, me and subgroups
+    # say so without expanding the 65,536-clique (about 2 * 10^9 edges)
+    doc = json.loads((FIXTURES / "c5ranks.json").read_text())
+    doc["vertices"][0]["rank"] = 65536
+    g = tmp_path / "c5huge.json"
+    g.write_text(json.dumps(doc))
+    out_g = ("error: hypothesis violated: Out(G) must be finite (the defining graph "
+             "of G admits a transvection or a partial conjugation)\n")
+    out_base = ("error: hypothesis violated: Out of the base group must be finite (the "
+                "defining graph admits a transvection or a partial conjugation)\n")
+    for argv, text in ((["oe", str(g), fx("c5.json")], out_g),
+                       (["me", str(g), fx("c5.json"), "--exit-status"], out_g),
+                       (["subgroups", str(g)], out_base)):
+        start = time.perf_counter()
+        assert run_command(argv) == (2, text)
+        assert time.perf_counter() - start < 1.0
+    # the bounds are still checked first
+    assert run_command(["subgroups", str(g), "--max-steps", "-1"]) == (
+        2, "error: enumeration bounds must be >= 0\n")

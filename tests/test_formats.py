@@ -167,6 +167,58 @@ class TestDot:
             parse_dot_presentation("graph {\n a -- ; \n}")
 
 
+# (DOT text, its exact ParseError message)
+DOT_ERRORS = {
+    # the end of input counts at the line of the last token, or line 1
+    "eof-statement": ("graph {\n a;\n\n", "line 2: expected a node or edge statement, got None"),
+    "eof-edge": ("graph {\n a -- \n\n", "line 2: unexpected end of input"),
+    "eof-attributes": ("graph {\n a [rank=2,\n\n", "line 2: unexpected end of input"),
+    "eof-empty": ("", "line 1: unexpected end of input"),
+    "eof-blank": ("  \n\n", "line 1: unexpected end of input"),
+    # every character is scanned before parsing: the '@' wins over the ';'
+    "bad-character-first": ("graph { a -- ;\n @ }", "line 2: unexpected character '@'"),
+    "unclosed-comment": ("graph\n{ /* a\n }", "line 2: unexpected character '/'"),
+    # "strict graph" reads "graph" as the graph name
+    "strict-graph-name": ("strict graph G { a; }", "line 1: expected '{', got 'G'"),
+    # newlines inside comments and quoted names count
+    "comment-newlines": ("graph {\n/* one\ntwo */ a -- @ }", "line 3: unexpected character '@'"),
+    "quoted-newlines": ('graph { /* a\n*/ "p\nq" -- ;\n}',
+                        "line 3: expected a vertex name after '--', got ';'"),
+    # these carry the line of the statement's first token
+    "edge-attributes": ("graph {\n a -- b\n [rank=2]; }",
+                        "line 2: edge attributes are not supported"),
+    "no-separator": ("graph {\n a\n [rank=2] b }", "line 2: expected ';' or '}', got 'b'"),
+    "trailing": ("graph {\n a; } b", "line 2: trailing content 'b' after closing brace"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOT_ERRORS))
+def test_dot_error_message_and_line(case):
+    text, message = DOT_ERRORS[case]
+    with pytest.raises(ParseError) as info:
+        parse_dot_presentation(text)
+    assert str(info.value) == message
+
+
+def test_dot_accepts_strict_and_escapes():
+    assert parse_dot_presentation("strict graph { a; }").graph.sorted_vertices() == ["a"]
+    assert parse_dot_presentation('graph { "q\\"z"; }').graph.sorted_vertices() == ['q"z']
+
+
+def test_graph_construction_errors_pass_through(monkeypatch):
+    # only an InputError of the graph becomes a ParseError
+    import raagme.formats
+
+    def broken(*args):
+        raise RuntimeError("broken constructor")
+
+    monkeypatch.setattr(raagme.formats, "SimpleGraph", broken)
+    with pytest.raises(RuntimeError, match="broken constructor"):
+        parse_dot_presentation("graph { a; }")
+    with pytest.raises(RuntimeError, match="broken constructor"):
+        parse_json_presentation('{"vertices": ["a"]}')
+
+
 class TestRoundTrip:
     def test_json_round_trip(self, c5):
         p = GraphProductPresentation(

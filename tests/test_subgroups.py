@@ -128,6 +128,10 @@ class TestEnumeration:
         for g, bounds in ((c5, (-1, 2)), (c5, (16, -1)), (p3, (-1, 2))):
             with pytest.raises(InputError, match="bounds must be >= 0"):
                 enumerate_findex_graphs(g, *bounds)
+        # so are bounds that are not integers, bools included, also before finite Out
+        for g, bounds in ((c5, (16.5, 2)), (c5, (16, None)), (c5, (16, True)), (p3, ("16", 2))):
+            with pytest.raises(InputError, match="bounds must be integers"):
+                enumerate_findex_graphs(g, *bounds)
 
     def test_infinite_out_rejected(self, p3, f2_graph):
         with pytest.raises(DomainError, match="finite"):
