@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification, has_finite_out
 from .extension import ball_graph, ball_prefix, build_ext_ball
+from .graphs import SimpleGraph
 from .isomorphism import canonical_form, canonical_hash, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
-from .subgroups import gluing_classes
+from .subgroups import check_search_bounds, gluing_classes
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -118,6 +119,8 @@ class InvariantReport:
 
 
 def invariant_report(p, ball_bound=2):
+    if not isinstance(p, GraphProductPresentation):
+        raise InputError("first argument must be a GraphProductPresentation")
     if p.graph.n_vertices == 0:
         raise InputError("invariant report is undefined for the trivial presentation")
     if isinstance(ball_bound, bool) or not isinstance(ball_bound, int):
@@ -140,18 +143,24 @@ def invariant_report(p, ball_bound=2):
     )
 
 
-def _trivial_decision(gamma_g, h):
+def _trivial_decision(gamma_g, h, search_bounds=None):
     """The checks both decisions open with, then the Decision if a group is trivial.
 
-    Raises on an h that is not a presentation, then on a non-empty gamma_g
-    with infinite Out; returns None when neither group is trivial.
+    Raises on a gamma_g that is not a graph or an h that is not a
+    presentation, then on a non-empty gamma_g with infinite Out, then on
+    search_bounds (decide_me's max_vertices and max_steps) that are not
+    integers >= 0; returns None when neither group is trivial.
     """
+    if not isinstance(gamma_g, SimpleGraph):
+        raise InputError("first argument must be a SimpleGraph")
     if not isinstance(h, GraphProductPresentation):
         raise InputError("second argument must be a GraphProductPresentation")
     if gamma_g.n_vertices and not has_finite_out(gamma_g):
         raise DomainError(
             "hypothesis violated: Out(G) must be finite "
             "(the defining graph of G admits a transvection or a partial conjugation)")
+    if search_bounds is not None:
+        check_search_bounds(*search_bounds)
     if gamma_g.n_vertices == h.graph.n_vertices == 0:
         return Decision(EQUIVALENT, "trivial-both", "both groups are trivial")
     if gamma_g.n_vertices == 0 or h.graph.n_vertices == 0:
@@ -208,7 +217,7 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     # trivial and cyclic (amenable) groups first: Z^m and Z^n are orbit
     # equivalent for all m, n >= 1, and an amenable group is never measure
     # equivalent to a non-amenable one
-    trivial = _trivial_decision(gamma_g, h)
+    trivial = _trivial_decision(gamma_g, h, (max_vertices, max_steps))
     if trivial is not None:
         return trivial
     reduced = clique_reduce(h)

@@ -15,7 +15,9 @@ me) also accept ``--exit-status``, which maps their verdict to the exit code:
 0 equivalent, 1 not_equivalent, 3 unknown; exit code 2 is reserved for usage,
 validation and hypothesis errors.  Without the flag, a successful report
 exits 0.
-Reports are byte-deterministic for identical inputs and flags.
+Reports are byte-deterministic for identical inputs and flags.  Every JSON
+report is written by one private emitter, ``_json_dump``, which gives the same
+bytes as ``json.dumps(doc, indent=2)`` followed by a newline.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import RaagmeError
 from .classify import decide_me, decide_oe, invariant_report
@@ -36,8 +39,58 @@ from .subgroups import enumerate_findex_graphs
 VERDICT_EXIT = {"equivalent": 0, "not_equivalent": 1, "unknown": 3}
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def _json_dump(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as ``json.dumps(doc, indent=2) + "\\n"`` writes it, byte for byte.
+
+    CPython's C encoder does not indent, and its Python encoder yields every
+    piece up through each level of nesting; here the pieces go into one list,
+    joined once.  doc holds dicts with str keys, lists, tuples, str, int, bool
+    and None; any other value, or key, raises TypeError.
+    """
+    pieces = []
+    _emit(doc, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _emit(value, newline, pieces):
+    """Append the pieces of value; newline starts each line of its enclosing level."""
+    kind = type(value)
+    if kind is str:
+        pieces.append(encode_basestring_ascii(value))
+    elif kind is int:
+        pieces.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            pieces.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _emit(item, inner, pieces)
+        pieces.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            pieces.append(sep)
+            sep = "," + inner
+            _emit(item, inner, pieces)
+        pieces.append(newline + "]")
+    elif kind is bool or value is None:
+        pieces.append(_CONSTANTS[value])
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _defining_graph(p):

@@ -126,11 +126,9 @@ def _transvections(leq):
 def _star_cuts(g):
     """(v, components of g minus st(v)) for every star that disconnects g."""
     for v in g.sorted_vertices():
-        rest = g.vertices - star(g, v)
-        if rest:
-            comps = connected_components(full_subgraph(g, rest))
-            if len(comps) >= 2:
-                yield v, comps
+        comps = connected_components(g, without=star(g, v))
+        if len(comps) >= 2:
+            yield v, comps
 
 
 def out_inventory(g):

@@ -176,22 +176,31 @@ def opposite_graph(g):
     return SimpleGraph(verts, edges)
 
 
-def connected_components(g):
-    """Components as a list of frozensets, ordered by smallest label."""
-    seen = set()
+def connected_components(g, without=frozenset()):
+    """Components as a list of frozensets, ordered by smallest label.
+
+    The vertices in ``without`` count as removed: the result is the
+    components of the full subgraph spanned by the other vertices.  A label
+    in ``without`` that is not a vertex of g removes nothing.
+    """
+    try:
+        seen = set(without)
+    except TypeError:
+        raise InputError("vertices to remove must be an iterable of hashable ids, "
+                         f"got {echo(without)}") from None
     comps = []
     for root in g.sorted_vertices():
         if root in seen:
             continue
-        comp = {root}
+        seen.add(root)
+        comp = [root]
         stack = [root]
         while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
+            for w in g._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
                     stack.append(w)
-        seen |= comp
         comps.append(frozenset(comp))
     return comps
 

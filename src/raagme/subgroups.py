@@ -119,13 +119,18 @@ class GluingClass:
         return any(_multiplicities(n, d + 1, max_vertices) for d in set(self.degrees))
 
 
-def gluing_classes(g, max_vertices, max_steps, target=None):
-    """Check the bounds, then search; a target caps max_vertices at its length."""
+def check_search_bounds(max_vertices, max_steps):
+    """Raise InputError unless both bounds of the gluing search are integers >= 0."""
     for bound in (max_vertices, max_steps):
         if isinstance(bound, bool) or not isinstance(bound, int):
             raise InputError(f"enumeration bounds must be integers, got {echo(bound)}")
     if max_vertices < 0 or max_steps < 0:
         raise InputError("enumeration bounds must be >= 0")
+
+
+def gluing_classes(g, max_vertices, max_steps, target=None):
+    """Check the bounds, then search; a target caps max_vertices at its length."""
+    check_search_bounds(max_vertices, max_steps)
     if target is not None:
         max_vertices = min(max_vertices, len(target))
     return _gluing_classes(g, max_vertices, max_steps, target)
@@ -198,6 +203,8 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
     order).  ``truncated`` is set when either bound cut the search, so an
     unmatched target means "not found within budget", not "does not exist".
     """
+    if not isinstance(g, SimpleGraph):
+        raise InputError("first argument must be a SimpleGraph")
     classes = gluing_classes(g, max_vertices, max_steps)
     if not has_finite_out(g):
         raise DomainError(

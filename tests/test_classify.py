@@ -12,7 +12,7 @@ from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
 from raagme.isomorphism import canonical_form, canonical_hash
 from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
-from raagme.subgroups import star_gluing_kernel
+from raagme.subgroups import enumerate_findex_graphs, star_gluing_kernel
 from raagme.classify import decide_me, decide_oe, invariant_report
 
 
@@ -214,6 +214,21 @@ class TestDecideMe:
                 invariant_report(raag(c5), ball_bound=bound)
         assert invariant_report(raag(c5), ball_bound=-1).ue_ball_fingerprints == ()
 
+    def test_bounds_checked_before_first_verdict(self, c5):
+        # a trivial, cyclic or invariant-separated H decides without the
+        # search, yet bad bounds are refused first, with the search's messages
+        point = raag(SimpleGraph(["a"]))
+        empty = raag(SimpleGraph([]))
+        for h in (point, empty, raag(c5)):
+            with pytest.raises(InputError) as info:
+                decide_me(c5, h, max_vertices="x")
+            assert str(info.value) == "enumeration bounds must be integers, got 'x'"
+            with pytest.raises(InputError) as info:
+                decide_me(c5, h, max_steps=-1)
+            assert str(info.value) == "enumeration bounds must be >= 0"
+        with pytest.raises(InputError, match="bounds must be >= 0"):
+            decide_me(SimpleGraph([]), empty, max_vertices=-1)
+
     def test_finite_out_checked_once(self, c5, monkeypatch):
         # decide_me and enumerate_findex_graphs each evaluate has_finite_out
         # once, counted through both modules' bindings
@@ -412,3 +427,28 @@ def test_decide_me_matches_unpruned_search(atlas7):
                 assert d.witness["index"] == first[1]
                 outcomes["equivalent"] += 1
     assert min(outcomes[k] for k in ("equivalent", ("unknown", True), ("unknown", False))) > 50
+
+
+# (entry point called with an argument of the wrong type, its message)
+WRONG_TYPE_CASES = {
+    "invariant_report": (lambda c5: invariant_report(c5),
+                         "first argument must be a GraphProductPresentation"),
+    "decide_oe-G": (lambda c5: decide_oe(raag(c5), raag(c5)),
+                    "first argument must be a SimpleGraph"),
+    "decide_oe-H": (lambda c5: decide_oe(c5, c5),
+                    "second argument must be a GraphProductPresentation"),
+    "decide_me-G": (lambda c5: decide_me(raag(c5), raag(c5)),
+                    "first argument must be a SimpleGraph"),
+    "decide_me-H": (lambda c5: decide_me(c5, c5),
+                    "second argument must be a GraphProductPresentation"),
+    "enumerate_findex_graphs": (lambda c5: enumerate_findex_graphs(raag(c5), 10, 1),
+                                "first argument must be a SimpleGraph"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE_CASES))
+def test_entry_points_check_argument_types(case, c5):
+    call, message = WRONG_TYPE_CASES[case]
+    with pytest.raises(InputError) as info:
+        call(c5)
+    assert str(info.value) == message

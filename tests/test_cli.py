@@ -5,8 +5,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from raagme.cli import _UsageExit, main, run_command
+from raagme.cli import _UsageExit, _json_dump, main, run_command
 from raagme.combinatorics import cv_classification
 from raagme.extension import ball_json, build_ext_ball
 from raagme.formats import load_presentation, parse_json_presentation
@@ -300,3 +302,41 @@ def test_finite_out_commands_refuse_high_rank_at_once(tmp_path):
     # the bounds are still checked first
     assert run_command(["subgroups", str(g), "--max-steps", "-1"]) == (
         2, "error: enumeration bounds must be >= 0\n")
+
+
+# every report goes through cli._json_dump; json.dumps(indent=2), the path it
+# replaced, is the oracle.  Strings cover quotes, backslashes, control and
+# non-ASCII characters, astral characters and lone surrogates.
+_JSON_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r", "\u00e9\u4e2d",
+                     "\U0001f600", "\ud800", "a\udfffb", ""]))
+_JSON_LEAVES = st.one_of(
+    _JSON_TEXT, st.integers(), st.integers(min_value=2 ** 64), st.integers(max_value=-1),
+    st.booleans(), st.none())
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_JSON_TEXT, inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_json_dump_matches_json_dumps(doc):
+    assert _json_dump(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_dump_deep_and_empty_containers():
+    doc = {"empty": [{}, [], ()], "leaves": [None, True, False, -1, 2 ** 70]}
+    for depth in range(60):
+        doc = {f"level {depth}": [doc, {}], "tail": []} if depth % 2 else [doc, []]
+    assert _json_dump(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": [0.0]}, {1, 2}, [{"a": frozenset()}],
+                                 {1: "one"}, {"a": {None: 1}}])
+def test_json_dump_refuses_other_types(doc):
+    # json.dumps would print the float and the non-str keys; no report holds them
+    with pytest.raises(TypeError):
+        _json_dump(doc)

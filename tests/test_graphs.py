@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagme.errors import InputError
 from raagme.graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
@@ -114,3 +117,41 @@ def test_connected_components():
     c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
     rest = full_subgraph(c5, c5.vertices - {"v1", "v2", "v5"})
     assert connected_components(rest) == [frozenset({"v3", "v4"})]
+    assert connected_components(c5, without=star(c5, "v1")) == [frozenset({"v3", "v4"})]
+    # a label that is not a vertex removes nothing; a bad collection is an input error
+    assert connected_components(c5, without={"zz"}) == [c5.vertices]
+    for bad in (3, [["v1"]]):
+        with pytest.raises(InputError, match="vertices to remove must be an iterable"):
+            connected_components(c5, without=bad)
+
+
+def assert_without_matches_subgraph(g, s):
+    # the components of the full subgraph on the remaining vertices are the oracle
+    assert connected_components(g, without=s) == connected_components(
+        full_subgraph(g, g.vertices - s))
+
+
+def test_components_without_matches_full_subgraph(atlas7):
+    rng = random.Random(7)
+    for graphs in atlas7.values():
+        for g in graphs:
+            verts = g.sorted_vertices()
+            for v in verts:
+                assert_without_matches_subgraph(g, star(g, v))
+            for _ in range(3):
+                assert_without_matches_subgraph(
+                    g, frozenset(v for v in verts if rng.random() < 0.4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_components_without_matches_full_subgraph_random(data):
+    n = data.draw(st.integers(0, 30))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(verts, 2))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = SimpleGraph(verts, [e for e, keep in zip(pairs, mask) if keep])
+    for v in verts:
+        assert_without_matches_subgraph(g, star(g, v))
+    removed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assert_without_matches_subgraph(g, frozenset(v for v, r in zip(verts, removed) if r))
