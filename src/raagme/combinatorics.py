@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError, InputError, echo
-from .graphs import connected_components, full_subgraph, link, opposite_graph, star
+from .graphs import connected_components, link, star
 from .isomorphism import automorphism_count
 
 
@@ -92,10 +92,11 @@ def cv_classification(g):
             kind[cls] = "abelian" if adjacent else "non-abelian"
     maximal = [cls for cls in classes if leq[min(cls)] <= cls]
     untrans = tuple(v for v, up in leq.items() if len(up) == 1)
+    untrans_set = frozenset(untrans)
     return CvClassification(
         leq, tuple(classes), kind, tuple(maximal), untrans,
         any(kind[cls] == "non-abelian" for cls in maximal),
-        all(_strongly_untransvectable(g, v, untrans) for v in untrans), g)
+        all(_strongly_untransvectable(g, v, untrans_set) for v in untrans), g)
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,19 @@ def is_strongly_untransvectable(g, v):
 
 
 def _strongly_untransvectable(g, v, untrans):
-    """Every component of the opposite graph of lk(v) meets the vertices untrans."""
-    return all(not comp.isdisjoint(untrans) for comp in
-               connected_components(opposite_graph(full_subgraph(g, link(g, v)))))
+    """Every component of the opposite graph of lk(v) meets the set untrans.
+
+    The components are searched over the non-edges of lk(v) in place: the
+    unreached link vertices that x is not adjacent to are its neighbours in
+    the opposite graph.
+    """
+    rest = set(link(g, v))
+    while rest:
+        comp = [rest.pop()]
+        for x in comp:
+            apart = rest - g.neighbors(x)
+            rest -= apart
+            comp += apart
+        if untrans.isdisjoint(comp):
+            return False
+    return True

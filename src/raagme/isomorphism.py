@@ -3,19 +3,27 @@
 Canonical forms of plain (uncolored) graphs are computed by color
 refinement plus individualization with backtracking, so repeated calls agree
 and isomorphism answers are reproducible byte for byte.  The search starts
-from the unit partition.  After an individualization, refinement keys only
-the neighbours of the individualized vertex, then those of the pieces that
+from the unit partition, with the swaps of twins (vertices of equal open or
+closed neighbourhoods) already among its automorphisms, so it prunes by
+their orbits from the root on: the orbit pruning of McKay and Piperno
+(*Practical graph isomorphism II*, 2014), seeded with automorphisms read
+straight off the graph.  The seeds change only which nodes the search
+visits and which automorphisms it records, never the canonical form or the
+group order.  After an individualization, refinement keys only the
+neighbours of the individualized vertex, then those of the pieces that
 split, leaving out the last piece of each split cell (Hopcroft's trick, as
-in McKay and Piperno, *Practical graph isomorphism II*, 2014).  A node
-filters the automorphisms that fix its prefix only once it needs their
-orbits.  The search keeps its own stack, so its depth is not bounded by
+in the same paper).  A node filters the automorphisms that fix its prefix
+only once it needs their orbits.  The search keeps its own stack, so its depth is not bounded by
 Python recursion, and it runs with the cyclic garbage collector paused.  A
 leaf whose trace ties the best leaf's is first tested as an automorphism
 image of it, in one pass over the edges.  The search is exponential in the
 worst case: on a 2-core Xeon with CPython 3.11 the 885-node radius-3
-untransvectable extension-graph ball of the 5-cycle canonizes in about
-0.55 s, and the 5,779-node one of ``tests/fixtures/c5double.json`` in about
-35 s.
+untransvectable extension-graph ball of the 5-cycle, which has no twins,
+canonizes in about 0.36 s (14,528 search nodes), and the 5,779-node one of
+``tests/fixtures/c5double.json`` in about 33 s (342,218 nodes).  The 5-cycle
+with one vertex expanded to a 400-clique (404 vertices, 80,603 edges)
+canonizes in about 0.85 s: its 400 twins give 399 seeds, and the search
+makes 801 nodes.
 """
 
 from __future__ import annotations
@@ -127,6 +135,31 @@ def _refine(adj, label, cells, changed):
     return written
 
 
+def _twin_transpositions(adjsets):
+    """The adjacent transpositions of each twin class, as vertex->vertex lists.
+
+    Two vertices are twins when they have the same open neighbourhood or the
+    same closed one, and swapping them is an automorphism.  Twin classes are
+    disjoint.  A vertex u never has twins of both kinds: with N(u) = N(v) and
+    N[u] = N[w], w in N(v) puts v in N[w] = N[u], so u and v are adjacent,
+    which open twins never are.  And an open neighbourhood is never another
+    vertex's closed one: N(u) = N[w] puts w in N(u), so u in N[w] = N(u).
+    So both kinds share one dict.  Classes come in the order of their least
+    members, members in vertex order.
+    """
+    classes = defaultdict(list)
+    for v, nbrs in enumerate(adjsets):
+        classes[nbrs].append(v)
+        classes[nbrs | {v}].append(v)
+    n, seeds = len(adjsets), []
+    for members in sorted(c for c in classes.values() if len(c) > 1):
+        for a, b in zip(members, members[1:]):
+            sigma = list(range(n))
+            sigma[a], sigma[b] = b, a
+            seeds.append(sigma)
+    return seeds
+
+
 class _Orbits:
     """Union-find of points under a growing set of permutations."""
 
@@ -191,11 +224,12 @@ class _Canonizer:
     colour tuples of the two partitions would.  Each node knows whether its
     trace equals the best leaf's so far, so pruning looks at the newest entry
     only.  At every node the target-cell vertices are explored one per orbit
-    of the automorphisms discovered so far that fix the individualized prefix
-    pointwise (equivalent vertices span identical subtrees).  A leaf equal to
-    the best one yields an automorphism that fixes the prefix the two paths
-    share and maps the current branch there onto the explored best branch,
-    so the search returns to that branching node at once.  ``nodes`` counts
+    of the automorphisms known so far that fix the individualized prefix
+    pointwise (equivalent vertices span identical subtrees): the twin swaps,
+    recorded before the search starts, and those the search records.  A
+    leaf equal to the best one yields an automorphism that fixes the prefix
+    the two paths share and maps the current branch there onto the explored
+    best branch, so the search returns to that branching node at once.  ``nodes`` counts
     the nodes refined, pruned ones and leaves included.
     """
 
@@ -206,10 +240,11 @@ class _Canonizer:
         self.best = None          # (key, order)
         self.best_trace = None    # trace entries on the path to best
         self.best_prefix = None   # individualized vertices on the path to best
-        self.automorphisms = []   # permutations as vertex->vertex lists
+        self.adjsets = [frozenset(a) for a in adj]
+        # permutations as vertex->vertex lists, the twin swaps first
+        self.automorphisms = _twin_transpositions(self.adjsets)
         self.nodes = 0
-        self.adjsets = None       # neighbour frozensets, built on the first tie
-        self.higher = None        # each vertex's neighbours above it, likewise
+        self.higher = None        # each vertex's neighbours above it, built on the first tie
 
     def run(self):
         """Search the whole tree; return best.
@@ -267,9 +302,11 @@ class _Canonizer:
             target += 1
         node = _Node()
         node.label, node.cells, node.prefix = label, cells, prefix
-        # the root's stabilizer list is every automorphism; a child's is
-        # filtered from its parent's when _next_vertex first needs it
-        node.entry, node.eq, node.auts = entry, eq, None if stack else []
+        # the root's stabilizer list is every automorphism, the twin swaps
+        # to begin with; a child's is filtered from its parent's when
+        # _next_vertex first needs it
+        node.entry, node.eq = entry, eq
+        node.auts = None if stack else list(self.automorphisms)
         node.target, node.cell = target, cells[target]
         node.explored, node.orbits, node.merged, node.scan = set(), None, 0, 0
         stack.append(node)
@@ -294,8 +331,7 @@ class _Canonizer:
             sigma = [0] * n
             for a, b in zip(order, best_order):
                 sigma[a] = b
-            if self.adjsets is None:
-                self.adjsets = [frozenset(a) for a in adj]
+            if self.higher is None:
                 self.higher = [[w for w in a if w > v] for v, a in enumerate(adj)]
             adjsets, higher, image = self.adjsets, self.higher, sigma.__getitem__
             # sigma is a bijection, so mapping every edge onto an edge is
@@ -374,11 +410,19 @@ class _Canonizer:
         """Order of the automorphism group, by orbit-stabilizer along best_prefix.
 
         Call after run().  A tie never replaces best, so best_prefix leads to
-        the first minimal leaf found.  Every sibling of that path in the orbit
-        of its vertex under the prefix stabilizer is either explored after it
-        (and reaches a minimal leaf, recording an automorphism that maps it
-        onto the path) or pruned as the image of an explored sibling, so the
-        recorded automorphisms give each stabilizer orbit exactly.
+        the first minimal leaf found.  The search tree is equivariant under
+        Aut, and the search drops a subtree only by its trace, or as the
+        image of an earlier, explored one under a recorded automorphism that
+        fixes their shared prefix; so every dropped leaf has an image, with
+        the same trace and key, earlier in depth-first order.  Hence the
+        first minimal leaf in depth-first order of the whole tree is never
+        dropped, and the key, the order and best_prefix do not depend on
+        which genuine automorphisms, the twin swaps here, the search starts
+        with.  Every sibling of that path in the orbit of its vertex under
+        the prefix stabilizer is either explored after it (and reaches a
+        minimal leaf, recording an automorphism that maps it onto the path)
+        or pruned as the image of an explored sibling, so the recorded
+        automorphisms, seeds included, give each stabilizer orbit exactly.
         """
         order = 1
         auts = self.automorphisms

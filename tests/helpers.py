@@ -8,8 +8,10 @@ replaced (products of normal forms, the restart loop of coset stripping, the
 normalizer test on every pair of ball nodes, the commutation test on every
 pair of nodes of adjacent types, one ball per radius, the full ball cut down
 to its untransvectable nodes, full-round refinement with a recursive search,
-refinement keyed by whole changed cells, one validated canonical_parabolic per star-separation translate), kept as
-oracles for the faster ones.  The handle oracles, like the words layer, know
+refinement keyed by whole changed cells, one validated canonical_parabolic
+per star-separation translate, strong untransvectability read off the
+opposite graph of a link built as a graph), kept as oracles for the faster
+ones.  The handle oracles, like the words layer, know
 only cyclic parabolic subgroups g<v>g^-1, the nodes of extension balls.
 Rank-preserving isomorphism of presentations, which the library never needs,
 is checked with networkx.
@@ -28,7 +30,8 @@ from raagme.combinatorics import cv_classification, is_collapsible, untransvecta
 from raagme.errors import DomainError, InputError
 from raagme.extension import (ExtBall, SeparationEntry, SeparationReport, _components,
                               ball_graph, build_ext_ball, ue_restriction)
-from raagme.graphs import SimpleGraph, link, perp, star
+from raagme.graphs import (SimpleGraph, connected_components, full_subgraph, link,
+                           opposite_graph, perp, star)
 from raagme.isomorphism import canonical_form, canonical_hash
 from raagme.presentation import GraphProductPresentation, raag
 from raagme.subgroups import star_gluing_kernel
@@ -91,6 +94,29 @@ def refine_by_rounds(n, adj, colors):
         colors = new
 
 
+def twin_transpositions_by_pairs(adj):
+    """Adjacent transpositions of each twin class, by comparing every pair.
+
+    u and v are twins when N(u) = N(v) or N(u) + u = N(v) + v.  Each class
+    is the least vertex not yet placed with its twins, members in vertex
+    order; each transposition is a vertex->vertex list.
+    """
+    n = len(adj)
+    nbrs = [set(a) for a in adj]
+    placed, seeds = set(), []
+    for u in range(n):
+        if u in placed:
+            continue
+        members = [u] + [v for v in range(u + 1, n)
+                         if nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}]
+        placed.update(members)
+        for a, b in zip(members, members[1:]):
+            sigma = list(range(n))
+            sigma[a], sigma[b] = b, a
+            seeds.append(sigma)
+    return seeds
+
+
 class CanonizerByRounds:
     """Individualization-refinement search for the minimal labeling.
 
@@ -99,19 +125,22 @@ class CanonizerByRounds:
     partial trace already exceeds the best known trace are pruned, and at
     every node the target-cell vertices are explored one per orbit of the
     automorphisms discovered so far that fix the individualized prefix
-    pointwise (equivalent vertices span identical subtrees).  A leaf equal
-    to the best one yields an automorphism that fixes the prefix the two
-    paths share and maps the current branch there onto the explored best
-    branch, so the search returns to that branching node at once.
+    pointwise (equivalent vertices span identical subtrees).  The search
+    starts from the twin transpositions, as the canonizer does, unless
+    ``seeded`` is false.  A leaf equal to the best one yields an
+    automorphism that fixes the prefix the two paths share and maps the
+    current branch there onto the explored best branch, so the search
+    returns to that branching node at once.
     """
 
-    def __init__(self, verts, adj):
+    def __init__(self, verts, adj, seeded=True):
         self.n = len(verts)
         self.verts = verts
         self.adj = adj
         self.best = None          # (trace, key, order)
         self.best_prefix = None   # individualized vertices on the path to best
-        self.automorphisms = []   # permutations as vertex->vertex lists
+        # permutations as vertex->vertex lists
+        self.automorphisms = twin_transpositions_by_pairs(adj) if seeded else []
 
     def _leaf(self, colors, trace, prefix):
         """Compare a leaf with the best; on a tie, return the shared prefix length."""
@@ -290,6 +319,12 @@ def orbit_representatives_by_rounds(canonizer):
 
 
 # -- brute-force automorphism-inventory oracle --------------------------------
+
+def strongly_untransvectable_by_opposite_graph(g, v, untrans):
+    """Every component of the opposite graph of lk(v), built as a graph, meets untrans."""
+    return all(not comp.isdisjoint(untrans) for comp in
+               connected_components(opposite_graph(full_subgraph(g, link(g, v)))))
+
 
 def brute_link(g, v):
     return set(g.neighbors(v))

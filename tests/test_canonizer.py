@@ -1,8 +1,10 @@
 """The incremental canonizer against the full-round recursive one it replaced.
 
-Both must search the same tree: same key and order, the same automorphisms
-recorded in the same order, the same path to the best leaf and the same
-number of nodes, hence the same group order and orbit representatives.
+Both start from the twin transpositions and must search the same tree: same
+key and order, the same automorphisms recorded in the same order, the same
+path to the best leaf and the same number of nodes, hence the same group
+order and orbit representatives.  Without the seeds the full-round search
+still finds the same key, order, group order and orbit representatives.
 """
 
 import math
@@ -20,7 +22,7 @@ from raagme.extension import ball_graph, build_ext_ball, ue_restriction
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, opposite_graph
 from raagme.isomorphism import (_Canonizer, _individualize, _refine, automorphism_count,
                                  canonical_form)
-from raagme.presentation import raag
+from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
 
 
 class CountingCanonizerByRounds(CanonizerByRounds):
@@ -31,16 +33,21 @@ class CountingCanonizerByRounds(CanonizerByRounds):
         return super()._search(*args)
 
 
+def indexed(g):
+    """The sorted vertices of g and their neighbour lists by vertex index."""
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    return verts, [sorted(index[w] for w in g.neighbors(v)) for v in verts]
+
+
 def assert_same_search(g):
     form = canonical_form(g)
     new = form._canonizer
-    verts = g.sorted_vertices()
+    verts, adj = indexed(g)
     if not verts:
         assert new is None and form.key == ()
         return
-    index = {v: i for i, v in enumerate(verts)}
-    old = CountingCanonizerByRounds(verts, [sorted(index[w] for w in g.neighbors(v))
-                                            for v in verts])
+    old = CountingCanonizerByRounds(verts, adj)
     _, key, order = old.run()
     assert form.key == key
     assert form.order == tuple(verts[i] for i in order)
@@ -48,6 +55,17 @@ def assert_same_search(g):
     assert new.best_prefix == old.best_prefix
     assert new.nodes == old.nodes
     assert new.group_order() == old.group_order()
+    assert form.orbit_representatives() == orbit_representatives_by_rounds(old)
+
+
+def assert_seeds_keep_answers(g):
+    form = canonical_form(g)
+    verts, adj = indexed(g)
+    old = CanonizerByRounds(verts, adj, seeded=False)
+    _, key, order = old.run()
+    assert form.key == key
+    assert form.order == tuple(verts[i] for i in order)
+    assert form.group_order() == old.group_order()
     assert form.orbit_representatives() == orbit_representatives_by_rounds(old)
 
 
@@ -118,6 +136,58 @@ def test_same_search_on_edgeless_graphs_and_matchings():
                                                for i in range(k)]))
 
 
+def clique_union(sizes, joined=()):
+    """Disjoint cliques of the given sizes, the pairs of cliques in joined made adjacent."""
+    groups, verts = [], []
+    for k in sizes:
+        groups.append([f"v{len(verts) + i:02d}" for i in range(k)])
+        verts += groups[-1]
+    edges = [(a, b) for grp in groups for i, a in enumerate(grp) for b in grp[i + 1:]]
+    edges += [(a, b) for i, j in joined for a in groups[i] for b in groups[j]]
+    return SimpleGraph(verts, edges)
+
+
+CLIQUE_UNIONS = (((3, 3, 2), ()), ((4, 4), ()), ((2,) * 5, ()), ((1, 1, 3), ()),
+                 ((5, 1), ()), ((3, 2, 2, 1), ((0, 1), (1, 2))),
+                 ((2, 2, 2, 2, 2), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))))
+
+
+def test_seeds_keep_answers(atlas7):
+    # the twin swaps seeded into the search change only its nodes and the
+    # automorphisms it records: the unseeded full-round search finds the
+    # same answers
+    for n in range(1, 8):
+        for g in atlas7[n]:
+            assert_seeds_keep_answers(g)
+    rng = random.Random(64)
+    for _ in range(120):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.05, 0.1, 0.3, 0.5, 0.8, 0.95))
+        verts = [f"v{i:02d}" for i in range(n)]
+        assert_seeds_keep_answers(SimpleGraph(verts, [
+            (verts[i], verts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    for n in range(1, 21):
+        assert_seeds_keep_answers(edgeless_graph([f"v{i:02d}" for i in range(n)]))
+    for sizes, joined in CLIQUE_UNIONS:
+        g = clique_union(sizes, joined)
+        assert_seeds_keep_answers(g)
+        assert_same_search(g)
+
+
+def test_rank_expansion_search_tree_size():
+    # C5 with v1 of rank 12: the 12 closed twins are seeded as 11 swaps, so
+    # the search makes 25 nodes where the unseeded one makes 91
+    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+    g = expand_to_raag(GraphProductPresentation(c5, {"v1": 12, "v2": 1, "v3": 1, "v4": 1,
+                                                     "v5": 1}))
+    form = canonical_form(g)
+    assert form._canonizer.nodes == 25
+    assert len(form._canonizer.automorphisms) == 12
+    assert form.group_order() == 2 * math.factorial(12)
+    assert_same_search(g)
+    assert_seeds_keep_answers(g)
+
+
 def test_same_search_on_relabelled_ue_balls():
     c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
     c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
@@ -183,9 +253,11 @@ class TiedLeafOutcomes(_Canonizer):
 
 # one graph per way a tied leaf can end, from a random search over graphs
 # on 3-12 vertices: its labeling is an automorphism image of the best one,
-# or its first differing row is larger, or smaller (a new best)
+# or its first differing row is larger, or smaller (a new best).  The first
+# is the path on four vertices: a graph with twins has its twin swaps seeded,
+# so the path on three never reaches a tied leaf
 TIED_LEAF_GRAPHS = {
-    "automorphism": (3, [(0, 1), (1, 2)]),
+    "automorphism": (4, [(0, 1), (1, 2), (2, 3)]),
     "larger": (8, [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 5), (4, 6),
                    (4, 7), (5, 7)]),
     "smaller": (8, [(0, 1), (0, 4), (0, 6), (1, 3), (1, 6), (1, 7), (2, 3), (2, 5), (2, 7),

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raagme.cli import _UsageExit, _json_dump, main, run_command
+from raagme.cli import (MAX_DEFINING_EDGES, _UsageExit, _bounded_defining_graph, _json_dump,
+                        main, run_command)
 from raagme.combinatorics import cv_classification
+from raagme.errors import InputError
 from raagme.extension import ball_json, build_ext_ball
 from raagme.formats import load_presentation, parse_json_presentation
-from raagme.presentation import clique_reduce, expand_to_raag, raag
+from raagme.graphs import SimpleGraph
+from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
 from raagme.subgroups import star_gluing_kernel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -302,6 +305,30 @@ def test_finite_out_commands_refuse_high_rank_at_once(tmp_path):
     # the bounds are still checked first
     assert run_command(["subgroups", str(g), "--max-steps", "-1"]) == (
         2, "error: enumeration bounds must be >= 0\n")
+
+
+def test_out_and_extball_refuse_large_expansions_at_once(tmp_path):
+    # out and extball count the edges of the expanded graph from the ranks,
+    # and refuse more than MAX_DEFINING_EDGES before expanding anything
+    doc = json.loads((FIXTURES / "c5ranks.json").read_text())
+    doc["vertices"][0]["rank"] = 65536
+    g = tmp_path / "c5huge.json"
+    g.write_text(json.dumps(doc))
+    text = ("error: the defining graph would have 65540 vertices and 2147581955 edges, "
+            "above the bound of 100000 edges\n")
+    for argv in (["out", str(g)], ["extball", str(g), "-L", "1", "--format", "json"]):
+        start = time.perf_counter()
+        assert run_command(argv) == (2, text)
+        assert time.perf_counter() - start < 1.0
+    # the counts are those of the expansion; K_447 has 99,681 edges, K_448 100,128
+    for name in ("c5ranks.json", "expansion_labels.json"):
+        p = load_presentation(fx(name))
+        assert _bounded_defining_graph(p) == expand_to_raag(p)
+    clique = GraphProductPresentation(SimpleGraph(["v"]), {"v": 447})
+    assert MAX_DEFINING_EDGES == 100_000
+    assert _bounded_defining_graph(clique).n_edges == 99_681
+    with pytest.raises(InputError, match="448 vertices and 100128 edges"):
+        _bounded_defining_graph(GraphProductPresentation(SimpleGraph(["v"]), {"v": 448}))
 
 
 # every report goes through cli._json_dump; json.dumps(indent=2), the path it

@@ -2,14 +2,19 @@ import itertools
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import (brute_dominates, brute_pc_sites, brute_transvectable_subgraph,
                      brute_transvections, brute_untransvectable,
-                     check_collapsibility_equivalence)
+                     check_collapsibility_equivalence,
+                     strongly_untransvectable_by_opposite_graph)
 
 import raagme.combinatorics
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, full_subgraph, path_graph
-from raagme.combinatorics import (_dominators, cv_classification, has_finite_out,
+from raagme.combinatorics import (_dominators, _strongly_untransvectable, cv_classification,
+                                  has_finite_out,
                                   is_collapsible, is_strongly_untransvectable,
                                   is_transvectable_vertex, out_inventory, untransvectable_vertices)
 from raagme.classify import decide_me, invariant_report
@@ -249,6 +254,30 @@ class TestStrongUntransvectability:
                 if not out_inventory(g).transvections:
                     assert all(is_strongly_untransvectable(g, v)
                                for v in g.sorted_vertices())
+
+    def test_link_search_matches_opposite_graph_on_atlas(self, atlas7):
+        for n in range(1, 8):
+            for g in atlas7[n]:
+                untrans = frozenset(untransvectable_vertices(g))
+                for v in g.sorted_vertices():
+                    assert _strongly_untransvectable(g, v, untrans) == \
+                        strongly_untransvectable_by_opposite_graph(g, v, untrans), (g.edges(), v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_link_search_matches_opposite_graph_random(data):
+    # any vertex against any vertex set, not only the untransvectable ones
+    n = data.draw(st.integers(1, 16))
+    verts = [f"v{i:02d}" for i in range(n)]
+    pairs = list(itertools.combinations(verts, 2))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = SimpleGraph(verts, [e for e, keep in zip(pairs, mask) if keep])
+    chosen = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    untrans = frozenset(v for v, c in zip(verts, chosen) if c)
+    for v in verts:
+        assert _strongly_untransvectable(g, v, untrans) == \
+            strongly_untransvectable_by_opposite_graph(g, v, untrans)
 
 
 class TestGroupLevelInvariants:
