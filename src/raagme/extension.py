@@ -27,8 +27,11 @@ the link leaves everything connected.  Assertions are made on interior nodes
 (conjugator length at most L-1) only; boundary observations are reported but
 are not violations.  A separation check makes one batch translation
 (``words.translate_conjugators``) of the nodes outside the star, bounded by
-the ball's longest conjugator, so the translates that leave the ball are
-never lex ordered.
+the ball's longest conjugator, which the ball holds with its node keys.  The
+translates that leave the ball stop their strip at that bound and are never
+lex ordered.  Both checks find the components of the punctured ball by a
+breadth-first search that takes a whole level per step, as set algebra on
+the nodes' neighbour sets.
 """
 
 from __future__ import annotations
@@ -50,7 +53,10 @@ class ExtBall:
         self.untransvectable = frozenset(classification.untransvectable if classification else ())
         self.nodes = tuple(nodes)
         self.adjacency = tuple(frozenset(a) for a in adjacency)
-        self._index = {node.key(): i for i, node in enumerate(self.nodes)}
+        self._keys = tuple(node.key() for node in self.nodes)
+        self._index = {key: i for i, key in enumerate(self._keys)}
+        # a built ball's longest conjugator has L letters, a hand-built one's need not
+        self._longest = max((node.length for node in self.nodes), default=0)
         self._interior = frozenset(i for i, n in enumerate(self.nodes) if n.length <= L - 1)
 
     @property
@@ -66,8 +72,10 @@ class ExtBall:
                       for j in self.adjacency[i] if i < j)
 
     def node_index(self, conjugator, vertex):
+        """Index of the node conjugator . <vertex>; a syllable may be any pair,
+        such as the [vertex, exponent] lists that ``ball_json`` prints."""
         try:
-            return self._index[(tuple(conjugator), vertex)]
+            return self._index[(tuple(tuple(s) for s in conjugator), vertex)]
         except (KeyError, TypeError):
             # an unhashable vertex id gets the graph's own message
             self.presentation.graph.has_vertex(vertex)
@@ -146,21 +154,27 @@ def ball_graph(b):
 
 
 def _components(b, removed):
-    """Connected components of the ball minus a set of node indices."""
-    alive = [i for i in range(b.n_nodes) if i not in removed]
+    """Connected components of the ball minus a set of node indices.
+
+    Maps each remaining node to its component label, labels numbered in the
+    order of the components' least members, and returns the count too.  A
+    component grows one breadth-first level at a time: the next level is the
+    union of the level's neighbour sets less every node seen or removed.
+    """
+    adjacency = b.adjacency
+    seen = set(removed)
     comp = {}
     label = 0
-    for root in alive:
-        if root in comp:
+    for root in range(b.n_nodes):
+        if root in seen:
             continue
-        stack = [root]
-        comp[root] = label
-        while stack:
-            i = stack.pop()
-            for j in b.adjacency[i]:
-                if j not in removed and j not in comp:
-                    comp[j] = label
-                    stack.append(j)
+        level = {root}
+        seen.add(root)
+        while level:
+            comp.update(dict.fromkeys(level, label))
+            level = set().union(*[adjacency[i] for i in level])
+            level -= seen
+            seen |= level
         label += 1
     return comp, label
 
@@ -202,16 +216,15 @@ def star_separation_check(b, v_index):
     removed = b.star_of(v_index)
     comp, count = _components(b, removed)
     interior = b.interior()
+    keys = b._keys
     outside = [w for w in range(b.n_nodes) if w not in removed]
-    # a translate longer than every node's conjugator is not in the ball;
-    # that bound is L on a built ball, but a hand-built one need not keep to it
-    bound = max(n.length for n in b.nodes)
+    # a translate longer than every node's conjugator is not in the ball
     conjugators = translate_conjugators(
-        b.nodes[v_index], [b.nodes[w].key() for w in outside], bound)
+        b.nodes[v_index], [keys[w] for w in outside], b._longest)
     entries = []
     skipped = 0
     for w, c in zip(outside, conjugators):
-        t = None if c is None else b._index.get((c, b.nodes[w].vertex))
+        t = None if c is None else b._index.get((c, keys[w][1]))
         # conjugating by g_v preserves commuting with <g_v>, so a node
         # outside the star never translates into it
         if t is None:

@@ -16,15 +16,21 @@ coset modulo the normalizer G_st(v) of <v>, so two handles are equal exactly
 when the subgroups are.  The handles are the nodes of extension balls.
 
 Input is validated only at the public entries; the private helpers below
-them take syllables that are already valid and do no checks.  One such core
-(``_canonical_conjugator``: reduce, strip to the coset representative, lex
-order) serves ``canonical_parabolic``, the breadth-first search of
-``enumerate_cyclic_handles`` and the batch ``translate_conjugators``.
+them take syllables that are already valid and do no checks.  One such core,
+``_canonical_conjugator``, takes a word that is already reduced, strips it to
+the coset representative, stopping once the kept letters pass an optional
+length bound, and puts it in lex order.  Its callers reduce first where they
+must: ``canonical_parabolic`` and the breadth-first search of
+``enumerate_cyclic_handles`` reduce their words, the batch
+``translate_conjugators`` reduces x c once per distinct conjugator c, and
+``commutation_adjacency`` hands over words g r that are reduced by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .errors import InputError, echo
 from .graphs import star
@@ -163,7 +169,7 @@ def word(p, syllables):
     return multiply_and_normalize(p, syllables, ())
 
 
-def _strip_to_coset_rep(adj, reduced, members):
+def _strip_to_coset_rep(adj, reduced, members, length_bound=None):
     """Minimal representative of (reduced word) * G_members, as a syllable list.
 
     Deletes every syllable whose vertex lies in ``members`` and commutes
@@ -172,30 +178,35 @@ def _strip_to_coset_rep(adj, reduced, members):
     Whether a position can be deleted depends only on the syllables after
     it, so one right-to-left pass suffices, and a deleted syllable never
     blocked a merge (see _push), so the remainder stays reduced.  It is not
-    lex ordered.
+    lex ordered.  The kept word only grows during the pass, so the result is
+    None as soon as its letters pass ``length_bound``: the remainder would
+    have been longer than the bound.
     """
     kept = []
     after = set()
+    budget = inf if length_bound is None else length_bound
     for v, e in reversed(reduced):
         if v in members and after <= adj[v]:
             continue
         kept.append((v, e))
         after.add(v)
+        budget -= abs(e)
+        if budget < 0:
+            return None
     kept.reverse()
     return kept
 
 
-def _canonical_conjugator(adj, syllables, members, length_bound=None):
-    """Canonical conjugator of (syllables) G_members: reduce, strip, lex order.
+def _canonical_conjugator(adj, reduced, members, length_bound=None):
+    """Canonical conjugator of (reduced word) G_members: strip, lex order.
 
-    The unvalidated core behind the public entries; None when the stripped
-    word is longer than ``length_bound`` letters.  The length is tested
-    before the lex order, which only permutes syllables.
+    The unvalidated core behind the public entries.  The word must already
+    be reduced; the result is None when the stripped word is longer than
+    ``length_bound`` letters, found during the strip and before the lex
+    order, which only permutes syllables.
     """
-    kept = _strip_to_coset_rep(adj, _reduce(adj, syllables), members)
-    if length_bound is not None and _letter_length(kept) > length_bound:
-        return None
-    return _lex_order(adj, kept)
+    kept = _strip_to_coset_rep(adj, reduced, members, length_bound)
+    return None if kept is None else _lex_order(adj, kept)
 
 
 @dataclass(frozen=True)
@@ -247,7 +258,8 @@ def canonical_parabolic(p, conjugator, vertex):
     if not p.graph.has_vertex(vertex):
         raise InputError(f"unknown vertex {echo(vertex)} in parabolic type")
     _require_rank_one(p, vertex)
-    conj = _canonical_conjugator(p.graph.adjacency, _coerce(p, conjugator), star(p.graph, vertex))
+    adj = p.graph.adjacency
+    conj = _canonical_conjugator(adj, _reduce(adj, _coerce(p, conjugator)), star(p.graph, vertex))
     return ParabolicHandle(p, conj, vertex)
 
 
@@ -261,18 +273,27 @@ def translate_conjugators(h, pairs, length_bound):
     the translate (x c)<t>(x c)^-1 of pair i, or None when it is longer than
     ``length_bound`` letters.  The generator word is built once and st(t)
     found once per type; the modulus G_st(t) is the normalizer of <t>.
+    The reduced word of x c does not depend on t, so it is made once per
+    distinct conjugator c, by pushing c onto a copy of the reduced x; the
+    strip of each pair stops as soon as it passes the length bound.
     """
     p = h.presentation
     adj = p.graph.adjacency
     x = h.generator_word().syllables
     stars = {}
+    products = {}
     out = []
     for c, t in pairs:
         st = stars.get(t)
         if st is None:
             _require_rank_one(p, t)
             st = stars[t] = star(p.graph, t)
-        out.append(_canonical_conjugator(adj, x + c, st, length_bound))
+        xc = products.get(c)
+        if xc is None:
+            xc = products[c] = list(x)
+            for v, e in c:
+                _push(adj, xc, v, e)
+        out.append(_canonical_conjugator(adj, xc, st, length_bound))
     return out
 
 
@@ -304,7 +325,8 @@ def commutation_adjacency(handles):
     g alone, since more syllables after a position only make it harder to
     delete.  So only the r with |r| <= L - |strip_st(w)(g)| can reach a
     handle of conjugator length at most L.  Their strips can still be longer
-    than L; those are looked up as None, without a lex order.
+    than L; such a strip stops once it passes L and is looked up as None,
+    without a lex order.  The words g r go to the core as they are.
     """
     adjacency = [set() for _ in handles]
     if not handles:
@@ -365,7 +387,8 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
         for h in frontier:
             t = h.vertex
             for letter in letters:
-                conj = _canonical_conjugator(adj, (letter,) + h.conjugator, stars[t])
+                conj = _canonical_conjugator(adj, _reduce(adj, (letter,) + h.conjugator),
+                                             stars[t])
                 key = (conj, t)
                 if key not in handles:
                     handles[key] = h2 = ParabolicHandle(p, conj, t)

@@ -9,7 +9,8 @@ normalizer test on every pair of ball nodes, the commutation test on every
 pair of nodes of adjacent types, one ball per radius, the full ball cut down
 to its untransvectable nodes, full-round refinement with a recursive search,
 refinement keyed by whole changed cells, one validated canonical_parabolic
-per star-separation translate, strong untransvectability read off the
+per star-separation translate, the components of a punctured ball found
+edge by edge, strong untransvectability read off the
 opposite graph of a link built as a graph), kept as oracles for the faster
 ones.  The handle oracles, like the words layer, know
 only cyclic parabolic subgroups g<v>g^-1, the nodes of extension balls.
@@ -28,7 +29,7 @@ import networkx as nx
 
 from raagme.combinatorics import cv_classification, is_collapsible, untransvectable_vertices
 from raagme.errors import DomainError, InputError
-from raagme.extension import (ExtBall, SeparationEntry, SeparationReport, _components,
+from raagme.extension import (ExtBall, SeparationEntry, SeparationReport,
                               ball_graph, build_ext_ball, ue_restriction)
 from raagme.graphs import (SimpleGraph, connected_components, full_subgraph, link,
                            opposite_graph, perp, star)
@@ -542,11 +543,32 @@ def translate_index(b, v_index, w_index):
     return _translate(b, b.nodes[v_index].generator_word(), w_index)
 
 
+def components_by_stack(b, removed):
+    """extension._components by a depth-first search that takes one edge per
+    step: the component labels, in the order of least members, and the count."""
+    comp = {}
+    label = 0
+    for root in range(b.n_nodes):
+        if root in removed or root in comp:
+            continue
+        stack = [root]
+        comp[root] = label
+        while stack:
+            i = stack.pop()
+            for j in b.adjacency[i]:
+                if j not in removed and j not in comp:
+                    comp[j] = label
+                    stack.append(j)
+        label += 1
+    return comp, label
+
+
 def star_separation_by_nodes(b, v_index):
     """star_separation_check translating one node at a time: the path the
-    batch translation (words.translate_conjugators) replaced."""
+    batch translation (words.translate_conjugators) replaced, with the
+    components found edge by edge."""
     removed = b.star_of(v_index)
-    comp, count = _components(b, removed)
+    comp, count = components_by_stack(b, removed)
     interior = b.interior()
     gv = b.nodes[v_index].generator_word()
     entries = []

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
-                     commutator_adjacent, prism, star_separation_by_nodes, support,
+                     commutator_adjacent, components_by_stack, prism, star_separation_by_nodes, support,
                      translate_index, ue_ball_fingerprint)
 from raagme.classify import invariant_report
 from raagme.combinatorics import cv_classification, has_finite_out
@@ -14,7 +15,7 @@ from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
-from raagme.extension import (ExtBall, ball_graph, ball_json, ball_prefix, build_ext_ball,
+from raagme.extension import (ExtBall, _components, ball_graph, ball_json, ball_prefix, build_ext_ball,
                               star_complement_connectivity_check, star_separation_check,
                               ue_restriction)
 from raagme.words import commutation_adjacency
@@ -255,6 +256,32 @@ class TestStarSeparation:
         rep = star_separation_check(hand, hand.standard_node("v1"))
         assert any(hand.nodes[e.translate].length > hand.L for e in rep.entries)
 
+    def test_components_match_stack_oracle(self, c5, counterexample_graph):
+        # the level-at-a-time search gives the labels and the count of the
+        # edge-by-edge one, with every node's star removed, with random
+        # parts of stars removed, and with random node sets removed
+        rng = random.Random(3)
+        c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+        c5_3 = build_ext_ball(raag(c5), 3)
+        b2 = build_ext_ball(raag(c5), 2)
+        balls = [b2, c5_3, build_ext_ball(raag(prism()), 2),
+                 build_ext_ball(raag(c7_complement), 2),
+                 ue_restriction(build_ext_ball(raag(counterexample_graph), 2)),
+                 ball_prefix(c5_3, 2),
+                 ExtBall(b2.presentation, 1, b2.nodes, b2.adjacency, b2.classification)]
+        counts = set()
+        for b in balls:
+            for i in range(b.n_nodes):
+                star_i = sorted(b.star_of(i))
+                part = set(rng.sample(star_i, rng.randint(0, len(star_i))))
+                share = rng.random()
+                scattered = {j for j in range(b.n_nodes) if rng.random() < share}
+                for removed in (b.star_of(i), part, scattered):
+                    got = _components(b, removed)
+                    assert got == components_by_stack(b, removed)
+                    counts.add(got[1])
+        assert len(counts) > 20
+
     def test_only_in_ball_translates_lex_ordered(self, c5, monkeypatch):
         # the length of a translate is tested before its lex order, so a
         # check lex-orders the generator word and the translates that land
@@ -455,10 +482,11 @@ class TestBallInvariants:
     def test_link_lookups_lex_order_only_ball_nodes(self, c5, monkeypatch):
         # on the radius-3 ball of C5 (885 nodes) the pass strips 7,220 words
         # outside the link enumerations: 885 for the budgets, 6,335 link
-        # candidates.  Budgets and candidates longer than L = 3 (4,920 of
-        # them) are never lex ordered; the 1,415 candidates that land on a
-        # node are, one per edge.  Each of the 7,220 strips was lex ordered
-        # before the length bound moved out of the strip.
+        # candidates.  The candidates longer than L = 3 (4,920 of them) stop
+        # their strip past the bound, answer None and are never lex ordered;
+        # the 1,415 candidates that land on a node are, one per edge.  Each
+        # of the 7,220 strips was lex ordered before the length bound moved
+        # out of the strip.
         import raagme.words
         b = build_ext_ball(raag(c5), 3)
         enumerate_handles = raagme.words.enumerate_cyclic_handles
@@ -475,7 +503,7 @@ class TestBallInvariants:
         def counted_strip(*args):
             kept = strip(*args)
             if not inside:
-                strips.append(sum(abs(e) for _, e in kept))
+                strips.append(None if kept is None else sum(abs(e) for _, e in kept))
             return kept
 
         def counted_lex_order(*args):
@@ -491,7 +519,8 @@ class TestBallInvariants:
             [frozenset(a) for a in commutation_adjacency_by_pairs(b.nodes)]
         n_edges = sum(len(a) for a in adjacency) // 2
         assert (b.n_nodes, n_edges) == (885, 1415)
-        assert len(strips) == 7220 and sum(1 for n in strips if n > 3) == 4920
+        assert len(strips) == 7220 and strips.count(None) == 4920
+        assert all(n <= 3 for n in strips if n is not None)
         assert len(lex_orders) == n_edges == len(strips) - 885 - 4920
 
     def test_separation_beyond_finite_out(self, counterexample_graph):
@@ -547,6 +576,21 @@ def test_ball_matches_all_pairs_oracle(data):
 
 
 class TestExport:
+    def test_node_index_reads_printed_nodes(self, c5, counterexample_graph):
+        # every node of the JSON document, conjugator syllables as printed
+        # ([vertex, exponent] lists), is found at its own index
+        c5_3 = build_ext_ball(raag(c5), 3)
+        for b in (build_ext_ball(raag(c5), 2), c5_3, ball_prefix(c5_3, 1),
+                  ue_restriction(build_ext_ball(raag(counterexample_graph), 2))):
+            for node in ball_json(b)["nodes"]:
+                assert b.node_index(node["conjugator"], node["type"]) == node["id"]
+        b = build_ext_ball(raag(c5), 2)
+        assert b.node_index([["v3", 1], ["v4", -1]], "v1") == 40
+        assert b.node_index((("v3", 1), ("v4", -1)), "v1") == 40
+        for bad in ([["v3"]], [["v3", 1, 1]], [3], [None], [[["v3"], 1]], ["v3"], 5, None):
+            with pytest.raises(InputError, match="no node"):
+                b.node_index(bad, "v1")
+
     def test_json_document_deterministic(self, f2_graph):
         b = build_ext_ball(raag(f2_graph), 1)
         doc = ball_json(b)

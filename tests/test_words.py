@@ -9,10 +9,11 @@ from helpers import (commutation_adjacency_by_pairs, conjugate_handle, generator
                      support)
 
 from raagme.errors import DomainError, InputError
+from raagme.extension import build_ext_ball
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
-from raagme.words import (NormalFormWord, _lex_order, _reduce, _strip_to_coset_rep,
-                          canonical_parabolic, commutation_adjacency, enumerate_cyclic_handles,
+from raagme.words import (NormalFormWord, _canonical_conjugator, _lex_order, _reduce,
+                          _strip_to_coset_rep, canonical_parabolic, commutation_adjacency, enumerate_cyclic_handles,
                           multiply_and_normalize, translate_conjugators, word)
 
 
@@ -337,6 +338,73 @@ class TestCommutationAndNormalizers:
                 inverts = is_identity(x * gen * x.inverse() * gen)
                 assert normalizes(h, x) == (commutes or inverts)
                 assert not inverts  # biorderable: conjugation never inverts
+
+
+class TestWordsCore:
+    def test_bounded_strip_matches_restart_loop(self, atlas6):
+        # on random reduced words over every graph of the atlas, the strip
+        # bounded by b letters is None exactly when the unbounded strip is
+        # longer than b, and the unbounded strip otherwise; lex ordered, the
+        # unbounded strip is the restart loop's coset representative
+        rng = random.Random(47)
+        seen_none = seen_kept = 0
+        for n in range(1, 7):
+            for g in atlas6[n]:
+                adj = g.adjacency
+                verts = g.sorted_vertices()
+                for _ in range(6):
+                    types = set(rng.sample(verts, rng.randint(1, min(2, n))))
+                    members = types | perp(g, types)
+                    reduced = _reduce(adj, random_word(rng, verts, rng.randint(0, 8)))
+                    full = _strip_to_coset_rep(adj, reduced, members)
+                    expected = strip_by_restart(adj, reduced, members)
+                    assert _lex_order(adj, full) == expected
+                    length = sum(abs(e) for _, e in full)
+                    for bound in range(length + 2):
+                        got = _strip_to_coset_rep(adj, reduced, members, bound)
+                        core = _canonical_conjugator(adj, reduced, members, bound)
+                        if length > bound:
+                            assert got is None and core is None
+                            seen_none += 1
+                        else:
+                            assert got == full and core == expected
+                            seen_kept += 1
+        assert seen_none > 1000 and seen_kept > 1000
+
+    def test_link_candidates_reach_the_core_reduced(self, atlas6, c5, monkeypatch):
+        # commutation_adjacency hands g r to the core without reducing it: g
+        # is minimal in g G_st(v) and r lies in G_lk(v), so g r is reduced
+        import raagme.words
+        core, enumerate_handles = raagme.words._canonical_conjugator, \
+            raagme.words.enumerate_cyclic_handles
+        inside, handed = [], []
+
+        def counted_enumerate(*args):
+            inside.append(True)
+            try:
+                return enumerate_handles(*args)
+            finally:
+                inside.pop()
+
+        def recorded_core(adj, reduced, members, length_bound=None):
+            if not inside:
+                handed.append(tuple(reduced))
+            return core(adj, reduced, members, length_bound)
+
+        balls = [build_ext_ball(raag(g), 2) for n in range(1, 7) for g in atlas6[n]]
+        balls.append(build_ext_ball(raag(c5), 3))
+        monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
+        monkeypatch.setattr(raagme.words, "_canonical_conjugator", recorded_core)
+        total = 0
+        for b in balls:
+            adj = b.presentation.graph.adjacency
+            handed.clear()
+            assert [frozenset(a) for a in commutation_adjacency(b.nodes)] == list(b.adjacency)
+            for gr in handed:
+                assert _reduce(adj, gr) == list(gr)
+            total += len(handed)
+        # C5 at L = 3 alone hands over 6,335 candidates
+        assert total > 6335
 
 
 class TestStrongOracle:
