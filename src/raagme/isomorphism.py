@@ -3,27 +3,30 @@
 Canonical forms of plain (uncolored) graphs are computed by color
 refinement plus individualization with backtracking, so repeated calls agree
 and isomorphism answers are reproducible byte for byte.  The search starts
-from the unit partition, with the swaps of twins (vertices of equal open or
-closed neighbourhoods) already among its automorphisms, so it prunes by
-their orbits from the root on: the orbit pruning of McKay and Piperno
-(*Practical graph isomorphism II*, 2014), seeded with automorphisms read
-straight off the graph.  The seeds change only which nodes the search
-visits and which automorphisms it records, never the canonical form or the
-group order.  After an individualization, refinement keys only the
+from the unit partition with seeds already among its automorphisms, so it
+prunes by their orbits from the root on: the orbit pruning of McKay and
+Piperno (*Practical graph isomorphism II*, 2014).  The seeds are the swaps
+of twins (vertices of equal open or closed neighbourhoods), read straight
+off the graph, and any automorphisms the caller already knows, such as the
+copy swaps of a star gluing.  The seeds change only which nodes the search
+visits and which automorphisms it records, never the canonical form, the
+group order or the orbits.  Each automorphism is kept as the map of the
+points it moves, and orbits are joined and searched along moved points
+only.  After an individualization, refinement keys only the
 neighbours of the individualized vertex, then those of the pieces that
 split, leaving out the last piece of each split cell (Hopcroft's trick, as
 in the same paper).  A node filters the automorphisms that fix its prefix
-only once it needs their orbits.  The search keeps its own stack, so its depth is not bounded by
-Python recursion, and it runs with the cyclic garbage collector paused.  A
-leaf whose trace ties the best leaf's is first tested as an automorphism
-image of it, in one pass over the edges.  The search is exponential in the
-worst case: on a 2-core Xeon with CPython 3.11 the 885-node radius-3
-untransvectable extension-graph ball of the 5-cycle, which has no twins,
-canonizes in about 0.36 s (14,528 search nodes), and the 5,779-node one of
-``tests/fixtures/c5double.json`` in about 33 s (342,218 nodes).  The 5-cycle
-with one vertex expanded to a 400-clique (404 vertices, 80,603 edges)
-canonizes in about 0.85 s: its 400 twins give 399 seeds, and the search
-makes 801 nodes.
+only once it needs their orbits.  The search keeps its own stack, so its
+depth is not bounded by Python recursion, and it runs with the cyclic
+garbage collector paused.  A leaf whose trace ties the best leaf's is first
+tested as an automorphism image of it, in one pass over the edges.  The
+search is exponential in the worst case: on a 2-core Xeon with CPython 3.11
+the 885-node radius-3 untransvectable extension-graph ball of the 5-cycle,
+which has no twins, canonizes in about 0.36-0.44 s (14,528 search nodes),
+and the 5,779-node one of ``tests/fixtures/c5double.json`` in about 33 s
+(342,218 nodes).  The 5-cycle with one vertex expanded to a 400-clique (404
+vertices, 80,603 edges) canonizes in about 0.25 s: its 400 twins give 399
+seeds, and the search makes 801 nodes.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from __future__ import annotations
 import gc
 import hashlib
 from collections import defaultdict
+
+from .errors import InputError, echo
 
 
 def _individualize(label, cells, u, fresh):
@@ -136,7 +141,7 @@ def _refine(adj, label, cells, changed):
 
 
 def _twin_transpositions(adjsets):
-    """The adjacent transpositions of each twin class, as vertex->vertex lists.
+    """The adjacent transpositions of each twin class, as maps of moved points.
 
     Two vertices are twins when they have the same open neighbourhood or the
     same closed one, and swapping them is an automorphism.  Twin classes are
@@ -151,13 +156,44 @@ def _twin_transpositions(adjsets):
     for v, nbrs in enumerate(adjsets):
         classes[nbrs].append(v)
         classes[nbrs | {v}].append(v)
-    n, seeds = len(adjsets), []
-    for members in sorted(c for c in classes.values() if len(c) > 1):
-        for a, b in zip(members, members[1:]):
-            sigma = list(range(n))
-            sigma[a], sigma[b] = b, a
-            seeds.append(sigma)
-    return seeds
+    return [{a: b, b: a}
+            for members in sorted(c for c in classes.values() if len(c) > 1)
+            for a, b in zip(members, members[1:])]
+
+
+def _moved_points(maps, index, adjsets):
+    """Label maps of automorphisms as maps of moved vertex indices.
+
+    Each map lists the labels it moves; a label it does not list is fixed,
+    and identity maps are dropped.  Raises InputError unless every map is a
+    dict from vertices to vertices that permutes them and maps each edge at
+    a moved vertex onto an edge, which, for a permutation, is every edge.
+    """
+    out = []
+    for m in maps:
+        if not isinstance(m, dict):
+            raise InputError(f"an automorphism must be a dict of vertex labels, got {echo(m)}")
+        sigma = {}
+        for x, y in m.items():
+            try:
+                i, j = index[x], index[y]
+            except (KeyError, TypeError):
+                raise InputError(
+                    f"automorphism maps {echo(x)} to {echo(y)}, which are not both vertices"
+                ) from None
+            if i != j:
+                sigma[i] = j
+        if sigma.keys() != set(sigma.values()):
+            raise InputError(f"automorphism {echo(m)} is not a bijection")
+        for u, image in sigma.items():
+            targets = adjsets[image]
+            for w in adjsets[u]:
+                if sigma.get(w, w) not in targets:
+                    raise InputError(
+                        f"automorphism {echo(m)} maps an edge onto a non-edge")
+        if sigma:
+            out.append(sigma)
+    return out
 
 
 class _Orbits:
@@ -176,26 +212,13 @@ class _Orbits:
         return u
 
     def join(self, sigma):
+        """Join the orbits of each point and its image under sigma, a map of moved points."""
         parent = self.parent
-        for u in parent:
-            v = sigma[u]
-            if v != u and v in parent:
+        for u, v in sigma.items():
+            if u in parent and v in parent:
                 ru, rv = self.find(u), self.find(v)
                 if ru != rv:
                     parent[ru] = rv
-
-
-def _orbit(point, perms):
-    """The orbit of a point under the group the permutations generate."""
-    seen = {point}
-    todo = [point]
-    for x in todo:
-        for sigma in perms:
-            y = sigma[x]
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
 
 
 class _Node:
@@ -225,12 +248,13 @@ class _Canonizer:
     trace equals the best leaf's so far, so pruning looks at the newest entry
     only.  At every node the target-cell vertices are explored one per orbit
     of the automorphisms known so far that fix the individualized prefix
-    pointwise (equivalent vertices span identical subtrees): the twin swaps,
-    recorded before the search starts, and those the search records.  A
-    leaf equal to the best one yields an automorphism that fixes the prefix
-    the two paths share and maps the current branch there onto the explored
-    best branch, so the search returns to that branching node at once.  ``nodes`` counts
-    the nodes refined, pruned ones and leaves included.
+    pointwise (equivalent vertices span identical subtrees): the twin swaps
+    and the caller's seeds, recorded before the search starts, and those the
+    search records.  A leaf equal to the best one yields an automorphism that
+    fixes the prefix the two paths share and maps the current branch there
+    onto the explored best branch, so the search returns to that branching
+    node at once.  ``nodes`` counts the nodes refined, pruned ones and leaves
+    included.
     """
 
     def __init__(self, verts, adj):
@@ -241,7 +265,7 @@ class _Canonizer:
         self.best_trace = None    # trace entries on the path to best
         self.best_prefix = None   # individualized vertices on the path to best
         self.adjsets = [frozenset(a) for a in adj]
-        # permutations as vertex->vertex lists, the twin swaps first
+        # automorphisms as maps of moved points, the twin swaps first
         self.automorphisms = _twin_transpositions(self.adjsets)
         self.nodes = 0
         self.higher = None        # each vertex's neighbours above it, built on the first tie
@@ -303,8 +327,8 @@ class _Canonizer:
         node = _Node()
         node.label, node.cells, node.prefix = label, cells, prefix
         # the root's stabilizer list is every automorphism, the twin swaps
-        # to begin with; a child's is filtered from its parent's when
-        # _next_vertex first needs it
+        # and the seeds to begin with; a child's is filtered from its
+        # parent's when _next_vertex first needs it
         node.entry, node.eq = entry, eq
         node.auts = None if stack else list(self.automorphisms)
         node.target, node.cell = target, cells[target]
@@ -337,6 +361,7 @@ class _Canonizer:
             # sigma is a bijection, so mapping every edge onto an edge is
             # enough; each edge is mapped from its lower end
             if all(adjsets[sigma[v]].issuperset(map(image, higher[v])) for v in range(n)):
+                sigma = {v: w for v, w in enumerate(sigma) if v != w}
                 self.automorphisms.append(sigma)
                 shared = 0
                 while prefix[shared] == self.best_prefix[shared]:
@@ -384,7 +409,7 @@ class _Canonizer:
                     top -= 1
                 for parent, child in zip(stack[top:], stack[top + 1:]):
                     u = child.prefix[-1]
-                    child.auts = [sigma for sigma in parent.auts if sigma[u] == u]
+                    child.auts = [sigma for sigma in parent.auts if u not in sigma]
             if node.merged < len(node.auts):
                 if node.orbits is None:
                     node.orbits = _Orbits(cell)
@@ -417,18 +442,36 @@ class _Canonizer:
         the same trace and key, earlier in depth-first order.  Hence the
         first minimal leaf in depth-first order of the whole tree is never
         dropped, and the key, the order and best_prefix do not depend on
-        which genuine automorphisms, the twin swaps here, the search starts
-        with.  Every sibling of that path in the orbit of its vertex under
-        the prefix stabilizer is either explored after it (and reaches a
-        minimal leaf, recording an automorphism that maps it onto the path)
-        or pruned as the image of an explored sibling, so the recorded
-        automorphisms, seeds included, give each stabilizer orbit exactly.
+        which genuine automorphisms, the twin swaps and the caller's seeds
+        here, the search starts with.  Every sibling of that path in the
+        orbit of its vertex under the prefix stabilizer is either explored
+        after it (and reaches a minimal leaf, recording an automorphism that
+        maps it onto the path) or pruned as the image of an explored sibling,
+        so the recorded automorphisms, seeds included, give each stabilizer
+        orbit exactly.  The orbit of each prefix vertex is searched along,
+        from each point, only the automorphisms that move it, and those that
+        move a prefix vertex leave the stabilizer once its orbit is taken.
         """
-        order = 1
         auts = self.automorphisms
+        moving = defaultdict(list)      # point -> indices of the automorphisms moving it
+        for j, sigma in enumerate(auts):
+            for u in sigma:
+                moving[u].append(j)
+        fixing = [True] * len(auts)     # whether each fixes the prefix so far
+        order = 1
         for b in self.best_prefix:
-            order *= len(_orbit(b, auts))
-            auts = [sigma for sigma in auts if sigma[b] == b]
+            seen = {b}
+            todo = [b]
+            for x in todo:
+                for j in moving[x]:
+                    if fixing[j]:
+                        y = auts[j][x]
+                        if y not in seen:
+                            seen.add(y)
+                            todo.append(y)
+            order *= len(seen)
+            for j in moving[b]:
+                fixing[j] = False
         return order
 
 
@@ -465,6 +508,18 @@ class CanonicalForm:
             least.setdefault(orbits.find(i), v)
         return list(least.values())
 
+    def automorphisms(self):
+        """The automorphisms the search recorded, as label maps of their moved points.
+
+        The twin swaps come first, then the seeds given to ``canonical_form``,
+        then those found by the search; together they generate the group.
+        """
+        c = self._canonizer
+        if c is None:
+            return []
+        verts = c.verts
+        return [{verts[u]: verts[w] for u, w in sigma.items()} for sigma in c.automorphisms]
+
     def group_order(self):
         """Order of the automorphism group, from the same search."""
         return 1 if self._canonizer is None else self._canonizer.group_order()
@@ -476,17 +531,24 @@ class CanonicalForm:
         return hashlib.sha256(repr(legacy).encode("ascii")).hexdigest()
 
 
-def canonical_form(g):
+def canonical_form(g, automorphisms=()):
     """Canonical form of a graph.
 
     Two graphs have equal canonical keys if and only if they are isomorphic.
+    ``automorphisms`` are automorphisms of g the caller already knows, as
+    dicts that map each label they move to its image.  They seed the search
+    after the twin swaps, so it need not find them again; the form, its
+    group order and its orbits do not depend on them.  Raises InputError
+    unless each is an automorphism of g.
     """
     verts = g.sorted_vertices()
-    if not verts:
-        return CanonicalForm((), ())
     index = {v: i for i, v in enumerate(verts)}
     adj = [sorted(index[w] for w in g.neighbors(v)) for v in verts]
     canonizer = _Canonizer(verts, adj)
+    if automorphisms:
+        canonizer.automorphisms += _moved_points(automorphisms, index, canonizer.adjsets)
+    if not verts:
+        return CanonicalForm((), ())
     key, order = canonizer.run()
     return CanonicalForm(key, tuple(verts[i] for i in order), canonizer)
 

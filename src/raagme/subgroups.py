@@ -7,8 +7,13 @@ along the closed star of the chosen vertex.  Closing under this construction
 (up to composition depth and vertex budget) enumerates a family of
 finite-index subgroups; the search makes no completeness claim, so consumers
 must treat exhaustion as "unknown", never as "no".  Each class found is a
-GluingClass: its first witness and its degree sequence, with the canonical
-form computed only when the search or the caller needs it.
+GluingClass.  Its children are built lazily: a child's degree sequence is
+read off its parent's graph, and its graph is glued only when it is
+canonized, glued further or handed to the caller, which most children never
+are.  Its canonical form is computed only when the search or the caller
+needs it, seeded with the automorphisms the gluing shows: the swaps of
+adjacent copies and the parent's recorded automorphisms that fix the glued
+vertex, lifted to every copy.
 """
 
 from __future__ import annotations
@@ -19,6 +24,28 @@ from .errors import DomainError, InputError, echo
 from .graphs import SimpleGraph, star
 from .combinatorics import has_finite_out
 from .isomorphism import canonical_form
+
+
+def _copy_names(verts, shared, k):
+    """The labels of the unshared vertices in copies 2..k, one dict per copy.
+
+    The unshared vertex x of copy i becomes "c<i>.<x>", the "." doubled
+    until the label is neither a vertex nor a label issued earlier (copies
+    in increasing i, vertices in the order of ``verts``).
+    """
+    taken = set(verts)
+    copies = []
+    for i in range(2, k + 1):
+        name = {}
+        for x in verts:
+            if x not in shared:
+                sep = "."
+                while f"c{i}{sep}{x}" in taken:
+                    sep += "."
+                name[x] = f"c{i}{sep}{x}"
+                taken.add(name[x])
+        copies.append(name)
+    return copies
 
 
 def star_gluing_kernel(g, v, k):
@@ -35,22 +62,12 @@ def star_gluing_kernel(g, v, k):
         raise InputError(f"unknown vertex {echo(v)}")
     if not isinstance(k, int) or k < 2:
         raise InputError(f"gluing multiplicity must be an integer >= 2, got {echo(k)}")
-    shared = star(g, v)
     verts = g.sorted_vertices()
     edges = g.edges()
-    taken = set(verts)
     new_vertices = list(verts)
     new_edges = set(edges)
-    for i in range(2, k + 1):
-        name = {}
-        for x in verts:
-            if x not in shared:
-                sep = "."
-                while f"c{i}{sep}{x}" in taken:
-                    sep += "."
-                name[x] = f"c{i}{sep}{x}"
-                taken.add(name[x])
-                new_vertices.append(name[x])
+    for name in _copy_names(verts, star(g, v), k):
+        new_vertices += name.values()
         for x, y in edges:
             nx, ny = name.get(x, x), name.get(y, y)
             new_edges.add((min(nx, ny), max(nx, ny)))
@@ -93,25 +110,90 @@ def _multiplicities(n, st_size, max_vertices):
 
 
 class GluingClass:
-    """An isomorphism class met by the gluing search, canonized on first use.
+    """An isomorphism class met by the gluing search, built and canonized on first use.
 
-    Carries the first witness found for the class and the sorted degree
-    sequence of its graph, an isomorphism invariant that separates most
-    classes without a canonical form.
+    Carries the sorted degree sequence of its graph, an isomorphism
+    invariant that separates most classes without a graph.  The base class
+    carries its witness; a child carries its parent class and the gluing
+    ``step`` (v, k) that makes it, and builds its witness with
+    ``star_gluing_kernel`` only when the witness or the form is asked for.
     """
 
-    __slots__ = ("witness", "degrees", "_form")
+    __slots__ = ("parent", "step", "degrees", "_witness", "_form")
 
-    def __init__(self, witness):
-        self.witness = witness
-        self.degrees = witness.graph.degree_sequence()
+    def __init__(self, parent, step, degrees, witness=None):
+        self.parent = parent
+        self.step = step
+        self.degrees = degrees
+        self._witness = witness
         self._form = None
+
+    @classmethod
+    def base(cls, g):
+        """The class of the base graph g, the root of the search."""
+        return cls(None, None, g.degree_sequence(), FiniteIndexWitness((), 1, g))
+
+    @property
+    def witness(self):
+        if self._witness is None:
+            w = self.parent.witness
+            v, k = self.step
+            self._witness = FiniteIndexWitness(
+                w.chain + (self.step,), w.index * k, star_gluing_kernel(w.graph, v, k))
+        return self._witness
 
     @property
     def form(self):
         if self._form is None:
-            self._form = canonical_form(self.witness.graph)
+            seeds = () if self.parent is None else self._seeds()
+            self._form = canonical_form(self.witness.graph, automorphisms=seeds)
         return self._form
+
+    def _seeds(self):
+        """Automorphisms of a child's graph that its gluing shows.
+
+        Swapping two copies fixes st(v) and maps the rest of each copy onto
+        the other; the swaps of adjacent copies are listed.  An automorphism
+        of the parent that fixes v maps st(v) onto itself, so it lifts to the
+        child by acting alike on every copy; the lifts of those the parent's
+        search recorded follow.
+        """
+        g = self.parent.witness.graph
+        v, k = self.step
+        verts = g.sorted_vertices()
+        shared = star(g, v)
+        copies = [{x: x for x in verts if x not in shared}] + _copy_names(verts, shared, k)
+        seeds = []
+        for a, b in zip(copies, copies[1:]):
+            # every copy names the unshared vertices in the order of verts
+            swap = dict(zip(a.values(), b.values()))
+            swap.update(zip(b.values(), a.values()))
+            seeds.append(swap)
+        for sigma in self.parent.form.automorphisms():
+            if v not in sigma:
+                lift = {x: y for x, y in sigma.items() if x in shared}
+                for name in copies:
+                    lift.update((name[x], name[y]) for x, y in sigma.items() if x not in shared)
+                seeds.append(lift)
+        return seeds
+
+    def children(self, v, max_vertices):
+        """The gluings of this class at v within max_vertices, unbuilt, in increasing k.
+
+        A child's degrees are read off this graph: a vertex x of st(v) keeps
+        its neighbours in st(v) and meets those outside it in each of the k
+        copies, so has degree d(x) + (k - 1) |N(x) - st(v)|; every other
+        vertex has its own degree in each copy.
+        """
+        g = self.witness.graph
+        adj = g.adjacency
+        shared = star(g, v)
+        ks = _multiplicities(len(adj), len(shared), max_vertices)
+        inner = [(len(adj[x]), len(adj[x] - shared)) for x in shared]
+        outer = [len(nbrs) for x, nbrs in adj.items() if x not in shared]
+        return [GluingClass(self, (v, k), tuple(sorted(
+                    [d + (k - 1) * e for d, e in inner] + outer * k)))
+                for k in ks]
 
     def expandable(self, max_vertices):
         """Whether some gluing of this graph stays within max_vertices."""
@@ -149,12 +231,13 @@ def _gluing_classes(g, max_vertices, max_steps, target):
 
     A class is canonized only when the search glues it (the orbits need its
     form), or when an earlier class has the same degree sequence (then keys
-    decide newness; a new sequence is a new class), or by the caller.  A
+    decide newness; a new sequence is a new class), or by the caller; its
+    graph is built only then, or when the caller asks for its witness.  A
     child the search will not glue and will not yield needs no newness
     test, except until the last level's first new class, which sets
     ``truncated``; it is still recorded, so later newness tests stay exact.
     """
-    base = GluingClass(FiniteIndexWitness((), 1, g))
+    base = GluingClass.base(g)
     met = {base.degrees: [base]}     # every class met, by degree sequence
     if target in (None, base.degrees):
         yield base
@@ -171,13 +254,8 @@ def _gluing_classes(g, max_vertices, max_steps, target):
         for cls in frontier:
             if not cls.expandable(max_vertices):
                 continue
-            w = cls.witness
-            cur = w.graph
             for v in cls.form.orbit_representatives():
-                for k in _multiplicities(cur.n_vertices, len(cur.neighbors(v)) + 1,
-                                         max_vertices):
-                    child = GluingClass(FiniteIndexWitness(
-                        w.chain + ((v, k),), w.index * k, star_gluing_kernel(cur, v, k)))
+                for child in cls.children(v, max_vertices):
                     wanted = target in (None, child.degrees)
                     decide = wanted or (child.expandable(max_vertices) if not last else not nxt)
                     peers = met.setdefault(child.degrees, [])

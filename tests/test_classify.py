@@ -257,9 +257,9 @@ class TestDecideMe:
         from raagme.subgroups import enumerate_findex_graphs
         calls = []
 
-        def counted(g):
+        def counted(g, automorphisms=()):
             calls.append(g)
-            return canonical_form(g)
+            return canonical_form(g, automorphisms=automorphisms)
 
         monkeypatch.setattr(raagme.classify, "canonical_form", counted, raising=False)
         monkeypatch.setattr(raagme.subgroups, "canonical_form", counted)

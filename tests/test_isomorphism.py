@@ -3,12 +3,14 @@ import random
 from collections import Counter
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from helpers import brute_automorphism_count, prism
 
+from raagme.errors import InputError
 from raagme.extension import ball_graph, build_ext_ball
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
 from raagme.isomorphism import automorphism_count, canonical_form, canonical_hash, find_isomorphism
@@ -182,3 +184,66 @@ def test_canonizer_returns_to_branching_node_on_tie():
         canonizer = canonical_form(g)._canonizer
         assert canonizer.group_order() == 2 * math.factorial(10)
         assert len(canonizer.automorphisms) < g.n_vertices
+
+
+class TestKnownAutomorphisms:
+    C5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+
+    @pytest.mark.parametrize("sigma", [
+        [("v1", "v2"), ("v2", "v1")],                 # not a dict
+        "v1",
+        {"v1": "zz", "zz": "v1"},                     # a non-vertex
+        {"v1": ["v2"]},                               # an unhashable image
+        {"v1": "v2"},                                 # not a bijection
+        {"v1": "v2", "v2": "v3", "v3": "v2"},
+        {"v1": "v2", "v2": "v2"},
+        {"v1": "v3", "v3": "v1"},                     # breaks the edge v1--v5
+    ])
+    def test_rejects_non_automorphisms(self, sigma):
+        with pytest.raises(InputError):
+            canonical_form(self.C5, automorphisms=[sigma])
+        # the whole list is checked, not only its first map
+        with pytest.raises(InputError):
+            canonical_form(self.C5, automorphisms=[{}, sigma])
+
+    def test_empty_graph_checks_its_seeds(self):
+        assert canonical_form(SimpleGraph([]), automorphisms=[{}]).key == ()
+        with pytest.raises(InputError):
+            canonical_form(SimpleGraph([]), automorphisms=[{"a": "a"}])
+
+    def test_identity_and_empty_list_accepted(self):
+        plain = canonical_form(self.C5)
+        for seeds in ([], [{}], [{v: v for v in self.C5.vertices}]):
+            form = canonical_form(self.C5, automorphisms=seeds)
+            assert (form.key, form.order, form.group_order()) == (
+                plain.key, plain.order, plain.group_order())
+            assert form.automorphisms() == plain.automorphisms()
+
+    def test_seeds_recorded_after_twin_swaps(self):
+        # K_{2,3}: the twin classes {1, 3, 5} and {2, 4} give three swaps
+        g = SimpleGraph(["1", "2", "3", "4", "5"],
+                        [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("2", "5"), ("4", "5")])
+        seed = {"1": "3", "3": "1", "2": "4", "4": "2"}
+        form = canonical_form(g, automorphisms=[seed, {"1": "1"}])
+        assert form.automorphisms()[:4] == [
+            {"1": "3", "3": "1"}, {"3": "5", "5": "3"}, {"2": "4", "4": "2"}, seed]
+        assert form.group_order() == 12
+
+    def test_seeds_prune_and_keep_answers(self):
+        rotation = {"v1": "v2", "v2": "v3", "v3": "v4", "v4": "v5", "v5": "v1"}
+        form = canonical_form(self.C5, automorphisms=[rotation])
+        plain = canonical_form(self.C5)
+        assert form.automorphisms()[0] == rotation
+        assert (form.key, form.order, form.group_order(), form.orbit_representatives()) == (
+            plain.key, plain.order, plain.group_order(), plain.orbit_representatives())
+        assert form._canonizer.nodes < plain._canonizer.nodes
+
+    def test_recorded_automorphisms_are_label_maps(self):
+        form = canonical_form(self.C5)
+        maps = form.automorphisms()
+        assert maps and form.group_order() == 10
+        for sigma in maps:
+            assert all(x != y for x, y in sigma.items())
+            full = {v: sigma.get(v, v) for v in self.C5.vertices}
+            assert all(self.C5.has_edge(full[u], full[w]) for u, w in self.C5.edges())
+        assert canonical_form(SimpleGraph([])).automorphisms() == []

@@ -7,7 +7,10 @@ from helpers import unpruned_gluing_search
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, star
 from raagme.combinatorics import has_finite_out
-from raagme.subgroups import FiniteIndexWitness, enumerate_findex_graphs, star_gluing_kernel
+import raagme.subgroups
+from raagme.isomorphism import canonical_form
+from raagme.subgroups import (FiniteIndexWitness, GluingClass, enumerate_findex_graphs,
+                              star_gluing_kernel)
 
 
 def finite_out_graphs(atlas, max_n):
@@ -160,6 +163,81 @@ class TestEnumeration:
         assert not inv.transvections
         assert inv.partial_conjugation_sites != ()
         assert not inv.out_finite
+
+
+@pytest.fixture
+def canonizations(monkeypatch):
+    """(graph, seeds, form) of every canonization the gluing search makes."""
+    calls = []
+
+    def recording(g, automorphisms=()):
+        form = canonical_form(g, automorphisms=automorphisms)
+        calls.append((g, automorphisms, form))
+        return form
+
+    monkeypatch.setattr(raagme.subgroups, "canonical_form", recording)
+    return calls
+
+
+def is_automorphism(g, sigma):
+    """sigma lists only the points it moves, permutes V and keeps every edge."""
+    full = {v: sigma.get(v, v) for v in g.vertices}
+    return (all(x != y for x, y in sigma.items()) and sigma.keys() <= g.vertices
+            and set(full.values()) == g.vertices
+            and all(g.has_edge(full[u], full[w]) for u, w in g.edges()))
+
+
+class TestLazyChildren:
+    def test_degrees_read_off_the_parent(self, atlas6, c5):
+        # every vertex and k = 2..4, on the atlas and on the depth-2 gluings
+        # of C5, built as children of children
+        depth_one = [child for k in (2, 3) for child in GluingClass.base(c5).children("v1", 15)
+                     if child.step[1] == k]
+        depth_two = [child for cls in depth_one for v in cls.witness.graph.sorted_vertices()
+                     for child in cls.children(v, 30)[:2]]
+        assert len(depth_two) == 32
+        classes = [GluingClass.base(g) for n in range(1, 7) for g in atlas6[n]] + depth_two
+        for cls in classes:
+            g = cls.witness.graph
+            n = g.n_vertices
+            for v in g.sorted_vertices():
+                children = cls.children(v, 4 * n)
+                ks = [child.step[1] for child in children]
+                assert ks[:3] == ([2] if len(star(g, v)) == n else [2, 3, 4])
+                for child in children[:3]:
+                    glued = star_gluing_kernel(g, v, child.step[1])
+                    assert child.degrees == glued.degree_sequence()
+
+    def test_children_build_their_witness_on_demand(self, c5):
+        base = GluingClass.base(c5)
+        child = base.children("v1", 7)[0]
+        assert child._witness is None and child.degrees == (2,) * 5 + (3, 3)
+        w = child.witness
+        assert (w.chain, w.index) == ((("v1", 2),), 2)
+        assert w.graph == star_gluing_kernel(c5, "v1", 2)
+        assert child.witness is w
+
+    def test_seeds_are_automorphisms_and_keep_answers(self, atlas7, c5, canonizations):
+        # every canonization of the search on the finite-Out atlas graphs
+        # at 24/3 and on C5 at 60/3, against the same graph canonized without
+        # the seeds of its gluing
+        for g in finite_out_graphs(atlas7, 7):
+            if g.n_vertices > 1:
+                enumerate_findex_graphs(g, 24, 3)
+        assert len(enumerate_findex_graphs(c5, 60, 3).witnesses) == 334
+        assert sum(1 for _, seeds, _ in canonizations if seeds) > 1000
+        for g, seeds, form in canonizations:
+            assert all(is_automorphism(g, sigma) for sigma in seeds)
+            plain = canonical_form(g)
+            assert (form.key, form.order, form.group_order(), form.orbit_representatives()) == (
+                plain.key, plain.order, plain.group_order(), plain.orbit_representatives())
+
+    def test_c5_search_tree_total(self, c5, canonizations):
+        # the canonizer nodes over the 73 canonizations of the 40/2 search;
+        # without the seeds of the gluings they were 4,688
+        res = enumerate_findex_graphs(c5, 40, 2)
+        assert len(res.witnesses) == 62 and len(canonizations) == 73
+        assert sum(form._canonizer.nodes for _, _, form in canonizations) == 1737
 
 
 def test_witness_serialization(c5):
