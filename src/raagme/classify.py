@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification, has_finite_out
-from .extension import ball_graph, ball_prefix, build_ext_ball
+from .extension import ball_graph, ball_prefix, build_ext_ball, star_swaps
 from .graphs import SimpleGraph
-from .isomorphism import canonical_form, canonical_hash, find_isomorphism
+from .isomorphism import canonical_form, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
 from .subgroups import check_search_bounds, gluing_classes
 
@@ -118,7 +118,31 @@ class InvariantReport:
         }
 
 
+def _fingerprint(b):
+    """Canonical hash of a ball, its star swaps renamed to ``ball_graph``'s labels as seeds."""
+    g = ball_graph(b)
+    labels = g.sorted_vertices()    # zero-padded, so in node index order
+    seeds = [{labels[u]: labels[w] for u, w in swap.items()} for swap in star_swaps(b)]
+    return canonical_form(g, automorphisms=seeds).hexdigest()
+
+
 def invariant_report(p, ball_bound=2):
+    """Invariants of p read off its clique-reduced form, with ball fingerprints.
+
+    The flags come from the CV classification of the reduced graph.  The
+    fingerprints are the canonical hashes of the untransvectable extension
+    ball at each radius 0..ball_bound (none for a negative bound); the ball
+    is built once, at ball_bound, and each smaller one is cut out of it as
+    a prefix.
+
+    Each fingerprint's canonization is seeded with the ``star_swaps`` of its
+    ball: for an interior node i, two components of the ball less the
+    closed star st(i) with the same neighbours in st(i), matched by a map
+    that keeps each node's neighbours in st(i), are swapped with all else
+    fixed.  That is an automorphism of the ball, since no edge joins two
+    components and every edge into st(i) keeps its endpoint there.  Seeds
+    change only how much the canonizer searches, never the fingerprints.
+    """
     if not isinstance(p, GraphProductPresentation):
         raise InputError("first argument must be a GraphProductPresentation")
     if p.graph.n_vertices == 0:
@@ -131,8 +155,7 @@ def invariant_report(p, ball_bound=2):
     # classification that picked its types gives the flags below.
     ue = build_ext_ball(raag(reduced.graph), max(ball_bound, 0), ue=True)
     cv = ue.classification
-    fingerprints = tuple((L, canonical_hash(ball_graph(ball_prefix(ue, L))))
-                         for L in range(ball_bound + 1))
+    fingerprints = tuple((L, _fingerprint(ball_prefix(ue, L))) for L in range(ball_bound + 1))
     return InvariantReport(
         clique_reduced_form=reduced,
         out_finite=cv.out_finite,

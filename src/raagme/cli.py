@@ -17,7 +17,8 @@ validation and hypothesis errors.  Without the flag, a successful report
 exits 0.
 ``out`` and ``extball`` expand the ranks of their input; they count the
 edges of the expanded graph first and refuse more than
-``MAX_DEFINING_EDGES`` (exit 2).
+``MAX_DEFINING_EDGES`` (exit 2).  ``extball`` and ``analyze`` refuse a ball
+of more than ``words.MAX_HANDLES`` nodes while they enumerate it (exit 2).
 Reports are byte-deterministic for identical inputs and flags.  Every JSON
 report is written by one private emitter, ``_json_dump``, which gives the same
 bytes as ``json.dumps(doc, indent=2)`` followed by a newline.

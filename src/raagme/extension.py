@@ -32,6 +32,11 @@ translates that leave the ball stop their strip at that bound and are never
 lex ordered.  Both checks find the components of the punctured ball by a
 breadth-first search that takes a whole level per step, as set algebra on
 the nodes' neighbour sets.
+
+The same search gives ``star_swaps``: the automorphisms of a ball that swap
+two components of it less the star of an interior node, matched by
+``isomorphism.component_classes``.  ``classify.invariant_report`` seeds the
+canonization of every ball it fingerprints with them.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification
+from .isomorphism import component_classes
 from .words import commutation_adjacency, enumerate_cyclic_handles, translate_conjugators
 
 
@@ -153,30 +159,79 @@ def ball_graph(b):
     return SimpleGraph(labels, edges)
 
 
-def _components(b, removed):
-    """Connected components of the ball minus a set of node indices.
+def star_swaps(b):
+    """Automorphisms of the ball that swap two components of it less a star.
 
-    Maps each remaining node to its component label, labels numbered in the
-    order of the components' least members, and returns the count too.  A
-    component grows one breadth-first level at a time: the next level is the
-    union of the level's neighbour sets less every node seen or removed.
+    For each interior node i, in index order, the components of the ball
+    less st(i) that touch st(i) fall into classes under isomorphisms that
+    keep each node's neighbours in st(i) (``component_classes``); each swap
+    of adjacent members of a class, st(i) and the other components fixed,
+    is an automorphism, as no edge joins two components and every edge into
+    st(i) keeps its endpoint there.  Returns them as maps of moved node
+    indices.
+
+    Two components of one size hold at most half of the nodes outside
+    st(i) each, so the search drops a component once it passes that half.
+    A component away from st(i) is a component of the whole ball and would
+    give the same swaps at every star, so it is left out.
+    """
+    adjacency = b.adjacency
+    swaps = []
+    for i in sorted(b.interior()):
+        removed = b.star_of(i)
+        attached = sorted(set().union(*[adjacency[s] for s in removed]) - removed)
+        comps = _components(b, removed, attached, (b.n_nodes - len(removed)) // 2)
+        for cls in component_classes(adjacency, [sorted(c) for c in comps], removed):
+            for m, n in zip(cls, cls[1:]):
+                swap = {}
+                for x in cls[0]:
+                    swap[m[x]], swap[n[x]] = n[x], m[x]
+                swaps.append(swap)
+    return swaps
+
+
+def _components(b, removed, roots=None, limit=None):
+    """Connected components of the ball minus a set of node indices, as node sets.
+
+    Components grow from the roots in order, every remaining node by
+    default, so in the order of their least members.  A component grows one
+    breadth-first level at a time: the next level is the union of the
+    level's neighbour sets less every node seen or removed.  With a limit, a
+    component that passes limit nodes stops growing and is left out, and so
+    is every later one that reaches a node it holds.
     """
     adjacency = b.adjacency
     seen = set(removed)
-    comp = {}
-    label = 0
-    for root in range(b.n_nodes):
+    dropped = set()
+    comps = []
+    for root in range(b.n_nodes) if roots is None else roots:
         if root in seen:
             continue
+        comp = {root}
         level = {root}
         seen.add(root)
         while level:
-            comp.update(dict.fromkeys(level, label))
             level = set().union(*[adjacency[i] for i in level])
+            if not level.isdisjoint(dropped):
+                break
             level -= seen
             seen |= level
-        label += 1
-    return comp, label
+            comp |= level
+            if limit is not None and len(comp) > limit:
+                break
+        else:
+            comps.append(comp)
+            continue
+        dropped |= comp
+    return comps
+
+
+def _labels(comps):
+    """Each node of the components mapped to the index of its component."""
+    label = {}
+    for k, comp in enumerate(comps):
+        label.update(dict.fromkeys(comp, k))
+    return label
 
 
 @dataclass(frozen=True)
@@ -214,7 +269,8 @@ def star_separation_check(b, v_index):
     if b.presentation.graph.n_vertices <= 1:
         raise DomainError("star separation requires a non-cyclic ambient group")
     removed = b.star_of(v_index)
-    comp, count = _components(b, removed)
+    comps = _components(b, removed)
+    comp = _labels(comps)
     interior = b.interior()
     keys = b._keys
     outside = [w for w in range(b.n_nodes) if w not in removed]
@@ -236,7 +292,7 @@ def star_separation_check(b, v_index):
             same_component=comp[w] == comp[t],
             interior=w in interior and t in interior,
         ))
-    return SeparationReport(v_index, count, tuple(entries), skipped)
+    return SeparationReport(v_index, len(comps), tuple(entries), skipped)
 
 
 @dataclass(frozen=True)
@@ -277,15 +333,15 @@ def star_complement_connectivity_check(b, v_index, x_indices):
     if x == lkv:
         raise DomainError("hypothesis violated: the removed set must differ from the link "
                           "of the node")
-    comp, count = _components(b, x)
-    interior = b.interior() - x
-    interior_labels = {comp[i] for i in interior}
-    boundary_only = count - len(set(comp.values()) & interior_labels)
+    comps = _components(b, x)
+    comp = _labels(comps)
+    interior_labels = {comp[i] for i in b.interior() - x}
+    boundary_only = len(comps) - len(interior_labels)
     return ConnectivityReport(
         center=v_index,
         removed=tuple(sorted(x)),
         interior_connected=len(interior_labels) <= 1,
-        component_count=count,
+        component_count=len(comps),
         boundary_only_components=boundary_only,
     )
 

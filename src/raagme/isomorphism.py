@@ -23,16 +23,26 @@ tested as an automorphism image of it, in one pass over the edges.  The
 search is exponential in the worst case: on a 2-core Xeon with CPython 3.11
 the 885-node radius-3 untransvectable extension-graph ball of the 5-cycle,
 which has no twins, canonizes in about 0.36-0.44 s (14,528 search nodes),
-and the 5,779-node one of ``tests/fixtures/c5double.json`` in about 33 s
-(342,218 nodes).  The 5-cycle with one vertex expanded to a 400-clique (404
+and the 5,779-node one of ``tests/fixtures/c5double.json`` in about 30-35 s
+(342,218 nodes).  Seeded with their 175 and 840 star swaps
+(``extension.star_swaps``, as ``classify.invariant_report`` seeds every
+ball it fingerprints), the searches make 436 and 6,299 nodes, in about
+0.06 s and 1 s.  The 5-cycle with one vertex expanded to a 400-clique (404
 vertices, 80,603 edges) canonizes in about 0.25 s: its 400 twins give 399
 seeds, and the search makes 801 nodes.
+
+``component_classes`` sorts the components of a graph less a separator into
+classes up to isomorphisms that fix the separator, the swaps behind those
+seeds.  It is no second canonizer: a pair of components is matched by the
+same refinement, ``_refine``, on the two of them side by side, with a
+bounded backtrack over pairs of vertices split off together.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+from bisect import bisect_left
 from collections import defaultdict
 
 from .errors import InputError, echo
@@ -66,12 +76,15 @@ def _refine(adj, label, cells, changed):
     written to the size of its cell.
 
     ``changed`` holds the vertices whose cells changed since the partition
-    was last equitable: every vertex from the unit partition, or just the
-    vertex u that ``_individualize`` split off.  A round keys each neighbour
-    of a changed vertex by the labels of its changed neighbours and splits
-    its cell by those keys, pieces in key order; a vertex alone in its cell
-    never splits, so it is never keyed.  The next ``changed`` lists the new
-    pieces cell by cell in label order, so every key comes out sorted.
+    was last equitable: every vertex, in label order, of a first partition
+    (the unit partition in the canonizer), or just the vertex u that
+    ``_individualize`` split off (or the pair ``_match`` splits off
+    together, which no vertex is adjacent to both of).  A round keys each
+    neighbour of a changed vertex by the labels of its changed neighbours
+    and splits its cell by those keys, pieces in key order; a vertex alone
+    in its cell never splits, so it is never keyed.  The next ``changed``
+    lists the new pieces cell by cell in label order, so every key comes
+    out sorted.
 
     The keys order each cell as whole-cell keys would: the sorted labels of
     a vertex's neighbours in every cell that changed, the old cell of u
@@ -83,12 +96,13 @@ def _refine(adj, label, cells, changed):
       start is C's label, fresh > start is u's and x is 1 if the member is
       adjacent to u, else 0.  The key ``[fresh] * x`` orders the cell the
       same way, and members not adjacent to u keep the least key ``[]``.
-      From the unit partition the first round keys by degree.
+      From a first partition the first round keys each vertex by the
+      sorted labels of all its neighbours: by degree from the unit one.
     - A round leaves the last piece (the highest label) of each cell it
       splits out of the next ``changed``.  From the second round on, the
       members of a cell have equal neighbour counts in every cell that split
       in the previous round: by induction from the equitable parent, or from
-      the degree round.  So their whole-cell keys have equal lengths, and
+      the first round.  So their whole-cell keys have equal lengths, and
       the count in a last piece is that total minus the counts in the kept
       pieces.  At the least label where two members' whole-cell keys hold
       different counts, the member with more of that label has the smaller
@@ -583,3 +597,134 @@ def automorphism_count(g):
     it records, so it costs one canonical labeling.
     """
     return canonical_form(g).group_order()
+
+
+# partitions refined per pair of components before the pair is given up; the
+# largest pair in the balls of the tests, two components of 2,354 nodes in
+# the c5double radius-3 ball, needs 335, about one per symmetric piece
+MATCH_STEPS = 1024
+
+
+def _match(adj, half, label, cells):
+    """An isomorphism from the vertices below half onto those above, or None.
+
+    ``adj`` lists the neighbours of 2 * half vertices, with no edge across
+    half, and (label, cells) is a partition of them in ``_refine``'s form
+    whose every cell holds as many vertices on each side.  Refinement must
+    keep that, and only the cells it writes can break it or come to hold
+    more than two members.  When every cell is a pair, the map across the
+    pairs is the answer, once it is checked on the edges.  Otherwise the
+    least vertex of a least cell is tried against each vertex of that cell
+    above half, the two split off together into a cell of their own: no
+    vertex is adjacent to both, so ``_refine``'s keys order the cells as
+    after ``_individualize``.  The search runs depth first on its own stack
+    and answers None once it has refined ``MATCH_STEPS`` partitions.
+    """
+    # every vertex changed, in label order so that each key comes out sorted
+    changed = sorted(range(len(adj)), key=label.__getitem__)
+    wide = [q for q, members in cells.items() if len(members) > 2]
+    stack = []      # per branching: its partition and wide cells, the vertex tried, images left
+    for _ in range(MATCH_STEPS):
+        written = _refine(adj, label, cells, changed)
+        if all(q in cells and 2 * bisect_left(cells[q], half) == len(cells[q]) for q in written):
+            wide = [q for q in wide if q not in written and len(cells[q]) > 2]
+            wide += [q for q in written if len(cells[q]) > 2]
+            if wide:
+                q = min(wide, key=lambda q: (len(cells[q]), q))
+                members = cells[q]
+                stack.append((label, cells, wide, members[0], q,
+                              iter(members[bisect_left(members, half):])))
+            else:
+                iso = dict(cells.values())
+                if all({iso[w] for w in adj[v]} == set(adj[iso[v]]) for v in iso):
+                    return iso
+        while stack:
+            parent_label, parent_cells, wide, u, q, images = stack[-1]
+            w = next(images, None)
+            if w is not None:
+                break
+            stack.pop()
+        else:
+            return None
+        label, cells = list(parent_label), dict(parent_cells)
+        cells[q] = [x for x in cells[q] if x != u and x != w]
+        # individualized pairs are labelled above every position, by depth
+        label[u] = label[w] = len(adj) + len(stack) - 1
+        cells[label[u]] = [u, w]
+        changed = (u, w)
+    return None
+
+
+def _match_components(adjsets, separator, start, a, b):
+    """A map of component a onto component b that keeps start colours and edges, or None."""
+    verts = (*a, *b)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[index[w] for w in adjsets[v] if w not in separator] for v in verts]
+    groups = defaultdict(list)
+    for i, v in enumerate(verts):
+        groups[start[v]].append(i)
+    label, cells, at = [0] * len(verts), {}, 0
+    for key in sorted(groups):
+        members = groups[key]
+        if 2 * bisect_left(members, len(a)) != len(members):
+            return None
+        for i in members:
+            label[i] = at
+        cells[at] = members
+        at += len(members)
+    iso = _match(adj, len(a), label, cells)
+    return None if iso is None else {verts[i]: verts[j] for i, j in iso.items()}
+
+
+def component_classes(adjsets, components, separator):
+    """Components of a graph less a separator, in classes up to maps that fix it.
+
+    ``adjsets[v]`` is the set of neighbours of vertex v, ``separator`` a set
+    of vertices and ``components`` lists components of the graph less the
+    separator, as vertex lists.  Two components share a class when an
+    isomorphism between them keeps each vertex's neighbours in the
+    separator; then swapping the two, with every other vertex fixed, is an
+    automorphism of the graph, since no edge joins two components.
+
+    Components are bucketed by size, attachment set (their neighbours in
+    the separator) and degree multiset.  Within a bucket each component is
+    matched against the first member of each class so far: colour
+    refinement starts from each vertex's neighbours in the separator and its
+    degree, and backtracks over the vertices of a least class.  A pair whose
+    search refines more than ``MATCH_STEPS`` partitions is taken as not
+    isomorphic, so a class may come out split, but never holds two
+    components that are not isomorphic.
+
+    Returns the classes of two or more members, in the order of their first
+    members in ``components``.  Each class is a list of dicts, one per
+    member in that order: the k-th maps the vertices of the first member
+    onto those of the k-th, and the first is the identity.
+    """
+    by_size = defaultdict(list)
+    for k, comp in enumerate(components):
+        by_size[len(comp)].append(k)
+    buckets = defaultdict(list)
+    for group in by_size.values():
+        if len(group) > 1:
+            for k in group:
+                comp = components[k]
+                attach = frozenset().union(*[adjsets[v] & separator for v in comp])
+                buckets[attach, tuple(sorted(len(adjsets[v]) for v in comp))].append(k)
+    classes = []
+    for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        start = {v: (tuple(sorted(adjsets[v] & separator)), len(adjsets[v]))
+                 for k in bucket for v in components[k]}
+        firsts = []     # (index of the first member, maps) per class
+        for k in bucket:
+            for first, maps in firsts:
+                iso = _match_components(adjsets, separator, start, components[first],
+                                        components[k])
+                if iso is not None:
+                    maps.append(iso)
+                    break
+            else:
+                firsts.append((k, [{v: v for v in components[k]}]))
+        classes += [(first, maps) for first, maps in firsts if len(maps) > 1]
+    return [maps for _, maps in sorted(classes, key=lambda c: c[0])]

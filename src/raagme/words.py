@@ -359,6 +359,13 @@ def _letters(vertices):
     return [(v, e) for v in sorted(vertices) for e in (1, -1)]
 
 
+# the most handles enumerate_cyclic_handles builds: the largest ball a test
+# or CI step builds has 5,779 (c5double at radius 3), and the C5 ball has
+# 34,145 at radius 5; on a 2-core Xeon with CPython 3.11 about 30,000-45,000
+# handles are enumerated per second, so a refusal comes within a second
+MAX_HANDLES = 20_000
+
+
 def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     """Canonical cyclic handles with conjugator letters from given vertices.
 
@@ -368,7 +375,8 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     ``sort_key()`` order: by conjugator length, then type, then conjugator.
     That is the node order of an extension ball, and for a single type it is
     the (length, conjugator) order in which ``commutation_adjacency`` stops
-    at the first conjugator longer than its budget.
+    at the first conjugator longer than its budget.  Handles are counted as
+    they are added, and one more than ``MAX_HANDLES`` raises InputError.
     """
     if length_bound < 0:
         raise InputError("conjugator length bound must be >= 0")
@@ -382,7 +390,7 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
         letters = [_validate_syllable(p, s) for s in _letters(letter_vertices)]
         stars = {h.vertex: star(p.graph, h.vertex) for h in frontier}
     adj = p.graph.adjacency
-    for _ in range(length_bound):
+    for length in range(1, length_bound + 1):
         nxt = []
         for h in frontier:
             t = h.vertex
@@ -393,5 +401,10 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
                 if key not in handles:
                     handles[key] = h2 = ParabolicHandle(p, conj, t)
                     nxt.append(h2)
+                    if len(handles) > MAX_HANDLES:
+                        raise InputError(
+                            f"the extension ball of radius {length_bound} passes the bound "
+                            f"of {MAX_HANDLES} nodes: {len(handles)} handles by conjugator "
+                            f"length {length}")
         frontier = nxt
     return sorted(handles.values(), key=ParabolicHandle.sort_key)

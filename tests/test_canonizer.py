@@ -10,6 +10,7 @@ still finds the same key, order, group order and orbit representatives.
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,15 @@ from hypothesis import strategies as st
 from helpers import (CanonizerByRounds, individualize_keeping_singletons,
                      orbit_representatives_by_rounds, prism, refine_by_rounds, refine_by_whole_cells)
 
-from raagme.extension import ball_graph, build_ext_ball, ue_restriction
+from raagme.combinatorics import has_finite_out
+from raagme.extension import ball_graph, ball_prefix, build_ext_ball, star_swaps, ue_restriction
+from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, opposite_graph
-from raagme.isomorphism import (_Canonizer, _individualize, _refine, automorphism_count,
-                                 canonical_form)
+from raagme.isomorphism import (_Canonizer, _individualize, _moved_points, _refine,
+                                 automorphism_count, canonical_form)
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class CountingCanonizerByRounds(CanonizerByRounds):
@@ -59,8 +64,15 @@ def assert_same_search(g):
     assert form.orbit_representatives() == orbit_representatives_by_rounds(old)
 
 
-def assert_seeds_keep_answers(g):
-    form = canonical_form(g)
+def assert_seeds_keep_answers(g, automorphisms=(), plain=None):
+    """canonical_form(g, automorphisms) finds the key, order, group order and
+    orbit representatives of an unseeded search: the plain form ``plain`` of
+    g when given, else the full-round search without the twin swaps."""
+    form = canonical_form(g, automorphisms=automorphisms)
+    if plain is not None:
+        assert (form.key, form.order, form.group_order(), form.orbit_representatives()) == (
+            plain.key, plain.order, plain.group_order(), plain.orbit_representatives())
+        return
     verts, adj = indexed(g)
     old = CanonizerByRounds(verts, adj, seeded=False)
     _, key, order = old.run()
@@ -233,6 +245,76 @@ def test_prism_radius_3_ball_search():
         19746054687854472505859630190688206059792830387602958360183308288)
     assert form.hexdigest() == (
         "14f9eb395122fda077069d98c112f0fd9be72a2b6ce92124d2574a11cf57279d")
+
+
+def star_seeds(b):
+    """The ball as a graph and its star swaps as label maps, each checked by
+    _moved_points to be an automorphism that moves exactly its keys."""
+    g = ball_graph(b)
+    verts, adj = indexed(g)
+    index = {v: i for i, v in enumerate(verts)}
+    adjsets = [frozenset(a) for a in adj]
+    swaps = star_swaps(b)
+    seeds = [{verts[u]: verts[w] for u, w in swap.items()} for swap in swaps]
+    assert _moved_points(seeds, index, adjsets) == swaps
+    return g, seeds
+
+
+def test_star_seeds_keep_answers_on_atlas_balls(atlas7):
+    # the untransvectable balls of every finite-Out graph of the atlas at
+    # radius 0-2, cut out of the radius-2 one as invariant_report does; the
+    # full-round search is the oracle up to radius 1, the plain one (itself
+    # checked against it on relabelled radius-2 balls) at radius 2
+    seeded = []
+    for n in range(1, 8):
+        for g in atlas7[n]:
+            if not has_finite_out(g):
+                continue
+            ue = build_ext_ball(raag(g), 2, ue=True)
+            for L in range(3):
+                ball, seeds = star_seeds(ball_prefix(ue, L))
+                assert_seeds_keep_answers(ball, seeds, canonical_form(ball) if L == 2 else None)
+                seeded.append(len(seeds))
+    # 11 graphs; radius 0 has no interior node, and the single vertex no
+    # second component, so neither gets seeds
+    assert (len(seeded), sum(map(bool, seeded)), sum(seeded)) == (33, 20, 562)
+
+
+@pytest.mark.parametrize("name", ["C5", "prism"])
+def test_star_seeds_keep_answers_at_radius_3(name):
+    # the plain search is the oracle here, its own answers pinned above;
+    # the seeded search is much smaller
+    g = cycle_graph(["v1", "v2", "v3", "v4", "v5"]) if name == "C5" else prism()
+    ball, seeds = star_seeds(build_ext_ball(raag(g), 3, ue=True))
+    form = canonical_form(ball, automorphisms=seeds)
+    assert (len(seeds), form._canonizer.nodes) == {"C5": (175, 436), "prism": (210, 697)}[name]
+    assert_seeds_keep_answers(ball, seeds, plain=canonical_form(ball))
+
+
+def test_c5double_radius_3_seeded_search():
+    # the ball that `raagme analyze tests/fixtures/c5double.json
+    # --ball-bound 3` fingerprints last: the plain search makes 342,218
+    # nodes in about 30 s; its digest is the one the CLI prints
+    ball, seeds = star_seeds(build_ext_ball(load_presentation(FIXTURES / "c5double.json"), 3,
+                                            ue=True))
+    form = canonical_form(ball, automorphisms=seeds)
+    c = form._canonizer
+    assert (ball.n_vertices, ball.n_edges, len(seeds)) == (5779, 9176, 840)
+    assert (c.nodes, len(c.automorphisms), len(c.best_prefix)) == (6299, 850, 753)
+    assert form.hexdigest() == (
+        "15c29e1d1cc7353991be27db391255f62b06ea27516d4d6f7968bf7b1f103d74")
+
+
+def test_star_seeds_shrink_radius_2_searches():
+    # the three radius-2 balls of the ext-ball benchmark: the plain search
+    # makes 504, 721 and 922 nodes
+    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+    c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+    got = []
+    for g in (c5, prism(), c7_complement):
+        ball, seeds = star_seeds(build_ext_ball(raag(g), 2, ue=True))
+        got.append((len(seeds), canonical_form(ball, automorphisms=seeds)._canonizer.nodes))
+    assert got == [(30, 76), (36, 121), (42, 106)]
 
 
 class TiedLeafOutcomes(_Canonizer):

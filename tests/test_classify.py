@@ -452,3 +452,16 @@ def test_entry_points_check_argument_types(case, c5):
     with pytest.raises(InputError) as info:
         call(c5)
     assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fingerprints_relabel_invariant(atlas7, data):
+    # star swaps are found in node index order, which follows the vertex
+    # labels; the fingerprints they seed must not
+    n = data.draw(st.integers(1, 7))
+    g = data.draw(st.sampled_from(atlas7[n]))
+    twins = [relabel(g, [f"{prefix}{i}" for i in data.draw(st.permutations(range(n)))])
+             for prefix in ("x", "y")]
+    reports = [invariant_report(raag(h), ball_bound=2) for h in (g, *twins)]
+    assert len({r.ue_ball_fingerprints for r in reports}) == 1

@@ -331,6 +331,19 @@ def test_out_and_extball_refuse_large_expansions_at_once(tmp_path):
         _bounded_defining_graph(GraphProductPresentation(SimpleGraph(["v"]), {"v": 448}))
 
 
+def test_ball_commands_refuse_large_radii_at_once():
+    # the C5 ball has 34,145 nodes at radius 5; the handle count passes
+    # MAX_HANDLES partway through it, before any commutation pass
+    text = ("error: the extension ball of radius 12 passes the bound of 20000 nodes: "
+            "20001 handles by conjugator length 5\n")
+    for argv in (["extball", fx("c5.json"), "-L", "12"],
+                 ["extball", fx("c5.json"), "-L", "12", "--ue", "--format", "json"],
+                 ["analyze", fx("c5.json"), "--ball-bound", "12"]):
+        start = time.perf_counter()
+        assert run_command(argv) == (2, text)
+        assert time.perf_counter() - start < 1.0
+
+
 # every report goes through cli._json_dump; json.dumps(indent=2), the path it
 # replaced, is the oracle.  Strings cover quotes, backslashes, control and
 # non-ASCII characters, astral characters and lone surrogates.

@@ -15,9 +15,9 @@ from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
 from raagme.presentation import GraphProductPresentation, clique_reduce, raag
-from raagme.extension import (ExtBall, _components, ball_graph, ball_json, ball_prefix, build_ext_ball,
-                              star_complement_connectivity_check, star_separation_check,
-                              ue_restriction)
+from raagme.extension import (ExtBall, _components, _labels, ball_graph, ball_json, ball_prefix,
+                              build_ext_ball, star_complement_connectivity_check,
+                              star_separation_check, ue_restriction)
 from raagme.words import commutation_adjacency
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -259,7 +259,10 @@ class TestStarSeparation:
     def test_components_match_stack_oracle(self, c5, counterexample_graph):
         # the level-at-a-time search gives the labels and the count of the
         # edge-by-edge one, with every node's star removed, with random
-        # parts of stars removed, and with random node sets removed
+        # parts of stars removed, and with random node sets removed.  From
+        # random roots and with a random limit it keeps exactly the
+        # components that hold a root and at most limit nodes, in the order
+        # of their first roots
         rng = random.Random(3)
         c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
         c5_3 = build_ext_ball(raag(c5), 3)
@@ -277,9 +280,19 @@ class TestStarSeparation:
                 share = rng.random()
                 scattered = {j for j in range(b.n_nodes) if rng.random() < share}
                 for removed in (b.star_of(i), part, scattered):
-                    got = _components(b, removed)
-                    assert got == components_by_stack(b, removed)
-                    counts.add(got[1])
+                    comps = _components(b, removed)
+                    label, count = components_by_stack(b, removed)
+                    assert (_labels(comps), len(comps)) == (label, count)
+                    counts.add(count)
+                    rest = [j for j in range(b.n_nodes) if j not in removed]
+                    roots = sorted(rng.sample(rest, rng.randint(0, len(rest))))
+                    limit = rng.randint(0, len(rest))
+                    first = {}
+                    for r in roots:
+                        first.setdefault(label[r], r)
+                    want = [c for c in comps if label[min(c)] in first and len(c) <= limit]
+                    want.sort(key=lambda c: first[label[min(c)]])
+                    assert _components(b, removed, roots, limit) == want
         assert len(counts) > 20
 
     def test_only_in_ball_translates_lex_ordered(self, c5, monkeypatch):

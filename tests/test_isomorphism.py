@@ -12,8 +12,10 @@ from helpers import brute_automorphism_count, prism
 
 from raagme.errors import InputError
 from raagme.extension import ball_graph, build_ext_ball
-from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
-from raagme.isomorphism import automorphism_count, canonical_form, canonical_hash, find_isomorphism
+from raagme.graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
+                           path_graph, star)
+from raagme.isomorphism import (automorphism_count, canonical_form, canonical_hash,
+                                component_classes, find_isomorphism)
 from raagme.presentation import raag
 from raagme.subgroups import star_gluing_kernel
 
@@ -247,3 +249,134 @@ class TestKnownAutomorphisms:
             full = {v: sigma.get(v, v) for v in self.C5.vertices}
             assert all(self.C5.has_edge(full[u], full[w]) for u, w in self.C5.edges())
         assert canonical_form(SimpleGraph([])).automorphisms() == []
+
+
+def checked_classes(g, s):
+    """component_classes of g - s by vertex index, with every map checked to
+    keep edges and neighbours in s, and every swap of two members of a
+    class checked by canonical_form; also the components and, per pair of
+    them, whether networkx finds an isomorphism that keeps the neighbours
+    in s."""
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    adjsets = [frozenset(index[w] for w in g.neighbors(v)) for v in verts]
+    sep = frozenset(index[v] for v in s)
+    comps = sorted(sorted(index[v] for v in c) for c in connected_components(g, without=s))
+    classes = component_classes(adjsets, comps, sep)
+    for cls in classes:
+        first = cls[0]
+        assert first == {v: v for v in first}
+        for m in cls:
+            for v in first:
+                assert adjsets[m[v]] & sep == adjsets[v] & sep
+                assert {m[w] for w in adjsets[v] - sep} == adjsets[m[v]] - sep
+        for m, n in zip(cls, cls[1:]):
+            swap = {verts[m[v]]: verts[n[v]] for v in first}
+            swap.update({w: v for v, w in swap.items()})
+            canonical_form(g, automorphisms=[swap])    # raises unless an automorphism
+
+    def nx_graph(comp):
+        h = nx.Graph()
+        h.add_nodes_from((v, {"attach": adjsets[v] & sep}) for v in comp)
+        h.add_edges_from((v, w) for v in comp for w in adjsets[v] - sep)
+        return h
+
+    graphs = [nx_graph(c) for c in comps]
+    iso = {(i, j): GraphMatcher(graphs[i], graphs[j],
+                                node_match=lambda x, y: x["attach"] == y["attach"]).is_isomorphic()
+           for i in range(len(comps)) for j in range(i + 1, len(comps))}
+    return comps, classes, iso
+
+
+def class_pairs(comps, classes):
+    """Pairs (i, j), i < j, of indices of components in one class."""
+    where = {}
+    for k, cls in enumerate(classes):
+        for m in cls:
+            where[comps.index(sorted(m.values()))] = k
+    return {(i, j) for i in where for j in where if i < j and where[i] == where[j]}
+
+
+class TestComponentClasses:
+    def test_stars_of_atlas_vs_networkx(self, atlas6):
+        found = 0
+        for n in range(1, 7):
+            for g in atlas6[n]:
+                for v in g.sorted_vertices():
+                    comps, classes, iso = checked_classes(g, star(g, v))
+                    assert class_pairs(comps, classes) == {p for p, yes in iso.items() if yes}
+                    found += len(classes)
+        assert found > 100
+
+    def test_glued_copies_vs_networkx(self):
+        # a separator with copies of random pieces glued on, every copy
+        # relabelled, some with two edges swapped (degrees kept) or one
+        # attachment moved, so that buckets hold pieces that do and do not
+        # match
+        rng = random.Random(71)
+        for trial in range(150):
+            sep = [f"s{i}" for i in range(rng.randint(1, 4))]
+            edges = [(a, b) for i, a in enumerate(sep) for b in sep[i + 1:] if rng.random() < 0.3]
+            verts = list(sep)
+            for p in range(rng.randint(1, 3)):
+                size = rng.randint(1, 9)
+                inner = [(i, j) for i in range(size) for j in range(i + 1, size)
+                         if rng.random() < rng.choice((0.2, 0.4, 0.7))]
+                attach = [(i, a) for i in range(size) for a in sep if rng.random() < 0.3]
+                for copy in range(rng.randint(1, 4)):
+                    perm = list(range(size))
+                    rng.shuffle(perm)
+                    names = [f"p{p}c{copy}x{perm[i]}" for i in range(size)]
+                    mine, mine_attach = set(inner), list(attach)
+                    if rng.random() < 0.4 and len(inner) > 1:
+                        (a, b), (c, d) = rng.sample(inner, 2)
+                        swapped = {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
+                        if len({a, b, c, d}) == 4 and not swapped & mine:
+                            mine = mine - {(a, b), (c, d)} | swapped
+                    if rng.random() < 0.15:
+                        mine_attach = mine_attach[1:] + [(rng.randrange(size), rng.choice(sep))]
+                    verts += names
+                    edges += [(names[i], names[j]) for i, j in mine]
+                    edges += [(names[i], a) for i, a in set(mine_attach)]
+            g = SimpleGraph(verts, set(edges))
+            comps, classes, iso = checked_classes(g, sep)
+            assert class_pairs(comps, classes) == {p for p, yes in iso.items() if yes}, trial
+
+    def test_random_graphs_with_random_separators_vs_networkx(self):
+        rng = random.Random(72)
+        for _ in range(200):
+            n = rng.randint(2, 16)
+            p = rng.choice((0.1, 0.2, 0.35, 0.6))
+            verts = [f"v{i:02d}" for i in range(n)]
+            g = SimpleGraph(verts, [(verts[i], verts[j]) for i in range(n)
+                                    for j in range(i + 1, n) if rng.random() < p])
+            sep = rng.sample(verts, rng.randint(0, n - 1))
+            comps, classes, iso = checked_classes(g, sep)
+            assert class_pairs(comps, classes) == {p for p, yes in iso.items() if yes}
+
+    def test_step_bound_splits_classes(self, monkeypatch):
+        # two hexagons joined to one separator vertex: refinement alone
+        # cannot split a cycle, so matching them needs individualizations;
+        # a search cut off by the bound gives no class, never a wrong one
+        import raagme.isomorphism
+        verts = ["s"] + [f"{c}{i}" for c in "ab" for i in range(6)]
+        edges = [(f"{c}{i}", f"{c}{(i + 1) % 6}") for c in "ab" for i in range(6)]
+        edges += [("s", v) for v in verts[1:]]
+        g = SimpleGraph(verts, edges)
+        comps, classes, iso = checked_classes(g, ["s"])
+        assert len(classes) == 1 and iso == {(0, 1): True}
+        for steps, found in ((0, 0), (1, 0), (2, 0), (3, 1)):
+            monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", steps)
+            assert len(checked_classes(g, ["s"])[1]) == found
+
+    def test_regular_pieces_that_refinement_cannot_tell_apart(self):
+        # K_{3,3} and the triangular prism, both cubic on six vertices and
+        # joined to one separator vertex: only the backtrack tells them apart
+        k33 = [(f"a{i}", f"a{j}") for i in range(3) for j in range(3, 6)]
+        prism_edges = [(f"b{i}", f"b{(i + 1) % 3}") for i in range(3)]
+        prism_edges += [(f"b{i + 3}", f"b{(i + 1) % 3 + 3}") for i in range(3)]
+        prism_edges += [(f"b{i}", f"b{i + 3}") for i in range(3)]
+        verts = ["s"] + [f"{c}{i}" for c in "ab" for i in range(6)]
+        g = SimpleGraph(verts, k33 + prism_edges + [("s", v) for v in verts[1:]])
+        comps, classes, iso = checked_classes(g, ["s"])
+        assert classes == [] and iso == {(0, 1): False}

@@ -12,7 +12,7 @@ from raagme.errors import DomainError, InputError
 from raagme.extension import build_ext_ball
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
-from raagme.words import (NormalFormWord, _canonical_conjugator, _lex_order, _reduce,
+from raagme.words import (MAX_HANDLES, NormalFormWord, _canonical_conjugator, _lex_order, _reduce,
                           _strip_to_coset_rep, canonical_parabolic, commutation_adjacency, enumerate_cyclic_handles,
                           multiply_and_normalize, translate_conjugators, word)
 
@@ -153,6 +153,20 @@ class TestCanonicalParabolic:
             enumerate_cyclic_handles(p, {"v1"}, {"v2"}, -1)
         assert [h.key() for h in enumerate_cyclic_handles(p, {"v1"}, {"v2"}, 0)] == \
             [((), "v1")]
+
+    def test_enumerate_stops_past_the_handle_bound(self):
+        # C5 has 5,485 handles within conjugator length 4 and 34,145 within
+        # 5; the count passes MAX_HANDLES partway through length 5, and the
+        # error names the count and the bound whatever the radius asked
+        p = c5p()
+        letters = p.graph.vertices
+        assert MAX_HANDLES == 20_000
+        assert len(enumerate_cyclic_handles(p, letters, letters, 4)) == 5485
+        for radius in (5, 12, 10 ** 9):
+            with pytest.raises(InputError, match=(
+                    f"^the extension ball of radius {radius} passes the bound of 20000 nodes: "
+                    "20001 handles by conjugator length 5$")):
+                enumerate_cyclic_handles(p, letters, letters, radius)
 
     def test_idempotent_and_equivariant(self, atlas6):
         rng = random.Random(5)
