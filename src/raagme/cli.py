@@ -284,8 +284,14 @@ def _cmd_subgroups(args):
     return 0, "\n".join(lines) + "\n"
 
 
-@functools.cache
 def build_parser():
+    """The parser of the whole command line."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """The parser of the whole command line and each command's own, by name."""
     parser = argparse.ArgumentParser(
         prog="raagme",
         description="Equivalence analysis of right-angled Artin groups and "
@@ -298,30 +304,35 @@ def build_parser():
                           help="map decision verdicts to exit codes "
                                "(0 equivalent, 1 not_equivalent, 3 unknown)")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    sp = sub.add_parser("analyze", parents=[common],
-                        help="equivalence invariants of a presentation")
+    def add_command(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
+
+    sp = add_command("analyze", parents=[common],
+                    help="equivalence invariants of a presentation")
     sp.add_argument("file")
     sp.add_argument("--ball-bound", type=int, default=1,
                     help="largest extension-ball radius to fingerprint (default 1)")
     sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("reduce", parents=[common],
-                        help="canonical clique-reduced form")
+    sp = add_command("reduce", parents=[common],
+                    help="canonical clique-reduced form")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_reduce)
 
-    sp = sub.add_parser("out", parents=[common],
-                        help="outer automorphism generator inventory")
+    sp = add_command("out", parents=[common],
+                    help="outer automorphism generator inventory")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_out)
 
-    sp = sub.add_parser("oe", parents=[decision], help="decide orbit equivalence")
+    sp = add_command("oe", parents=[decision], help="decide orbit equivalence")
     sp.add_argument("g_file")
     sp.add_argument("h_file")
     sp.set_defaults(func=_cmd_oe)
 
-    sp = sub.add_parser("me", parents=[decision], help="decide measure equivalence")
+    sp = add_command("me", parents=[decision], help="decide measure equivalence")
     sp.add_argument("g_file")
     sp.add_argument("h_file")
     sp.add_argument("--max-steps", type=int, default=3,
@@ -330,23 +341,23 @@ def build_parser():
                     help="vertex budget of the subgroup search (default 24)")
     sp.set_defaults(func=_cmd_me)
 
-    sp = sub.add_parser("extball", parents=[common],
-                        help="finite ball of the extension graph")
+    sp = add_command("extball", parents=[common],
+                    help="finite ball of the extension graph")
     sp.add_argument("file")
     sp.add_argument("-L", type=int, required=True, help="conjugator length bound")
     sp.add_argument("--ue", action="store_true",
                     help="restrict to untransvectable nodes")
     sp.set_defaults(func=_cmd_extball)
 
-    sp = sub.add_parser("subgroups", parents=[common],
-                        help="finite-index defining graphs by star gluing")
+    sp = add_command("subgroups", parents=[common],
+                    help="finite-index defining graphs by star gluing")
     sp.add_argument("file")
     sp.add_argument("--max-vertices", type=int, default=16,
                     help="vertex budget (default 16)")
     sp.add_argument("--max-steps", type=int, default=2,
                     help="composition depth (default 2)")
     sp.set_defaults(func=_cmd_subgroups)
-    return parser
+    return parser, commands
 
 
 def run_command(argv):
@@ -355,9 +366,8 @@ def run_command(argv):
     The report goes to stdout on success; error text (status 2) goes to
     stderr in main().
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse already printed usage; normalize its exit code to 2
         raise _UsageExit(2 if exc.code else 0) from exc
@@ -365,6 +375,23 @@ def run_command(argv):
         return args.func(args)
     except RaagmeError as exc:
         return 2, f"error: {exc}\n"
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)``, by the named command's own parser when it can.
+
+    The full parser hands everything after the command to that command's
+    parser and then reports what it left over, so the command's parser
+    alone gives the same namespace whenever nothing is left over; otherwise,
+    and for an unknown command, the full parser parses again and reports.
+    """
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 class _UsageExit(Exception):

@@ -144,9 +144,11 @@ def ue_restriction(b):
 
 
 def ball_prefix(b, L):
-    """The radius-L ball inside b (untransvectable if b is)."""
+    """The radius-L ball inside b (untransvectable if b is); b itself at its own radius."""
     if not 0 <= _integer(L, "ball radius") <= b.L:
         raise InputError(f"radius {L} outside 0..{b.L}")
+    if b._longest <= L == b.L:
+        return b
     return _restrict(b, [i for i, n in enumerate(b.nodes) if n.length <= L], L)
 
 

@@ -31,11 +31,18 @@ ball it fingerprints), the searches make 436 and 6,299 nodes, in about
 vertices, 80,603 edges) canonizes in about 0.25 s: its 400 twins give 399
 seeds, and the search makes 801 nodes.
 
-``component_classes`` sorts the components of a graph less a separator into
-classes up to isomorphisms that fix the separator, the swaps behind those
-seeds.  It is no second canonizer: a pair of components is matched by the
-same refinement, ``_refine``, on the two of them side by side, with a
-bounded backtrack over pairs of vertices split off together.
+The matcher ``_match`` tells two graphs apart with no canonical form.  It
+is no second canonizer: the pair is refined by the same ``_refine``, side by
+side, with a bounded backtrack over pairs of vertices split off together.
+Its answer is complete within its budget: an isomorphism checked on every
+edge, None once the backtrack has run out of images (a proof that there is
+none), or ``BUDGET`` after ``MATCH_STEPS`` refined partitions.
+``match_graphs`` runs it on two graphs from degree colours; the star-gluing
+search decides newness with it and canonizes only on ``BUDGET``.
+``component_classes`` runs it on the components of a graph less a
+separator, from colours that fix the separator, and sorts them into classes
+up to isomorphisms that fix it, the swaps behind the seeds above; there
+``BUDGET`` means no swap.
 """
 
 from __future__ import annotations
@@ -577,8 +584,11 @@ def find_isomorphism(g, h):
 
     Deterministic: the map is read off the two canonical labelings, so
     repeated calls agree, and the maps found for (g, h) and (h, g) are
-    mutually inverse.
+    mutually inverse.  Graphs of different degree sequences are told apart
+    before either is canonized.
     """
+    if g.degree_sequence() != h.degree_sequence():
+        return None
     cg = canonical_form(g)
     ch = canonical_form(h)
     if cg.key != ch.key:
@@ -599,14 +609,17 @@ def automorphism_count(g):
     return canonical_form(g).group_order()
 
 
-# partitions refined per pair of components before the pair is given up; the
-# largest pair in the balls of the tests, two components of 2,354 nodes in
-# the c5double radius-3 ball, needs 335, about one per symmetric piece
+# partitions refined per pair of graphs or components before the matcher
+# answers BUDGET; the largest pair in the balls of the tests, two components
+# of 2,354 nodes in the c5double radius-3 ball, needs 335, about one per
+# symmetric piece
 MATCH_STEPS = 1024
+# the matcher's answer when it refined MATCH_STEPS partitions without one
+BUDGET = "budget"
 
 
 def _match(adj, half, label, cells):
-    """An isomorphism from the vertices below half onto those above, or None.
+    """An isomorphism from the vertices below half onto those above, None or BUDGET.
 
     ``adj`` lists the neighbours of 2 * half vertices, with no edge across
     half, and (label, cells) is a partition of them in ``_refine``'s form
@@ -617,8 +630,13 @@ def _match(adj, half, label, cells):
     least vertex of a least cell is tried against each vertex of that cell
     above half, the two split off together into a cell of their own: no
     vertex is adjacent to both, so ``_refine``'s keys order the cells as
-    after ``_individualize``.  The search runs depth first on its own stack
-    and answers None once it has refined ``MATCH_STEPS`` partitions.
+    after ``_individualize``.  The search runs depth first on its own stack.
+
+    Every isomorphism that keeps the start partition keeps each refinement
+    of it, and maps the least vertex tried at a level to one of the images
+    tried there; so once the backtrack has run out of images at every
+    level, None proves that there is none.  The search answers BUDGET
+    instead once it has refined ``MATCH_STEPS`` partitions.
     """
     # every vertex changed, in label order so that each key comes out sorted
     changed = sorted(range(len(adj)), key=label.__getitem__)
@@ -652,28 +670,63 @@ def _match(adj, half, label, cells):
         label[u] = label[w] = len(adj) + len(stack) - 1
         cells[label[u]] = [u, w]
         changed = (u, w)
-    return None
+    return BUDGET
 
 
-def _match_components(adjsets, separator, start, a, b):
-    """A map of component a onto component b that keeps start colours and edges, or None."""
-    verts = (*a, *b)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[w] for w in adjsets[v] if w not in separator] for v in verts]
+def _match_coloured(adj, half, colour):
+    """``_match`` from the partition of the vertices by colour, in colour order.
+
+    Answers None at once when a colour has more vertices on one side of
+    half than on the other.
+    """
     groups = defaultdict(list)
-    for i, v in enumerate(verts):
-        groups[start[v]].append(i)
-    label, cells, at = [0] * len(verts), {}, 0
+    for i, c in enumerate(colour):
+        groups[c].append(i)
+    label, cells, at = [0] * len(adj), {}, 0
     for key in sorted(groups):
         members = groups[key]
-        if 2 * bisect_left(members, len(a)) != len(members):
+        if 2 * bisect_left(members, half) != len(members):
             return None
         for i in members:
             label[i] = at
         cells[at] = members
         at += len(members)
-    iso = _match(adj, len(a), label, cells)
-    return None if iso is None else {verts[i]: verts[j] for i, j in iso.items()}
+    return _match(adj, half, label, cells)
+
+
+def match_graphs(g, h):
+    """An isomorphism g -> h as a dict, None when there is none, or BUDGET.
+
+    The two graphs are matched side by side from the partition of their
+    vertices by degree, with no canonical form: an isomorphism is checked
+    on every edge, and None means the backtrack ran out of images (see
+    ``_match``).  BUDGET means it refined ``MATCH_STEPS`` partitions first;
+    then only canonical forms can tell.
+    """
+    verts = (*g.sorted_vertices(), *h.sorted_vertices())
+    half = g.n_vertices
+    index_g = {v: i for i, v in enumerate(verts[:half])}
+    index_h = {v: half + i for i, v in enumerate(verts[half:])}
+    adj = [[index_g[w] for w in g.neighbors(v)] for v in verts[:half]]
+    adj += [[index_h[w] for w in h.neighbors(v)] for v in verts[half:]]
+    iso = _match_coloured(adj, half, [len(a) for a in adj])
+    if iso is None or iso is BUDGET:
+        return iso
+    return {verts[i]: verts[j] for i, j in iso.items()}
+
+
+def _match_components(adjsets, separator, start, a, b):
+    """A map of component a onto component b that keeps start colours and edges, or None.
+
+    BUDGET counts as None: the pair is then taken as not isomorphic.
+    """
+    verts = (*a, *b)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[index[w] for w in adjsets[v] if w not in separator] for v in verts]
+    iso = _match_coloured(adj, len(a), [start[v] for v in verts])
+    if iso is None or iso is BUDGET:
+        return None
+    return {verts[i]: verts[j] for i, j in iso.items()}
 
 
 def component_classes(adjsets, components, separator):

@@ -9,8 +9,9 @@ finite-index subgroups; the search makes no completeness claim, so consumers
 must treat exhaustion as "unknown", never as "no".  Each class found is a
 GluingClass.  Its children are built lazily: a child's degree sequence is
 read off its parent's graph, and its graph is glued only when it is
-canonized, glued further or handed to the caller, which most children never
-are.  Its canonical form is computed only when the search or the caller
+matched against an earlier class, glued further or handed to the caller.
+Newness is decided by matching graphs, not by canonical forms; a class's
+canonical form is computed only when the search glues it or the caller
 needs it, seeded with the automorphisms the gluing shows: the swaps of
 adjacent copies and the parent's recorded automorphisms that fix the glued
 vertex, lifted to every copy.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError, echo
 from .graphs import SimpleGraph, star
 from .combinatorics import has_finite_out
-from .isomorphism import canonical_form
+from .isomorphism import BUDGET, canonical_form, match_graphs
 
 
 def _copy_names(verts, shared, k):
@@ -218,6 +219,18 @@ def gluing_classes(g, max_vertices, max_steps, target=None):
     return _gluing_classes(g, max_vertices, max_steps, target)
 
 
+def _same_class(a, b):
+    """Whether two classes of one degree sequence are isomorphic.
+
+    The matcher answers from the two graphs; only when it runs out of
+    budget are both canonized and their keys compared.
+    """
+    iso = match_graphs(a.witness.graph, b.witness.graph)
+    if iso is BUDGET:
+        return a.form.key == b.form.key
+    return iso is not None
+
+
 def _gluing_classes(g, max_vertices, max_steps, target):
     """Breadth-first star-gluing search behind enumerate_findex_graphs.
 
@@ -229,10 +242,14 @@ def _gluing_classes(g, max_vertices, max_steps, target):
     found first always comes from the least vertex of its orbit.  Callers
     check that Out of g is finite.
 
-    A class is canonized only when the search glues it (the orbits need its
-    form), or when an earlier class has the same degree sequence (then keys
-    decide newness; a new sequence is a new class), or by the caller; its
-    graph is built only then, or when the caller asks for its witness.  A
+    A child is new unless it is isomorphic to an earlier class of its
+    degree sequence (a new sequence is a new class).  ``_same_class`` tests
+    each such class in turn with the matcher, whose isomorphism or proof of
+    none answers exactly, so classes, their order and their witnesses are
+    those of a test by canonical keys.  A class is canonized only when the
+    search glues it (the orbits need its form), when the matcher runs out
+    of budget on it, or by the caller; its graph is built only when it is
+    matched or canonized, or when the caller asks for its witness.  A
     child the search will not glue and will not yield needs no newness
     test, except until the last level's first new class, which sets
     ``truncated``; it is still recorded, so later newness tests stay exact.
@@ -259,7 +276,7 @@ def _gluing_classes(g, max_vertices, max_steps, target):
                     wanted = target in (None, child.degrees)
                     decide = wanted or (child.expandable(max_vertices) if not last else not nxt)
                     peers = met.setdefault(child.degrees, [])
-                    if decide and any(p.form.key == child.form.key for p in peers):
+                    if decide and any(_same_class(p, child) for p in peers):
                         continue
                     peers.append(child)
                     if decide:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagme.cli import (MAX_DEFINING_EDGES, _UsageExit, _bounded_defining_graph, _json_dump,
-                        main, run_command)
+                        _parse, build_parser, main, run_command)
 from raagme.combinatorics import cv_classification
 from raagme.errors import InputError
 from raagme.extension import ball_json, build_ext_ball
@@ -283,6 +283,41 @@ def test_usage_error_exit_two():
         [sys.executable, "-m", "raagme.cli", "frobnicate"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# run_command parses with the named command's own parser; the full parser is
+# the oracle for every namespace, usage error, help text and exit code
+PARSE_CASES = [
+    [], ["bogus"], ["bogus", "x.json"], ["analyze"], ["me", "g.json"],
+    ["analyze", "x.json", "--bogus"], ["analyze", "x.json", "--format", "xml"],
+    ["me", "g.json", "h.json", "--max-steps", "two"], ["analyze", "x.json", "--form", "json"],
+    ["-h"], ["analyze", "-h"], ["me", "--help"], ["reduce", "x.json", "y.json"],
+    ["analyze", "x.json"], ["analyze", "x.json", "--ball-bound", "3", "--format", "json"],
+    ["me", "g.json", "h.json", "--max-steps", "-1", "--exit-status"],
+    ["oe", "g.json", "h.json", "--format=json"], ["extball", "x.json", "-L", "2", "--ue"],
+    ["extball", "x.json"], ["subgroups", "x.json", "--", "y.json"],
+    ["subgroups", "--max-vertices", "9", "x.json"], ["out", "x.json", "--exit-status"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of parse(argv)."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_parses_as_the_full_parser(argv, capsys):
+    expected = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(_parse, argv, capsys) == expected
+    if not isinstance(expected[0], dict):
+        with pytest.raises(_UsageExit) as info:
+            run_command(argv)
+        assert info.value.code == (2 if expected[0] else 0)
 
 
 def test_finite_out_commands_refuse_high_rank_at_once(tmp_path):

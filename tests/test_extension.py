@@ -618,3 +618,14 @@ class TestExport:
         for radius in (0.5, "1", False):
             with pytest.raises(InputError, match="ball radius must be an integer"):
                 ball_prefix(big, radius)
+
+    def test_prefix_at_the_own_radius_is_the_ball(self, c5, f2_graph):
+        # nothing to cut: the ball itself, equal to a copy cut out of it; a
+        # hand-built ball with nodes longer than its L is still cut
+        for b in (build_ext_ball(raag(c5), 2, ue=True), build_ext_ball(raag(f2_graph), 0)):
+            assert ball_prefix(b, b.L) is b
+            copy = ExtBall(b.presentation, b.L, b.nodes, b.adjacency, b.classification)
+            assert ball_json(ball_prefix(copy, b.L)) == ball_json(b)
+        b2 = build_ext_ball(raag(c5), 2)
+        hand = ExtBall(b2.presentation, 1, b2.nodes, b2.adjacency, b2.classification)
+        assert ball_json(ball_prefix(hand, 1)) == ball_json(ball_prefix(b2, 1))

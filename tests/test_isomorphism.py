@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -14,8 +15,9 @@ from raagme.errors import InputError
 from raagme.extension import ball_graph, build_ext_ball
 from raagme.graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
                            path_graph, star)
-from raagme.isomorphism import (automorphism_count, canonical_form, canonical_hash,
-                                component_classes, find_isomorphism)
+import raagme.isomorphism
+from raagme.isomorphism import (BUDGET, automorphism_count, canonical_form, canonical_hash,
+                                component_classes, find_isomorphism, match_graphs)
 from raagme.presentation import raag
 from raagme.subgroups import star_gluing_kernel
 
@@ -48,6 +50,26 @@ def test_deterministic_and_symmetric():
     back = find_isomorphism(h, g)
     assert back is not None
     assert all(back[w] == u for u, w in first.items())
+
+
+def test_find_isomorphism_tells_degree_sequences_apart_uncanonized(atlas6, monkeypatch):
+    # a pair of different degree sequences is answered without a canonical
+    # form; the answers over the atlas pairs equal canonical-key equality
+    calls = []
+
+    def counted(g, automorphisms=()):
+        calls.append(g)
+        return canonical_form(g, automorphisms=automorphisms)
+
+    monkeypatch.setattr(raagme.isomorphism, "canonical_form", counted)
+    c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+    assert find_isomorphism(c5, path_graph(["a", "b", "c", "d", "e"])) is None
+    assert find_isomorphism(c5, path_graph(["a", "b", "c"])) is None
+    assert calls == []
+    graphs = atlas6[4] + atlas6[5]
+    keys = [canonical_form(g).key for g in graphs]
+    for (g, kg), (h, kh) in itertools.product(zip(graphs, keys), repeat=2):
+        assert (find_isomorphism(g, h) is not None) == (kg == kh)
 
 
 def test_all_relabelings_agree(atlas6):
@@ -96,11 +118,16 @@ def test_automorphism_count_vs_bruteforce(atlas6):
         assert automorphism_count(g) == brute_automorphism_count(g)
 
 
-def nx_automorphisms(g):
-    """Test-only reference: enumerate every automorphism with networkx."""
+def to_nx(g):
     G = nx.Graph()
     G.add_nodes_from(g.sorted_vertices())
     G.add_edges_from(g.edges())
+    return G
+
+
+def nx_automorphisms(g):
+    """Test-only reference: enumerate every automorphism with networkx."""
+    G = to_nx(g)
     return GraphMatcher(G, G).isomorphisms_iter()
 
 
@@ -380,3 +407,68 @@ class TestComponentClasses:
         g = SimpleGraph(verts, k33 + prism_edges + [("s", v) for v in verts[1:]])
         comps, classes, iso = checked_classes(g, ["s"])
         assert classes == [] and iso == {(0, 1): False}
+
+
+def assert_isomorphism(g, h, iso):
+    """iso is a bijection V(g) -> V(h) that maps the edges of g onto those of h."""
+    assert iso.keys() == g.vertices and set(iso.values()) == h.vertices
+    assert {frozenset((iso[u], iso[w])) for u, w in g.edges()} == \
+        {frozenset(e) for e in h.edges()}
+
+
+class TestMatchGraphs:
+    def test_atlas_pairs_of_one_degree_sequence_vs_networkx(self, atlas6):
+        # every ordered pair of n <= 6 atlas graphs with one degree
+        # sequence, the second relabelled and shuffled: an isomorphism when
+        # networkx finds one, a proof of none otherwise, never the budget
+        rng = random.Random(27)
+        buckets = {}
+        for n in range(1, 7):
+            for g in atlas6[n]:
+                buckets.setdefault(g.degree_sequence(), []).append(g)
+        pairs = found = 0
+        for bucket in buckets.values():
+            for g, h in itertools.product(bucket, repeat=2):
+                verts = h.sorted_vertices()
+                names = [f"u{i}" for i in rng.sample(range(len(verts)), len(verts))]
+                h = relabel(h, dict(zip(verts, names)))
+                iso = match_graphs(g, h)
+                assert iso is not BUDGET
+                if nx.is_isomorphic(to_nx(g), to_nx(h)):
+                    assert_isomorphism(g, h, iso)
+                    found += 1
+                else:
+                    assert iso is None
+                pairs += 1
+        # 208 classes, and 186 ordered pairs of two classes with one degree sequence
+        assert (found, pairs - found) == (208, 186)
+
+    def test_different_sizes_and_degrees_are_no(self):
+        c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+        assert match_graphs(c5, path_graph(["a", "b", "c", "d", "e"])) is None
+        assert match_graphs(c5, cycle_graph(["a", "b", "c", "d"])) is None
+        assert match_graphs(SimpleGraph([]), SimpleGraph([])) == {}
+
+    def test_shared_labels_are_kept_apart(self):
+        # g and h name different vertices alike; the map is g's onto h's
+        g = path_graph(["a", "b", "c"])
+        h = path_graph(["b", "a", "c"])
+        iso = match_graphs(g, h)
+        assert iso["b"] == "a"
+        assert_isomorphism(g, h, iso)
+
+    def test_step_bound_gives_budget(self, monkeypatch):
+        # a 6-cycle and two triangles: refinement alone splits nothing, so
+        # the answer needs backtracking, and a cut-off search says so
+        hexagon = cycle_graph([f"a{i}" for i in range(6)])
+        triangles = SimpleGraph([f"b{i}" for i in range(6)],
+                                [("b0", "b1"), ("b1", "b2"), ("b0", "b2"),
+                                 ("b3", "b4"), ("b4", "b5"), ("b3", "b5")])
+        assert match_graphs(hexagon, triangles) is None
+        assert_isomorphism(hexagon, hexagon, match_graphs(hexagon, hexagon))
+        for steps in (0, 1):
+            monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", steps)
+            assert match_graphs(hexagon, triangles) is BUDGET
+            assert match_graphs(hexagon, hexagon) is BUDGET
+        # a degree mismatch needs no refinement at all
+        assert match_graphs(hexagon, path_graph(list("abcdef"))) is None

@@ -3,14 +3,15 @@ import itertools
 import networkx as nx
 import pytest
 
-from helpers import unpruned_gluing_search
+from helpers import prism, unpruned_gluing_search
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, star
 from raagme.combinatorics import has_finite_out
+import raagme.isomorphism
 import raagme.subgroups
 from raagme.isomorphism import canonical_form
 from raagme.subgroups import (FiniteIndexWitness, GluingClass, enumerate_findex_graphs,
-                              star_gluing_kernel)
+                              gluing_classes, star_gluing_kernel)
 
 
 def finite_out_graphs(atlas, max_n):
@@ -119,6 +120,21 @@ class TestEnumeration:
             assert [(w.chain, w.index, w.graph) for w in res.witnesses] == expected
             assert res.truncated == truncated
 
+    def test_canonical_keys_alone_give_the_same_search(self, atlas7, c5, monkeypatch):
+        # with no matching budget every newness test falls back to canonical
+        # keys, today's complete test: the same classes, witnesses, order
+        # and truncation, on the finite-Out atlas graphs at 24/3 and on C5
+        # at 60/3, and the unpruned search agrees on small inputs
+        bases = [(g, 24, 3) for g in finite_out_graphs(atlas7, 7)] + [(c5, 60, 3)]
+        matched = [enumerate_findex_graphs(*base) for base in bases]
+        monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", 0)
+        assert [enumerate_findex_graphs(*base) for base in bases] == matched
+        for g in finite_out_graphs(atlas7, 6):
+            res = enumerate_findex_graphs(g, 14, 2)
+            expected, truncated = unpruned_gluing_search(g, 14, 2)
+            assert [(w.chain, w.index, w.graph) for w in res.witnesses] == expected
+            assert res.truncated == truncated
+
     def test_class_counts_vs_networkx(self, atlas6):
         for g in finite_out_graphs(atlas6, 6):
             res = enumerate_findex_graphs(g, 12, 2)
@@ -219,12 +235,15 @@ class TestLazyChildren:
 
     def test_seeds_are_automorphisms_and_keep_answers(self, atlas7, c5, canonizations):
         # every canonization of the search on the finite-Out atlas graphs
-        # at 24/3 and on C5 at 60/3, against the same graph canonized without
-        # the seeds of its gluing
+        # at 24/3, on C5 at 60/3 and on the prism at 40/2, with the form of
+        # every class it yields taken too, against the same graph canonized
+        # without the seeds of its gluing
         for g in finite_out_graphs(atlas7, 7):
             if g.n_vertices > 1:
-                enumerate_findex_graphs(g, 24, 3)
-        assert len(enumerate_findex_graphs(c5, 60, 3).witnesses) == 334
+                for cls in gluing_classes(g, 24, 3):
+                    cls.form
+        assert sum(1 for cls in gluing_classes(c5, 60, 3) if cls.form) == 334
+        assert sum(1 for cls in gluing_classes(prism(), 40, 2) if cls.form) == 133
         assert sum(1 for _, seeds, _ in canonizations if seeds) > 1000
         for g, seeds, form in canonizations:
             assert all(is_automorphism(g, sigma) for sigma in seeds)
@@ -233,11 +252,13 @@ class TestLazyChildren:
                 plain.key, plain.order, plain.group_order(), plain.orbit_representatives())
 
     def test_c5_search_tree_total(self, c5, canonizations):
-        # the canonizer nodes over the 73 canonizations of the 40/2 search;
-        # without the seeds of the gluings they were 4,688
+        # the canonizer nodes over the 12 canonizations of the 40/2 search,
+        # C5 and the 11 classes glued again (the matcher decides newness);
+        # without the seeds of the gluings they are 435
         res = enumerate_findex_graphs(c5, 40, 2)
-        assert len(res.witnesses) == 62 and len(canonizations) == 73
-        assert sum(form._canonizer.nodes for _, _, form in canonizations) == 1737
+        assert len(res.witnesses) == 62 and len(canonizations) == 12
+        assert sum(form._canonizer.nodes for _, _, form in canonizations) == 111
+        assert sum(canonical_form(g)._canonizer.nodes for g, _, _ in canonizations) == 435
 
 
 def test_witness_serialization(c5):
