@@ -119,10 +119,12 @@ class InvariantReport:
 
 
 def _fingerprint(b):
-    """Canonical hash of a ball, its star swaps renamed to ``ball_graph``'s labels as seeds."""
+    """Canonical hash of a ball, seeded with its star swaps and symmetries,
+    renamed to ``ball_graph``'s labels."""
     g = ball_graph(b)
     labels = g.sorted_vertices()    # zero-padded, so in node index order
-    seeds = [{labels[u]: labels[w] for u, w in swap.items()} for swap in star_swaps(b)]
+    seeds = [{labels[u]: labels[w] for u, w in sigma.items()}
+             for sigma in (*star_swaps(b), *b.symmetries)]
     return canonical_form(g, automorphisms=seeds).hexdigest()
 
 
@@ -140,8 +142,10 @@ def invariant_report(p, ball_bound=2):
     closed star st(i) with the same neighbours in st(i), matched by a map
     that keeps each node's neighbours in st(i), are swapped with all else
     fixed.  That is an automorphism of the ball, since no edge joins two
-    components and every edge into st(i) keeps its endpoint there.  Seeds
-    change only how much the canonizer searches, never the fingerprints.
+    components and every edge into st(i) keeps its endpoint there.  The
+    ball's symmetries follow: the generator inversions and the lifts of the
+    automorphisms of the reduced graph.  Seeds change only how much the
+    canonizer searches, never the fingerprints.
     """
     if not isinstance(p, GraphProductPresentation):
         raise InputError("first argument must be a GraphProductPresentation")

@@ -11,13 +11,21 @@ classifies the defining graph once and hands that CV classification to the
 ball; a ball cut out of another (``ue_restriction``, ``ball_prefix``) keeps
 the classification of the ball it is cut from.
 
-Edges come from ``words.commutation_adjacency``, which reads them off each
-node's link.  By Servatius the centralizer of v is G_st(v), and the
-retraction onto G_st(v) shows that the link of g<v>g^-1 is
-g {x<w>x^-1 : w in lk(v), x in G_lk(v)} (Kim-Koberda).  So the handles
-x<w>x^-1 over the letters lk(v) are enumerated once per edge v - w of the
-defining graph, and each node g<v>g^-1 looks up the canonical handle of
-g x<w>x^-1 g^-1 for those x short enough to land in the ball.
+A ball of radius L >= 1 carries its symmetries (``symmetries``, from
+``words.handle_symmetries``): the inversion of each generator and the lift
+of each automorphism of the defining graph that its canonical form
+records, as maps of moved node indices.  Both keep every conjugator
+length, so a ball cut out of another keeps them, renumbered.  A ball built
+at radius 0 has none: there they would cost more than they save.
+
+Edges come from ``words.commutation_adjacency``, which reads them off the
+link of one node per orbit of the symmetries and carries it along the
+orbit.  By Servatius the centralizer of v is G_st(v), and the retraction
+onto G_st(v) shows that the link of g<v>g^-1 is
+g {x<w>x^-1 : w in lk(v), x in G_lk(v)} (Kim-Koberda).  So the conjugators
+x are listed once per pair of adjacent types v, w, and a node g<v>g^-1
+looks up the canonical handle of g x<w>x^-1 g^-1 for those x short enough
+to land in the ball.
 
 Structural facts about the infinite graph are exposed as finite-scale
 checks: removing the star of a node separates each remaining node from its
@@ -35,8 +43,10 @@ the nodes' neighbour sets.
 
 The same search gives ``star_swaps``: the automorphisms of a ball that swap
 two components of it less the star of an interior node, matched by
-``isomorphism.component_classes``.  ``classify.invariant_report`` seeds the
-canonization of every ball it fingerprints with them.
+``isomorphism.component_classes`` at one interior node per orbit of the
+symmetries and carried to the others.  ``classify.invariant_report`` seeds
+the canonization of every ball it fingerprints with them and with the
+symmetries.
 """
 
 from __future__ import annotations
@@ -45,20 +55,23 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification
-from .isomorphism import component_classes
-from .words import commutation_adjacency, enumerate_cyclic_handles, translate_conjugators
+from .isomorphism import canonical_form, component_classes
+from .words import (commutation_adjacency, enumerate_cyclic_handles, handle_symmetries,
+                    translate_conjugators)
 
 
 class ExtBall:
     """Radius-L truncation of the extension graph; the nodes are canonical handles."""
 
-    def __init__(self, presentation, L, nodes, adjacency, classification):
+    def __init__(self, presentation, L, nodes, adjacency, classification, symmetries=()):
         self.presentation = presentation
         self.L = L
         self.classification = classification    # of the defining graph; None if it is empty
         self.untransvectable = frozenset(classification.untransvectable if classification else ())
         self.nodes = tuple(nodes)
         self.adjacency = tuple(frozenset(a) for a in adjacency)
+        # automorphisms of the ball as dicts of the node indices they move
+        self.symmetries = tuple(symmetries)
         self._keys = tuple(node.key() for node in self.nodes)
         self._index = {key: i for i, key in enumerate(self._keys)}
         # a built ball's longest conjugator has L letters, a hand-built one's need not
@@ -111,12 +124,16 @@ def build_ext_ball(p, L, ue=False):
 
     Nodes g<v>g^-1 and h<w>h^-1 are joined when the two subgroups commute.
     The neighbours of g<v>g^-1 are the g x<w>x^-1 g^-1 with w in lk(v) and
-    x in G_lk(v), so ``commutation_adjacency`` lists the x<w>x^-1 once per
-    edge v - w of the defining graph and looks each node's candidates up
-    among the handles.  The defining graph is classified once, here, and
-    the ball holds that classification.  With ue=True only handles of the
-    untransvectable types it names are built (conjugator letters still
-    range over every vertex): the ball ue_restriction cuts out of the full one.
+    x in G_lk(v), so ``commutation_adjacency`` lists the x once per pair of
+    adjacent types and looks the candidates of one node per orbit of the
+    ball's symmetries up among the handles.  For L >= 1 the symmetries are
+    the generator inversions and the lifts of the automorphisms that
+    ``canonical_form`` records for the defining graph.  The defining graph
+    is classified once, here, and the ball holds that classification.
+    With ue=True only handles of the untransvectable types it names are
+    built (conjugator letters still range over every vertex): the ball
+    ue_restriction cuts out of the full one.  Automorphisms of the defining
+    graph keep those types.
     """
     if _integer(L, "ball radius") < 0:
         raise InputError("ball radius must be >= 0")
@@ -126,7 +143,8 @@ def build_ext_ball(p, L, ue=False):
     cv = cv_classification(g) if g.n_vertices else None
     types = cv.untransvectable if ue and cv else g.vertices    # no cv: no vertices either
     nodes = enumerate_cyclic_handles(p, types, g.vertices, L)
-    return ExtBall(p, L, nodes, commutation_adjacency(nodes), cv)
+    symmetries = handle_symmetries(nodes, canonical_form(g).automorphisms()) if L else ()
+    return ExtBall(p, L, nodes, commutation_adjacency(nodes, symmetries), cv, symmetries)
 
 
 def _restrict(b, keep, L):
@@ -134,7 +152,11 @@ def _restrict(b, keep, L):
     renum = {old: new for new, old in enumerate(keep)}
     nodes = [b.nodes[i] for i in keep]
     adjacency = [frozenset(renum[j] for j in b.adjacency[i] if j in renum) for i in keep]
-    return ExtBall(b.presentation, L, nodes, adjacency, b.classification)
+    # every caller keeps a set of nodes that the symmetries map onto itself
+    symmetries = [{renum[i]: renum[j] for i, j in sigma.items() if i in renum}
+                  for sigma in b.symmetries]
+    return ExtBall(b.presentation, L, nodes, adjacency, b.classification,
+                   [sigma for sigma in symmetries if sigma])
 
 
 def ue_restriction(b):
@@ -176,20 +198,64 @@ def star_swaps(b):
     st(i) each, so the search drops a component once it passes that half.
     A component away from st(i) is a component of the whole ball and would
     give the same swaps at every star, so it is left out.
+
+    ``_star_classes`` searches the classes at one interior node per orbit
+    of the ball's symmetries.
     """
-    adjacency = b.adjacency
     swaps = []
-    for i in sorted(b.interior()):
-        removed = b.star_of(i)
-        attached = sorted(set().union(*[adjacency[s] for s in removed]) - removed)
-        comps = _components(b, removed, attached, (b.n_nodes - len(removed)) // 2)
-        for cls in component_classes(adjacency, [sorted(c) for c in comps], removed):
+    for _, classes in _star_classes(b):
+        for cls in classes:
             for m, n in zip(cls, cls[1:]):
                 swap = {}
                 for x in cls[0]:
                     swap[m[x]], swap[n[x]] = n[x], m[x]
                 swaps.append(swap)
     return swaps
+
+
+def _star_classes(b):
+    """Each interior node i, in index order, with the classes of components
+    of the ball less st(i) that touch st(i), as ``component_classes`` gives
+    them.
+
+    The classes are searched at one interior node per orbit of the ball's
+    symmetries; a symmetry that maps st(i) onto st(j) maps the classes at i
+    onto those at j, and the others of the orbit take them from there
+    (``_carry``).
+    """
+    adjacency = b.adjacency
+    classes = {}    # interior node -> its classes, until they are yielded
+    for i in sorted(b.interior()):
+        if i not in classes:
+            removed = b.star_of(i)
+            attached = sorted(set().union(*[adjacency[s] for s in removed]) - removed)
+            comps = _components(b, removed, attached, (b.n_nodes - len(removed)) // 2)
+            classes[i] = component_classes(adjacency, [sorted(c) for c in comps], removed)
+            orbit = [i]
+            for y in orbit:
+                for sigma in b.symmetries:
+                    x = sigma.get(y, y)
+                    if x not in classes:
+                        classes[x] = _carry(classes[y], sigma)
+                        orbit.append(x)
+        yield i, classes.pop(i)
+
+
+def _carry(classes, sigma):
+    """The images of classes of components under a symmetry sigma of the ball.
+
+    Each class is a list of maps from its first member, the first one the
+    identity, as ``component_classes`` returns them.  The image members are
+    sorted by their least nodes, and so are the classes by their first
+    members; the maps are taken again from the new first member.
+    """
+    image = sigma.get
+    carried = []
+    for cls in classes:
+        rows = sorted(([image(m[x], m[x]) for x in cls[0]] for m in cls), key=min)
+        carried.append([dict(zip(rows[0], row)) for row in rows])
+    carried.sort(key=lambda cls: min(cls[0]))
+    return carried
 
 
 def _components(b, removed, roots=None, limit=None):

@@ -25,11 +25,13 @@ the 885-node radius-3 untransvectable extension-graph ball of the 5-cycle,
 which has no twins, canonizes in about 0.36-0.44 s (14,528 search nodes),
 and the 5,779-node one of ``tests/fixtures/c5double.json`` in about 30-35 s
 (342,218 nodes).  Seeded with their 175 and 840 star swaps
-(``extension.star_swaps``, as ``classify.invariant_report`` seeds every
-ball it fingerprints), the searches make 436 and 6,299 nodes, in about
-0.06 s and 1 s.  The 5-cycle with one vertex expanded to a 400-clique (404
-vertices, 80,603 edges) canonizes in about 0.25 s: its 400 twins give 399
-seeds, and the search makes 801 nodes.
+(``extension.star_swaps``), the searches make 436 and 6,299 nodes, in about
+0.06 s and 1 s; with the balls' symmetries too (generator inversions and
+lifts of the automorphisms of the defining graph, as
+``classify.invariant_report`` seeds every ball it fingerprints), 146 and
+5,546 nodes, in about 0.03 s and 0.7-0.9 s.  The 5-cycle with one vertex
+expanded to a 400-clique (404 vertices, 80,603 edges) canonizes in about
+0.25 s: its 400 twins give 399 seeds, and the search makes 801 nodes.
 
 The matcher ``_match`` tells two graphs apart with no canonical form.  It
 is no second canonizer: the pair is refined by the same ``_refine``, side by
@@ -37,8 +39,9 @@ side, with a bounded backtrack over pairs of vertices split off together.
 Its answer is complete within its budget: an isomorphism checked on every
 edge, None once the backtrack has run out of images (a proof that there is
 none), or ``BUDGET`` after ``MATCH_STEPS`` refined partitions.
-``match_graphs`` runs it on two graphs from degree colours; the star-gluing
-search decides newness with it and canonizes only on ``BUDGET``.
+``match_graphs`` runs it on two graphs from degree colours, and
+``match_indexed`` on index adjacency that a caller keeps; the star-gluing
+search decides newness with the latter and canonizes only on ``BUDGET``.
 ``component_classes`` runs it on the components of a graph less a
 separator, from colours that fix the separator, and sorts them into classes
 up to isomorphisms that fix it, the swaps behind the seeds above; there
@@ -206,12 +209,10 @@ def _moved_points(maps, index, adjsets):
                 sigma[i] = j
         if sigma.keys() != set(sigma.values()):
             raise InputError(f"automorphism {echo(m)} is not a bijection")
+        get = sigma.get
         for u, image in sigma.items():
-            targets = adjsets[image]
-            for w in adjsets[u]:
-                if sigma.get(w, w) not in targets:
-                    raise InputError(
-                        f"automorphism {echo(m)} maps an edge onto a non-edge")
+            if not adjsets[image].issuperset(map(get, adjsets[u], adjsets[u])):
+                raise InputError(f"automorphism {echo(m)} maps an edge onto a non-edge")
         if sigma:
             out.append(sigma)
     return out
@@ -703,15 +704,26 @@ def match_graphs(g, h):
     ``_match``).  BUDGET means it refined ``MATCH_STEPS`` partitions first;
     then only canonical forms can tell.
     """
-    verts = (*g.sorted_vertices(), *h.sorted_vertices())
-    half = g.n_vertices
-    index_g = {v: i for i, v in enumerate(verts[:half])}
-    index_h = {v: half + i for i, v in enumerate(verts[half:])}
-    adj = [[index_g[w] for w in g.neighbors(v)] for v in verts[:half]]
-    adj += [[index_h[w] for w in h.neighbors(v)] for v in verts[half:]]
-    iso = _match_coloured(adj, half, [len(a) for a in adj])
+    return match_indexed(indexed_graph(g), indexed_graph(h))
+
+
+def indexed_graph(g):
+    """The sorted vertices of g and the positions of each one's neighbours in that order."""
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    return verts, [[index[w] for w in g.neighbors(v)] for v in verts]
+
+
+def match_indexed(a, b):
+    """``match_graphs`` on two graphs given as ``indexed_graph`` pairs, which a
+    caller that matches one graph many times can keep."""
+    (verts_g, adj_g), (verts_h, adj_h) = a, b
+    half = len(verts_g)
+    adj = adj_g + [[half + w for w in nbrs] for nbrs in adj_h]
+    iso = _match_coloured(adj, half, [len(nbrs) for nbrs in adj])
     if iso is None or iso is BUDGET:
         return iso
+    verts = (*verts_g, *verts_h)
     return {verts[i]: verts[j] for i, j in iso.items()}
 
 

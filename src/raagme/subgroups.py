@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError, echo
 from .graphs import SimpleGraph, star
 from .combinatorics import has_finite_out
-from .isomorphism import BUDGET, canonical_form, match_graphs
+from .isomorphism import BUDGET, canonical_form, indexed_graph, match_indexed
 
 
 def _copy_names(verts, shared, k):
@@ -118,9 +118,11 @@ class GluingClass:
     carries its witness; a child carries its parent class and the gluing
     ``step`` (v, k) that makes it, and builds its witness with
     ``star_gluing_kernel`` only when the witness or the form is asked for.
+    A class keeps its graph's index adjacency once it is matched, since the
+    search matches one class against many.
     """
 
-    __slots__ = ("parent", "step", "degrees", "_witness", "_form")
+    __slots__ = ("parent", "step", "degrees", "_witness", "_form", "_indexed")
 
     def __init__(self, parent, step, degrees, witness=None):
         self.parent = parent
@@ -128,6 +130,7 @@ class GluingClass:
         self.degrees = degrees
         self._witness = witness
         self._form = None
+        self._indexed = None
 
     @classmethod
     def base(cls, g):
@@ -142,6 +145,13 @@ class GluingClass:
             self._witness = FiniteIndexWitness(
                 w.chain + (self.step,), w.index * k, star_gluing_kernel(w.graph, v, k))
         return self._witness
+
+    @property
+    def indexed(self):
+        """The graph of the witness as an ``indexed_graph``, for the matcher."""
+        if self._indexed is None:
+            self._indexed = indexed_graph(self.witness.graph)
+        return self._indexed
 
     @property
     def form(self):
@@ -225,7 +235,7 @@ def _same_class(a, b):
     The matcher answers from the two graphs; only when it runs out of
     budget are both canonized and their keys compared.
     """
-    iso = match_graphs(a.witness.graph, b.witness.graph)
+    iso = match_indexed(a.indexed, b.indexed)
     if iso is BUDGET:
         return a.form.key == b.form.key
     return iso is not None

@@ -13,7 +13,10 @@ label), which makes equality a tuple comparison.
 Cyclic parabolic subgroups g<v>g^-1 are represented by canonical handles:
 the conjugator is replaced by the shortlex-least representative of its right
 coset modulo the normalizer G_st(v) of <v>, so two handles are equal exactly
-when the subgroups are.  The handles are the nodes of extension balls.
+when the subgroups are.  The handles are the nodes of extension balls.  The
+generator inversions and the automorphisms of the defining graph permute
+the handles of a ball (``handle_symmetries``), and ``commutation_adjacency``
+reads one link per orbit of those maps.
 
 Input is validated only at the public entries; the private helpers below
 them take syllables that are already valid and do no checks.  One such core,
@@ -297,14 +300,122 @@ def translate_conjugators(h, pairs, length_bound):
     return out
 
 
-def commutation_adjacency(handles):
+def _right_divisors(adj, words, members):
+    """The right divisors in G_members of reduced words, lex ordered, as (length, word).
+
+    The syllables that the strip modulo G_members deletes from a word, in
+    their order, are its largest right divisor in G_members, and every right
+    divisor in G_members divides it.  The right divisors of a word are what
+    is left as its first letters are taken off one at a time; a first
+    letter commutes with every syllable before it.  The lex order reads
+    vertices only, and the greedy order less its first pick is the greedy
+    order of the rest, so only a whole syllable dropped after the first
+    needs it again.  Sorted by length, then word.
+    """
+    tails = set()
+    for word in words:
+        tail, after = [], set()
+        for v, e in reversed(word):
+            if v in members and after <= adj[v]:
+                tail.append((v, e))
+            else:
+                after.add(v)
+        tails.add(tuple(reversed(tail)))
+    todo = [_lex_order(adj, tail) for tail in tails]
+    found = set()
+    while todo:
+        x = todo.pop()
+        if x in found:
+            continue
+        found.add(x)
+        seen = set()
+        for k, (v, e) in enumerate(x):
+            if seen <= adj[v]:
+                s = 1 if e > 0 else -1
+                if e != s:
+                    todo.append(x[:k] + ((v, e - s),) + x[k + 1:])
+                else:
+                    todo.append(_lex_order(adj, x[:k] + x[k + 1:]) if k else x[1:])
+            seen.add(v)
+    return sorted((_letter_length(x), x) for x in found)
+
+
+def handle_symmetries(handles, graph_automorphisms=()):
+    """Index permutations of a ball's handles under automorphisms of the group.
+
+    ``handles`` are the canonical cyclic handles of a ball: every handle of
+    conjugator length at most some bound over a set of types that the maps
+    below keep.  An automorphism of G maps g<v>g^-1 to the subgroup of its
+    images and keeps commuting, so it permutes the nodes of the extension
+    graph and keeps its edges.  Two kinds keep every conjugator length:
+
+    - the inversion of one generator a, which flips the sign of every
+      exponent of a.  Strip and lex order read vertices only, so a
+      canonical conjugator stays canonical with its signs flipped;
+    - the lift of an automorphism of the defining graph (a dict of the
+      vertices it moves), which relabels the type and each syllable of the
+      conjugator.  Stripping commutes with the relabelling, so only the lex
+      order is taken again.  Only nodes whose conjugator or type meets the
+      moved vertices can move.
+
+    Returns one map per generator inversion, in vertex order, then one per
+    graph automorphism, each as a dict of the indices it moves; identity
+    maps are dropped.
+    """
+    if not handles:
+        return []
+    adj = handles[0].presentation.graph.adjacency
+    index = {}
+    nodes = {}      # conjugator -> [(type, index)] of the handles that have it
+    of_type = {}    # type -> conjugators of its handles
+    holding = {}    # vertex -> the conjugators that hold it
+    for i, h in enumerate(handles):
+        c, v = key = h.key()
+        index[key] = i
+        if c not in nodes:
+            nodes[c] = []
+            for u in dict.fromkeys(u for u, _ in c):
+                holding.setdefault(u, []).append(c)
+        nodes[c].append((v, i))
+        of_type.setdefault(v, []).append(c)
+    maps = []
+    for a in sorted(holding):
+        flip = {}
+        for c in holding[a]:
+            image = tuple((u, -e if u == a else e) for u, e in c)
+            for v, i in nodes[c]:
+                flip[i] = index[(image, v)]
+        maps.append(flip)
+    for sigma in graph_automorphisms:
+        moved = sorted(sigma)
+        images = dict.fromkeys(c for x in moved for c in holding.get(x, ()))
+        lift = {}
+        for c in images:
+            word = [(sigma.get(u, u), e) for u, e in c]
+            images[c] = image = _lex_order(adj, word) if len(word) > 1 else tuple(word)
+            for v, i in nodes[c]:
+                lift[i] = index[(image, sigma.get(v, v))]
+        for v in moved:
+            for c in of_type.get(v, ()):
+                if c not in images:
+                    lift[index[(c, v)]] = index[(c, sigma[v])]
+        maps.append({i: j for i, j in lift.items() if i != j})
+    return [m for m in maps if m]
+
+
+def commutation_adjacency(handles, symmetries=()):
     """Edge sets of the commutation graph on distinct canonical cyclic handles.
 
     ``handles`` are canonical cyclic handles over one RAAG presentation, as
     ``enumerate_cyclic_handles`` returns them; entry i of the result is the
     set of indices j whose subgroup commutes with that of handle i.
+    ``symmetries`` are automorphisms of the graph on them, as dicts of the
+    indices they move (``handle_symmetries``).
 
-    The edges are read off each node's link.  Nodes g<v>g^-1 and h<w>h^-1
+    The edges are read off the link of one node per orbit of the
+    symmetries, and every other node of the orbit takes the image of the
+    link of the node it was reached from; with no symmetries every node is
+    its own orbit.  Nodes g<v>g^-1 and h<w>h^-1
     commute exactly when z = y w y^-1, y = g^-1 h, lies in the centralizer
     of v, which is G_st(v) (Servatius).  The retraction G -> G_st(v) then
     fixes z.  It kills w outside st(v), so w lies in st(v), and z equals
@@ -314,44 +425,62 @@ def commutation_adjacency(handles):
     lk(v) and the neighbour is g x<w>x^-1 g^-1 (Kim-Koberda: the link of
     g<v>g^-1 is g {x<w>x^-1 : w in lk(v), x in G_lk(v)}).
 
-    So for each edge v < w of the defining graph whose ends are both types
-    of handles, one call to ``enumerate_cyclic_handles`` lists the canonical
-    x<w>x^-1 over the letters lk(v), up to the longest conjugator L among
-    the handles, and each node g<v>g^-1 looks up g r<w>r^-1 g^-1 for the
-    listed conjugators r.  The word g r is reduced, because g is the minimal
-    element of g G_st(v) and r lies in G_lk(v); stripping its right factor
-    in G_st(w) gives the canonical conjugator.  The strip keeps all of r,
-    which is already stripped, and keeps at least what survives the strip of
-    g alone, since more syllables after a position only make it harder to
-    delete.  So only the r with |r| <= L - |strip_st(w)(g)| can reach a
-    handle of conjugator length at most L.  Their strips can still be longer
-    than L; such a strip stops once it passes L and is looked up as None,
-    without a lex order.  The words g r go to the core as they are.
+    So for each pair (v, w) of adjacent types of the nodes whose links are
+    read, the candidates r are listed once, and a node g<v>g^-1 looks up
+    g r<w>r^-1 g^-1 for them.  The word g r is reduced, because g is the
+    minimal element of g G_st(v) and r lies in G_lk(v); stripping its right
+    factor in G_st(w) gives the canonical conjugator.  That strip keeps all
+    of a stripped r and keeps at least what survives the strip of g alone,
+    since more syllables after a position only make it harder to delete.
+    So a neighbour's conjugator ends with its r, a right divisor in G_lk(v),
+    and the candidates are the right divisors in G_lk(v) of the type-w
+    conjugators (``_right_divisors``); on a ball these are all the canonical
+    x<w>x^-1 over the letters lk(v) up to the longest conjugator L.  Only the
+    r with |r| <= L - |strip_st(w)(g)| can reach a handle of conjugator
+    length at most L.  Their strips can still be longer than L; such a
+    strip stops once it passes L and is looked up as None, without a lex
+    order.  The words g r go to the core as they are.
     """
-    adjacency = [set() for _ in handles]
+    adjacency = [None] * len(handles)
     if not handles:
         return adjacency
     p = handles[0].presentation
     adj = p.graph.adjacency
     index = {h.key(): i for i, h in enumerate(handles)}
     L = max(h.length for h in handles)
-    by_type = {}
+    of_type = {}
+    for h in handles:
+        of_type.setdefault(h.vertex, []).append(h.conjugator)
+    types = of_type.keys()
+    links = {}      # (v, w) -> [(length, conjugator)] of the x<w>x^-1 over lk(v)
+    stars = {}
     for i, h in enumerate(handles):
-        by_type.setdefault(h.vertex, []).append(i)
-    for v in by_type:
-        for w in [u for u in adj[v] if u > v and u in by_type]:
-            st_w = star(p.graph, w)
-            rs = [(h.length, h.conjugator) for h in enumerate_cyclic_handles(p, {w}, adj[v], L)]
-            for i in by_type[v]:
-                g = handles[i].conjugator
-                budget = L - _letter_length(_strip_to_coset_rep(adj, g, st_w))
-                for length, r in rs:
-                    if length > budget:
-                        break
-                    j = index.get((_canonical_conjugator(adj, g + r, st_w, L), w))
-                    if j is not None:
-                        adjacency[i].add(j)
-                        adjacency[j].add(i)
+        if adjacency[i] is not None:
+            continue
+        v, g = h.vertex, h.conjugator
+        adjacency[i] = link = set()
+        for w in adj[v] & types:
+            rs = links.get((v, w))
+            if rs is None:
+                rs = links[v, w] = _right_divisors(adj, of_type[w], adj[v])
+            st_w = stars.get(w)
+            if st_w is None:
+                st_w = stars[w] = star(p.graph, w)
+            budget = L - _letter_length(_strip_to_coset_rep(adj, g, st_w))
+            for length, r in rs:
+                if length > budget:
+                    break
+                j = index.get((_canonical_conjugator(adj, g + r, st_w, L), w))
+                if j is not None:
+                    link.add(j)
+        orbit = [i]
+        for y in orbit:
+            for sigma in symmetries:
+                x = sigma.get(y, y)
+                if adjacency[x] is None:
+                    image = sigma.get
+                    adjacency[x] = {image(z, z) for z in adjacency[y]}
+                    orbit.append(x)
     return adjacency
 
 
@@ -373,9 +502,7 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     every handle whose canonical conjugator is a word of length at most
     ``length_bound`` over the letter vertices appears exactly once, in
     ``sort_key()`` order: by conjugator length, then type, then conjugator.
-    That is the node order of an extension ball, and for a single type it is
-    the (length, conjugator) order in which ``commutation_adjacency`` stops
-    at the first conjugator longer than its budget.  Handles are counted as
+    That is the node order of an extension ball.  Handles are counted as
     they are added, and one more than ``MAX_HANDLES`` raises InputError.
     """
     if length_bound < 0:

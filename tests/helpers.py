@@ -29,11 +29,11 @@ import networkx as nx
 
 from raagme.combinatorics import cv_classification, is_collapsible, untransvectable_vertices
 from raagme.errors import DomainError, InputError
-from raagme.extension import (ExtBall, SeparationEntry, SeparationReport,
+from raagme.extension import (ExtBall, SeparationEntry, SeparationReport, _components,
                               ball_graph, build_ext_ball, ue_restriction)
 from raagme.graphs import (SimpleGraph, connected_components, full_subgraph, link,
                            opposite_graph, perp, star)
-from raagme.isomorphism import canonical_form, canonical_hash
+from raagme.isomorphism import canonical_form, canonical_hash, component_classes
 from raagme.presentation import GraphProductPresentation, raag
 from raagme.subgroups import star_gluing_kernel
 from raagme.words import (NormalFormWord, _coerce, _inverse, _lex_order, _reduce,
@@ -722,6 +722,21 @@ def commutation_adjacency_by_pairs(handles):
                     adjacency[i].add(j)
                     adjacency[j].add(i)
     return adjacency
+
+
+# -- every-star component-class oracle ---------------------------------------------
+
+def star_classes_at_every_star(b):
+    """extension._star_classes with the classes searched at every interior
+    node, none carried along the ball's symmetries."""
+    adjacency = b.adjacency
+    out = {}
+    for i in sorted(b.interior()):
+        removed = b.star_of(i)
+        attached = sorted(set().union(*[adjacency[s] for s in removed]) - removed)
+        comps = _components(b, removed, attached, (b.n_nodes - len(removed)) // 2)
+        out[i] = component_classes(adjacency, [sorted(c) for c in comps], removed)
+    return out
 
 
 # -- per-radius ball fingerprint oracle ------------------------------------------

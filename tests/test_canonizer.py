@@ -317,6 +317,35 @@ def test_star_seeds_shrink_radius_2_searches():
     assert got == [(30, 76), (36, 121), (42, 106)]
 
 
+def test_ball_symmetries_shrink_seeded_searches():
+    # invariant_report seeds each fingerprint with the star swaps and the
+    # ball's symmetries (generator inversions and lifts of Aut of the
+    # defining graph): on the untransvectable balls of C5, the prism and the
+    # C7 complement the searches make 26, 31 and 36 nodes at radius 2 (76,
+    # 121 and 106 with the swaps alone) and 146, 175 and 204 at radius 3
+    # (436, 697 and 610), with the plain search's answers at radius 2 and
+    # its pinned digests at radius 3
+    c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+    digests = ["b18e465385a0ee4be2dded472db4c41c7c6408b0d96364b51c430941a5167a36",
+               "14f9eb395122fda077069d98c112f0fd9be72a2b6ce92124d2574a11cf57279d",
+               "7b6c0658fd7b8d1a446585133e0b00dea292b19f1be84c234459c3c56b1b2199"]
+    got = []
+    for L in (2, 3):
+        for g, digest in zip((cycle_graph(["v1", "v2", "v3", "v4", "v5"]), prism(),
+                              c7_complement), digests):
+            b = build_ext_ball(raag(g), L, ue=True)
+            ball, seeds = star_seeds(b)
+            labels = ball.sorted_vertices()
+            seeds += [{labels[u]: labels[w] for u, w in sigma.items()} for sigma in b.symmetries]
+            form = canonical_form(ball, automorphisms=seeds)
+            got.append(form._canonizer.nodes)
+            if L == 2:
+                assert_seeds_keep_answers(ball, seeds, plain=canonical_form(ball))
+            else:
+                assert form.hexdigest() == digest
+    assert got == [26, 31, 36, 146, 175, 204]
+
+
 class TiedLeafOutcomes(_Canonizer):
     """Counts how each leaf whose trace ties the best leaf's ends."""
 

@@ -83,9 +83,9 @@ class TestInvariantReport:
         from raagme.words import commutation_adjacency
         calls = []
 
-        def counted(handles):
+        def counted(handles, symmetries=()):
             calls.extend(handles)
-            return commutation_adjacency(handles)
+            return commutation_adjacency(handles, symmetries)
 
         monkeypatch.setattr(raagme.extension, "commutation_adjacency", counted)
         rep = invariant_report(raag(f3_graph), ball_bound=3)

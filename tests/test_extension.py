@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
-                     commutator_adjacent, components_by_stack, prism, star_separation_by_nodes, support,
-                     translate_index, ue_ball_fingerprint)
+                     commutator_adjacent, components_by_stack, prism, star_classes_at_every_star,
+                     star_separation_by_nodes, support, translate_index, ue_ball_fingerprint)
 from raagme.classify import invariant_report
 from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, opposite_graph
 from raagme.isomorphism import canonical_hash, find_isomorphism
-from raagme.presentation import GraphProductPresentation, clique_reduce, raag
-from raagme.extension import (ExtBall, _components, _labels, ball_graph, ball_json, ball_prefix,
-                              build_ext_ball, star_complement_connectivity_check,
-                              star_separation_check, ue_restriction)
-from raagme.words import commutation_adjacency
+from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
+from raagme.extension import (ExtBall, _components, _labels, _star_classes, ball_graph, ball_json,
+                              ball_prefix, build_ext_ball, star_complement_connectivity_check,
+                              star_separation_check, star_swaps, ue_restriction)
+from raagme.words import commutation_adjacency, handle_symmetries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -459,64 +459,69 @@ class TestBallInvariants:
         assert b.node_index((("b", 1),), "v") in b.adjacency[b.standard_node("w")]
 
     def test_edges_read_off_links(self, c5, monkeypatch):
-        # the radius-2 ball of C5 has 29 nodes of each type.  The pass lists
-        # the link conjugators once per edge of C5, strips each node's
-        # conjugator once per edge for its budget (5 x 29 = 145 strips), and
-        # strips one candidate per listed conjugator within that budget
+        # the radius-2 ball of C5 has 145 nodes, 29 of each type.  With no
+        # symmetries the pass reads every node's link: it lists the right
+        # divisors once per ordered pair of adjacent types, strips each
+        # node's conjugator once per type of its link for its budget
+        # (2 x 145 strips) and strips one candidate per listed divisor
+        # within that budget.  The ball's 7 symmetries (5 inversions and 2
+        # lifts of the rotations and reflections of C5) leave 6 orbits, each
+        # with a node of type v1, so the pass reads 6 links and lists the
+        # divisors for (v1, v2) and (v1, v5) only
         import raagme.words
         b = build_ext_ball(raag(c5), 2)
-        assert b.n_nodes == 145
-        enumerate_handles = raagme.words.enumerate_cyclic_handles
+        assert (b.n_nodes, len(b.symmetries)) == (145, 7)
+        divisors = raagme.words._right_divisors
         strip = raagme.words._strip_to_coset_rep
-        enumerations, strips, inside = [], [], []
+        listed, strips = [], []
 
-        def counted_enumerate(p, types, letters, length_bound):
-            enumerations.append((sorted(types), sorted(letters), length_bound))
-            inside.append(True)
-            try:
-                return enumerate_handles(p, types, letters, length_bound)
-            finally:
-                inside.pop()
+        def counted_divisors(adj, words, members):
+            listed.append(sorted(members))
+            return divisors(adj, words, members)
 
         def counted_strip(*args):
-            if not inside:
-                strips.append(args)
+            strips.append(args)
             return strip(*args)
 
-        monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
+        monkeypatch.setattr(raagme.words, "_right_divisors", counted_divisors)
         monkeypatch.setattr(raagme.words, "_strip_to_coset_rep", counted_strip)
-        adjacency = commutation_adjacency(b.nodes)
-        assert [frozenset(a) for a in adjacency] == list(b.adjacency)
-        assert sorted(enumerations) == [
-            (["v2"], ["v2", "v5"], 2), (["v3"], ["v1", "v3"], 2), (["v4"], ["v2", "v4"], 2),
-            (["v5"], ["v2", "v5"], 2), (["v5"], ["v3", "v5"], 2)]
-        assert len(strips) == 145 + 605
+        got = []
+        for symmetries in ((), b.symmetries):
+            listed.clear()
+            strips.clear()
+            adjacency = commutation_adjacency(b.nodes, symmetries)
+            assert [frozenset(a) for a in adjacency] == list(b.adjacency)
+            got.append((sorted(listed), len(strips)))
+        assert got == [
+            (sorted([["v2", "v5"], ["v1", "v3"], ["v2", "v4"], ["v3", "v5"], ["v1", "v4"]] * 2),
+             290 + 1210),
+            ([["v2", "v5"], ["v2", "v5"]], 12 + 60)]
 
     def test_link_lookups_lex_order_only_ball_nodes(self, c5, monkeypatch):
-        # on the radius-3 ball of C5 (885 nodes) the pass strips 7,220 words
-        # outside the link enumerations: 885 for the budgets, 6,335 link
-        # candidates.  The candidates longer than L = 3 (4,920 of them) stop
-        # their strip past the bound, answer None and are never lex ordered;
-        # the 1,415 candidates that land on a node are, one per edge.  Each
-        # of the 7,220 strips was lex ordered before the length bound moved
-        # out of the strip.
+        # on the radius-3 ball of C5 (885 nodes) the pass, read with no
+        # symmetries, strips 14,440 words outside the right-divisor lists:
+        # 1,770 for the budgets (two types in each link), 12,670 link
+        # candidates.  The candidates longer than L = 3 (9,840 of them) stop
+        # their strip past the bound, answer None and are never lex
+        # ordered; the 2,830 candidates that land on a node are, one per
+        # edge and end.  With the ball's symmetries (21 orbits) the pass
+        # makes 432 strips and 126 lex orders
         import raagme.words
         b = build_ext_ball(raag(c5), 3)
-        enumerate_handles = raagme.words.enumerate_cyclic_handles
+        divisors = raagme.words._right_divisors
         strip, lex_order = raagme.words._strip_to_coset_rep, raagme.words._lex_order
         strips, lex_orders, inside = [], [], []
 
-        def counted_enumerate(*args):
+        def counted_divisors(*args):
             inside.append(True)
             try:
-                return enumerate_handles(*args)
+                return divisors(*args)
             finally:
                 inside.pop()
 
         def counted_strip(*args):
             kept = strip(*args)
-            if not inside:
-                strips.append(None if kept is None else sum(abs(e) for _, e in kept))
+            strips.append(None if kept is None else sum(abs(e) for _, e in kept))
             return kept
 
         def counted_lex_order(*args):
@@ -524,7 +529,7 @@ class TestBallInvariants:
                 lex_orders.append(args)
             return lex_order(*args)
 
-        monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
+        monkeypatch.setattr(raagme.words, "_right_divisors", counted_divisors)
         monkeypatch.setattr(raagme.words, "_strip_to_coset_rep", counted_strip)
         monkeypatch.setattr(raagme.words, "_lex_order", counted_lex_order)
         adjacency = commutation_adjacency(b.nodes)
@@ -532,9 +537,14 @@ class TestBallInvariants:
             [frozenset(a) for a in commutation_adjacency_by_pairs(b.nodes)]
         n_edges = sum(len(a) for a in adjacency) // 2
         assert (b.n_nodes, n_edges) == (885, 1415)
-        assert len(strips) == 7220 and strips.count(None) == 4920
+        assert len(strips) == 14440 and strips.count(None) == 9840
         assert all(n <= 3 for n in strips if n is not None)
-        assert len(lex_orders) == n_edges == len(strips) - 885 - 4920
+        assert len(lex_orders) == 2 * n_edges == len(strips) - 2 * 885 - 9840
+        strips.clear()
+        lex_orders.clear()
+        assert [frozenset(a) for a in commutation_adjacency(b.nodes, b.symmetries)] == \
+            list(b.adjacency)
+        assert (len(strips), len(lex_orders)) == (432, 126)
 
     def test_separation_beyond_finite_out(self, counterexample_graph):
         # the star-removal disconnection needs no hypothesis on Out: it
@@ -553,6 +563,94 @@ class TestBallInvariants:
         for v in g.sorted_vertices():
             rep = star_separation_check(b, b.standard_node(v))
             assert rep.violations == ()
+
+
+@pytest.fixture(scope="module")
+def symmetry_balls(atlas7, c5, counterexample_graph):
+    """The balls the symmetry oracles run on: the finite-Out atlas graphs at
+    radius 2, C5, the prism and the C7 complement at radius 3, the
+    cone-extended 5-cycle (infinite Out) at radius 2 with its untransvectable
+    ball, and C5 with a rank-3 vertex (three twins), expanded, at radius 2."""
+    c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+    balls = [build_ext_ball(raag(g), 2) for n in range(1, 8) for g in atlas7[n]
+             if has_finite_out(g)]
+    balls += [build_ext_ball(raag(g), 3, ue=True) for g in (c5, prism(), c7_complement)]
+    balls += [build_ext_ball(raag(counterexample_graph), 2, ue=ue) for ue in (False, True)]
+    ranks = load_presentation(str(FIXTURES / "c5ranks.json"))
+    balls.append(build_ext_ball(raag(expand_to_raag(ranks)), 2))
+    return balls
+
+
+def is_automorphism(adjacency, sigma):
+    """Whether a map of moved points maps each edge at a moved point onto an
+    edge, which for a permutation is every edge."""
+    return all({sigma.get(j, j) for j in adjacency[i]} == adjacency[k] for i, k in sigma.items())
+
+
+class TestSymmetries:
+    def test_maps_are_automorphisms_of_the_pairs_oracle(self, symmetry_balls):
+        # every map permutes the nodes, keeps each conjugator length, maps
+        # types by a bijection that keeps the defining graph's edges (the
+        # inversions, first, keep every type) and maps the edges of the
+        # all-pairs oracle onto its edges
+        for b in symmetry_balls:
+            pairs = [frozenset(a) for a in commutation_adjacency_by_pairs(b.nodes)]
+            assert list(b.adjacency) == pairs
+            g = b.presentation.graph
+            letters = {u for node in b.nodes for u, _ in node.conjugator}
+            for k, sigma in enumerate(b.symmetries):
+                assert sigma and all(i != j for i, j in sigma.items())
+                assert sorted(sigma) == sorted(sigma.values())
+                assert all(0 <= i < b.n_nodes for i in sigma)
+                types = {}
+                for i, node in enumerate(b.nodes):
+                    image = b.nodes[sigma.get(i, i)]
+                    assert image.length == node.length
+                    assert types.setdefault(node.vertex, image.vertex) == image.vertex
+                assert sorted(types.values()) == sorted(types)
+                assert all(g.has_edge(types[u], types[w]) for u in types for w in types
+                           if g.has_edge(u, w))
+                if k < len(letters):
+                    assert all(u == w for u, w in types.items())
+                assert is_automorphism(pairs, sigma)
+            assert len(b.symmetries) >= len(letters)
+
+    def test_carried_classes_match_every_star(self, symmetry_balls):
+        # the classes carried along the symmetries are, as sets of node
+        # sets, the ones a search at every interior node finds, and every
+        # swap is an automorphism of the ball
+        def as_sets(classes):
+            return sorted(sorted(sorted(m.values()) for m in cls) for cls in classes)
+
+        carried_at = 0
+        for b in symmetry_balls:
+            oracle = star_classes_at_every_star(b)
+            got = dict(_star_classes(b))
+            assert list(got) == list(oracle)
+            for i, classes in got.items():
+                assert as_sets(classes) == as_sets(oracle[i])
+                for cls in classes:
+                    assert all(m.keys() == cls[0].keys() for m in cls)
+                    assert all(cls[0][x] == x for x in cls[0])
+                carried_at += bool(classes)
+            assert all(is_automorphism(b.adjacency, swap) for swap in star_swaps(b))
+        assert carried_at > 1000
+
+    def test_radius_zero_and_cut_balls(self, c5, counterexample_graph):
+        # radius 0 gets no maps; ue_restriction and ball_prefix renumber the
+        # maps of the ball they cut, and get those of the ball built directly
+        for g in (c5, counterexample_graph, prism()):
+            p = raag(g)
+            assert build_ext_ball(p, 0).symmetries == ()
+            b = build_ext_ball(p, 2)
+            assert len(b.symmetries) >= g.n_vertices
+            assert ue_restriction(b).symmetries == build_ext_ball(p, 2, ue=True).symmetries
+            for L in range(3):
+                cut = ball_prefix(b, L)
+                if L:
+                    assert cut.symmetries == build_ext_ball(p, L).symmetries
+                assert all(is_automorphism(cut.adjacency, sigma) for sigma in cut.symmetries)
+        assert handle_symmetries([]) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,6 +13,7 @@ from raagme.extension import build_ext_ball
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
 from raagme.words import (MAX_HANDLES, NormalFormWord, _canonical_conjugator, _lex_order, _reduce,
+                          _right_divisors,
                           _strip_to_coset_rep, canonical_parabolic, commutation_adjacency, enumerate_cyclic_handles,
                           multiply_and_normalize, translate_conjugators, word)
 
@@ -301,6 +302,34 @@ class TestCommutationAndNormalizers:
                 seen += [c is None for c in expected]
         assert 0.1 < sum(seen) / len(seen) < 0.9
 
+    def test_right_divisors_are_suffixes_of_shuffles(self, atlas6):
+        # a right divisor of a reduced word is a suffix of one of its
+        # shuffles, letter by letter; those in G_S are what the link pass
+        # lists for the letters S
+        rng = random.Random(11)
+        seen = 0
+        for g in atlas6[4] + atlas6[5][::3]:
+            adj, verts = g.adjacency, g.sorted_vertices()
+            for _ in range(15):
+                w = _reduce(adj, random_word(rng, verts, rng.randint(0, 4)))
+                members = set(rng.sample(verts, rng.randint(1, len(verts))))
+                start = tuple((v, 1 if e > 0 else -1) for v, e in w for _ in range(abs(e)))
+                shuffles, todo = {start}, [start]
+                for x in todo:
+                    for i in range(len(x) - 1):
+                        if x[i + 1][0] in adj[x[i][0]]:
+                            y = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
+                            if y not in shuffles:
+                                shuffles.add(y)
+                                todo.append(y)
+                expected = {_lex_order(adj, _reduce(adj, x[k:])) for x in shuffles
+                            for k in range(len(x) + 1) if all(v in members for v, _ in x[k:])}
+                got = _right_divisors(adj, [w], members)
+                assert [x for _, x in got] == sorted(expected, key=lambda x: (
+                    sum(abs(e) for _, e in x), x))
+                seen += len(got)
+        assert seen > 500
+
     def test_commutation_adjacency_matches_pairwise_test(self, atlas6):
         # on any distinct canonical handles, not only on a ball, the pass
         # agrees with the normalizer test on every pair
@@ -389,25 +418,15 @@ class TestWordsCore:
         # commutation_adjacency hands g r to the core without reducing it: g
         # is minimal in g G_st(v) and r lies in G_lk(v), so g r is reduced
         import raagme.words
-        core, enumerate_handles = raagme.words._canonical_conjugator, \
-            raagme.words.enumerate_cyclic_handles
-        inside, handed = [], []
-
-        def counted_enumerate(*args):
-            inside.append(True)
-            try:
-                return enumerate_handles(*args)
-            finally:
-                inside.pop()
+        core = raagme.words._canonical_conjugator
+        handed = []
 
         def recorded_core(adj, reduced, members, length_bound=None):
-            if not inside:
-                handed.append(tuple(reduced))
+            handed.append(tuple(reduced))
             return core(adj, reduced, members, length_bound)
 
         balls = [build_ext_ball(raag(g), 2) for n in range(1, 7) for g in atlas6[n]]
         balls.append(build_ext_ball(raag(c5), 3))
-        monkeypatch.setattr(raagme.words, "enumerate_cyclic_handles", counted_enumerate)
         monkeypatch.setattr(raagme.words, "_canonical_conjugator", recorded_core)
         total = 0
         for b in balls:
@@ -417,8 +436,8 @@ class TestWordsCore:
             for gr in handed:
                 assert _reduce(adj, gr) == list(gr)
             total += len(handed)
-        # C5 at L = 3 alone hands over 6,335 candidates
-        assert total > 6335
+        # C5 at L = 3 alone hands over 12,670 candidates
+        assert total > 12670
 
 
 class TestStrongOracle:
