@@ -11,12 +11,13 @@ classifies the defining graph once and hands that CV classification to the
 ball; a ball cut out of another (``ue_restriction``, ``ball_prefix``) keeps
 the classification of the ball it is cut from.
 
-A ball of radius L >= 1 carries its symmetries (``symmetries``, from
+A ball carries its symmetries (``symmetries``, from
 ``words.handle_symmetries``): the inversion of each generator and the lift
 of each automorphism of the defining graph that its canonical form
 records, as maps of moved node indices.  Both keep every conjugator
 length, so a ball cut out of another keeps them, renumbered.  A ball built
-at radius 0 has none: there they would cost more than they save.
+with no conjugator, such as every ball of radius 0, has none: its nodes
+are the types, and the maps would cost more than they save.
 
 Edges come from ``words.commutation_adjacency``, which reads them off the
 link of one node per orbit of the symmetries and carries it along the
@@ -126,9 +127,10 @@ def build_ext_ball(p, L, ue=False):
     The neighbours of g<v>g^-1 are the g x<w>x^-1 g^-1 with w in lk(v) and
     x in G_lk(v), so ``commutation_adjacency`` lists the x once per pair of
     adjacent types and looks the candidates of one node per orbit of the
-    ball's symmetries up among the handles.  For L >= 1 the symmetries are
-    the generator inversions and the lifts of the automorphisms that
-    ``canonical_form`` records for the defining graph.  The defining graph
+    ball's symmetries up among the handles.  The symmetries are the
+    generator inversions and the lifts of the automorphisms that
+    ``canonical_form`` records for the defining graph, or none when no
+    node has a conjugator.  The defining graph
     is classified once, here, and the ball holds that classification.
     With ue=True only handles of the untransvectable types it names are
     built (conjugator letters still range over every vertex): the ball
@@ -143,7 +145,9 @@ def build_ext_ball(p, L, ue=False):
     cv = cv_classification(g) if g.n_vertices else None
     types = cv.untransvectable if ue and cv else g.vertices    # no cv: no vertices either
     nodes = enumerate_cyclic_handles(p, types, g.vertices, L)
-    symmetries = handle_symmetries(nodes, canonical_form(g).automorphisms()) if L else ()
+    # nodes come by conjugator length, so the last one's is the longest
+    symmetries = (handle_symmetries(nodes, canonical_form(g).automorphisms())
+                  if nodes and nodes[-1].length else ())
     return ExtBall(p, L, nodes, commutation_adjacency(nodes, symmetries), cv, symmetries)
 
 

@@ -622,7 +622,7 @@ class TestSymmetries:
         def as_sets(classes):
             return sorted(sorted(sorted(m.values()) for m in cls) for cls in classes)
 
-        carried_at = 0
+        with_classes = 0
         for b in symmetry_balls:
             oracle = star_classes_at_every_star(b)
             got = dict(_star_classes(b))
@@ -632,9 +632,9 @@ class TestSymmetries:
                 for cls in classes:
                     assert all(m.keys() == cls[0].keys() for m in cls)
                     assert all(cls[0][x] == x for x in cls[0])
-                carried_at += bool(classes)
+                with_classes += bool(classes)
             assert all(is_automorphism(b.adjacency, swap) for swap in star_swaps(b))
-        assert carried_at > 1000
+        assert with_classes > 1000
 
     def test_radius_zero_and_cut_balls(self, c5, counterexample_graph):
         # radius 0 gets no maps; ue_restriction and ball_prefix renumber the
