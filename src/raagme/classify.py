@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification, has_finite_out
-from .extension import ball_graph, ball_prefix, build_ext_ball, star_swaps
+from .extension import ball_prefix, build_ext_ball, star_swaps
 from .graphs import SimpleGraph
-from .isomorphism import canonical_form, find_isomorphism
+from .isomorphism import canonical_form, canonical_form_indexed, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
 from .subgroups import check_search_bounds, gluing_classes
 
@@ -119,13 +119,9 @@ class InvariantReport:
 
 
 def _fingerprint(b):
-    """Canonical hash of a ball, seeded with its star swaps and symmetries,
-    renamed to ``ball_graph``'s labels."""
-    g = ball_graph(b)
-    labels = g.sorted_vertices()    # zero-padded, so in node index order
-    seeds = [{labels[u]: labels[w] for u, w in sigma.items()}
-             for sigma in (*star_swaps(b), *b.symmetries)]
-    return canonical_form(g, automorphisms=seeds).hexdigest()
+    """Canonical hash of a ball's index adjacency, seeded with its star swaps and symmetries."""
+    return canonical_form_indexed((range(b.n_nodes), b.adjacency),
+                                  automorphisms=(*star_swaps(b), *b.symmetries)).hexdigest()
 
 
 def invariant_report(p, ball_bound=2):
@@ -137,8 +133,9 @@ def invariant_report(p, ball_bound=2):
     is built once, at ball_bound, and each smaller one is cut out of it as
     a prefix.
 
-    Each fingerprint's canonization is seeded with the ``star_swaps`` of its
-    ball: for an interior node i, two components of the ball less the
+    Each fingerprint canonizes the ball's index adjacency with
+    ``canonical_form_indexed``, seeded with its ``star_swaps``: for an
+    interior node i, two components of the ball less the
     closed star st(i) with the same neighbours in st(i), matched by a map
     that keeps each node's neighbours in st(i), are swapped with all else
     fixed.  That is an automorphism of the ball, since no edge joins two

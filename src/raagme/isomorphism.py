@@ -29,9 +29,12 @@ and the 5,779-node one of ``tests/fixtures/c5double.json`` in about 30-35 s
 0.06 s and 1 s; with the balls' symmetries too (generator inversions and
 lifts of the automorphisms of the defining graph, as
 ``classify.invariant_report`` seeds every ball it fingerprints), 146 and
-5,546 nodes, in about 0.03 s and 0.7-0.9 s.  The 5-cycle with one vertex
+5,546 nodes, in about 0.03 s and 0.6 s.  The 5-cycle with one vertex
 expanded to a 400-clique (404 vertices, 80,603 edges) canonizes in about
 0.25 s: its 400 twins give 399 seeds, and the search makes 801 nodes.
+``indexed_graph`` is the one place a graph becomes positions; ``canonical_form``
+canonizes its pair with ``canonical_form_indexed``, which the ball
+fingerprints and the gluing search call on the index adjacency they hold.
 
 The matcher ``_match`` tells two graphs apart with no canonical form.  It
 is no second canonizer: the pair is refined by the same ``_refine``, side by
@@ -56,6 +59,7 @@ from bisect import bisect_left
 from collections import defaultdict
 
 from .errors import InputError, echo
+from .graphs import SimpleGraph
 
 
 def _individualize(label, cells, u, fresh):
@@ -191,8 +195,13 @@ def _moved_points(maps, index, adjsets):
     Each map lists the labels it moves; a label it does not list is fixed,
     and identity maps are dropped.  Raises InputError unless every map is a
     dict from vertices to vertices that permutes them and maps each edge at
-    a moved vertex onto an edge, which, for a permutation, is every edge.
+    a moved vertex onto an edge, which, for a permutation, is every edge,
+    or when maps is not iterable.
     """
+    try:
+        maps = iter(maps)
+    except TypeError:
+        raise InputError(f"automorphisms must be an iterable of dicts, got {echo(maps)}") from None
     out = []
     for m in maps:
         if not isinstance(m, dict):
@@ -507,7 +516,7 @@ class CanonicalForm:
 
     __slots__ = ("key", "order", "_canonizer")
 
-    def __init__(self, key, order, canonizer=None):
+    def __init__(self, key, order, canonizer):
         self.key = key
         self.order = order  # tuple of vertex labels, canonical positions 0..n-1
         self._canonizer = canonizer
@@ -520,8 +529,6 @@ class CanonicalForm:
         their orbit sizes), so no second search runs.
         """
         c = self._canonizer
-        if c is None:
-            return []
         orbits = _Orbits(range(c.n))
         for sigma in c.automorphisms:
             orbits.join(sigma)
@@ -533,24 +540,34 @@ class CanonicalForm:
     def automorphisms(self):
         """The automorphisms the search recorded, as label maps of their moved points.
 
-        The twin swaps come first, then the seeds given to ``canonical_form``,
-        then those found by the search; together they generate the group.
+        The twin swaps come first, then the seeds, then those found by the
+        search; together they generate the group.
         """
         c = self._canonizer
-        if c is None:
-            return []
         verts = c.verts
         return [{verts[u]: verts[w] for u, w in sigma.items()} for sigma in c.automorphisms]
 
     def group_order(self):
         """Order of the automorphism group, from the same search."""
-        return 1 if self._canonizer is None else self._canonizer.group_order()
+        return self._canonizer.group_order()
 
     def hexdigest(self):
         # hashed in the format of the former colored key (no palette, every
         # vertex color 0), so that digests recorded by earlier versions stay valid
         legacy = ((), (0,) * len(self.key), self.key)
         return hashlib.sha256(repr(legacy).encode("ascii")).hexdigest()
+
+
+def canonical_form_indexed(indexed, automorphisms=()):
+    """``canonical_form`` of an ``indexed_graph`` pair, or of index adjacency a
+    caller holds, such as a ball's ``(range(n_nodes), adjacency)``."""
+    verts, adj = indexed
+    canonizer = _Canonizer(verts, adj)
+    if automorphisms:
+        index = {v: i for i, v in enumerate(verts)}
+        canonizer.automorphisms += _moved_points(automorphisms, index, canonizer.adjsets)
+    key, order = canonizer.run()
+    return CanonicalForm(key, tuple(verts[i] for i in order), canonizer)
 
 
 def canonical_form(g, automorphisms=()):
@@ -561,18 +578,9 @@ def canonical_form(g, automorphisms=()):
     dicts that map each label they move to its image.  They seed the search
     after the twin swaps, so it need not find them again; the form, its
     group order and its orbits do not depend on them.  Raises InputError
-    unless each is an automorphism of g.
+    unless g is a SimpleGraph and each seed is an automorphism of it.
     """
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [sorted(index[w] for w in g.neighbors(v)) for v in verts]
-    canonizer = _Canonizer(verts, adj)
-    if automorphisms:
-        canonizer.automorphisms += _moved_points(automorphisms, index, canonizer.adjsets)
-    if not verts:
-        return CanonicalForm((), ())
-    key, order = canonizer.run()
-    return CanonicalForm(key, tuple(verts[i] for i in order), canonizer)
+    return canonical_form_indexed(indexed_graph(g), automorphisms)
 
 
 def canonical_hash(g):
@@ -588,6 +596,8 @@ def find_isomorphism(g, h):
     mutually inverse.  Graphs of different degree sequences are told apart
     before either is canonized.
     """
+    _check_graph(g)
+    _check_graph(h)
     if g.degree_sequence() != h.degree_sequence():
         return None
     cg = canonical_form(g)
@@ -707,8 +717,14 @@ def match_graphs(g, h):
     return match_indexed(indexed_graph(g), indexed_graph(h))
 
 
+def _check_graph(g):
+    if not isinstance(g, SimpleGraph):
+        raise InputError(f"a graph must be a SimpleGraph, got {echo(g)}")
+
+
 def indexed_graph(g):
     """The sorted vertices of g and the positions of each one's neighbours in that order."""
+    _check_graph(g)
     verts = g.sorted_vertices()
     index = {v: i for i, v in enumerate(verts)}
     return verts, [[index[w] for w in g.neighbors(v)] for v in verts]

@@ -11,10 +11,11 @@ GluingClass.  Its children are built lazily: a child's degree sequence is
 read off its parent's graph, and its graph is glued only when it is
 matched against an earlier class, glued further or handed to the caller.
 Newness is decided by matching graphs, not by canonical forms; a class's
-canonical form is computed only when the search glues it or the caller
-needs it, seeded with the automorphisms the gluing shows: the swaps of
-adjacent copies and the parent's recorded automorphisms that fix the glued
-vertex, lifted to every copy.
+canonical form is computed, from the index adjacency the matcher uses,
+only when the search glues it or the caller needs it, seeded with the
+automorphisms the gluing shows: the swaps of adjacent copies and the
+parent's recorded automorphisms that fix the glued vertex, lifted to
+every copy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError, echo
 from .graphs import SimpleGraph, star
 from .combinatorics import has_finite_out
-from .isomorphism import BUDGET, canonical_form, indexed_graph, match_indexed
+from .isomorphism import BUDGET, canonical_form_indexed, indexed_graph, match_indexed
 
 
 def _copy_names(verts, shared, k):
@@ -148,7 +149,7 @@ class GluingClass:
 
     @property
     def indexed(self):
-        """The graph of the witness as an ``indexed_graph``, for the matcher."""
+        """The graph of the witness as an ``indexed_graph``, for the matcher and form."""
         if self._indexed is None:
             self._indexed = indexed_graph(self.witness.graph)
         return self._indexed
@@ -157,7 +158,7 @@ class GluingClass:
     def form(self):
         if self._form is None:
             seeds = () if self.parent is None else self._seeds()
-            self._form = canonical_form(self.witness.graph, automorphisms=seeds)
+            self._form = canonical_form_indexed(self.indexed, automorphisms=seeds)
         return self._form
 
     def _seeds(self):

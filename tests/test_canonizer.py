@@ -50,7 +50,9 @@ def assert_same_search(g):
     new = form._canonizer
     verts, adj = indexed(g)
     if not verts:
-        assert new is None and form.key == ()
+        # the canonizer's one leaf, with no automorphism
+        assert (form.key, form.order, new.nodes, new.automorphisms) == ((), (), 1, [])
+        assert (form.group_order(), form.orbit_representatives()) == (1, [])
         return
     old = CountingCanonizerByRounds(verts, adj)
     _, key, order = old.run()

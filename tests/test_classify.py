@@ -10,7 +10,7 @@ from helpers import prism, ue_ball_fingerprint, unpruned_gluing_search
 from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
-from raagme.isomorphism import canonical_form, canonical_hash
+from raagme.isomorphism import canonical_form, canonical_form_indexed, canonical_hash
 from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
 from raagme.subgroups import enumerate_findex_graphs, star_gluing_kernel
 from raagme.classify import decide_me, decide_oe, invariant_report
@@ -251,20 +251,21 @@ class TestDecideMe:
     def test_canonizations_counted(self, c5, monkeypatch):
         # a class of the gluing search is canonized only when it is glued,
         # when the matcher runs out of budget against an earlier class of its
-        # degree sequence, or when it is compared with lam; counted through
-        # both modules' bindings.  Here C5 and its three gluings within 16
-        # vertices that are glued again; the matcher tells the rest apart
-        import raagme.classify
+        # degree sequence, or when it is compared with lam; counted at
+        # canonical_form_indexed, through the binding of the gluing search
+        # and that of canonical_form.  Here C5 and its three gluings within
+        # 16 vertices that are glued again; the matcher tells the rest apart
+        import raagme.isomorphism
         import raagme.subgroups
         from raagme.subgroups import enumerate_findex_graphs
         calls = []
 
-        def counted(g, automorphisms=()):
-            calls.append(g)
-            return canonical_form(g, automorphisms=automorphisms)
+        def counted(indexed, automorphisms=()):
+            calls.append(indexed)
+            return canonical_form_indexed(indexed, automorphisms=automorphisms)
 
-        monkeypatch.setattr(raagme.classify, "canonical_form", counted, raising=False)
-        monkeypatch.setattr(raagme.subgroups, "canonical_form", counted)
+        monkeypatch.setattr(raagme.isomorphism, "canonical_form_indexed", counted)
+        monkeypatch.setattr(raagme.subgroups, "canonical_form_indexed", counted)
         assert len(enumerate_findex_graphs(c5, 16, 2).witnesses) == 12
         assert len(calls) == 4
         calls.clear()

@@ -12,12 +12,13 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from helpers import brute_automorphism_count, prism
 
 from raagme.errors import InputError
-from raagme.extension import ball_graph, build_ext_ball
+from raagme.extension import ball_graph, build_ext_ball, star_swaps
 from raagme.graphs import (SimpleGraph, complete_graph, connected_components, cycle_graph,
                            path_graph, star)
 import raagme.isomorphism
-from raagme.isomorphism import (BUDGET, automorphism_count, canonical_form, canonical_hash,
-                                component_classes, find_isomorphism, match_graphs)
+from raagme.isomorphism import (BUDGET, automorphism_count, canonical_form,
+                                canonical_form_indexed, canonical_hash, component_classes,
+                                find_isomorphism, indexed_graph, match_graphs)
 from raagme.presentation import raag
 from raagme.subgroups import star_gluing_kernel
 
@@ -105,6 +106,76 @@ def test_canonical_hash_pinned():
             (prism(), "cd8816695ee958d98b625e89f7ff19d91678abdb0d40327bb173d5fcc95c278a"),
             (ball, "bfc6c462b2599d76b3195824c0763443ed708636a2308ced808f553f211ced1e")]:
         assert canonical_hash(g) == digest
+
+
+C5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
+
+
+@pytest.mark.parametrize("fn, args, kwargs", [
+    (canonical_form, ("x",), {}),
+    (canonical_hash, (5,), {}),
+    (automorphism_count, (None,), {}),
+    (match_graphs, (C5, None), {}),
+    (find_isomorphism, (C5, "x"), {}),
+    (canonical_form, (C5,), {"automorphisms": 5}),
+], ids=["canonical_form", "canonical_hash", "automorphism_count", "match_graphs",
+        "find_isomorphism", "seeds"])
+def test_wrong_argument_types_raise_input_error(fn, args, kwargs):
+    with pytest.raises(InputError):
+        fn(*args, **kwargs)
+
+
+def seed_lists(g, rng):
+    """No seeds, the twin swaps of g, three random automorphisms of g (as
+    maps of moved labels), and the swaps and random ones together."""
+    verts = g.sorted_vertices()
+    twins = [{a: b, b: a} for a, b in itertools.combinations(verts, 2)
+             if g.neighbors(a) - {b} == g.neighbors(b) - {a}]
+    gens = canonical_form(g).automorphisms()
+    randoms = []
+    for _ in range(3 if gens else 0):
+        full = {v: v for v in verts}
+        for sigma in rng.choices(gens, k=4):
+            full = {v: sigma.get(w, w) for v, w in full.items()}
+        randoms.append({v: w for v, w in full.items() if v != w})
+    return [(), twins, randoms, twins + randoms]
+
+
+def form_answers(form):
+    return (form.key, form.order, form.group_order(), form.orbit_representatives(),
+            form.automorphisms())
+
+
+def test_indexed_entry_agrees_with_canonical_form(atlas6):
+    # the indexed pair of indexed_graph, sorted neighbour lists and
+    # neighbour sets, as an extension ball holds them, all give the form of
+    # canonical_form, seeded alike
+    rng = random.Random(29)
+    graphs = [SimpleGraph([])] + [g for n in range(1, 7) for g in atlas6[n]]
+    for g in graphs:
+        verts, adj = indexed_graph(g)
+        pairs = [(verts, adj), (verts, [sorted(a) for a in adj]),
+                 (verts, tuple(frozenset(a) for a in adj))]
+        for seeds in seed_lists(g, rng):
+            want = form_answers(canonical_form(g, automorphisms=seeds))
+            for indexed in pairs:
+                assert form_answers(canonical_form_indexed(indexed, seeds)) == want
+
+
+def test_indexed_entry_checks_seeds_on_ball_adjacency():
+    ball = build_ext_ball(raag(C5), 2, ue=True)
+    indexed = (range(ball.n_nodes), ball.adjacency)
+    seeds = [*star_swaps(ball), *ball.symmetries]
+    assert seeds
+    canonical_form_indexed(indexed, seeds)     # every seed is an automorphism
+    # a node of the ball swapped with one of another degree
+    u = 0
+    w = next(w for w in range(ball.n_nodes) if len(ball.adjacency[w]) != len(ball.adjacency[u]))
+    for sigma in ({u: w, w: u}, {u: ball.n_nodes, ball.n_nodes: u}, {u: w}):
+        with pytest.raises(InputError):
+            canonical_form_indexed(indexed, [sigma])
+        with pytest.raises(InputError):
+            canonical_form_indexed(indexed, [*seeds, sigma])
 
 
 def test_automorphism_count_small():

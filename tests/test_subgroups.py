@@ -9,7 +9,7 @@ from raagme.graphs import SimpleGraph, star
 from raagme.combinatorics import has_finite_out
 import raagme.isomorphism
 import raagme.subgroups
-from raagme.isomorphism import canonical_form
+from raagme.isomorphism import canonical_form, canonical_form_indexed
 from raagme.subgroups import (FiniteIndexWitness, GluingClass, enumerate_findex_graphs,
                               gluing_classes, star_gluing_kernel)
 
@@ -183,15 +183,19 @@ class TestEnumeration:
 
 @pytest.fixture
 def canonizations(monkeypatch):
-    """(graph, seeds, form) of every canonization the gluing search makes."""
+    """(graph, seeds, form) of every canonization the gluing search makes,
+    the graph rebuilt from the indexed pair it canonizes."""
     calls = []
 
-    def recording(g, automorphisms=()):
-        form = canonical_form(g, automorphisms=automorphisms)
+    def recording(indexed, automorphisms=()):
+        form = canonical_form_indexed(indexed, automorphisms=automorphisms)
+        verts, adj = indexed
+        g = SimpleGraph(verts, [(verts[i], verts[j]) for i, nbrs in enumerate(adj)
+                                for j in nbrs if i < j])
         calls.append((g, automorphisms, form))
         return form
 
-    monkeypatch.setattr(raagme.subgroups, "canonical_form", recording)
+    monkeypatch.setattr(raagme.subgroups, "canonical_form_indexed", recording)
     return calls
 
 
