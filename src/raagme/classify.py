@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError, echo
 from .combinatorics import cv_classification, has_finite_out
 from .extension import ball_prefix, build_ext_ball, star_swaps
+from .formats import presentation_to_json_dict
 from .graphs import SimpleGraph
 from .isomorphism import canonical_form, canonical_form_indexed, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
@@ -56,33 +57,6 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class RigidityReport:
-    """The two parabolic-subgroup hypotheses of the rigidity criterion.
-
-    When both hold and the untransvectable extension graphs agree, a
-    finite-index embedding is the only way the groups can be measure
-    equivalent.  decide_me answers "not_equivalent" when either fails on the
-    side of H, so the report it attaches to an "unknown" verdict always has
-    both holding.
-    """
-
-    no_nonabelian_untransvectable_class: bool
-    every_untransvectable_vertex_strong: bool
-
-    @property
-    def both_hold(self):
-        return (self.no_nonabelian_untransvectable_class
-                and self.every_untransvectable_vertex_strong)
-
-    def to_json(self):
-        return {
-            "no_nonabelian_untransvectable_class": self.no_nonabelian_untransvectable_class,
-            "every_untransvectable_vertex_strong": self.every_untransvectable_vertex_strong,
-            "both_hold": self.both_hold,
-        }
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     """Equivalence invariants of a presentation, computed on its reduced form.
 
@@ -99,22 +73,23 @@ class InvariantReport:
     ue_ball_fingerprints: tuple   # ((L, hex digest), ...)
 
     @property
-    def rigidity(self):
-        return RigidityReport(not self.nonabelian_untransvectable_class,
-                              self.all_untransvectable_strongly)
+    def rigidity_hypotheses_hold(self):
+        """Both hypotheses of the rigidity criterion (see ``decide_me``)."""
+        return not self.nonabelian_untransvectable_class and self.all_untransvectable_strongly
 
     def to_json(self):
-        rg = self.clique_reduced_form
         return {
-            "clique_reduced": {
-                "vertices": [{"id": v, "rank": rg.rank(v)} for v in rg.graph.sorted_vertices()],
-                "edges": [[u, w] for u, w in rg.graph.edges()],
-            },
+            "clique_reduced": presentation_to_json_dict(self.clique_reduced_form),
             "out_finite": self.out_finite,
             "nonabelian_untransvectable_class": self.nonabelian_untransvectable_class,
             "all_untransvectable_strongly": self.all_untransvectable_strongly,
             "untransvectable_vertices": list(self.untransvectable),
             "ue_ball_fingerprints": [{"L": L, "hash": h} for L, h in self.ue_ball_fingerprints],
+            "rigidity_hypotheses": {
+                "no_nonabelian_untransvectable_class": not self.nonabelian_untransvectable_class,
+                "every_untransvectable_vertex_strong": self.all_untransvectable_strongly,
+                "both_hold": self.rigidity_hypotheses_hold,
+            },
         }
 
 
@@ -230,13 +205,14 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
 
     Exact "equivalent" answers carry a finite-index witness chain and a graph
     isomorphism; exact "not_equivalent" answers cite a separating invariant;
-    search exhaustion returns "unknown" with the budget echoed (the
-    star-gluing enumeration is not known to reach every finite-index RAAG
-    subgroup, so absence of a witness is not a disproof).  The search is
-    bounded by min(max_vertices, |lam|) vertices, lam being the
-    clique-reduced graph of h, and hands back only the classes with lam's
-    degree sequence; lam and each of them are canonized only for that
-    comparison, and the first with lam's canonical key is the witness.
+    search exhaustion returns "unknown" with the budget echoed and a witness
+    that says whether a bound cut the search (the star-gluing enumeration
+    is not known to reach every finite-index RAAG subgroup, so absence of a
+    witness is not a disproof).  The search is bounded by
+    min(max_vertices, |lam|) vertices, lam being the clique-reduced graph of
+    h, and hands back only the classes with lam's degree sequence; lam and
+    each of them are canonized only for that comparison, and the first with
+    lam's canonical key is the witness.
     """
     # trivial and cyclic (amenable) groups first: Z^m and Z^n are orbit
     # equivalent for all m, n >= 1, and an amenable group is never measure
@@ -258,9 +234,12 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
                         f"{amenable} is free abelian (amenable) while {non_amenable} "
                         "contains a non-abelian free subgroup; an amenable group is "
                         "never measure equivalent to a non-amenable one")
-    # invariant pre-filter: both quantities are measure equivalence
-    # invariants of clique-reduced groups, and both are trivially satisfied
-    # on the finite-Out side
+    # the two hypotheses of the rigidity criterion: both are measure
+    # equivalence invariants of clique-reduced groups and both hold on the
+    # finite-Out side, so H is not equivalent when lam fails either.  When
+    # both hold and the untransvectable extension graphs agree, a
+    # finite-index embedding is the only way the groups can be measure
+    # equivalent, so an "unknown" past the search below has both holding
     cv = cv_classification(lam)
     if cv.nonabelian_untransvectable_class:
         return Decision(
@@ -296,11 +275,9 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
                 f"H is a graph product of free abelian groups over the defining "
                 f"graph of an index-{w.index} RAAG subgroup of G",
                 witness=witness)
-    # both invariant filters above passed on lam, so both hypotheses hold
     return Decision(
         UNKNOWN, "search-exhausted",
         "no separating invariant found and no finite-index witness within the "
         "search budget; the star-gluing enumeration is not known to be complete",
-        witness={"rigidity_hypotheses": RigidityReport(True, True).to_json(),
-                 "search_truncated": truncated},
+        witness={"search_truncated": truncated},
         budget={"max_vertices": max_vertices, "max_steps": max_steps})

@@ -139,9 +139,7 @@ def _cmd_analyze(args):
     p = load_presentation(args.file)
     report = invariant_report(p, ball_bound=args.ball_bound)
     if args.format == "json":
-        doc = report.to_json()
-        doc["rigidity_hypotheses"] = report.rigidity.to_json()
-        return 0, _json_dump(doc)
+        return 0, _json_dump(report.to_json())
     rg = report.clique_reduced_form
     lines = [
         f"input: {p.graph.n_vertices} vertices, {p.graph.n_edges} edges",
@@ -153,7 +151,7 @@ def _cmd_analyze(args):
         f"untransvectable non-abelian class: {_yn(report.nonabelian_untransvectable_class)}",
         f"all untransvectable vertices strongly untransvectable: "
         f"{_yn(report.all_untransvectable_strongly)}",
-        "rigidity hypotheses hold: " + _yn(report.rigidity.both_hold),
+        "rigidity hypotheses hold: " + _yn(report.rigidity_hypotheses_hold),
     ]
     for L, digest in report.ue_ball_fingerprints:
         lines.append(f"untransvectable ball fingerprint L={L}: {digest[:16]}")
@@ -267,12 +265,9 @@ def _cmd_subgroups(args):
     if args.format == "json":
         return 0, _json_dump({
             "truncated": result.truncated,
-            "witnesses": [{
-                "index": w.index,
-                "chain": w.chain_json(),
-                "vertices": [{"id": v, "rank": 1} for v in w.graph.sorted_vertices()],
-                "edges": [[u, x] for u, x in w.graph.edges()],
-            } for w in result.witnesses],
+            "witnesses": [{"index": w.index, "chain": w.chain_json(),
+                           **presentation_to_json_dict(raag(w.graph))}
+                          for w in result.witnesses],
         })
     lines = [f"finite-index defining graphs within {args.max_vertices} vertices, "
              f"{args.max_steps} gluing steps (classes up to isomorphism)"]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, InputError, echo
-from .graphs import connected_components, link, star
+from .errors import DomainError, InputError, echo, require
+from .graphs import SimpleGraph, connected_components, star
 from .isomorphism import automorphism_count
 
 
@@ -25,19 +25,21 @@ def _dominators(g):
     stars = {w: star(g, w) for w in g.sorted_vertices()}
     leq = {}
     for v in stars:
-        lk = link(g, v)
+        lk = g.neighbors(v)
         leq[v] = frozenset(w for w, st in stars.items() if lk <= st)
     return leq
 
 
 def is_transvectable_vertex(g, v):
     """Some vertex w distinct from v satisfies lk(v) <= st(w)."""
+    require(g, SimpleGraph, "a graph")
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {echo(v)}")
     return len(_dominators(g)[v]) > 1
 
 
 def untransvectable_vertices(g):
+    require(g, SimpleGraph, "a graph")
     return [v for v, up in _dominators(g).items() if len(up) == 1]
 
 
@@ -70,6 +72,7 @@ class CvClassification:
 
 
 def cv_classification(g):
+    require(g, SimpleGraph, "a graph")
     if g.n_vertices == 0:
         raise InputError("CV classification is undefined for the empty graph")
     leq = _dominators(g)
@@ -133,6 +136,7 @@ def _star_cuts(g):
 
 
 def out_inventory(g):
+    require(g, SimpleGraph, "a graph")
     if g.n_vertices == 0:
         raise InputError("automorphism inventory is undefined for the empty graph")
     return OutInventory(
@@ -151,11 +155,13 @@ def _out_finite(g, leq):
 
 def has_finite_out(g):
     """No transvections and no partial conjugations, without counting Aut."""
+    require(g, SimpleGraph, "a graph")
     return _out_finite(g, _dominators(g))
 
 
 def is_collapsible(g, s):
     """All vertices of s see the same neighbors outside s."""
+    require(g, SimpleGraph, "a graph")
     # star() looks each id up in g, so an unknown or unhashable one is rejected there
     stars = {v: star(g, v) for v in s}
     if not stars:
@@ -174,9 +180,9 @@ def is_strongly_untransvectable(g, v):
     subgroup commuting with <v>; the tests check the criterion against a
     bounded word-level search for such a generator.
     """
+    untrans = set(untransvectable_vertices(g))
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {echo(v)}")
-    untrans = set(untransvectable_vertices(g))
     if v not in untrans:
         raise DomainError(
             "strong untransvectability defined only for untransvectable vertices")
@@ -190,7 +196,7 @@ def _strongly_untransvectable(g, v, untrans):
     unreached link vertices that x is not adjacent to are its neighbours in
     the opposite graph.
     """
-    rest = set(link(g, v))
+    rest = set(g.neighbors(v))
     while rest:
         comp = [rest.pop()]
         for x in comp:

@@ -1,4 +1,5 @@
-"""Exception types shared by all raagme modules, and the echo their messages use."""
+"""Exception types shared by all raagme modules, the echo their messages use,
+and the type check that public entry points make of their arguments."""
 
 import reprlib
 
@@ -36,3 +37,9 @@ class ParseError(InputError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def require(value, kind, what):
+    """Raise InputError unless value is a kind; what names the expected argument."""
+    if not isinstance(value, kind):
+        raise InputError(f"expected {what} ({kind.__name__}), got {echo(value)}")

@@ -54,9 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, echo
+from .errors import DomainError, InputError, echo, require
 from .combinatorics import cv_classification
 from .isomorphism import canonical_form, component_classes
+from .presentation import GraphProductPresentation
 from .words import (commutation_adjacency, enumerate_cyclic_handles, handle_symmetries,
                     translate_conjugators)
 
@@ -137,6 +138,7 @@ def build_ext_ball(p, L, ue=False):
     ue_restriction cuts out of the full one.  Automorphisms of the defining
     graph keep those types.
     """
+    require(p, GraphProductPresentation, "a presentation")
     if _integer(L, "ball radius") < 0:
         raise InputError("ball radius must be >= 0")
     if not p.is_unit_rank():
@@ -165,12 +167,14 @@ def _restrict(b, keep, L):
 
 def ue_restriction(b):
     """Full subgraph of the ball on the untransvectable nodes."""
+    require(b, ExtBall, "an extension ball")
     untrans = b.untransvectable
     return _restrict(b, [i for i, n in enumerate(b.nodes) if n.vertex in untrans], b.L)
 
 
 def ball_prefix(b, L):
     """The radius-L ball inside b (untransvectable if b is); b itself at its own radius."""
+    require(b, ExtBall, "an extension ball")
     if not 0 <= _integer(L, "ball radius") <= b.L:
         raise InputError(f"radius {L} outside 0..{b.L}")
     if b._longest <= L == b.L:
@@ -180,6 +184,7 @@ def ball_prefix(b, L):
 
 def ball_graph(b):
     """The ball as a plain SimpleGraph with synthetic deterministic labels."""
+    require(b, ExtBall, "an extension ball")
     from .graphs import SimpleGraph
     width = len(str(max(b.n_nodes - 1, 0)))
     labels = [f"n{i:0{width}d}" for i in range(b.n_nodes)]
@@ -206,6 +211,7 @@ def star_swaps(b):
     ``_star_classes`` searches the classes at one interior node per orbit
     of the ball's symmetries.
     """
+    require(b, ExtBall, "an extension ball")
     swaps = []
     for _, classes in _star_classes(b):
         for cls in classes:
@@ -336,6 +342,7 @@ class SeparationReport:
 
 
 def star_separation_check(b, v_index):
+    require(b, ExtBall, "an extension ball")
     if not 0 <= _integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
     if b.presentation.graph.n_vertices <= 1:
@@ -385,6 +392,7 @@ class ConnectivityReport:
 
 
 def star_complement_connectivity_check(b, v_index, x_indices):
+    require(b, ExtBall, "an extension ball")
     if not 0 <= _integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
     try:
@@ -420,6 +428,7 @@ def star_complement_connectivity_check(b, v_index, x_indices):
 
 def ball_json(b):
     """Node/edge document for export; deterministic ordering."""
+    require(b, ExtBall, "an extension ball")
     untrans = b.untransvectable
     nodes = []
     for i, n in enumerate(b.nodes):

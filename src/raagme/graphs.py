@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import InputError, echo
+from .errors import InputError, echo, require
 
 
 class SimpleGraph:
@@ -123,7 +123,11 @@ def _unhashable(v):
 
 
 def _check_subset(g, s):
-    s = list(s)
+    require(g, SimpleGraph, "a graph")
+    try:
+        s = list(s)
+    except TypeError:
+        raise InputError(f"a vertex set must be iterable, got {echo(s)}") from None
     for v in s:
         if not g.has_vertex(v):
             raise InputError(f"unknown vertex {echo(v)}")
@@ -143,6 +147,7 @@ def full_subgraph(g, s):
 
 def link(g, v):
     """All vertices adjacent to v."""
+    require(g, SimpleGraph, "a graph")
     return g.neighbors(v)
 
 
@@ -166,6 +171,7 @@ def perp(g, s):
 
 def opposite_graph(g):
     """The complement graph on the same vertex set (an involution)."""
+    require(g, SimpleGraph, "a graph")
     verts = g.sorted_vertices()
     edges = []
     for i, u in enumerate(verts):
@@ -183,6 +189,7 @@ def connected_components(g, without=frozenset()):
     components of the full subgraph spanned by the other vertices.  A label
     in ``without`` that is not a vertex of g removes nothing.
     """
+    require(g, SimpleGraph, "a graph")
     try:
         seen = set(without)
     except TypeError:

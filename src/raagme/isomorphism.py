@@ -42,9 +42,9 @@ side, with a bounded backtrack over pairs of vertices split off together.
 Its answer is complete within its budget: an isomorphism checked on every
 edge, None once the backtrack has run out of images (a proof that there is
 none), or ``BUDGET`` after ``MATCH_STEPS`` refined partitions.
-``match_graphs`` runs it on two graphs from degree colours, and
-``match_indexed`` on index adjacency that a caller keeps; the star-gluing
-search decides newness with the latter and canonizes only on ``BUDGET``.
+``match_indexed`` runs it on two graphs from degree colours, given as the
+index adjacency that a caller keeps; the star-gluing search decides newness
+with it and canonizes only on ``BUDGET``.
 ``component_classes`` runs it on the components of a graph less a
 separator, from colours that fix the separator, and sorts them into classes
 up to isomorphisms that fix it, the swaps behind the seeds above; there
@@ -58,7 +58,7 @@ import hashlib
 from bisect import bisect_left
 from collections import defaultdict
 
-from .errors import InputError, echo
+from .errors import InputError, echo, require
 from .graphs import SimpleGraph
 
 
@@ -596,8 +596,8 @@ def find_isomorphism(g, h):
     mutually inverse.  Graphs of different degree sequences are told apart
     before either is canonized.
     """
-    _check_graph(g)
-    _check_graph(h)
+    require(g, SimpleGraph, "a graph")
+    require(h, SimpleGraph, "a graph")
     if g.degree_sequence() != h.degree_sequence():
         return None
     cg = canonical_form(g)
@@ -684,11 +684,13 @@ def _match(adj, half, label, cells):
     return BUDGET
 
 
-def _match_coloured(adj, half, colour):
-    """``_match`` from the partition of the vertices by colour, in colour order.
+def _match_sides(verts, adj, half, colour):
+    """``_match`` from the partition of the vertices by colour, with labels for indices.
 
-    Answers None at once when a colour has more vertices on one side of
-    half than on the other.
+    ``verts`` names the vertices that ``adj`` indexes, and the start
+    partition puts the colour classes in colour order.  Answers None at
+    once when a colour has more vertices on one side of half than on the
+    other; an isomorphism comes back as a dict of labels.
     """
     groups = defaultdict(list)
     for i, c in enumerate(colour):
@@ -702,59 +704,35 @@ def _match_coloured(adj, half, colour):
             label[i] = at
         cells[at] = members
         at += len(members)
-    return _match(adj, half, label, cells)
-
-
-def match_graphs(g, h):
-    """An isomorphism g -> h as a dict, None when there is none, or BUDGET.
-
-    The two graphs are matched side by side from the partition of their
-    vertices by degree, with no canonical form: an isomorphism is checked
-    on every edge, and None means the backtrack ran out of images (see
-    ``_match``).  BUDGET means it refined ``MATCH_STEPS`` partitions first;
-    then only canonical forms can tell.
-    """
-    return match_indexed(indexed_graph(g), indexed_graph(h))
-
-
-def _check_graph(g):
-    if not isinstance(g, SimpleGraph):
-        raise InputError(f"a graph must be a SimpleGraph, got {echo(g)}")
+    iso = _match(adj, half, label, cells)
+    if iso is None or iso is BUDGET:
+        return iso
+    return {verts[i]: verts[j] for i, j in iso.items()}
 
 
 def indexed_graph(g):
     """The sorted vertices of g and the positions of each one's neighbours in that order."""
-    _check_graph(g)
+    require(g, SimpleGraph, "a graph")
     verts = g.sorted_vertices()
     index = {v: i for i, v in enumerate(verts)}
     return verts, [[index[w] for w in g.neighbors(v)] for v in verts]
 
 
 def match_indexed(a, b):
-    """``match_graphs`` on two graphs given as ``indexed_graph`` pairs, which a
-    caller that matches one graph many times can keep."""
+    """An isomorphism between two graphs given as ``indexed_graph`` pairs, as a
+    dict, None when there is none, or BUDGET.
+
+    The two graphs are matched side by side from the partition of their
+    vertices by degree, with no canonical form: an isomorphism is checked
+    on every edge, and None means the backtrack ran out of images (see
+    ``_match``).  BUDGET means it refined ``MATCH_STEPS`` partitions first;
+    then only canonical forms can tell.  A caller that matches one graph
+    many times keeps its pair.
+    """
     (verts_g, adj_g), (verts_h, adj_h) = a, b
     half = len(verts_g)
     adj = adj_g + [[half + w for w in nbrs] for nbrs in adj_h]
-    iso = _match_coloured(adj, half, [len(nbrs) for nbrs in adj])
-    if iso is None or iso is BUDGET:
-        return iso
-    verts = (*verts_g, *verts_h)
-    return {verts[i]: verts[j] for i, j in iso.items()}
-
-
-def _match_components(adjsets, separator, start, a, b):
-    """A map of component a onto component b that keeps start colours and edges, or None.
-
-    BUDGET counts as None: the pair is then taken as not isomorphic.
-    """
-    verts = (*a, *b)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[w] for w in adjsets[v] if w not in separator] for v in verts]
-    iso = _match_coloured(adj, len(a), [start[v] for v in verts])
-    if iso is None or iso is BUDGET:
-        return None
-    return {verts[i]: verts[j] for i, j in iso.items()}
+    return _match_sides((*verts_g, *verts_h), adj, half, [len(nbrs) for nbrs in adj])
 
 
 def component_classes(adjsets, components, separator):
@@ -800,9 +778,12 @@ def component_classes(adjsets, components, separator):
         firsts = []     # (index of the first member, maps) per class
         for k in bucket:
             for first, maps in firsts:
-                iso = _match_components(adjsets, separator, start, components[first],
-                                        components[k])
-                if iso is not None:
+                verts = (*components[first], *components[k])
+                index = {v: i for i, v in enumerate(verts)}
+                adj = [[index[w] for w in adjsets[v] if w not in separator] for v in verts]
+                iso = _match_sides(verts, adj, len(components[first]),
+                                   [start[v] for v in verts])
+                if isinstance(iso, dict):
                     maps.append(iso)
                     break
             else:

@@ -10,7 +10,7 @@ expansion goes the other way, back to a defining graph with unit ranks.
 
 from __future__ import annotations
 
-from .errors import InputError, echo
+from .errors import InputError, echo, require
 from .graphs import SimpleGraph, star
 
 MAX_RANK = 1 << 16
@@ -89,6 +89,7 @@ def clique_reduce(p):
     >>> p.graph.sorted_vertices(), p.rank("a")
     (['a'], 2)
     """
+    require(p, GraphProductPresentation, "a presentation")
     g = p.graph
     classes = {}
     for v in g.sorted_vertices():
@@ -128,6 +129,7 @@ def expand_to_raag(p):
     joined to the expansions of all former neighbors.  Rank-1 vertices keep
     their labels, so unit-rank presentations expand to their own graph.
     """
+    require(p, GraphProductPresentation, "a presentation")
     g = p.graph
     taken = set(g.vertices)
     names = {}

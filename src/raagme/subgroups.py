@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, echo
+from .errors import DomainError, InputError, echo, require
 from .graphs import SimpleGraph, star
 from .combinatorics import has_finite_out
 from .isomorphism import BUDGET, canonical_form_indexed, indexed_graph, match_indexed
@@ -60,6 +60,7 @@ def star_gluing_kernel(g, v, k):
     order), so gluings compose.  The vertex count is
     k * |V| - (k-1) * |st(v)|.
     """
+    require(g, SimpleGraph, "a graph")
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {echo(v)}")
     if not isinstance(k, int) or k < 2:

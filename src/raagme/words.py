@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-from .errors import InputError, echo
+from .errors import InputError, echo, require
 from .graphs import star
 from .presentation import GraphProductPresentation
 
@@ -45,6 +45,13 @@ def _require_rank_one(p, v):
         raise InputError(
             f"words are over RAAGs, but {echo(v)} has rank {p.rank(v)}; "
             "use raag(expand_to_raag(p))")
+
+
+def _check_type(p, vertex):
+    """Raise InputError unless vertex is a rank-one generator of p, as a handle's type is."""
+    if not p.graph.has_vertex(vertex):
+        raise InputError(f"unknown vertex {echo(vertex)} in parabolic type")
+    _require_rank_one(p, vertex)
 
 
 def _validate_syllable(p, syl):
@@ -144,7 +151,11 @@ def _coerce(p, w):
         if w.presentation != p:
             raise InputError("word belongs to a different presentation")
         return w.syllables
-    return tuple(_validate_syllable(p, s) for s in w)
+    try:
+        return tuple(_validate_syllable(p, s) for s in w)
+    except (TypeError, ValueError):
+        raise InputError("a word must be a NormalFormWord or an iterable of "
+                         f"(generator, exponent) pairs, got {echo(w)}") from None
 
 
 def multiply_and_normalize(p, w1, w2):
@@ -153,6 +164,7 @@ def multiply_and_normalize(p, w1, w2):
     The product is the reduction of the concatenated syllables; only the
     returned word is put in lexicographic order.
     """
+    require(p, GraphProductPresentation, "a presentation")
     adj = p.graph.adjacency
     return NormalFormWord(p, _lex_order(adj, _reduce(adj, _coerce(p, w1) + _coerce(p, w2))))
 
@@ -258,9 +270,8 @@ def canonical_parabolic(p, conjugator, vertex):
     >>> canonical_parabolic(p, [("a", 1), ("c", -2)], "b").key()
     ((), 'b')
     """
-    if not p.graph.has_vertex(vertex):
-        raise InputError(f"unknown vertex {echo(vertex)} in parabolic type")
-    _require_rank_one(p, vertex)
+    require(p, GraphProductPresentation, "a presentation")
+    _check_type(p, vertex)
     adj = p.graph.adjacency
     conj = _canonical_conjugator(adj, _reduce(adj, _coerce(p, conjugator)), star(p.graph, vertex))
     return ParabolicHandle(p, conj, vertex)
@@ -510,7 +521,8 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     handles = {}
     frontier = []
     for v in sorted(types):
-        h = canonical_parabolic(p, (), v)
+        _check_type(p, v)
+        h = ParabolicHandle(p, (), v)    # the empty conjugator is canonical
         handles[h.key()] = h
         frontier.append(h)
     if length_bound > 0:  # letters are checked once, and only if a step is taken

@@ -2,17 +2,22 @@ import json
 
 import pytest
 
-from raagme.combinatorics import (is_collapsible, is_strongly_untransvectable,
-                                  is_transvectable_vertex)
+from raagme.combinatorics import (cv_classification, has_finite_out, is_collapsible,
+                                  is_strongly_untransvectable, is_transvectable_vertex,
+                                  out_inventory, untransvectable_vertices)
 from raagme.errors import InputError, ParseError
-from raagme.extension import build_ext_ball
+from raagme.extension import (ball_graph, ball_json, ball_prefix, build_ext_ball,
+                              star_complement_connectivity_check, star_separation_check,
+                              star_swaps, ue_restriction)
 from raagme.formats import (load_presentation, parse_dot_presentation,
                             parse_json_presentation, parse_presentation,
                             presentation_to_json_dict, sniff_format)
-from raagme.graphs import SimpleGraph, cycle_graph, full_subgraph, path_graph, perp
-from raagme.presentation import MAX_RANK, GraphProductPresentation, clique_reduce, raag
+from raagme.graphs import (SimpleGraph, connected_components, cycle_graph, full_subgraph, link,
+                           opposite_graph, path_graph, perp)
+from raagme.presentation import (MAX_RANK, GraphProductPresentation, clique_reduce,
+                                 expand_to_raag, raag)
 from raagme.subgroups import star_gluing_kernel
-from raagme.words import canonical_parabolic, word
+from raagme.words import canonical_parabolic, multiply_and_normalize, word
 
 
 C5_JSON = """{
@@ -313,3 +318,54 @@ def test_unhashable_id_is_an_input_error(case):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+_C5P = raag(_C5)
+
+# (call with an argument of the wrong type, the start of its message): each
+# entry point checks its arguments once, before it reads them
+WRONG_TYPE_CASES = {
+    **{f.__name__: (lambda f=f: f(_C5P), "expected a graph (SimpleGraph)")
+       for f in (opposite_graph, connected_components, cv_classification, has_finite_out,
+                 out_inventory, untransvectable_vertices)},
+    "link": (lambda: link(_C5P, "v1"), "expected a graph (SimpleGraph)"),
+    "full_subgraph": (lambda: full_subgraph(_C5P, ["v1"]), "expected a graph (SimpleGraph)"),
+    "is_transvectable_vertex": (lambda: is_transvectable_vertex(_C5P, "v1"),
+                                "expected a graph (SimpleGraph)"),
+    "is_collapsible": (lambda: is_collapsible(_C5P, ["v1"]), "expected a graph (SimpleGraph)"),
+    "is_strongly_untransvectable": (lambda: is_strongly_untransvectable(_C5P, "v1"),
+                                    "expected a graph (SimpleGraph)"),
+    "star_gluing_kernel": (lambda: star_gluing_kernel(_C5P, "v1", 2),
+                           "expected a graph (SimpleGraph)"),
+    "clique_reduce": (lambda: clique_reduce(_C5), "expected a presentation"),
+    "expand_to_raag": (lambda: expand_to_raag(_C5), "expected a presentation"),
+    "build_ext_ball": (lambda: build_ext_ball(_C5, 1), "expected a presentation"),
+    "canonical_parabolic": (lambda: canonical_parabolic(_C5, (), "v1"),
+                            "expected a presentation"),
+    "multiply_and_normalize": (lambda: multiply_and_normalize(_C5, (), ()),
+                               "expected a presentation"),
+    **{f.__name__: (lambda f=f: f(_C5P), "expected an extension ball (ExtBall)")
+       for f in (ue_restriction, ball_json, ball_graph, star_swaps)},
+    "ball_prefix": (lambda: ball_prefix(_C5P, 0), "expected an extension ball (ExtBall)"),
+    "star_separation_check": (lambda: star_separation_check(_C5P, 0),
+                              "expected an extension ball (ExtBall)"),
+    "star_complement_connectivity_check": (
+        lambda: star_complement_connectivity_check(_C5P, 0, ()),
+        "expected an extension ball (ExtBall)"),
+    "full_subgraph-None": (lambda: full_subgraph(_C5, None),
+                           "a vertex set must be iterable, got None"),
+    **{f"word-{name}": (lambda w=w: word(_C5P, w), "a word must be a NormalFormWord or")
+       for name, w in (("None", None), ("int", 5), ("int-syllable", [5]))},
+    "canonical_parabolic-str": (lambda: canonical_parabolic(_C5P, "ab", "v1"),
+                                "a word must be a NormalFormWord or"),
+    "canonical_parabolic-triple": (lambda: canonical_parabolic(_C5P, [("v1", 1, 2)], "v3"),
+                                   "a word must be a NormalFormWord or"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE_CASES))
+def test_wrong_argument_type_is_an_input_error(case):
+    call, message = WRONG_TYPE_CASES[case]
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value).startswith(message)

@@ -18,7 +18,7 @@ from raagme.graphs import (SimpleGraph, complete_graph, connected_components, cy
 import raagme.isomorphism
 from raagme.isomorphism import (BUDGET, automorphism_count, canonical_form,
                                 canonical_form_indexed, canonical_hash, component_classes,
-                                find_isomorphism, indexed_graph, match_graphs)
+                                find_isomorphism, indexed_graph, match_indexed)
 from raagme.presentation import raag
 from raagme.subgroups import star_gluing_kernel
 
@@ -111,14 +111,19 @@ def test_canonical_hash_pinned():
 C5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
 
 
+def match(g, h):
+    """``match_indexed`` on two SimpleGraphs."""
+    return match_indexed(indexed_graph(g), indexed_graph(h))
+
+
 @pytest.mark.parametrize("fn, args, kwargs", [
     (canonical_form, ("x",), {}),
     (canonical_hash, (5,), {}),
     (automorphism_count, (None,), {}),
-    (match_graphs, (C5, None), {}),
+    (match, (C5, None), {}),
     (find_isomorphism, (C5, "x"), {}),
     (canonical_form, (C5,), {"automorphisms": 5}),
-], ids=["canonical_form", "canonical_hash", "automorphism_count", "match_graphs",
+], ids=["canonical_form", "canonical_hash", "automorphism_count", "match_indexed",
         "find_isomorphism", "seeds"])
 def test_wrong_argument_types_raise_input_error(fn, args, kwargs):
     with pytest.raises(InputError):
@@ -503,7 +508,7 @@ class TestMatchGraphs:
                 verts = h.sorted_vertices()
                 names = [f"u{i}" for i in rng.sample(range(len(verts)), len(verts))]
                 h = relabel(h, dict(zip(verts, names)))
-                iso = match_graphs(g, h)
+                iso = match(g, h)
                 assert iso is not BUDGET
                 if nx.is_isomorphic(to_nx(g), to_nx(h)):
                     assert_isomorphism(g, h, iso)
@@ -516,15 +521,15 @@ class TestMatchGraphs:
 
     def test_different_sizes_and_degrees_are_no(self):
         c5 = cycle_graph(["v1", "v2", "v3", "v4", "v5"])
-        assert match_graphs(c5, path_graph(["a", "b", "c", "d", "e"])) is None
-        assert match_graphs(c5, cycle_graph(["a", "b", "c", "d"])) is None
-        assert match_graphs(SimpleGraph([]), SimpleGraph([])) == {}
+        assert match(c5, path_graph(["a", "b", "c", "d", "e"])) is None
+        assert match(c5, cycle_graph(["a", "b", "c", "d"])) is None
+        assert match(SimpleGraph([]), SimpleGraph([])) == {}
 
     def test_shared_labels_are_kept_apart(self):
         # g and h name different vertices alike; the map is g's onto h's
         g = path_graph(["a", "b", "c"])
         h = path_graph(["b", "a", "c"])
-        iso = match_graphs(g, h)
+        iso = match(g, h)
         assert iso["b"] == "a"
         assert_isomorphism(g, h, iso)
 
@@ -535,11 +540,11 @@ class TestMatchGraphs:
         triangles = SimpleGraph([f"b{i}" for i in range(6)],
                                 [("b0", "b1"), ("b1", "b2"), ("b0", "b2"),
                                  ("b3", "b4"), ("b4", "b5"), ("b3", "b5")])
-        assert match_graphs(hexagon, triangles) is None
-        assert_isomorphism(hexagon, hexagon, match_graphs(hexagon, hexagon))
+        assert match(hexagon, triangles) is None
+        assert_isomorphism(hexagon, hexagon, match(hexagon, hexagon))
         for steps in (0, 1):
             monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", steps)
-            assert match_graphs(hexagon, triangles) is BUDGET
-            assert match_graphs(hexagon, hexagon) is BUDGET
+            assert match(hexagon, triangles) is BUDGET
+            assert match(hexagon, hexagon) is BUDGET
         # a degree mismatch needs no refinement at all
-        assert match_graphs(hexagon, path_graph(list("abcdef"))) is None
+        assert match(hexagon, path_graph(list("abcdef"))) is None
