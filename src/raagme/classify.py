@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, echo
+from .errors import DomainError, InputError, require_integer
 from .combinatorics import cv_classification, has_finite_out
 from .extension import ball_prefix, build_ext_ball, star_swaps
 from .formats import presentation_to_json_dict
@@ -123,8 +123,7 @@ def invariant_report(p, ball_bound=2):
         raise InputError("first argument must be a GraphProductPresentation")
     if p.graph.n_vertices == 0:
         raise InputError("invariant report is undefined for the trivial presentation")
-    if isinstance(ball_bound, bool) or not isinstance(ball_bound, int):
-        raise InputError(f"ball bound must be an integer, got {echo(ball_bound)}")
+    require_integer(ball_bound, "ball bound")
     reduced = clique_reduce(p)
     # one untransvectable ball at the largest radius, sliced for the
     # smaller ones; a negative bound asks for no fingerprints.  The CV

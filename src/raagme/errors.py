@@ -1,5 +1,5 @@
 """Exception types shared by all raagme modules, the echo their messages use,
-and the type check that public entry points make of their arguments."""
+and the type checks that public entry points make of their arguments."""
 
 import reprlib
 
@@ -43,3 +43,10 @@ def require(value, kind, what):
     """Raise InputError unless value is a kind; what names the expected argument."""
     if not isinstance(value, kind):
         raise InputError(f"expected {what} ({kind.__name__}), got {echo(value)}")
+
+
+def require_integer(x, what):
+    """x, if it is an int and not a bool; otherwise an InputError naming what x is."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {echo(x)}")
+    return x

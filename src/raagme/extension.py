@@ -35,12 +35,16 @@ automorphism group) removing a proper subset of a star that is not exactly
 the link leaves everything connected.  Assertions are made on interior nodes
 (conjugator length at most L-1) only; boundary observations are reported but
 are not violations.  A separation check makes one batch translation
-(``words.translate_conjugators``) of the nodes outside the star, bounded by
-the ball's longest conjugator, which the ball holds with its node keys.  The
-translates that leave the ball stop their strip at that bound and are never
-lex ordered.  Both checks find the components of the punctured ball by a
-breadth-first search that takes a whole level per step, as set algebra on
-the nodes' neighbour sets.
+(``words.translate_conjugators``) of the nodes outside the star whose
+translates can land: a node of the ball's longest conjugator length
+translates into the ball only if its conjugator shares a leading letter
+with the inverse of the centre's generator, and the ball holds every
+node's leading letters (``words.leading_letters``) with its node keys.  The
+translation is bounded by that longest length; the translates that still
+leave the ball stop their strip at the bound and are never lex ordered.
+Both checks find the components of the punctured ball by a breadth-first
+search that takes a whole level per step, as set algebra on the nodes'
+neighbour sets.
 
 The same search gives ``star_swaps``: the automorphisms of a ball that swap
 two components of it less the star of an interior node, matched by
@@ -54,12 +58,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, echo, require
+from .errors import DomainError, InputError, echo, require, require_integer
 from .combinatorics import cv_classification
 from .isomorphism import canonical_form, component_classes
 from .presentation import GraphProductPresentation
 from .words import (commutation_adjacency, enumerate_cyclic_handles, handle_symmetries,
-                    translate_conjugators)
+                    leading_letters, translate_conjugators)
 
 
 class ExtBall:
@@ -78,6 +82,10 @@ class ExtBall:
         self._index = {key: i for i, key in enumerate(self._keys)}
         # a built ball's longest conjugator has L letters, a hand-built one's need not
         self._longest = max((node.length for node in self.nodes), default=0)
+        # each node's leading letters, which tell a separation check the
+        # translates that cannot land; none where no node has a conjugator
+        self._leading = (tuple(leading_letters(self.nodes)) if self._longest
+                         else ((),) * len(self.nodes))
         self._interior = frozenset(i for i, n in enumerate(self.nodes) if n.length <= L - 1)
 
     @property
@@ -114,13 +122,6 @@ class ExtBall:
         return self._interior
 
 
-def _integer(x, what):
-    """x, if it is an int and not a bool; otherwise an InputError naming what x is."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"{what} must be an integer, got {echo(x)}")
-    return x
-
-
 def build_ext_ball(p, L, ue=False):
     """All canonical cyclic handles of conjugator length <= L, with commutation edges.
 
@@ -139,7 +140,7 @@ def build_ext_ball(p, L, ue=False):
     graph keep those types.
     """
     require(p, GraphProductPresentation, "a presentation")
-    if _integer(L, "ball radius") < 0:
+    if require_integer(L, "ball radius") < 0:
         raise InputError("ball radius must be >= 0")
     if not p.is_unit_rank():
         raise InputError("extension graph defined for RAAG presentations (all ranks 1)")
@@ -175,7 +176,7 @@ def ue_restriction(b):
 def ball_prefix(b, L):
     """The radius-L ball inside b (untransvectable if b is); b itself at its own radius."""
     require(b, ExtBall, "an extension ball")
-    if not 0 <= _integer(L, "ball radius") <= b.L:
+    if not 0 <= require_integer(L, "ball radius") <= b.L:
         raise InputError(f"radius {L} outside 0..{b.L}")
     if b._longest <= L == b.L:
         return b
@@ -342,8 +343,23 @@ class SeparationReport:
 
 
 def star_separation_check(b, v_index):
+    """The separation check at node v_index = g<v>g^-1: a SeparationReport.
+
+    Each node c<t> outside the closed star has a translate by the generator
+    x = g v g^-1; the translates that land in the ball are compared with
+    their nodes component by component, and only those that can land are
+    computed.  If c and x^-1 share no leading letter, x c keeps all
+    |x| + |c| letters (``words.leading_letters``).  Its strip modulo G_st(t)
+    deletes nothing of c, which is canonical, and of x only a right factor
+    that commutes with c; all of x goes only when x commutes with the node,
+    which then lies in the star.  So the translate is longer than c, and a
+    node of the ball's longest conjugator length is translated only when it
+    shares a leading letter with x^-1.  Those of x^-1 = g v^-1 g^-1 are g's
+    when g is not 1, since g is the shortest word in g G_st(v), and v^-1
+    when it is.  The other nodes count as outside the ball without a strip.
+    """
     require(b, ExtBall, "an extension ball")
-    if not 0 <= _integer(v_index, "node index") < b.n_nodes:
+    if not 0 <= require_integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
     if b.presentation.graph.n_vertices <= 1:
         raise DomainError("star separation requires a non-cyclic ambient group")
@@ -351,14 +367,16 @@ def star_separation_check(b, v_index):
     comps = _components(b, removed)
     comp = _labels(comps)
     interior = b.interior()
-    keys = b._keys
-    outside = [w for w in range(b.n_nodes) if w not in removed]
+    keys, nodes, leading, longest = b._keys, b.nodes, b._leading, b._longest
+    centre = nodes[v_index]
+    inverse_leads = set(leading[v_index]) if centre.conjugator else {(centre.vertex, -1)}
+    candidates = [w for w in range(b.n_nodes) if w not in removed and (
+        nodes[w].length < longest or not inverse_leads.isdisjoint(leading[w]))]
+    skipped = b.n_nodes - len(removed) - len(candidates)
     # a translate longer than every node's conjugator is not in the ball
-    conjugators = translate_conjugators(
-        b.nodes[v_index], [keys[w] for w in outside], b._longest)
+    conjugators = translate_conjugators(centre, [keys[w] for w in candidates], longest)
     entries = []
-    skipped = 0
-    for w, c in zip(outside, conjugators):
+    for w, c in zip(candidates, conjugators):
         t = None if c is None else b._index.get((c, keys[w][1]))
         # conjugating by g_v preserves commuting with <g_v>, so a node
         # outside the star never translates into it
@@ -393,13 +411,13 @@ class ConnectivityReport:
 
 def star_complement_connectivity_check(b, v_index, x_indices):
     require(b, ExtBall, "an extension ball")
-    if not 0 <= _integer(v_index, "node index") < b.n_nodes:
+    if not 0 <= require_integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
     try:
         members = iter(x_indices)
     except TypeError:
         raise InputError(f"removed node indices must be iterable, got {echo(x_indices)}") from None
-    x = frozenset(_integer(i, "node index") for i in members)
+    x = frozenset(require_integer(i, "node index") for i in members)
     cv = b.classification
     if cv is not None and not cv.out_finite:
         raise DomainError(

@@ -28,6 +28,12 @@ must: ``canonical_parabolic`` and the breadth-first search of
 ``translate_conjugators`` reduces x c once per distinct conjugator c, and
 ``commutation_adjacency`` hands over words g r that are reduced by
 construction.
+
+The leading letters of a reduced word are the signed generators that some
+shuffle of it begins with (``leading_letters``, once per distinct
+conjugator of a ball).  When c and x^-1 share none, the product x c keeps
+all of its letters, which lets a separation check tell, before any word is
+reduced, which translates cannot land in a ball (``extension``).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-from .errors import InputError, echo, require
+from .errors import InputError, echo, require, require_integer
 from .graphs import star
 from .presentation import GraphProductPresentation
 
@@ -62,6 +68,14 @@ def _validate_syllable(p, syl):
     if not isinstance(e, int) or isinstance(e, bool) or e == 0:
         raise InputError(f"exponent of {echo(v)} must be a non-zero integer, got {echo(e)}")
     return (v, e)
+
+
+def _listed(items, what):
+    """The items as a list; an InputError naming what they are if not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {echo(items)}") from None
 
 
 def _letter_length(syllables):
@@ -291,6 +305,13 @@ def translate_conjugators(h, pairs, length_bound):
     distinct conjugator c, by pushing c onto a copy of the reduced x; the
     strip of each pair stops as soon as it passes the length bound.
     """
+    require(h, ParabolicHandle, "a cyclic handle")
+    try:
+        pairs = [(c, t) for c, t in pairs]
+    except (TypeError, ValueError):
+        raise InputError("pairs must be an iterable of (conjugator, vertex) keys, "
+                         f"got {echo(pairs)}") from None
+    require_integer(length_bound, "conjugator length bound")
     p = h.presentation
     adj = p.graph.adjacency
     x = h.generator_word().syllables
@@ -349,6 +370,43 @@ def _right_divisors(adj, words, members):
                     todo.append(_lex_order(adj, x[:k] + x[k + 1:]) if k else x[1:])
             seen.add(v)
     return sorted((_letter_length(x), x) for x in found)
+
+
+def _leading(adj, reduced):
+    """The leading letters of a reduced word, as (vertex, sign) in word order."""
+    seen = set()
+    lead = []
+    for v, e in reduced:
+        if v not in seen and seen <= adj[v]:
+            lead.append((v, 1 if e > 0 else -1))
+        seen.add(v)
+    return tuple(lead)
+
+
+def leading_letters(handles):
+    """The leading letters of each handle's conjugator: one tuple of (vertex, sign) per handle.
+
+    A leading letter of a reduced word is a signed generator that some
+    shuffle of the word begins with: the sign of the first syllable on a
+    vertex that commutes with every syllable before it.  When the reduced
+    words c and x^-1 share no leading letter, the product x c keeps all
+    |x| + |c| letters: letters cancel across the seam only where a last
+    letter of x, the inverse of a leading letter of x^-1, meets a leading
+    letter of c on its vertex with the opposite sign.  Computed once per
+    distinct conjugator.
+    """
+    if not handles:
+        return []
+    adj = handles[0].presentation.graph.adjacency
+    found = {}
+    out = []
+    for h in handles:
+        c = h.conjugator
+        lead = found.get(c)
+        if lead is None:
+            lead = found[c] = _leading(adj, c)
+        out.append(lead)
+    return out
 
 
 def handle_symmetries(handles, graph_automorphisms=()):
@@ -516,11 +574,13 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     That is the node order of an extension ball.  Handles are counted as
     they are added, and one more than ``MAX_HANDLES`` raises InputError.
     """
-    if length_bound < 0:
+    require(p, GraphProductPresentation, "a presentation")
+    if require_integer(length_bound, "conjugator length bound") < 0:
         raise InputError("conjugator length bound must be >= 0")
+    letter_vertices = _listed(letter_vertices, "letter vertices")
     handles = {}
     frontier = []
-    for v in sorted(types):
+    for v in sorted(_listed(types, "parabolic types")):
         _check_type(p, v)
         h = ParabolicHandle(p, (), v)    # the empty conjugator is canonical
         handles[h.key()] = h

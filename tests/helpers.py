@@ -433,6 +433,24 @@ def shuffle_oracle_nf(adjacency, syllables):
     return min(w for w in seen if len(w) == best_len)
 
 
+def leading_letters_by_shuffles(adjacency, reduced):
+    """The (vertex, sign) of the first syllable of every shuffle of a reduced
+    word, found by swapping adjacent commuting syllables until no new
+    shuffle appears."""
+    start = tuple(reduced)
+    seen = {start}
+    stack = [start]
+    while stack:
+        w = stack.pop()
+        for i in range(len(w) - 1):
+            if w[i + 1][0] in adjacency[w[i][0]]:
+                nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return {(w[0][0], 1 if w[0][1] > 0 else -1) for w in seen if w}
+
+
 # -- facts read off a normal-form word --------------------------------------------
 
 def is_identity(w):

@@ -253,6 +253,13 @@ class TestStarSeparation:
         for b in (ue, prefix, hand):
             for i in sorted(b.interior()):
                 assert star_separation_check(b, i) == star_separation_by_nodes(b, i)
+        # every node, interior or not, of balls with no conjugator (no
+        # leading letters) and of a radius-1 prefix of a radius-2 ball
+        ue1 = ue_restriction(build_ext_ball(raag(counterexample_graph), 1))
+        for b in (build_ext_ball(raag(c5), 0), build_ext_ball(raag(counterexample_graph), 0),
+                  ball_prefix(b2, 1), ue1):
+            for i in range(b.n_nodes):
+                assert star_separation_check(b, i) == star_separation_by_nodes(b, i)
         rep = star_separation_check(hand, hand.standard_node("v1"))
         assert any(hand.nodes[e.translate].length > hand.L for e in rep.entries)
 
@@ -314,6 +321,33 @@ class TestStarSeparation:
             rep = star_separation_check(b, i)
             assert len(calls) == len(rep.entries) + 1
             assert rep.skipped_outside_ball > len(rep.entries)
+
+    def test_strips_only_translates_that_can_land(self, c5, monkeypatch):
+        # a node of the longest conjugator length sharing no leading letter
+        # with the inverse of the centre's generator is counted outside the
+        # ball without a strip: one round of the interior checks of the
+        # three radius-2 balls strips 2,880 translates (12,828 with a strip
+        # for every node outside the star), of which 864 land; the C5
+        # radius-3 ball strips 35,020 (126,830), of which 2,220 land
+        import raagme.words
+        c7_complement = opposite_graph(cycle_graph([f"v{i}" for i in range(1, 8)]))
+        radius_2 = [build_ext_ball(raag(g), 2) for g in (c5, prism(), c7_complement)]
+        radius_3 = build_ext_ball(load_presentation(FIXTURES / "c5.json"), 3)
+        strip = raagme.words._strip_to_coset_rep
+        calls = []
+
+        def counted(adj, reduced, members, length_bound=None):
+            calls.append(length_bound)
+            return strip(adj, reduced, members, length_bound)
+
+        monkeypatch.setattr(raagme.words, "_strip_to_coset_rep", counted)
+        for balls, strips, landed, skipped in ((radius_2, 2880, 864, 11964),
+                                               ([radius_3], 35020, 2220, 124610)):
+            calls.clear()
+            reports = [star_separation_check(b, i) for b in balls for i in sorted(b.interior())]
+            assert len(calls) == strips
+            assert sum(len(r.entries) for r in reports) == landed
+            assert sum(r.skipped_outside_ball for r in reports) == skipped
 
     def test_z2_vacuous(self):
         b = build_ext_ball(z2p(), 2)

@@ -17,7 +17,8 @@ from raagme.graphs import (SimpleGraph, connected_components, cycle_graph, full_
 from raagme.presentation import (MAX_RANK, GraphProductPresentation, clique_reduce,
                                  expand_to_raag, raag)
 from raagme.subgroups import star_gluing_kernel
-from raagme.words import canonical_parabolic, multiply_and_normalize, word
+from raagme.words import (canonical_parabolic, enumerate_cyclic_handles,
+                          multiply_and_normalize, translate_conjugators, word)
 
 
 C5_JSON = """{
@@ -360,6 +361,25 @@ WRONG_TYPE_CASES = {
                                 "a word must be a NormalFormWord or"),
     "canonical_parabolic-triple": (lambda: canonical_parabolic(_C5P, [("v1", 1, 2)], "v3"),
                                    "a word must be a NormalFormWord or"),
+    "translate_conjugators": (lambda: translate_conjugators(_C5P, [], 1),
+                              "expected a cyclic handle (ParabolicHandle)"),
+    **{f"translate_conjugators-{name}": (
+        lambda pairs=pairs: translate_conjugators(canonical_parabolic(_C5P, (), "v1"), pairs, 1),
+        "pairs must be an iterable of (conjugator, vertex) keys")
+       for name, pairs in (("int", 5), ("int-pair", [5]), ("triple", [((), "v1", 1)]))},
+    "translate_conjugators-bound": (
+        lambda: translate_conjugators(canonical_parabolic(_C5P, (), "v1"), [((), "v3")], "1"),
+        "conjugator length bound must be an integer"),
+    "enumerate_cyclic_handles": (lambda: enumerate_cyclic_handles(_C5, ["v1"], ["v2"], 1),
+                                 "expected a presentation"),
+    "enumerate_cyclic_handles-bound": (
+        lambda: enumerate_cyclic_handles(_C5P, ["v1"], ["v2"], 1.0),
+        "conjugator length bound must be an integer"),
+    **{f"enumerate_cyclic_handles-{name}": (
+        lambda args=args: enumerate_cyclic_handles(_C5P, *args, 1), message)
+       for name, args, message in (
+           ("types", (None, ["v2"]), "parabolic types must be iterable"),
+           ("letters", (["v1"], 5), "letter vertices must be iterable"))},
 }
 
 

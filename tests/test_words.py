@@ -4,18 +4,18 @@ import random
 import pytest
 
 from helpers import (commutation_adjacency_by_pairs, conjugate_handle, generators_commute,
-                     is_identity, normalizes, normalizes_by_products, parabolics_commute,
-                     shuffle_oracle_nf, strip_by_restart, strong_untransvectability_oracle,
-                     support)
+                     is_identity, leading_letters_by_shuffles, normalizes, normalizes_by_products,
+                     parabolics_commute, shuffle_oracle_nf, strip_by_restart,
+                     strong_untransvectability_oracle, support)
 
 from raagme.errors import DomainError, InputError
 from raagme.extension import build_ext_ball
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, path_graph, perp
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
-from raagme.words import (MAX_HANDLES, NormalFormWord, _canonical_conjugator, _lex_order, _reduce,
-                          _right_divisors,
-                          _strip_to_coset_rep, canonical_parabolic, commutation_adjacency, enumerate_cyclic_handles,
-                          multiply_and_normalize, translate_conjugators, word)
+from raagme.words import (MAX_HANDLES, NormalFormWord, ParabolicHandle, _canonical_conjugator,
+                          _lex_order, _reduce, _right_divisors, _strip_to_coset_rep,
+                          canonical_parabolic, commutation_adjacency, enumerate_cyclic_handles,
+                          leading_letters, multiply_and_normalize, translate_conjugators, word)
 
 
 def f2():
@@ -301,6 +301,58 @@ class TestCommutationAndNormalizers:
                 assert translate_conjugators(h, pairs, bound) == expected
                 seen += [c is None for c in expected]
         assert 0.1 < sum(seen) / len(seen) < 0.9
+
+    def test_leading_letters_match_shuffle_oracle(self, atlas6):
+        # the leading letters of a reduced word are the first syllables of
+        # its shuffles, with their signs, each listed once; conjugators
+        # repeat among the handles, and some are empty
+        rng = random.Random(71)
+        total = 0
+        for n in range(1, 7):
+            for g in atlas6[n][::3]:
+                p = raag(g)
+                verts = g.sorted_vertices()
+                words = [word(p, random_word(rng, verts, rng.randint(0, 7))).syllables
+                         for _ in range(6)]
+                handles = [ParabolicHandle(p, rng.choice(words), rng.choice(verts))
+                           for _ in range(10)]
+                for h, lead in zip(handles, leading_letters(handles)):
+                    assert len(set(lead)) == len(lead)
+                    assert set(lead) == leading_letters_by_shuffles(g.adjacency, h.conjugator)
+                    total += len(lead)
+        assert leading_letters([]) == []
+        assert total > 1000
+
+    def test_translates_sharing_no_leading_letter_grow(self, atlas6):
+        # the rule a separation check skips by: if c<t> does not commute with
+        # h = g<v>, and c shares no leading letter with x^-1 for x = g v g^-1,
+        # the translate of c<t> by x is longer than c.  The leading letters
+        # of x^-1 are g's, or v^-1 when g is 1
+        rng = random.Random(29)
+        skipped = kept = 0
+        for g in atlas6[6][::3] + atlas6[5]:
+            p = raag(g)
+            verts = g.sorted_vertices()
+
+            def handle():
+                return canonical_parabolic(p, random_word(rng, verts, rng.randint(0, 3)),
+                                           rng.choice(verts))
+
+            for _ in range(10):
+                h = handle()
+                x = h.generator_word()
+                inverse_leads = leading_letters_by_shuffles(g.adjacency, x.inverse().syllables)
+                assert inverse_leads == (set(leading_letters([h])[0]) if h.conjugator
+                                         else {(h.vertex, -1)})
+                pairs = [handle() for _ in range(20)]
+                for k, lead in zip(pairs, leading_letters(pairs)):
+                    if k == h or parabolics_commute(h, k) or not inverse_leads.isdisjoint(lead):
+                        kept += 1
+                        continue
+                    skipped += 1
+                    assert canonical_parabolic(p, x.syllables + k.conjugator,
+                                               k.vertex).length > k.length
+        assert skipped > 8000 and kept > 5000
 
     def test_right_divisors_are_suffixes_of_shuffles(self, atlas6):
         # a right divisor of a reduced word is a suffix of one of its
