@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, require_integer
+from .errors import DomainError, InputError, require, require_integer
 from .combinatorics import cv_classification, has_finite_out
 from .extension import ball_prefix, build_ext_ball, star_swaps
 from .formats import presentation_to_json_dict
@@ -119,8 +119,7 @@ def invariant_report(p, ball_bound=2):
     automorphisms of the reduced graph.  Seeds change only how much the
     canonizer searches, never the fingerprints.
     """
-    if not isinstance(p, GraphProductPresentation):
-        raise InputError("first argument must be a GraphProductPresentation")
+    require(p, GraphProductPresentation, "a presentation")
     if p.graph.n_vertices == 0:
         raise InputError("invariant report is undefined for the trivial presentation")
     require_integer(ball_bound, "ball bound")
@@ -149,10 +148,8 @@ def _trivial_decision(gamma_g, h, search_bounds=None):
     search_bounds (decide_me's max_vertices and max_steps) that are not
     integers >= 0; returns None when neither group is trivial.
     """
-    if not isinstance(gamma_g, SimpleGraph):
-        raise InputError("first argument must be a SimpleGraph")
-    if not isinstance(h, GraphProductPresentation):
-        raise InputError("second argument must be a GraphProductPresentation")
+    require(gamma_g, SimpleGraph, "a graph")
+    require(h, GraphProductPresentation, "a presentation")
     if gamma_g.n_vertices and not has_finite_out(gamma_g):
         raise DomainError(
             "hypothesis violated: Out(G) must be finite "
@@ -205,13 +202,14 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     Exact "equivalent" answers carry a finite-index witness chain and a graph
     isomorphism; exact "not_equivalent" answers cite a separating invariant;
     search exhaustion returns "unknown" with the budget echoed and a witness
-    that says whether a bound cut the search (the star-gluing enumeration
-    is not known to reach every finite-index RAAG subgroup, so absence of a
-    witness is not a disproof).  The search is bounded by
-    min(max_vertices, |lam|) vertices, lam being the clique-reduced graph of
-    h, and hands back only the classes with lam's degree sequence; lam and
-    each of them are canonized only for that comparison, and the first with
-    lam's canonical key is the witness.
+    that says whether a bound cut the search; none does when lam has fewer
+    vertices than gamma_g, as no gluing shrinks, so the search is skipped
+    (the star-gluing enumeration is not known to reach every finite-index
+    RAAG subgroup, so absence of a witness is not a disproof).  The search
+    is bounded by min(max_vertices, |lam|) vertices, lam being the
+    clique-reduced graph of h, and hands back only the classes with lam's
+    degree sequence; lam and each of them are canonized only for that
+    comparison, and the first with lam's canonical key is the witness.
     """
     # trivial and cyclic (amenable) groups first: Z^m and Z^n are orbit
     # equivalent for all m, n >= 1, and an amenable group is never measure

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, InputError, echo, require
+from .errors import DomainError, InputError, echo, require, require_iterable
 from .graphs import SimpleGraph, connected_components, star
 from .isomorphism import automorphism_count
 
@@ -22,7 +22,7 @@ def _dominators(g):
 
     The one evaluation of the CV preorder: every vertex predicate reads it.
     """
-    stars = {w: star(g, w) for w in g.sorted_vertices()}
+    stars = {w: g.neighbors(w) | {w} for w in g.sorted_vertices()}
     leq = {}
     for v in stars:
         lk = g.neighbors(v)
@@ -130,7 +130,7 @@ def _transvections(leq):
 def _star_cuts(g):
     """(v, components of g minus st(v)) for every star that disconnects g."""
     for v in g.sorted_vertices():
-        comps = connected_components(g, without=star(g, v))
+        comps = connected_components(g, without=g.neighbors(v) | {v})
         if len(comps) >= 2:
             yield v, comps
 
@@ -163,7 +163,7 @@ def is_collapsible(g, s):
     """All vertices of s see the same neighbors outside s."""
     require(g, SimpleGraph, "a graph")
     # star() looks each id up in g, so an unknown or unhashable one is rejected there
-    stars = {v: star(g, v) for v in s}
+    stars = {v: star(g, v) for v in require_iterable(s, "a vertex set")}
     if not stars:
         raise InputError("collapsibility is undefined for the empty subgraph")
     s = frozenset(stars)

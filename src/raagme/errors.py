@@ -1,5 +1,7 @@
 """Exception types shared by all raagme modules, the echo their messages use,
-and the type checks that public entry points make of their arguments."""
+and the checks by which every public function rejects an argument of the wrong
+type: ``require`` (its type), ``require_integer`` (an int but not a bool) and
+``require_iterable`` (as a list).  Range checks stay with their callers."""
 
 import reprlib
 
@@ -40,13 +42,24 @@ class ParseError(InputError):
 
 
 def require(value, kind, what):
-    """Raise InputError unless value is a kind; what names the expected argument."""
+    """value, if it is a kind; otherwise an InputError naming what was expected."""
     if not isinstance(value, kind):
         raise InputError(f"expected {what} ({kind.__name__}), got {echo(value)}")
+    return value
 
 
-def require_integer(x, what):
-    """x, if it is an int and not a bool; otherwise an InputError naming what x is."""
+def require_integer(x, what, of=None):
+    """x, if an int but not a bool; else an InputError naming what x is (of vertex ``of``)."""
     if isinstance(x, bool) or not isinstance(x, int):
+        if of is not None:
+            what = f"{what} of {echo(of)}"
         raise InputError(f"{what} must be an integer, got {echo(x)}")
     return x
+
+
+def require_iterable(items, what):
+    """The items as a list; an InputError naming what they are if not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {echo(items)}") from None

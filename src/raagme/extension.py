@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, echo, require, require_integer
+from .errors import DomainError, InputError, echo, require, require_integer, require_iterable
 from .combinatorics import cv_classification
 from .isomorphism import canonical_form, component_classes
 from .presentation import GraphProductPresentation
@@ -413,11 +413,8 @@ def star_complement_connectivity_check(b, v_index, x_indices):
     require(b, ExtBall, "an extension ball")
     if not 0 <= require_integer(v_index, "node index") < b.n_nodes:
         raise InputError(f"node index {v_index} not in the ball")
-    try:
-        members = iter(x_indices)
-    except TypeError:
-        raise InputError(f"removed node indices must be iterable, got {echo(x_indices)}") from None
-    x = frozenset(require_integer(i, "node index") for i in members)
+    x = frozenset(require_integer(i, "node index")
+                  for i in require_iterable(x_indices, "removed node indices"))
     cv = b.classification
     if cv is not None and not cv.out_finite:
         raise DomainError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import InputError, echo, require
+from .errors import InputError, echo, require, require_iterable
 
 
 class SimpleGraph:
@@ -28,13 +28,13 @@ class SimpleGraph:
 
     def __init__(self, vertices, edges=()):
         adj = {}
-        for v in vertices:
+        for v in require_iterable(vertices, "vertices"):
             if not isinstance(v, str) or not v:
                 raise InputError(f"vertex label must be a non-empty string, got {echo(v)}")
             if v in adj:
                 raise InputError(f"duplicate vertex {echo(v)}")
             adj[v] = set()
-        for e in edges:
+        for e in require_iterable(edges, "edges"):
             try:
                 u, w = e
             except (TypeError, ValueError):
@@ -124,10 +124,7 @@ def _unhashable(v):
 
 def _check_subset(g, s):
     require(g, SimpleGraph, "a graph")
-    try:
-        s = list(s)
-    except TypeError:
-        raise InputError(f"a vertex set must be iterable, got {echo(s)}") from None
+    s = require_iterable(s, "a vertex set")
     for v in s:
         if not g.has_vertex(v):
             raise InputError(f"unknown vertex {echo(v)}")
@@ -153,6 +150,7 @@ def link(g, v):
 
 def star(g, v):
     """v together with all vertices adjacent to it."""
+    require(g, SimpleGraph, "a graph")
     return g.neighbors(v) | {v}
 
 
@@ -215,21 +213,21 @@ def connected_components(g, without=frozenset()):
 # -- small constructors, mostly for tests and fixtures ------------------------
 
 def path_graph(labels):
-    labels = list(labels)
+    labels = require_iterable(labels, "vertices")
     return SimpleGraph(labels, list(zip(labels, labels[1:])))
 
 
 def cycle_graph(labels):
-    labels = list(labels)
+    labels = require_iterable(labels, "vertices")
     if len(labels) < 3:
         raise InputError("a cycle needs at least 3 vertices")
     return SimpleGraph(labels, list(zip(labels, labels[1:])) + [(labels[-1], labels[0])])
 
 
 def complete_graph(labels):
-    labels = list(labels)
+    labels = require_iterable(labels, "vertices")
     return SimpleGraph(labels, [(u, w) for i, u in enumerate(labels) for w in labels[i + 1:]])
 
 
 def edgeless_graph(labels):
-    return SimpleGraph(list(labels))
+    return SimpleGraph(labels)

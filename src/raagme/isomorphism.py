@@ -58,7 +58,7 @@ import hashlib
 from bisect import bisect_left
 from collections import defaultdict
 
-from .errors import InputError, echo, require
+from .errors import InputError, echo, require, require_iterable
 from .graphs import SimpleGraph
 
 
@@ -198,16 +198,10 @@ def _moved_points(maps, index, adjsets):
     a moved vertex onto an edge, which, for a permutation, is every edge,
     or when maps is not iterable.
     """
-    try:
-        maps = iter(maps)
-    except TypeError:
-        raise InputError(f"automorphisms must be an iterable of dicts, got {echo(maps)}") from None
     out = []
-    for m in maps:
-        if not isinstance(m, dict):
-            raise InputError(f"an automorphism must be a dict of vertex labels, got {echo(m)}")
+    for m in require_iterable(maps, "automorphisms"):
         sigma = {}
-        for x, y in m.items():
+        for x, y in require(m, dict, "an automorphism").items():
             try:
                 i, j = index[x], index[y]
             except (KeyError, TypeError):

@@ -10,8 +10,10 @@ expansion goes the other way, back to a defining graph with unit ranks.
 
 from __future__ import annotations
 
-from .errors import InputError, echo, require
-from .graphs import SimpleGraph, star
+from collections.abc import Mapping
+
+from .errors import InputError, echo, require, require_integer
+from .graphs import SimpleGraph
 
 MAX_RANK = 1 << 16
 
@@ -22,18 +24,17 @@ class GraphProductPresentation:
     __slots__ = ("graph", "_ranks")
 
     def __init__(self, graph, ranks=None):
-        if not isinstance(graph, SimpleGraph):
-            raise InputError("presentation needs a SimpleGraph")
-        self.graph = graph
+        self.graph = require(graph, SimpleGraph, "a graph")
         if ranks is None:
             self._ranks = {v: 1 for v in graph.vertices}
         else:
+            require(ranks, Mapping, "ranks")
             self._ranks = {}
             for v in graph.sorted_vertices():
                 if v not in ranks:
                     raise InputError(f"missing rank for vertex {echo(v)}")
                 r = ranks[v]
-                if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+                if require_integer(r, "rank", of=v) < 1:
                     raise InputError(
                         f"rank of {echo(v)} must be a positive integer, got {echo(r)}")
                 if r > MAX_RANK:
@@ -93,7 +94,7 @@ def clique_reduce(p):
     g = p.graph
     classes = {}
     for v in g.sorted_vertices():
-        classes.setdefault(star(g, v), []).append(v)
+        classes.setdefault(g.neighbors(v) | {v}, []).append(v)
     rep = {}
     rank = {}
     for members in classes.values():

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, echo, require
+from .errors import DomainError, InputError, echo, require, require_integer
 from .graphs import SimpleGraph, star
 from .combinatorics import has_finite_out
 from .isomorphism import BUDGET, canonical_form_indexed, indexed_graph, match_indexed
@@ -63,8 +63,8 @@ def star_gluing_kernel(g, v, k):
     require(g, SimpleGraph, "a graph")
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {echo(v)}")
-    if not isinstance(k, int) or k < 2:
-        raise InputError(f"gluing multiplicity must be an integer >= 2, got {echo(k)}")
+    if require_integer(k, "gluing multiplicity") < 2:
+        raise InputError(f"gluing multiplicity must be >= 2, got {echo(k)}")
     verts = g.sorted_vertices()
     edges = g.edges()
     new_vertices = list(verts)
@@ -217,8 +217,7 @@ class GluingClass:
 def check_search_bounds(max_vertices, max_steps):
     """Raise InputError unless both bounds of the gluing search are integers >= 0."""
     for bound in (max_vertices, max_steps):
-        if isinstance(bound, bool) or not isinstance(bound, int):
-            raise InputError(f"enumeration bounds must be integers, got {echo(bound)}")
+        require_integer(bound, "enumeration bound")
     if max_vertices < 0 or max_steps < 0:
         raise InputError("enumeration bounds must be >= 0")
 
@@ -266,14 +265,17 @@ def _gluing_classes(g, max_vertices, max_steps, target):
     test, except until the last level's first new class, which sets
     ``truncated``; it is still recorded, so later newness tests stay exact.
     """
+    # The vertex count never shrinks along a chain: no budget reaches a
+    # target smaller than g, and size-pruned gluings only ever lead to
+    # graphs above the vertex budget, so the search is only genuinely cut
+    # short when the depth limit leaves a frontier unexplored.
+    if target is not None and len(target) < g.n_vertices:
+        return False
     base = GluingClass.base(g)
     met = {base.degrees: [base]}     # every class met, by degree sequence
     if target in (None, base.degrees):
         yield base
     frontier = [base]
-    # Size-pruned gluings only ever lead to graphs above the vertex budget
-    # (the vertex count never shrinks along a chain), so the search is only
-    # genuinely cut short when the depth limit leaves a frontier unexplored.
     truncated = g.n_vertices > max_vertices
     for step in range(max_steps):
         if not frontier:
@@ -310,8 +312,7 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
     order).  ``truncated`` is set when either bound cut the search, so an
     unmatched target means "not found within budget", not "does not exist".
     """
-    if not isinstance(g, SimpleGraph):
-        raise InputError("first argument must be a SimpleGraph")
+    require(g, SimpleGraph, "a graph")
     classes = gluing_classes(g, max_vertices, max_steps)
     if not has_finite_out(g):
         raise DomainError(

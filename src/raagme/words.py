@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-from .errors import InputError, echo, require, require_integer
+from .errors import InputError, echo, require, require_integer, require_iterable
 from .graphs import star
 from .presentation import GraphProductPresentation
 
@@ -65,17 +65,9 @@ def _validate_syllable(p, syl):
     if not p.graph.has_vertex(v):
         raise InputError(f"generator {echo(v)} not in the presentation")
     _require_rank_one(p, v)
-    if not isinstance(e, int) or isinstance(e, bool) or e == 0:
-        raise InputError(f"exponent of {echo(v)} must be a non-zero integer, got {echo(e)}")
+    if require_integer(e, "exponent", of=v) == 0:
+        raise InputError(f"exponent of {echo(v)} must be non-zero")
     return (v, e)
-
-
-def _listed(items, what):
-    """The items as a list; an InputError naming what they are if not iterable."""
-    try:
-        return list(items)
-    except TypeError:
-        raise InputError(f"{what} must be iterable, got {echo(items)}") from None
 
 
 def _letter_length(syllables):
@@ -534,7 +526,7 @@ def commutation_adjacency(handles, symmetries=()):
                 rs = links[v, w] = _right_divisors(adj, of_type[w], adj[v])
             st_w = stars.get(w)
             if st_w is None:
-                st_w = stars[w] = star(p.graph, w)
+                st_w = stars[w] = adj[w] | {w}
             budget = L - _letter_length(_strip_to_coset_rep(adj, g, st_w))
             for length, r in rs:
                 if length > budget:
@@ -577,10 +569,10 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     require(p, GraphProductPresentation, "a presentation")
     if require_integer(length_bound, "conjugator length bound") < 0:
         raise InputError("conjugator length bound must be >= 0")
-    letter_vertices = _listed(letter_vertices, "letter vertices")
+    letter_vertices = require_iterable(letter_vertices, "letter vertices")
     handles = {}
     frontier = []
-    for v in sorted(_listed(types, "parabolic types")):
+    for v in sorted(require_iterable(types, "parabolic types")):
         _check_type(p, v)
         h = ParabolicHandle(p, (), v)    # the empty conjugator is canonical
         handles[h.key()] = h

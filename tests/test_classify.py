@@ -212,7 +212,7 @@ class TestDecideMe:
                               ({"max_steps": None}, "None"), ({"max_vertices": True}, "True")):
             with pytest.raises(InputError) as info:
                 decide_me(c5, double, **bound)
-            assert str(info.value) == f"enumeration bounds must be integers, got {echoed}"
+            assert str(info.value) == f"enumeration bound must be an integer, got {echoed}"
         # a ball bound must be an integer too; a negative one asks for no fingerprints
         for bound in ("2", None, 2.0, False):
             with pytest.raises(InputError, match="ball bound must be an integer"):
@@ -227,7 +227,7 @@ class TestDecideMe:
         for h in (point, empty, raag(c5)):
             with pytest.raises(InputError) as info:
                 decide_me(c5, h, max_vertices="x")
-            assert str(info.value) == "enumeration bounds must be integers, got 'x'"
+            assert str(info.value) == "enumeration bound must be an integer, got 'x'"
             with pytest.raises(InputError) as info:
                 decide_me(c5, h, max_steps=-1)
             assert str(info.value) == "enumeration bounds must be >= 0"
@@ -426,6 +426,8 @@ def test_decide_me_matches_unpruned_search(atlas7):
             first = next(((chain, index) for chain, index, graph in found
                           if canonical_form(graph).key == key), None)
             if first is None:
+                # a gluing never shrinks, so no budget helps a lam smaller than g
+                truncated = truncated and lam.n_vertices >= g.n_vertices
                 assert d.verdict == "unknown"
                 assert d.witness["search_truncated"] == truncated
                 outcomes["unknown", truncated] += 1
@@ -437,20 +439,20 @@ def test_decide_me_matches_unpruned_search(atlas7):
     assert min(outcomes[k] for k in ("equivalent", ("unknown", True), ("unknown", False))) > 50
 
 
-# (entry point called with an argument of the wrong type, its message)
+# (entry point called with an argument of the wrong type, the start of its
+# message: a presentation echoes its ranks in set order)
+_NOT_A_GRAPH = "expected a graph (SimpleGraph), got GraphProductPresen"
+_NOT_A_PRESENTATION = ("expected a presentation (GraphProductPresentation), "
+                       "got SimpleGraph(5 vertices, 5 edges)")
+
 WRONG_TYPE_CASES = {
-    "invariant_report": (lambda c5: invariant_report(c5),
-                         "first argument must be a GraphProductPresentation"),
-    "decide_oe-G": (lambda c5: decide_oe(raag(c5), raag(c5)),
-                    "first argument must be a SimpleGraph"),
-    "decide_oe-H": (lambda c5: decide_oe(c5, c5),
-                    "second argument must be a GraphProductPresentation"),
-    "decide_me-G": (lambda c5: decide_me(raag(c5), raag(c5)),
-                    "first argument must be a SimpleGraph"),
-    "decide_me-H": (lambda c5: decide_me(c5, c5),
-                    "second argument must be a GraphProductPresentation"),
+    "invariant_report": (lambda c5: invariant_report(c5), _NOT_A_PRESENTATION),
+    "decide_oe-G": (lambda c5: decide_oe(raag(c5), raag(c5)), _NOT_A_GRAPH),
+    "decide_oe-H": (lambda c5: decide_oe(c5, c5), _NOT_A_PRESENTATION),
+    "decide_me-G": (lambda c5: decide_me(raag(c5), raag(c5)), _NOT_A_GRAPH),
+    "decide_me-H": (lambda c5: decide_me(c5, c5), _NOT_A_PRESENTATION),
     "enumerate_findex_graphs": (lambda c5: enumerate_findex_graphs(raag(c5), 10, 1),
-                                "first argument must be a SimpleGraph"),
+                                _NOT_A_GRAPH),
 }
 
 
@@ -459,7 +461,7 @@ def test_entry_points_check_argument_types(case, c5):
     call, message = WRONG_TYPE_CASES[case]
     with pytest.raises(InputError) as info:
         call(c5)
-    assert str(info.value) == message
+    assert str(info.value).startswith(message)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
+import inspect
 import json
 
 import pytest
 
+import raagme
 from raagme.combinatorics import (cv_classification, has_finite_out, is_collapsible,
                                   is_strongly_untransvectable, is_transvectable_vertex,
                                   out_inventory, untransvectable_vertices)
-from raagme.errors import InputError, ParseError
+from raagme.errors import InputError, ParseError, RaagmeError
 from raagme.extension import (ball_graph, ball_json, ball_prefix, build_ext_ball,
                               star_complement_connectivity_check, star_separation_check,
                               star_swaps, ue_restriction)
@@ -13,7 +15,7 @@ from raagme.formats import (load_presentation, parse_dot_presentation,
                             parse_json_presentation, parse_presentation,
                             presentation_to_json_dict, sniff_format)
 from raagme.graphs import (SimpleGraph, connected_components, cycle_graph, full_subgraph, link,
-                           opposite_graph, path_graph, perp)
+                           opposite_graph, path_graph, perp, star)
 from raagme.presentation import (MAX_RANK, GraphProductPresentation, clique_reduce,
                                  expand_to_raag, raag)
 from raagme.subgroups import star_gluing_kernel
@@ -266,11 +268,11 @@ ECHO_CASES = {
     "star_gluing_kernel-vertex": (lambda x: star_gluing_kernel(_C5, x, 2),
                                   "unknown vertex 'zz'"),
     "star_gluing_kernel-k": (lambda x: star_gluing_kernel(_C5, "v1", x),
-                             "gluing multiplicity must be an integer >= 2, got 'zz'"),
+                             "gluing multiplicity must be an integer, got 'zz'"),
     "word-generator": (lambda x: word(raag(_C5), [(x, 1)]),
                        "generator 'zz' not in the presentation"),
     "word-exponent": (lambda x: word(raag(_C5), [("v1", x)]),
-                      "exponent of 'v1' must be a non-zero integer, got 'zz'"),
+                      "exponent of 'v1' must be an integer, got 'zz'"),
     "word-rank": (lambda x: word(_rank_two(x), [(x, 1)]),
                   "words are over RAAGs, but 'zz' has rank 2; use raag(expand_to_raag(p))"),
     "canonical_parabolic": (lambda x: canonical_parabolic(raag(_C5), (), x),
@@ -355,6 +357,14 @@ WRONG_TYPE_CASES = {
         "expected an extension ball (ExtBall)"),
     "full_subgraph-None": (lambda: full_subgraph(_C5, None),
                            "a vertex set must be iterable, got None"),
+    "star": (lambda: star(_C5P, "v1"), "expected a graph (SimpleGraph)"),
+    "SimpleGraph-vertices": (lambda: SimpleGraph(5), "vertices must be iterable, got 5"),
+    "SimpleGraph-edges": (lambda: SimpleGraph(["a"], 5), "edges must be iterable, got 5"),
+    "GraphProductPresentation-graph": (lambda: GraphProductPresentation(_C5P),
+                                       "expected a graph (SimpleGraph)"),
+    "GraphProductPresentation-ranks": (lambda: GraphProductPresentation(_C5, 5),
+                                       "expected ranks (Mapping), got 5"),
+    "is_collapsible-int": (lambda: is_collapsible(_C5, 5), "a vertex set must be iterable, got 5"),
     **{f"word-{name}": (lambda w=w: word(_C5P, w), "a word must be a NormalFormWord or")
        for name, w in (("None", None), ("int", 5), ("int-syllable", [5]))},
     "canonical_parabolic-str": (lambda: canonical_parabolic(_C5P, "ab", "v1"),
@@ -389,3 +399,19 @@ def test_wrong_argument_type_is_an_input_error(case):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value).startswith(message)
+
+
+def _exported_functions():
+    return sorted(name for name in raagme.__all__ if inspect.isfunction(getattr(raagme, name)))
+
+
+@pytest.mark.parametrize("bad", [5, None])
+@pytest.mark.parametrize("name", _exported_functions())
+def test_exported_functions_reject_a_wrong_first_argument(name, bad):
+    # every other required argument is "v1"; the call may fail for any
+    # reason the package names, but never with a raw TypeError or
+    # AttributeError from inside it
+    f = getattr(raagme, name)
+    required = [q for q in inspect.signature(f).parameters.values() if q.default is q.empty]
+    with pytest.raises(RaagmeError):
+        f(bad, *["v1"] * (len(required) - 1))

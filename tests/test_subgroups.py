@@ -149,7 +149,7 @@ class TestEnumeration:
                 enumerate_findex_graphs(g, *bounds)
         # so are bounds that are not integers, bools included, also before finite Out
         for g, bounds in ((c5, (16.5, 2)), (c5, (16, None)), (c5, (16, True)), (p3, ("16", 2))):
-            with pytest.raises(InputError, match="bounds must be integers"):
+            with pytest.raises(InputError, match="enumeration bound must be an integer"):
                 enumerate_findex_graphs(g, *bounds)
 
     def test_infinite_out_rejected(self, p3, f2_graph):

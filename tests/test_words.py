@@ -72,8 +72,10 @@ class TestNormalForm:
         # the rank-1 vertex keeps its contract: non-zero integers only (bool
         # is an int subclass, but True is not an exponent)
         assert word(p, [("b", 2), ("b", -1)]).syllables == (("b", 1),)
-        for e in (0, 1.0, (1,), "1", True):
-            with pytest.raises(InputError, match="non-zero integer"):
+        with pytest.raises(InputError, match="exponent of 'b' must be non-zero"):
+            word(p, [("b", 0)])
+        for e in (1.0, (1,), "1", True):
+            with pytest.raises(InputError, match="exponent of 'b' must be an integer"):
                 word(p, [("b", e)])
 
     def test_rejects_higher_rank_type_vertices(self):
