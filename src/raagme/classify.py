@@ -29,7 +29,7 @@ from .formats import presentation_to_json_dict
 from .graphs import SimpleGraph
 from .isomorphism import canonical_form, canonical_form_indexed, find_isomorphism
 from .presentation import GraphProductPresentation, clique_reduce, raag
-from .subgroups import check_search_bounds, gluing_classes
+from .subgroups import chain_json, check_search_bounds, gluing_classes
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -209,7 +209,10 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     is bounded by min(max_vertices, |lam|) vertices, lam being the
     clique-reduced graph of h, and hands back only the classes with lam's
     degree sequence; lam and each of them are canonized only for that
-    comparison, and the first with lam's canonical key is the witness.
+    comparison, and the first with lam's canonical key is the witness.  Its
+    chain and index are read off the class, whose graph stays an index
+    adjacency, so no glued graph is built as a ``SimpleGraph``; the search
+    skips the gluings its algebra proves duplicate (see ``subgroups``).
     """
     # trivial and cyclic (amenable) groups first: Z^m and Z^n are orbit
     # equivalent for all m, n >= 1, and an amenable group is never measure
@@ -264,13 +267,12 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
         if target is None:
             target = canonical_form(lam)
         if cls.form.key == target.key:
-            w = cls.witness
-            witness = {"chain": w.chain_json(), "index": w.index}
+            witness = {"chain": chain_json(cls.chain), "index": cls.index}
             witness.update(_iso_witness(dict(zip(cls.form.order, target.order))))
             return Decision(
                 EQUIVALENT, "finite-index-witness",
                 f"H is a graph product of free abelian groups over the defining "
-                f"graph of an index-{w.index} RAAG subgroup of G",
+                f"graph of an index-{cls.index} RAAG subgroup of G",
                 witness=witness)
     return Decision(
         UNKNOWN, "search-exhausted",

@@ -12,10 +12,11 @@ copy swaps of a star gluing.  The seeds change only which nodes the search
 visits and which automorphisms it records, never the canonical form, the
 group order or the orbits.  Each automorphism is kept as the map of the
 points it moves, and orbits are joined and searched along moved points
-only.  After an individualization, refinement keys only the
-neighbours of the individualized vertex, then those of the pieces that
-split, leaving out the last piece of each split cell (Hopcroft's trick, as
-in the same paper).  A node filters the automorphisms that fix its prefix
+only; a node stops joining once its target cell is one orbit.  After an
+individualization, refinement keys only the neighbours of the
+individualized vertex, then those of the pieces that split, leaving out
+the last piece of each split cell (Hopcroft's trick, as in the same
+paper).  A node filters the automorphisms that fix its prefix
 only once it needs their orbits.  The search keeps its own stack, so its
 depth is not bounded by Python recursion, and it runs with the cyclic
 garbage collector paused.  A leaf whose trace ties the best leaf's is first
@@ -222,12 +223,13 @@ def _moved_points(maps, index, adjsets):
 
 
 class _Orbits:
-    """Union-find of points under a growing set of permutations."""
+    """Union-find of points under a growing set of permutations, with its class count."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("parent", "count")
 
     def __init__(self, points):
         self.parent = {u: u for u in points}
+        self.count = len(self.parent)
 
     def find(self, u):
         parent = self.parent
@@ -239,11 +241,14 @@ class _Orbits:
     def join(self, sigma):
         """Join the orbits of each point and its image under sigma, a map of moved points."""
         parent = self.parent
+        if parent.keys().isdisjoint(sigma):
+            return
         for u, v in sigma.items():
             if u in parent and v in parent:
                 ru, rv = self.find(u), self.find(v)
                 if ru != rv:
                     parent[ru] = rv
+                    self.count -= 1
 
 
 class _Node:
@@ -440,6 +445,9 @@ class _Canonizer:
                     node.orbits = _Orbits(cell)
                 for sigma in node.auts[node.merged:]:
                     node.orbits.join(sigma)
+                    if node.orbits.count == 1:
+                        # the whole cell is the orbit of an explored vertex
+                        return None
                 node.merged = len(node.auts)
         rest = range(node.scan, len(cell))
         if node.orbits is None:
@@ -515,21 +523,25 @@ class CanonicalForm:
         self.order = order  # tuple of vertex labels, canonical positions 0..n-1
         self._canonizer = canonizer
 
-    def orbit_representatives(self):
-        """Least label of each automorphism orbit, sorted.
+    def orbit_map(self):
+        """A dict from each vertex to the first vertex of its automorphism orbit.
 
-        Read off the automorphisms recorded by the search that produced this
-        form: they generate the whole group (``group_order`` multiplies
-        their orbit sizes), so no second search runs.
+        Vertices come in the order of the canonized pair, which is label
+        order for a graph, so each vertex maps to the least label of its
+        orbit.  Read off the automorphisms recorded by the search that
+        produced this form: they generate the whole group (``group_order``
+        multiplies their orbit sizes), so no second search runs.
         """
         c = self._canonizer
         orbits = _Orbits(range(c.n))
         for sigma in c.automorphisms:
             orbits.join(sigma)
-        least = {}
-        for i, v in enumerate(c.verts):
-            least.setdefault(orbits.find(i), v)
-        return list(least.values())
+        first = {}
+        return {v: first.setdefault(orbits.find(i), v) for i, v in enumerate(c.verts)}
+
+    def orbit_representatives(self):
+        """Least label of each automorphism orbit, sorted (see ``orbit_map``)."""
+        return [v for v, r in self.orbit_map().items() if v == r]
 
     def automorphisms(self):
         """The automorphisms the search recorded, as label maps of their moved points.

@@ -6,48 +6,127 @@ index k; its defining graph consists of k copies of the original graph glued
 along the closed star of the chosen vertex.  Closing under this construction
 (up to composition depth and vertex budget) enumerates a family of
 finite-index subgroups; the search makes no completeness claim, so consumers
-must treat exhaustion as "unknown", never as "no".  Each class found is a
-GluingClass.  Its children are built lazily: a child's degree sequence is
-read off its parent's graph, and its graph is glued only when it is
-matched against an earlier class, glued further or handed to the caller.
-Newness is decided by matching graphs, not by canonical forms; a class's
-canonical form is computed, from the index adjacency the matcher uses,
-only when the search glues it or the caller needs it, seeded with the
+must treat exhaustion as "unknown", never as "no".
+
+Each class found is a GluingClass, held as the index adjacency of its graph
+(``isomorphism.indexed_graph``'s pair).  ``_glue`` is the one gluing core: it
+builds a child's pair straight from its parent's, and ``star_gluing_kernel``
+is its labelled front end.  A child's degree sequence is read off its
+parent's pair, its own pair is glued only when it is matched against an
+earlier class, glued further or canonized, and a ``SimpleGraph`` is built
+only when the caller reads its witness.  Newness is decided by matching
+graphs, not by canonical forms; a class's canonical form is computed only
+when the search glues it or the caller needs it, seeded with the
 automorphisms the gluing shows: the swaps of adjacent copies and the
-parent's recorded automorphisms that fix the glued vertex, lifted to
-every copy.
+parent's recorded automorphisms that fix the glued vertex, lifted to every
+copy.
+
+The search skips the gluings its own algebra proves duplicate.  Let P be a
+class with parent B and last step (u, k1), so that A_P is the kernel of the
+map A_B -> Z/k1 sending u to 1.  P's generators are u^k1, the vertices of
+st(u), which P shares with B, and the copies u^i x u^-i of the others.
+
+- Same orbit.  glue(P, u, k2) is k1 * k2 copies of B glued along st(u), as
+  st_P(u) = st_B(u): it is glue(B, u, k1 * k2), the kernel of u -> 1 mod
+  k1 * k2, of which P's vertex u stands for u^k1.  That sibling of P has as
+  many vertices as the gluing of P, so it is met at P's own level, before
+  any child of P; and a gluing of P at a vertex in u's Aut(P)-orbit is
+  isomorphic to the gluing at u.  So P skips them all.
+- Commuting.  Let w be adjacent to u in B.  On P's generators the map
+  A_B -> Z/k2 sending w to 1 sends only w to 1, so glue(P, w, k2) has the
+  group ker(A_B -> Z/k1 x Z/k2), u -> (1, 0), w -> (0, 1), and so has
+  glue(glue(B, w, k2), u, k1).  Isomorphic RAAGs have isomorphic defining
+  graphs (Droms 1987), so the two graphs are isomorphic, and so are those
+  with w replaced by the least label w' of its Aut(B)-orbit.  B glues in
+  (label, k) order, so when (w', k2) < (u, k1) the class of glue(B, w', k2)
+  is met before P; it has a gluing within budget, at k1, so it is expanded
+  before P, and that gluing is met before P's children.  So P skips its
+  gluing at (v, k2) when v's Aut(P)-orbit holds such a w.
+
+By induction on the order in which the search meets them, every skipped
+child is isomorphic to a class met before it: a skipped child of that
+earlier class is itself isomorphic to one met earlier still.  So the
+classes, their witnesses, their order and ``truncated`` are those of the
+search that skips nothing; each class's orbits are computed once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 
 from .errors import DomainError, InputError, echo, require, require_integer
-from .graphs import SimpleGraph, star
+from .graphs import SimpleGraph
 from .combinatorics import has_finite_out
 from .isomorphism import BUDGET, canonical_form_indexed, indexed_graph, match_indexed
 
 
-def _copy_names(verts, shared, k):
-    """The labels of the unshared vertices in copies 2..k, one dict per copy.
+def _copy_names(verts, unshared, k):
+    """The labels of the unshared vertices in copies 2..k, one list per copy.
 
-    The unshared vertex x of copy i becomes "c<i>.<x>", the "." doubled
-    until the label is neither a vertex nor a label issued earlier (copies
-    in increasing i, vertices in the order of ``verts``).
+    ``unshared`` lists the positions in ``verts`` of the vertices outside
+    the star, in increasing order, and each list follows it.  The unshared
+    vertex x of copy i becomes "c<i>.<x>", the "." doubled until the label
+    is neither a vertex nor a label issued earlier (copies in increasing i,
+    vertices in the order of ``verts``).
     """
     taken = set(verts)
     copies = []
     for i in range(2, k + 1):
-        name = {}
-        for x in verts:
-            if x not in shared:
-                sep = "."
-                while f"c{i}{sep}{x}" in taken:
-                    sep += "."
-                name[x] = f"c{i}{sep}{x}"
-                taken.add(name[x])
-        copies.append(name)
+        names = []
+        for x in unshared:
+            sep = "."
+            while f"c{i}{sep}{verts[x]}" in taken:
+                sep += "."
+            names.append(f"c{i}{sep}{verts[x]}")
+            taken.add(names[-1])
+        copies.append(names)
     return copies
+
+
+def _glue(verts, adj, v, k):
+    """The index-k star gluing of a graph given as sorted vertices and index adjacency.
+
+    ``v`` is the position of the glued vertex.  Returns the child's sorted
+    vertices, its index adjacency and its ``slots``: ``slots[c][x]`` is the
+    position in the child of vertex x of copy c + 1, the same in every copy
+    for a vertex of st(v).
+    """
+    shared = {v, *adj[v]}
+    n = len(verts)
+    unshared = [x for x in range(n) if x not in shared]
+    labels = list(verts)
+    for names in _copy_names(verts, unshared, k):
+        labels += names
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    pos = [0] * len(labels)
+    for p, i in enumerate(order):
+        pos[i] = p
+    slots = [pos[:n]]
+    for c in range(1, k):
+        slot = list(slots[0])
+        for j, x in enumerate(unshared, n + (c - 1) * len(unshared)):
+            slot[x] = pos[j]
+        slots.append(slot)
+    child = [None] * len(labels)
+    for x, nbrs in enumerate(adj):
+        if x in shared:
+            row = [pos[y] for y in nbrs if y in shared]
+            outside = [y for y in nbrs if y not in shared]
+            for slot in slots:
+                row += [slot[y] for y in outside]
+            child[pos[x]] = row
+        else:
+            for slot in slots:
+                child[slot[x]] = [slot[y] for y in nbrs]
+    return [labels[i] for i in order], child, slots
+
+
+def _graph(verts, adj):
+    """The SimpleGraph of an indexed pair."""
+    return SimpleGraph(verts, [(verts[i], verts[j]) for i, nbrs in enumerate(adj)
+                               for j in nbrs if i < j])
 
 
 def star_gluing_kernel(g, v, k):
@@ -65,16 +144,14 @@ def star_gluing_kernel(g, v, k):
         raise InputError(f"unknown vertex {echo(v)}")
     if require_integer(k, "gluing multiplicity") < 2:
         raise InputError(f"gluing multiplicity must be >= 2, got {echo(k)}")
-    verts = g.sorted_vertices()
-    edges = g.edges()
-    new_vertices = list(verts)
-    new_edges = set(edges)
-    for name in _copy_names(verts, star(g, v), k):
-        new_vertices += name.values()
-        for x, y in edges:
-            nx, ny = name.get(x, x), name.get(y, y)
-            new_edges.add((min(nx, ny), max(nx, ny)))
-    return SimpleGraph(new_vertices, sorted(new_edges))
+    verts, adj = indexed_graph(g)
+    verts, adj, _ = _glue(verts, adj, bisect_left(verts, v), k)
+    return _graph(verts, adj)
+
+
+def chain_json(chain):
+    """A chain of gluings ((vertex, k), ...) as JSON."""
+    return [{"vertex": v, "k": k} for v, k in chain]
 
 
 @dataclass(frozen=True)
@@ -93,7 +170,7 @@ class FiniteIndexWitness:
         return g
 
     def chain_json(self):
-        return [{"vertex": v, "k": k} for v, k in self.chain]
+        return chain_json(self.chain)
 
 
 @dataclass(frozen=True)
@@ -113,46 +190,50 @@ def _multiplicities(n, st_size, max_vertices):
 
 
 class GluingClass:
-    """An isomorphism class met by the gluing search, built and canonized on first use.
+    """An isomorphism class met by the gluing search, glued and canonized on first use.
 
     Carries the sorted degree sequence of its graph, an isomorphism
-    invariant that separates most classes without a graph.  The base class
-    carries its witness; a child carries its parent class and the gluing
-    ``step`` (v, k) that makes it, and builds its witness with
-    ``star_gluing_kernel`` only when the witness or the form is asked for.
-    A class keeps its graph's index adjacency once it is matched, since the
-    search matches one class against many.
+    invariant that separates most classes without a graph, and the gluing
+    ``chain`` from the base graph with its ``index``.  A child carries its
+    parent class and the gluing ``step`` (v, k) that makes it, and glues its
+    ``indexed`` pair from its parent's only when it is matched, glued
+    further or canonized; its witness graph is built only when asked for.
     """
 
-    __slots__ = ("parent", "step", "degrees", "_witness", "_form", "_indexed")
+    __slots__ = ("parent", "step", "degrees", "chain", "index",
+                 "_indexed", "_slots", "_form", "_orbits", "_skips", "_witness")
 
-    def __init__(self, parent, step, degrees, witness=None):
+    def __init__(self, parent, step, degrees):
         self.parent = parent
         self.step = step
         self.degrees = degrees
-        self._witness = witness
-        self._form = None
-        self._indexed = None
+        self.chain = () if parent is None else parent.chain + (step,)
+        self.index = 1 if parent is None else parent.index * step[1]
+        self._indexed = self._slots = self._form = self._orbits = self._skips = None
+        self._witness = None
 
     @classmethod
     def base(cls, g):
         """The class of the base graph g, the root of the search."""
-        return cls(None, None, g.degree_sequence(), FiniteIndexWitness((), 1, g))
+        base = cls(None, None, g.degree_sequence())
+        base._indexed = indexed_graph(g)
+        base._witness = FiniteIndexWitness((), 1, g)
+        return base
 
     @property
     def witness(self):
         if self._witness is None:
-            w = self.parent.witness
-            v, k = self.step
-            self._witness = FiniteIndexWitness(
-                w.chain + (self.step,), w.index * k, star_gluing_kernel(w.graph, v, k))
+            self._witness = FiniteIndexWitness(self.chain, self.index, _graph(*self.indexed))
         return self._witness
 
     @property
     def indexed(self):
-        """The graph of the witness as an ``indexed_graph``, for the matcher and form."""
+        """The graph as an ``indexed_graph`` pair, glued from the parent's."""
         if self._indexed is None:
-            self._indexed = indexed_graph(self.witness.graph)
+            v, k = self.step
+            verts, adj = self.parent.indexed
+            verts, adj, self._slots = _glue(verts, adj, bisect_left(verts, v), k)
+            self._indexed = verts, adj
         return self._indexed
 
     @property
@@ -161,6 +242,13 @@ class GluingClass:
             seeds = () if self.parent is None else self._seeds()
             self._form = canonical_form_indexed(self.indexed, automorphisms=seeds)
         return self._form
+
+    @property
+    def orbits(self):
+        """The form's ``orbit_map``: each vertex to the least label of its orbit."""
+        if self._orbits is None:
+            self._orbits = self.form.orbit_map()
+        return self._orbits
 
     def _seeds(self):
         """Automorphisms of a child's graph that its gluing shows.
@@ -171,22 +259,25 @@ class GluingClass:
         child by acting alike on every copy; the lifts of those the parent's
         search recorded follow.
         """
-        g = self.parent.witness.graph
-        v, k = self.step
-        verts = g.sorted_vertices()
-        shared = star(g, v)
-        copies = [{x: x for x in verts if x not in shared}] + _copy_names(verts, shared, k)
+        parent_verts, parent_adj = self.parent.indexed
+        verts, slots = self.indexed[0], self._slots
+        v = self.step[0]
+        i = bisect_left(parent_verts, v)
+        shared = {i, *parent_adj[i]}
+        unshared = [x for x in range(len(parent_verts)) if x not in shared]
         seeds = []
-        for a, b in zip(copies, copies[1:]):
-            # every copy names the unshared vertices in the order of verts
-            swap = dict(zip(a.values(), b.values()))
-            swap.update(zip(b.values(), a.values()))
+        for a, b in zip(slots, slots[1:]):
+            swap = {verts[a[x]]: verts[b[x]] for x in unshared}
+            swap.update((verts[b[x]], verts[a[x]]) for x in unshared)
             seeds.append(swap)
+        index = {x: j for j, x in enumerate(parent_verts)}
         for sigma in self.parent.form.automorphisms():
             if v not in sigma:
-                lift = {x: y for x, y in sigma.items() if x in shared}
-                for name in copies:
-                    lift.update((name[x], name[y]) for x, y in sigma.items() if x not in shared)
+                moved = [(index[x], index[y]) for x, y in sigma.items()]
+                lift = {verts[slots[0][x]]: verts[slots[0][y]] for x, y in moved if x in shared}
+                for slot in slots:
+                    lift.update((verts[slot[x]], verts[slot[y]]) for x, y in moved
+                                if x not in shared)
                 seeds.append(lift)
         return seeds
 
@@ -198,12 +289,12 @@ class GluingClass:
         copies, so has degree d(x) + (k - 1) |N(x) - st(v)|; every other
         vertex has its own degree in each copy.
         """
-        g = self.witness.graph
-        adj = g.adjacency
-        shared = star(g, v)
+        verts, adj = self.indexed
+        i = bisect_left(verts, v)
+        shared = {i, *adj[i]}
         ks = _multiplicities(len(adj), len(shared), max_vertices)
-        inner = [(len(adj[x]), len(adj[x] - shared)) for x in shared]
-        outer = [len(nbrs) for x, nbrs in adj.items() if x not in shared]
+        inner = [(len(adj[x]), len(adj[x]) - len(shared.intersection(adj[x]))) for x in shared]
+        outer = [len(nbrs) for x, nbrs in enumerate(adj) if x not in shared]
         return [GluingClass(self, (v, k), tuple(sorted(
                     [d + (k - 1) * e for d, e in inner] + outer * k)))
                 for k in ks]
@@ -212,6 +303,34 @@ class GluingClass:
         """Whether some gluing of this graph stays within max_vertices."""
         n = len(self.degrees)
         return any(_multiplicities(n, d + 1, max_vertices) for d in set(self.degrees))
+
+    def skips_below(self, v):
+        """The k below which the search skips this class's gluing at v, an orbit's least label.
+
+        See the module docstring: with step (u, k1) from parent B, every
+        gluing at u's orbit is skipped, and the gluing at (v, k2) when v's
+        orbit holds a neighbour w of u in B whose Aut(B)-orbit's least label
+        w' has (w', k2) < (u, k1).  The bounds are found once per class.
+        """
+        if self._skips is None:
+            self._skips = {}
+            if self.parent is not None:
+                u, k1 = self.step
+                orbit, parent_orbit = self.orbits, self.parent.orbits
+                parent_verts, parent_adj = self.parent.indexed
+                for y in parent_adj[bisect_left(parent_verts, u)]:
+                    w = parent_verts[y]
+                    first = parent_orbit[w]
+                    bound = inf if first < u else k1 if first == u else 0
+                    if bound > self._skips.get(orbit[w], 0):
+                        self._skips[orbit[w]] = bound
+                self._skips[orbit[u]] = inf
+        return self._skips.get(v, 0)
+
+
+def _skipped(cls, v, k):
+    """Whether the search skips the gluing of cls at (v, k) as a proven duplicate."""
+    return k < cls.skips_below(v)
 
 
 def check_search_bounds(max_vertices, max_steps):
@@ -259,11 +378,14 @@ def _gluing_classes(g, max_vertices, max_steps, target):
     none answers exactly, so classes, their order and their witnesses are
     those of a test by canonical keys.  A class is canonized only when the
     search glues it (the orbits need its form), when the matcher runs out
-    of budget on it, or by the caller; its graph is built only when it is
-    matched or canonized, or when the caller asks for its witness.  A
-    child the search will not glue and will not yield needs no newness
-    test, except until the last level's first new class, which sets
-    ``truncated``; it is still recorded, so later newness tests stay exact.
+    of budget on it, or by the caller; its pair is glued only when it is
+    matched or canonized, and its graph built only when the caller asks
+    for its witness.  A child the search will not glue and will not yield
+    needs no newness test, except until the last level's first new class,
+    which sets ``truncated``; it is still recorded, so later newness tests
+    stay exact.  A gluing ``_skipped`` names is isomorphic to a class met
+    before it (see the module docstring), so it is neither tested nor
+    recorded.
     """
     # The vertex count never shrinks along a chain: no budget reaches a
     # target smaller than g, and size-pruned gluings only ever lead to
@@ -285,8 +407,12 @@ def _gluing_classes(g, max_vertices, max_steps, target):
         for cls in frontier:
             if not cls.expandable(max_vertices):
                 continue
-            for v in cls.form.orbit_representatives():
+            for v, first in cls.orbits.items():
+                if v != first:
+                    continue
                 for child in cls.children(v, max_vertices):
+                    if _skipped(cls, v, child.step[1]):
+                        continue
                     wanted = target in (None, child.degrees)
                     decide = wanted or (child.expandable(max_vertices) if not last else not nxt)
                     peers = met.setdefault(child.degrees, [])

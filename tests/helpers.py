@@ -11,8 +11,8 @@ to its untransvectable nodes, full-round refinement with a recursive search,
 refinement keyed by whole changed cells, one validated canonical_parabolic
 per star-separation translate, the components of a punctured ball found
 edge by edge, strong untransvectability read off the
-opposite graph of a link built as a graph), kept as oracles for the faster
-ones.  The handle oracles, like the words layer, know
+opposite graph of a link built as a graph, star gluings copied label by
+label), kept as oracles for the faster ones.  The handle oracles, like the words layer, know
 only cyclic parabolic subgroups g<v>g^-1, the nodes of extension balls.
 Rank-preserving isomorphism of presentations, which the library never needs,
 is checked with networkx.
@@ -35,7 +35,6 @@ from raagme.graphs import (SimpleGraph, connected_components, full_subgraph, lin
                            opposite_graph, perp, star)
 from raagme.isomorphism import canonical_form, canonical_hash, component_classes
 from raagme.presentation import GraphProductPresentation, raag
-from raagme.subgroups import star_gluing_kernel
 from raagme.words import (NormalFormWord, _coerce, _inverse, _lex_order, _reduce,
                           _strip_to_coset_rep, canonical_parabolic, enumerate_cyclic_handles,
                           word)
@@ -830,11 +829,39 @@ def all_merge_results(graph, ranks):
 
 # -- unpruned star-gluing search oracle ----------------------------------------
 
+def star_gluing_by_labels(g, v, k):
+    """``star_gluing_kernel`` on labels, as it was before the index gluing core.
+
+    Copy i >= 2 of each vertex x outside st(v) is named "c<i>.<x>", the "."
+    doubled past every vertex and every label issued earlier (copies in
+    increasing i, vertices in sorted order), and every edge is copied.
+    """
+    verts = g.sorted_vertices()
+    shared = brute_star(g, v)
+    taken = set(verts)
+    new_vertices, new_edges = list(verts), set(g.edges())
+    for i in range(2, k + 1):
+        name = {}
+        for x in verts:
+            if x not in shared:
+                sep = "."
+                while f"c{i}{sep}{x}" in taken:
+                    sep += "."
+                name[x] = f"c{i}{sep}{x}"
+                taken.add(name[x])
+        new_vertices += name.values()
+        for x, y in g.edges():
+            a, b = name.get(x, x), name.get(y, y)
+            new_edges.add((min(a, b), max(a, b)))
+    return SimpleGraph(new_vertices, sorted(new_edges))
+
+
 def unpruned_gluing_search(g, max_vertices, max_steps, same_class=None):
     """Breadth-first star-gluing closure that glues at every vertex.
 
     The reference for the orbit-pruned search: every vertex of every
-    frontier graph, every multiplicity within the vertex budget.  Classes are
+    frontier graph, every multiplicity within the vertex budget, glued on
+    labels by ``star_gluing_by_labels``.  Classes are
     de-duplicated by canonical key, or by ``same_class(a, b)`` against every
     class found so far when it is given.  Returns the list of
     (chain, index, graph) and the truncation flag, which
@@ -865,7 +892,7 @@ def unpruned_gluing_search(g, max_vertices, max_steps, same_class=None):
                     ks = [k for k in range(2, max_vertices + 2)
                           if k * n - (k - 1) * st <= max_vertices]
                 for k in ks:
-                    child = star_gluing_kernel(cur, v, k)
+                    child = star_gluing_by_labels(cur, v, k)
                     if is_new(child):
                         found.append((chain + ((v, k),), index * k, child))
                         nxt.append(found[-1])

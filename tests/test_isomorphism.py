@@ -220,8 +220,10 @@ def test_orbit_representatives_vs_networkx_atlas(atlas6):
             for sigma in nx_automorphisms(g):
                 for v, w in sigma.items():
                     orbit[v].add(w)
-            expected = sorted({min(o) for o in orbit.values()})
-            assert canonical_form(g).orbit_representatives() == expected
+            form = canonical_form(g)
+            assert form.orbit_map() == {v: min(o) for v, o in orbit.items()}
+            assert list(form.orbit_map()) == g.sorted_vertices()
+            assert form.orbit_representatives() == sorted({min(o) for o in orbit.values()})
 
 
 def test_orbit_representatives_small_cases():
@@ -230,6 +232,8 @@ def test_orbit_representatives_small_cases():
     assert canonical_form(path_graph(["a", "b", "c", "d"])).orbit_representatives() == \
         ["a", "b"]
     assert canonical_form(SimpleGraph([])).orbit_representatives() == []
+    assert canonical_form(path_graph(["a", "b", "c", "d"])).orbit_map() == {
+        "a": "a", "b": "b", "c": "b", "d": "a"}
 
 
 def partitions(n, largest=None):

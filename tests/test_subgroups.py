@@ -3,19 +3,24 @@ import itertools
 import networkx as nx
 import pytest
 
-from helpers import prism, unpruned_gluing_search
+from helpers import prism, star_gluing_by_labels, unpruned_gluing_search
 from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, star
 from raagme.combinatorics import has_finite_out
 import raagme.isomorphism
 import raagme.subgroups
-from raagme.isomorphism import canonical_form, canonical_form_indexed
+from raagme.isomorphism import canonical_form, canonical_form_indexed, indexed_graph
 from raagme.subgroups import (FiniteIndexWitness, GluingClass, enumerate_findex_graphs,
                               gluing_classes, star_gluing_kernel)
 
 
 def finite_out_graphs(atlas, max_n):
     return [g for n in range(1, max_n + 1) for g in atlas[n] if has_finite_out(g)]
+
+
+def same_pair(a, b):
+    """Two indexed pairs are equal up to the order of each adjacency row."""
+    return a[0] == b[0] and [sorted(r) for r in a[1]] == [sorted(r) for r in b[1]]
 
 
 def to_nx(g):
@@ -69,6 +74,13 @@ class TestStarGluing:
         d = star_gluing_kernel(g, "h", 2)
         assert d.sorted_vertices() == [
             ".a", "a", "c2...a", "c2..a", "c2.a", "c2.c2.a", "h"]
+
+    def test_front_end_matches_labelled_gluing(self, atlas6):
+        for n in range(1, 7):
+            for g in atlas6[n]:
+                for v in g.sorted_vertices():
+                    for k in (2, 3, 4):
+                        assert star_gluing_kernel(g, v, k) == star_gluing_by_labels(g, v, k)
 
     def test_bad_input(self, c5):
         with pytest.raises(InputError):
@@ -210,12 +222,16 @@ def is_automorphism(g, sigma):
 class TestLazyChildren:
     def test_degrees_read_off_the_parent(self, atlas6, c5):
         # every vertex and k = 2..4, on the atlas and on the depth-2 gluings
-        # of C5, built as children of children
+        # of C5, built as children of children: each child's degrees, index
+        # adjacency glued from its parent's, and witness match the labelled
+        # gluing of its parent's graph, which every parent's graph matches too
         depth_one = [child for k in (2, 3) for child in GluingClass.base(c5).children("v1", 15)
                      if child.step[1] == k]
         depth_two = [child for cls in depth_one for v in cls.witness.graph.sorted_vertices()
                      for child in cls.children(v, 30)[:2]]
         assert len(depth_two) == 32
+        for cls in depth_one + depth_two:
+            assert cls.witness.graph == star_gluing_by_labels(cls.parent.witness.graph, *cls.step)
         classes = [GluingClass.base(g) for n in range(1, 7) for g in atlas6[n]] + depth_two
         for cls in classes:
             g = cls.witness.graph
@@ -225,8 +241,12 @@ class TestLazyChildren:
                 ks = [child.step[1] for child in children]
                 assert ks[:3] == ([2] if len(star(g, v)) == n else [2, 3, 4])
                 for child in children[:3]:
-                    glued = star_gluing_kernel(g, v, child.step[1])
+                    k = child.step[1]
+                    glued = star_gluing_by_labels(g, v, k)
                     assert child.degrees == glued.degree_sequence()
+                    assert same_pair(child.indexed, indexed_graph(glued))
+                    assert child.witness == FiniteIndexWitness(
+                        cls.chain + ((v, k),), cls.index * k, glued)
 
     def test_children_build_their_witness_on_demand(self, c5):
         base = GluingClass.base(c5)
@@ -263,6 +283,58 @@ class TestLazyChildren:
         assert len(res.witnesses) == 62 and len(canonizations) == 12
         assert sum(form._canonizer.nodes for _, _, form in canonizations) == 111
         assert sum(canonical_form(g)._canonizer.nodes for g, _, _ in canonizations) == 435
+
+
+def gluings_skipped(monkeypatch, g, max_vertices, max_steps):
+    """Run the search on g; return its classes' graphs and, for each gluing
+    the skip predicate skipped, the glued graph and how many classes came first."""
+    skipped = []
+    met = []
+    predicate = raagme.subgroups._skipped
+
+    def recording(cls, v, k):
+        skip = predicate(cls, v, k)
+        if skip:
+            rule = "orbit" if cls.orbits[cls.step[0]] == v else "commuting"
+            skipped.append((star_gluing_by_labels(cls.witness.graph, v, k), len(met), rule))
+        return skip
+
+    monkeypatch.setattr(raagme.subgroups, "_skipped", recording)
+    for cls in gluing_classes(g, max_vertices, max_steps):
+        met.append(cls.witness.graph)
+    return met, skipped
+
+
+class TestSkippedGluings:
+    def test_skipped_gluings_were_met(self, atlas7, c5, monkeypatch):
+        # every gluing the search skips is isomorphic to a class it yielded
+        # before the skip, on the finite-Out atlas graphs and on C5
+        rules = set()
+        cases = [(g, *bounds) for g in finite_out_graphs(atlas7, 7)
+                 for bounds in ((16, 2), (14, 3), (24, 1))] + [(c5, 40, 2)]
+        count = 0
+        for g, max_vertices, max_steps in cases:
+            met, skipped = gluings_skipped(monkeypatch, g, max_vertices, max_steps)
+            for glued, before, rule in skipped:
+                h = to_nx(glued)
+                assert any(nx.is_isomorphic(h, to_nx(m)) for m in met[:before]
+                           if m.degree_sequence() == glued.degree_sequence())
+                rules.add(rule)
+            count += len(skipped)
+        assert rules == {"orbit", "commuting"} and count > 100
+
+    def test_match_counts(self, c5, monkeypatch):
+        # the two rules leave no match at 40/2; of the 28 left at 60/3, 8
+        # tell new classes apart and 20 confirm duplicates among depth-3
+        # chains that glue at vertices not adjacent to the earlier ones
+        calls = []
+        match = raagme.subgroups.match_indexed
+        monkeypatch.setattr(raagme.subgroups, "match_indexed",
+                            lambda a, b: calls.append(1) or match(a, b))
+        for bounds, classes, matches in (((40, 2), 62, 0), ((60, 3), 334, 28)):
+            calls.clear()
+            assert len(enumerate_findex_graphs(c5, *bounds).witnesses) == classes
+            assert len(calls) == matches
 
 
 def test_witness_serialization(c5):
