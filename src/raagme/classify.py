@@ -206,13 +206,14 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     vertices than gamma_g, as no gluing shrinks, so the search is skipped
     (the star-gluing enumeration is not known to reach every finite-index
     RAAG subgroup, so absence of a witness is not a disproof).  The search
-    is bounded by min(max_vertices, |lam|) vertices, lam being the
-    clique-reduced graph of h, and hands back only the classes with lam's
-    degree sequence; lam and each of them are canonized only for that
-    comparison, and the first with lam's canonical key is the witness.  Its
-    chain and index are read off the class, whose graph stays an index
-    adjacency, so no glued graph is built as a ``SimpleGraph``; the search
-    skips the gluings its algebra proves duplicate (see ``subgroups``).
+    is the one ``enumerate_findex_graphs`` runs, bounded by
+    min(max_vertices, |lam|) vertices, lam being the clique-reduced graph of
+    h; of the classes it yields, only those with lam's degree sequence are
+    compared with lam, by canonical key, and lam is canonized only then.
+    The first with lam's key is the witness.  Its chain and index are read
+    off the class, whose graph stays an index adjacency, so no glued graph
+    is built as a ``SimpleGraph``; the search skips the gluings its algebra
+    proves duplicate (see ``subgroups``).
     """
     # trivial and cyclic (amenable) groups first: Z^m and Z^n are orbit
     # equivalent for all m, n >= 1, and an amenable group is never measure
@@ -253,27 +254,33 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
             "the clique-reduced form of H has an untransvectable vertex that is "
             "not strongly untransvectable, while every untransvectable vertex on "
             "the finite-Out side is; measure equivalence preserves this property")
-    # the search yields only the classes with lam's degree sequence; lam is
-    # canonized at the first of them, and the isomorphism is read off the
-    # two canonical orders, as find_isomorphism does
-    classes = gluing_classes(gamma_g, max_vertices, max_steps, lam.degree_sequence())
-    target = None
-    while True:
-        try:
-            cls = next(classes)
-        except StopIteration as done:
-            truncated = done.value
-            break
-        if target is None:
-            target = canonical_form(lam)
-        if cls.form.key == target.key:
-            witness = {"chain": chain_json(cls.chain), "index": cls.index}
-            witness.update(_iso_witness(dict(zip(cls.form.order, target.order))))
-            return Decision(
-                EQUIVALENT, "finite-index-witness",
-                f"H is a graph product of free abelian groups over the defining "
-                f"graph of an index-{cls.index} RAAG subgroup of G",
-                witness=witness)
+    # no gluing shrinks a graph, so no budget reaches a lam smaller than
+    # gamma_g and no bound cut a search for it.  Otherwise the search need
+    # not pass |lam| vertices, and only a class with lam's degree sequence
+    # can be lam; lam is canonized at the first of them, and the
+    # isomorphism is read off the two canonical orders, as find_isomorphism does
+    truncated = False
+    if lam.n_vertices >= gamma_g.n_vertices:
+        classes = gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps)
+        degrees, target = lam.degree_sequence(), None
+        while True:
+            try:
+                cls = next(classes)
+            except StopIteration as done:
+                truncated = done.value
+                break
+            if cls.degrees != degrees:
+                continue
+            if target is None:
+                target = canonical_form(lam)
+            if cls.form.key == target.key:
+                witness = {"chain": chain_json(cls.chain), "index": cls.index}
+                witness.update(_iso_witness(dict(zip(cls.form.order, target.order))))
+                return Decision(
+                    EQUIVALENT, "finite-index-witness",
+                    f"H is a graph product of free abelian groups over the defining "
+                    f"graph of an index-{cls.index} RAAG subgroup of G",
+                    witness=witness)
     return Decision(
         UNKNOWN, "search-exhausted",
         "no separating invariant found and no finite-index witness within the "

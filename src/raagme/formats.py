@@ -67,8 +67,6 @@ def parse_json_presentation(text):
             raise ParseError(f"vertex id must be a non-empty string, got {echo(vid)}")
         if vid in ranks:
             raise ParseError(f"duplicate vertex id {echo(vid)}")
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise ParseError(f"rank of {echo(vid)} must be an integer >= 1, got {echo(rank)}")
         names.append(vid)
         ranks[vid] = rank
     raw_edges = doc.get("edges", [])

@@ -341,12 +341,10 @@ def check_search_bounds(max_vertices, max_steps):
         raise InputError("enumeration bounds must be >= 0")
 
 
-def gluing_classes(g, max_vertices, max_steps, target=None):
-    """Check the bounds, then search; a target caps max_vertices at its length."""
+def gluing_classes(g, max_vertices, max_steps):
+    """Check the bounds, then search."""
     check_search_bounds(max_vertices, max_steps)
-    if target is not None:
-        max_vertices = min(max_vertices, len(target))
-    return _gluing_classes(g, max_vertices, max_steps, target)
+    return _gluing_classes(g, max_vertices, max_steps)
 
 
 def _same_class(a, b):
@@ -361,16 +359,15 @@ def _same_class(a, b):
     return iso is not None
 
 
-def _gluing_classes(g, max_vertices, max_steps, target):
+def _gluing_classes(g, max_vertices, max_steps):
     """Breadth-first star-gluing search behind enumerate_findex_graphs.
 
     Yields a GluingClass for each new isomorphism class, in discovery order,
-    and returns ``truncated``.  Given a ``target`` degree sequence, it yields
-    only the new classes with that sequence.  A frontier graph is glued only
-    at the least vertex of each automorphism orbit: gluing at v and at its
-    image under an automorphism gives isomorphic children, and the class
-    found first always comes from the least vertex of its orbit.  Callers
-    check that Out of g is finite.
+    and returns ``truncated``.  A frontier graph is glued only at the least
+    vertex of each automorphism orbit: gluing at v and at its image under an
+    automorphism gives isomorphic children, and the class found first always
+    comes from the least vertex of its orbit.  Callers check that Out of g
+    is finite.
 
     A child is new unless it is isomorphic to an earlier class of its
     degree sequence (a new sequence is a new class).  ``_same_class`` tests
@@ -380,29 +377,15 @@ def _gluing_classes(g, max_vertices, max_steps, target):
     search glues it (the orbits need its form), when the matcher runs out
     of budget on it, or by the caller; its pair is glued only when it is
     matched or canonized, and its graph built only when the caller asks
-    for its witness.  A child the search will not glue and will not yield
-    needs no newness test, except until the last level's first new class,
-    which sets ``truncated``; it is still recorded, so later newness tests
-    stay exact.  A gluing ``_skipped`` names is isomorphic to a class met
-    before it (see the module docstring), so it is neither tested nor
+    for its witness.  A gluing ``_skipped`` names is isomorphic to a class
+    met before it (see the module docstring), so it is neither tested nor
     recorded.
     """
-    # The vertex count never shrinks along a chain: no budget reaches a
-    # target smaller than g, and size-pruned gluings only ever lead to
-    # graphs above the vertex budget, so the search is only genuinely cut
-    # short when the depth limit leaves a frontier unexplored.
-    if target is not None and len(target) < g.n_vertices:
-        return False
     base = GluingClass.base(g)
     met = {base.degrees: [base]}     # every class met, by degree sequence
-    if target in (None, base.degrees):
-        yield base
+    yield base
     frontier = [base]
-    truncated = g.n_vertices > max_vertices
-    for step in range(max_steps):
-        if not frontier:
-            break
-        last = step == max_steps - 1
+    for _ in range(max_steps):
         nxt = []
         for cls in frontier:
             if not cls.expandable(max_vertices):
@@ -413,18 +396,14 @@ def _gluing_classes(g, max_vertices, max_steps, target):
                 for child in cls.children(v, max_vertices):
                     if _skipped(cls, v, child.step[1]):
                         continue
-                    wanted = target in (None, child.degrees)
-                    decide = wanted or (child.expandable(max_vertices) if not last else not nxt)
                     peers = met.setdefault(child.degrees, [])
-                    if decide and any(_same_class(p, child) for p in peers):
+                    if any(_same_class(p, child) for p in peers):
                         continue
                     peers.append(child)
-                    if decide:
-                        nxt.append(child)
-                    if wanted:
-                        yield child
+                    nxt.append(child)
+                    yield child
         frontier = nxt
-    return truncated or bool(frontier)
+    return g.n_vertices > max_vertices or bool(frontier)
 
 
 def enumerate_findex_graphs(g, max_vertices, max_steps):

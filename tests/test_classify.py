@@ -259,7 +259,9 @@ class TestDecideMe:
         # degree sequence, or when it is compared with lam; counted at
         # canonical_form_indexed, through the binding of the gluing search
         # and that of canonical_form.  Here C5 and its three gluings within
-        # 16 vertices that are glued again; the matcher tells the rest apart
+        # 16 vertices that are glued again; every other gluing is skipped as
+        # a proven duplicate or has a degree sequence of its own, so the
+        # matcher never runs
         import raagme.isomorphism
         import raagme.subgroups
         from raagme.subgroups import enumerate_findex_graphs

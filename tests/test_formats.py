@@ -47,6 +47,14 @@ class TestJson:
         with pytest.raises(ParseError, match="rank"):
             parse_json_presentation('{"vertices": [{"id": "a", "rank": 0}], "edges": []}')
 
+    @pytest.mark.parametrize("rank", ["true", "false", "2.0", '"2"', "null", "-1", "0", "65537"])
+    def test_bad_rank_names_its_vertex(self, rank):
+        # ranks are checked once, by the presentation; the parser passes the
+        # error on as a ParseError
+        with pytest.raises(ParseError) as info:
+            parse_json_presentation('{"vertices": ["a", {"id": "v7", "rank": %s}]}' % rank)
+        assert "rank of 'v7'" in str(info.value)
+
     def test_duplicate_id_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_json_presentation('{"vertices": ["a", "a"], "edges": []}')
@@ -100,7 +108,7 @@ class TestJson:
         assert "merged rank 80000 at 'mmm" in str(info.value) and len(str(info.value)) < 200
         for doc, message in [
                 ('{"vertices": [{"id": "a", "rank": 0}]}',
-                 "rank of 'a' must be an integer >= 1, got 0"),
+                 "rank of 'a' must be a positive integer, got 0"),
                 ('{"vertices": ["a"], "edges": [["b", "a"]]}',
                  "unknown vertex 'b' in edge ('a', 'b')"),
                 ('{"vertices": ["a"], "edges": [["a", "a"]]}',
