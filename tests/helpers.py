@@ -12,8 +12,10 @@ refinement keyed by whole changed cells, one validated canonical_parabolic
 per star-separation translate, the components of a punctured ball found
 edge by edge, strong untransvectability read off the
 opposite graph of a link built as a graph, star gluings copied label by
-label), kept as oracles for the faster ones.  The handle oracles, like the words layer, know
-only cyclic parabolic subgroups g<v>g^-1, the nodes of extension balls.
+label, the document parsers that make one match object per DOT token and
+test JSON types with isinstance), kept as oracles for the faster ones.  The
+handle oracles, like the words layer, know only cyclic parabolic subgroups
+g<v>g^-1, the nodes of extension balls.
 Rank-preserving isomorphism of presentations, which the library never needs,
 is checked with networkx.
 """
@@ -22,19 +24,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 
 import networkx as nx
 
 from raagme.combinatorics import cv_classification, is_collapsible, untransvectable_vertices
-from raagme.errors import DomainError, InputError
+from raagme.errors import DomainError, InputError, ParseError, echo
 from raagme.extension import (ExtBall, SeparationEntry, SeparationReport, _components,
                               ball_graph, build_ext_ball, ue_restriction)
+from raagme.formats import _presentation_from_parts
 from raagme.graphs import (SimpleGraph, connected_components, full_subgraph, link,
                            opposite_graph, perp, star)
 from raagme.isomorphism import canonical_form, canonical_hash, component_classes
-from raagme.presentation import GraphProductPresentation, raag
+from raagme.presentation import MAX_RANK, GraphProductPresentation, raag
 from raagme.words import (NormalFormWord, _coerce, _inverse, _lex_order, _reduce,
                           _strip_to_coset_rep, canonical_parabolic, enumerate_cyclic_handles,
                           word)
@@ -898,3 +903,165 @@ def unpruned_gluing_search(g, max_vertices, max_steps, same_class=None):
                         nxt.append(found[-1])
         frontier = nxt
     return found, g.n_vertices > max_vertices or bool(frontier)
+
+
+def parse_json_by_isinstance(text):
+    """The JSON parser with isinstance tests and a set of fields per vertex."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise ParseError("invalid JSON: number too long") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("top-level JSON value must be an object")
+    raw_vertices = doc.get("vertices")
+    if not isinstance(raw_vertices, list):
+        raise ParseError('missing or invalid "vertices" list')
+    names, ranks = [], {}
+    for item in raw_vertices:
+        if isinstance(item, str):
+            vid, rank = item, 1
+        elif isinstance(item, dict):
+            vid = item.get("id")
+            rank = item.get("rank", 1)
+            unknown = set(item) - {"id", "rank"}
+            if unknown:
+                raise ParseError(f"unknown vertex field {echo(sorted(unknown)[0])}")
+        else:
+            raise ParseError(f"vertex entries must be objects or strings, got {echo(item)}")
+        if not isinstance(vid, str) or not vid:
+            raise ParseError(f"vertex id must be a non-empty string, got {echo(vid)}")
+        if vid in ranks:
+            raise ParseError(f"duplicate vertex id {echo(vid)}")
+        names.append(vid)
+        ranks[vid] = rank
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise ParseError('"edges" must be a list of pairs')
+    edges = []
+    for e in raw_edges:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(isinstance(x, str) for x in e)):
+            raise ParseError(f"edges must be pairs of vertex ids, got {echo(e)}")
+        edges.append((min(e), max(e)))
+    unknown = set(doc) - {"vertices", "edges"}
+    if unknown:
+        raise ParseError(f"unknown top-level field {echo(sorted(unknown)[0])}")
+    return _presentation_from_parts(names, ranks, edges)
+
+
+REFERENCE_DOT_TOKEN = re.compile(
+    r'\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/'
+    r'|(?P<name>(?:[A-Za-z_][A-Za-z0-9_.]*|[0-9]+|"(?:[^"\\]|\\.)*"))'
+    r'|(?P<op>--|\{|\}|\[|\]|=|;|,)'
+    r'|(?P<bad>.)',
+    re.DOTALL,
+)
+
+
+def parse_dot_by_match_objects(text):
+    """The DOT parser that keeps a (text, kind, offset) triple per token,
+    made from one match object per token and per whitespace run, and takes
+    the tokens through a closure.  A quoted name is unescaped when it is
+    scanned, so it compares equal to a keyword or an operator of its text."""
+    def fail(message, offset):
+        return ParseError(message, line=text.count("\n", 0, offset) + 1)
+
+    # every token is scanned before parsing, so a bad character anywhere wins
+    # over an earlier syntax error; the end of input is a token of its own,
+    # at the offset of the last token
+    tokens = []
+    for m in REFERENCE_DOT_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        tok = m.group()
+        if kind == "bad":
+            raise fail(f"unexpected character {echo(tok)}", m.start())
+        if tok[0] == '"':
+            tok = re.sub(r'\\(.)', r'\1', tok[1:-1])
+        tokens.append((tok, kind, m.start()))
+    tokens.append((None, "eof", tokens[-1][2] if tokens else 0))
+    i = 0
+
+    def take(expect=None):
+        nonlocal i
+        tok, kind, offset = tokens[i]
+        if tok is None:
+            raise fail("unexpected end of input", offset)
+        if expect is not None and tok != expect:
+            raise fail(f"expected {echo(expect)}, got {echo(tok)}", offset)
+        i += 1
+        return tok, kind, offset
+
+    tok, kind, offset = tokens[0]
+    if tok == "digraph":
+        raise fail("directed graphs are not supported", offset)
+    if kind == "name" and tok in ("graph", "strict"):
+        i = 2 if tokens[1][1] == "name" else 1    # an optional graph name
+    take("{")
+
+    names, ranks, edges = [], {}, []
+    while tokens[i][0] != "}":
+        tok, kind, start = tokens[i]
+        if kind != "name":
+            raise fail(f"expected a node or edge statement, got {echo(tok)}", start)
+        # the names of a node statement, or of an edge chain joined by '--'
+        prev = None
+        while True:
+            v, kind, offset = take()
+            if kind != "name":
+                raise fail(f"expected a vertex name after '--', got {echo(v)}", offset)
+            if v in ("graph", "node", "edge", "digraph", "subgraph", "strict"):
+                raise fail(f"unsupported DOT keyword {echo(v)}; only node and edge "
+                           "statements are accepted", offset)
+            if v not in ranks:
+                names.append(v)
+                ranks[v] = 1
+            if prev is not None:
+                if v == prev:
+                    raise fail(f"loop edge at {echo(v)} not allowed", offset)
+                edges.append((min(prev, v), max(prev, v)))
+            if tokens[i][0] != "--":
+                break
+            i += 1
+            prev = v
+        tok = tokens[i][0]
+        if tok == "[":
+            if prev is not None:
+                raise fail("edge attributes are not supported", start)
+            i += 1
+            while True:
+                key, kind, offset = take()
+                if key == "]":
+                    break
+                if kind != "name":
+                    raise fail(f"expected attribute name, got {echo(key)}", offset)
+                if key != "rank":
+                    raise fail(f"unsupported attribute {echo(key)}; only rank=n is "
+                               "accepted", offset)
+                take("=")
+                val, _, offset = take()
+                digits = val.lstrip("0")
+                if not (val.isascii() and val.isdigit()) or not digits:
+                    raise fail(f"rank of {echo(v)} must be an integer >= 1, got {echo(val)}",
+                               offset)
+                # the length test keeps int() from reading an over-long rank
+                if len(digits) > len(str(MAX_RANK)) or int(digits) > MAX_RANK:
+                    raise fail(f"rank of {echo(v)} exceeds the supported bound {MAX_RANK}",
+                               offset)
+                ranks[v] = int(val)
+                if tokens[i][0] == ",":
+                    i += 1
+            tok = tokens[i][0]
+        if tok == ";":
+            i += 1
+        elif tok != "}":
+            raise fail(f"expected ';' or '}}', got {echo(tok)}", start)
+    tok, _, offset = tokens[i + 1]
+    if tok is not None:
+        raise fail(f"trailing content {echo(tok)} after closing brace", offset)
+    return _presentation_from_parts(names, ranks, edges)

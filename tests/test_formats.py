@@ -1,7 +1,12 @@
 import inspect
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import REFERENCE_DOT_TOKEN, parse_dot_by_match_objects, parse_json_by_isinstance
 
 import raagme
 from raagme.combinatorics import (cv_classification, has_finite_out, is_collapsible,
@@ -182,6 +187,18 @@ class TestDot:
         with pytest.raises(ParseError, match="line 2"):
             parse_dot_presentation("graph {\n a -- ; \n}")
 
+    def test_quoted_names_are_never_keywords(self):
+        # only bare names are keywords; quotes make any text a name
+        assert parse_dot_presentation('graph { "node" -- b; }').graph.edges() == [("b", "node")]
+        assert parse_dot_presentation('graph { a -- "strict"; }').graph.edges() == [("a", "strict")]
+        with pytest.raises(ParseError) as info:
+            parse_dot_presentation('"digraph" { a; }')
+        assert str(info.value) == "line 1: expected '{', got 'digraph'"
+        # nor operators: a quoted '--' is a name, not an edge
+        with pytest.raises(ParseError) as info:
+            parse_dot_presentation('graph { a "--" b; }')
+        assert str(info.value) == "line 1: expected ';' or '}', got '--'"
+
 
 # (DOT text, its exact ParseError message)
 DOT_ERRORS = {
@@ -191,9 +208,12 @@ DOT_ERRORS = {
     "eof-attributes": ("graph {\n a [rank=2,\n\n", "line 2: unexpected end of input"),
     "eof-empty": ("", "line 1: unexpected end of input"),
     "eof-blank": ("  \n\n", "line 1: unexpected end of input"),
+    "eof-quoted-newline": ('graph "G\n1"\n', "line 1: unexpected end of input"),
     # every character is scanned before parsing: the '@' wins over the ';'
     "bad-character-first": ("graph { a -- ;\n @ }", "line 2: unexpected character '@'"),
     "unclosed-comment": ("graph\n{ /* a\n }", "line 2: unexpected character '/'"),
+    "unclosed-quote": ('graph {\n a -- "b;\n}', "line 2: unexpected character '\"'"),
+    "bad-graph-name": ("graph @ { a; }", "line 1: unexpected character '@'"),
     # "strict graph" reads "graph" as the graph name
     "strict-graph-name": ("strict graph G { a; }", "line 1: expected '{', got 'G'"),
     # newlines inside comments and quoted names count
@@ -205,6 +225,9 @@ DOT_ERRORS = {
                         "line 2: edge attributes are not supported"),
     "no-separator": ("graph {\n a\n [rank=2] b }", "line 2: expected ';' or '}', got 'b'"),
     "trailing": ("graph {\n a; } b", "line 2: trailing content 'b' after closing brace"),
+    # an empty quoted name is refused at its token
+    "empty-name": ('graph {\n a;\n "" -- b;\n}',
+                   "line 3: vertex label must be a non-empty string, got ''"),
 }
 
 
@@ -233,6 +256,184 @@ def test_graph_construction_errors_pass_through(monkeypatch):
         parse_dot_presentation("graph { a; }")
     with pytest.raises(RuntimeError, match="broken constructor"):
         parse_json_presentation('{"vertices": ["a"]}')
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: a presentation, or its ParseError message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+_DOT_WORDS = {"graph", "node", "edge", "digraph", "subgraph", "strict",
+              "--", "{", "}", "[", "]", "=", ";", ","}
+_MARK = "§"    # never generated: the oracle's prefix for a name
+
+
+def _quoted_tokens(text):
+    """(name, offset, line) of each quoted name the reference scanner reads
+    before a bad character, the name unescaped as the reference reads it."""
+    for m in REFERENCE_DOT_TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            return
+        if m.group()[0] == '"':
+            yield (re.sub(r"\\(.)", r"\1", m.group()[1:-1]), m.start(),
+                   text.count("\n", 0, m.start()) + 1)
+
+
+def _reference_dot_outcome(text):
+    """The reference parser's outcome with quoted keywords and operators read
+    as names: each such name is prefixed with _MARK for the reference and the
+    mark is dropped from what it returns."""
+    starts = [start + 1 for name, start, _ in _quoted_tokens(text) if name in _DOT_WORDS]
+    for start in reversed(starts):
+        text = text[:start] + _MARK + text[start:]
+    got = _outcome(parse_dot_by_match_objects, text)
+    if isinstance(got, str):
+        return got.replace(_MARK, "")
+    unmark = {v: v.replace(_MARK, "") for v in got.graph.vertices}
+    return GraphProductPresentation(
+        SimpleGraph([unmark[v] for v in got.graph.sorted_vertices()],
+                    [(unmark[u], unmark[w]) for u, w in got.graph.edges()]),
+        {unmark[v]: r for v, r in got.ranks.items()})
+
+
+_BARE = r"[A-Za-z_][A-Za-z0-9_.]*|[0-9]+"
+_LABELS = st.one_of(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,3}|[0-9]{1,3}", fullmatch=True),
+                    st.text(st.sampled_from('ab 1#/*"\\\n;-{}[]=,'), max_size=4),
+                    st.sampled_from(sorted(_DOT_WORDS)))
+_GAPS = st.sampled_from([" ", " ", "\n", "\t  ", "", "// c\n", "# q\"\n", "/* \"*/ ",
+                         "/*\n# */", "//*\n", "\r\n"])
+_RANKS = st.sampled_from(["1", "2", "3", "007", '"2"', "0", "65536", "65537", "x", "-1", ""])
+
+
+@st.composite
+def _written_name(draw, label):
+    """label as a DOT name: bare when it can be, or quoted, with each '"' and
+    '\\' escaped and other characters escaped at random."""
+    if re.fullmatch(_BARE, label) and draw(st.booleans()):
+        return label
+    escaped = "".join("\\" + c if c in '"\\' or c != "\n" and draw(st.integers(0, 5)) == 0
+                      else c for c in label)
+    return f'"{escaped}"'
+
+
+@st.composite
+def _dot_documents(draw):
+    """DOT text for a random graph on at most 8 vertices with ranks, written
+    with chains, attribute lists, comments and whitespace at random."""
+    n = draw(st.sampled_from(range(1, 9)))
+    labels = draw(st.lists(_LABELS, min_size=n, max_size=n, unique=True))
+    tokens = draw(st.sampled_from([[], ["graph"], ["graph", "G"], ["strict", "graph"],
+                                   ["strict", "graph", "G"], ["graph", '"a b"'], ["digraph"]]))
+    tokens = tokens + ["{"]
+    # node statements, edge chains on distinct vertices, and now and then a
+    # chain that may repeat a vertex
+    vertex = st.integers(0, n - 1)
+    statements = [[i] for i in draw(st.lists(vertex, min_size=1, max_size=n))]
+    if n > 1:
+        chain = st.tuples(st.permutations(range(n)), st.integers(2, 4)).map(lambda c: c[0][:c[1]])
+        statements += draw(st.lists(chain, min_size=n // 2, max_size=10))
+    if draw(st.integers(0, 9)) == 7:
+        statements.append(draw(st.lists(vertex, min_size=2, max_size=3)))
+    statements = draw(st.permutations(statements))
+    for k, chain in enumerate(statements):
+        for j, i in enumerate(chain):
+            if j:
+                tokens.append("--")
+            tokens.append(draw(_written_name(labels[i])))
+        if len(chain) == 1 and draw(st.integers(0, 2)) == 0:
+            attributes = draw(st.lists(st.tuples(st.sampled_from(["rank", '"rank"', "color"]),
+                                                 _RANKS), max_size=2))
+            tokens.append("[")
+            for key, value in attributes:
+                tokens += [key, "=", value]
+                if draw(st.booleans()):
+                    tokens.append(",")
+            tokens.append("]")
+        if k + 1 < len(statements) or draw(st.booleans()):
+            tokens.append(";")
+    tokens.append("}")
+    return "".join(draw(_GAPS) + token for token in tokens) + draw(_GAPS)
+
+
+@st.composite
+def _edited(draw, documents, alphabet):
+    """A document, or the document with one character inserted or deleted."""
+    text = draw(documents)
+    edit = draw(st.sampled_from(["insert", "delete", "none"]))
+    if edit == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(alphabet)) + text[at:]
+    elif edit == "delete" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + text[at + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited(_dot_documents(), list('"\\/*#-[]{}=;,\n a0@é')))
+def test_dot_parser_matches_reference(text):
+    # the reference reads quoted keywords and operators as names here; an
+    # empty quoted name is refused at its own token, where the reference
+    # refused it unlined after the whole parse, or met a later error first
+    # (but never a bad character, which both report before parsing)
+    got = _outcome(parse_dot_presentation, text)
+    want = _reference_dot_outcome(text)
+    empty = isinstance(got, str) and re.fullmatch(
+        r"line (\d+): vertex label must be a non-empty string, got ''", got)
+    if empty:
+        assert isinstance(want, str) and "unexpected character" not in want
+        assert int(empty.group(1)) in {line for name, _, line in _quoted_tokens(text) if not name}
+    else:
+        assert got == want
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70000) | st.floats(allow_nan=False)
+    | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _json_documents(draw):
+    """JSON text for a random graph on at most 8 vertices with ranks, with
+    wrong types, unknown fields and bad edges mixed in at random."""
+    labels = draw(st.lists(st.text("ab#", min_size=1, max_size=3), max_size=8, unique=True))
+    odd = st.integers(0, 19).map(lambda k: k == 7)    # one entry in 20 is malformed
+    vertices = []
+    for label in labels:
+        if draw(odd):
+            vertices.append(draw(st.one_of(_JSON_VALUES, st.dictionaries(
+                st.sampled_from(["id", "rank", "x"]), _JSON_VALUES, max_size=3))))
+        elif draw(st.booleans()):
+            vertices.append(label)
+        else:
+            entry = {"id": label}
+            if draw(st.booleans()):
+                entry["rank"] = draw(_JSON_VALUES) if draw(odd) else draw(st.integers(1, 4))
+            vertices.append(entry)
+    ends = st.sampled_from(labels) if labels else st.text("ab", max_size=1)
+    edges = []
+    for _ in range(draw(st.integers(0, 10))):
+        edges.append(draw(st.one_of(st.lists(ends, max_size=3), _JSON_VALUES)) if draw(odd)
+                     else draw(st.lists(ends, min_size=2, max_size=2)))
+    doc = {"vertices": vertices, "edges": edges}
+    if draw(odd):
+        doc = draw(st.one_of(st.dictionaries(st.sampled_from(["vertices", "edges", "name"]),
+                                             _JSON_VALUES, max_size=3), st.just(vertices)))
+    elif draw(odd):
+        doc["extra"] = 1
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_json_documents(), _edited(_json_documents(), list('"[]{},:1a \n'))))
+def test_json_parser_matches_reference(text):
+    assert _outcome(parse_json_presentation, text) == _outcome(parse_json_by_isinstance, text)
 
 
 class TestRoundTrip:
