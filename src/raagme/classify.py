@@ -202,14 +202,17 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
     Exact "equivalent" answers carry a finite-index witness chain and a graph
     isomorphism; exact "not_equivalent" answers cite a separating invariant;
     search exhaustion returns "unknown" with the budget echoed and a witness
-    that says whether a bound cut the search; none does when lam has fewer
-    vertices than gamma_g, as no gluing shrinks, so the search is skipped
-    (the star-gluing enumeration is not known to reach every finite-index
-    RAAG subgroup, so absence of a witness is not a disproof).  The search
-    is the one ``enumerate_findex_graphs`` runs, bounded by
-    min(max_vertices, |lam|) vertices, lam being the clique-reduced graph of
-    h; of the classes it yields, only those with lam's degree sequence are
-    compared with lam, by canonical key, and lam is canonized only then.
+    that says whether a bound cut the search (the star-gluing enumeration is
+    not known to reach every finite-index RAAG subgroup, so absence of a
+    witness is not a disproof).  lam being the clique-reduced graph of h,
+    the search is the one ``enumerate_findex_graphs`` runs at exactly |lam|
+    vertices, since a class of fewer vertices is never lam.  It is skipped,
+    and no bound cut it, when lam has fewer vertices than gamma_g, as no
+    gluing shrinks.  It is skipped, cut by max_vertices, when |lam| passes
+    both max_vertices and |gamma_g|; at |lam| = |gamma_g| it yields gamma_g
+    alone, whatever max_vertices.  Of the classes it yields, only those with
+    lam's degree sequence are compared with lam, by canonical key, and lam
+    is canonized only then.
     The first with lam's key is the witness.  Its chain and index are read
     off the class, whose graph stays an index adjacency, so no glued graph
     is built as a ``SimpleGraph``; the search skips the gluings its algebra
@@ -255,13 +258,17 @@ def decide_me(gamma_g, h, max_vertices=24, max_steps=3):
             "not strongly untransvectable, while every untransvectable vertex on "
             "the finite-Out side is; measure equivalence preserves this property")
     # no gluing shrinks a graph, so no budget reaches a lam smaller than
-    # gamma_g and no bound cut a search for it.  Otherwise the search need
-    # not pass |lam| vertices, and only a class with lam's degree sequence
+    # gamma_g and no bound cut a search for it.  A class of fewer vertices
+    # than lam is never lam, so a budget below |lam| cuts the search short
+    # unless lam is gamma_g's size: a finite-Out gamma_g on two or more
+    # vertices has no vertex adjacent to every other, so every gluing adds
+    # vertices and that search yields gamma_g alone.  Otherwise the search
+    # runs at |lam| vertices, and only a class with lam's degree sequence
     # can be lam; lam is canonized at the first of them, and the
     # isomorphism is read off the two canonical orders, as find_isomorphism does
-    truncated = False
-    if lam.n_vertices >= gamma_g.n_vertices:
-        classes = gluing_classes(gamma_g, min(max_vertices, lam.n_vertices), max_steps)
+    truncated = lam.n_vertices > max(max_vertices, gamma_g.n_vertices)
+    if gamma_g.n_vertices <= lam.n_vertices and not truncated:
+        classes = gluing_classes(gamma_g, lam.n_vertices, max_steps)
         degrees, target = lam.degree_sequence(), None
         while True:
             try:

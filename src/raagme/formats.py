@@ -171,12 +171,15 @@ def parse_dot_presentation(text):
             return fail(i, "unexpected end of input")
         return fail(i, f"{expected}, got {shown(i)}")
 
-    # only bare names are keywords: a quoted name is always a name
-    i = 0
-    if tokens[0] == "digraph":
-        raise fail(0, "directed graphs are not supported")
-    if tokens[0] in ("graph", "strict"):
-        i = 2 if tokens[1][:1] in _DOT_NAME_START else 1    # an optional graph name
+    # the header is [strict] graph [NAME]; only bare names are keywords: a
+    # quoted name is always a name
+    i = 1 if tokens[0] == "strict" else 0
+    if tokens[i] == "digraph":
+        raise fail(i, "directed graphs are not supported")
+    if tokens[i] == "graph":
+        i += 2 if tokens[i + 1][:1] in _DOT_NAME_START else 1    # an optional graph name
+    elif i:
+        raise unexpected(i, "expected 'graph'")
     if tokens[i] != "{":
         raise unexpected(i, "expected '{'")
     i += 1

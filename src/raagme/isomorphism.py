@@ -18,28 +18,39 @@ individualized vertex, then those of the pieces that split, leaving out
 the last piece of each split cell (Hopcroft's trick, as in the same
 paper).  A node filters the automorphisms that fix its prefix
 only once it needs their orbits.  The search keeps its own stack, so its
-depth is not bounded by Python recursion, and it runs with the cyclic
-garbage collector paused.  A leaf whose trace ties the best leaf's is first
-tested as an automorphism image of it, in one pass over the edges.  The
-search is exponential in the worst case: on a 2-core Xeon with CPython 3.11
-the 885-node radius-3 untransvectable extension-graph ball of the 5-cycle,
-which has no twins, canonizes in about 0.36-0.44 s (14,528 search nodes),
-and the 5,779-node one of ``tests/fixtures/c5double.json`` in about 30-35 s
-(342,218 nodes).  Seeded with their 175 and 840 star swaps
-(``extension.star_swaps``), the searches make 436 and 6,299 nodes, in about
-0.06 s and 1 s; with the balls' symmetries too (generator inversions and
-lifts of the automorphisms of the defining graph, as
+depth is not bounded by Python recursion, and one partition for the whole
+search: a child is split off and refined in place, every cell that splits
+goes on a trail with its old members, and a node keeps only the trail's
+length, so its partition comes back by undoing the trail to it
+(``_undo``).  No node copies the partition, so memory grows with the cells
+split along the current path, not with the path times the graph, and the
+cyclic garbage collector runs as usual.  A leaf whose trace ties the best
+leaf's is first tested as an automorphism image of it, in one pass over
+the edges.  The search is exponential in the worst case: on a 2-core Xeon
+with CPython 3.11 the 885-node radius-3 untransvectable extension-graph
+ball of the 5-cycle, which has no twins, canonizes in about 0.3 s (14,528
+search nodes), and the 5,779-node one of ``tests/fixtures/c5double.json``
+in about 11.5 s with a peak RSS of 35 MB (342,218 nodes; 20.5 s and 89 MB
+when each node copied its partition).  Seeded with their 175 and 840 star
+swaps (``extension.star_swaps``), the searches make 436 and 6,299 nodes,
+in about 0.03 s and 0.4 s; with the balls' symmetries too (generator
+inversions and lifts of the automorphisms of the defining graph, as
 ``classify.invariant_report`` seeds every ball it fingerprints), 146 and
-5,546 nodes, in about 0.03 s and 0.6 s.  The 5-cycle with one vertex
-expanded to a 400-clique (404 vertices, 80,603 edges) canonizes in about
-0.25 s: its 400 twins give 399 seeds, and the search makes 801 nodes.
+5,546 nodes, in about 0.02 s and 0.3 s (0.6 s copying).  So seeded, the
+5,485-node radius-4 ball of the 5-cycle canonizes in 886 nodes and about
+0.25 s, in a process that peaks at 43 MB of RSS, ball included (110 MB
+copying).  The 5-cycle with one vertex expanded to a 400-clique (404
+vertices, 80,603 edges) canonizes in about 0.23 s: its 400 twins give 399
+seeds, and the search makes 801 nodes.
 ``indexed_graph`` is the one place a graph becomes positions; ``canonical_form``
 canonizes its pair with ``canonical_form_indexed``, which the ball
 fingerprints and the gluing search call on the index adjacency they hold.
 
 The matcher ``_match`` tells two graphs apart with no canonical form.  It
 is no second canonizer: the pair is refined by the same ``_refine``, side by
-side, with a bounded backtrack over pairs of vertices split off together.
+side, with a bounded backtrack over pairs of vertices split off together by
+the same ``_individualize``, and each branch starts from the one partition
+undone to its trail mark.
 Its answer is complete within its budget: an isomorphism checked on every
 edge, None once the backtrack has run out of images (a proof that there is
 none), or ``BUDGET`` after ``MATCH_STEPS`` refined partitions.
@@ -54,7 +65,6 @@ up to isomorphisms that fix it, the swaps behind the seeds above; there
 
 from __future__ import annotations
 
-import gc
 import hashlib
 from bisect import bisect_left
 from collections import defaultdict
@@ -63,38 +73,59 @@ from .errors import InputError, echo, require, require_iterable
 from .graphs import SimpleGraph
 
 
-def _individualize(label, cells, u, fresh):
-    """Copies of (label, cells) with u split off its cell under the label fresh.
+def _individualize(label, cells, split, fresh, trail):
+    """Split the vertices of ``split`` off their cell in place, under the label fresh.
 
-    ``cells`` keeps only cells of two or more members, so u gets no entry,
-    and neither does its old cell when one member is left.
+    ``split`` is one vertex (the canonizer) or a pair of one cell (the
+    matcher), which keeps a cell of its own.  ``cells`` keeps only cells of
+    two or more members, so a vertex split off alone gets no entry, and
+    neither does its old cell when one member is left.  The old cell goes on
+    the trail, as each cell ``_refine`` splits does.
     """
-    label = list(label)
-    cells = dict(cells)
-    q = label[u]
-    rest = [v for v in cells[q] if v != u]
+    q = label[split[0]]
+    cell = cells.pop(q)
+    trail.append((q, cell))
+    rest = [v for v in cell if v not in split]
     if len(rest) > 1:
         cells[q] = rest
-    else:
-        del cells[q]
-    label[u] = fresh
-    return label, cells
+    if len(split) > 1:
+        cells[fresh] = list(split)
+    for v in split:
+        label[v] = fresh
 
 
-def _refine(adj, label, cells, changed):
+def _undo(label, cells, trail, mark):
+    """Put back the cells split since the trail was ``mark`` entries long.
+
+    Each entry is a cell's label and its member list before it split.  They
+    are restored newest first, so the pieces of a cell are whole again, as
+    they were when it split, by the time the cell itself is.  This relies on
+    cell lists being replaced, never changed in place: an old list still
+    holds the cell's members.
+    """
+    while len(trail) > mark:
+        q, cell = trail.pop()
+        for v in cell:
+            cells.pop(label[v], None)
+            label[v] = q
+        cells[q] = cell
+
+
+def _refine(adj, label, cells, changed, trail):
     """Split cells until the partition is equitable; return the cells written.
 
     ``label`` maps each vertex to the label of its cell, the cell's first
     position; ``cells`` maps the label of each cell of two or more members to
     its members in vertex order, and a vertex alone in its cell is in
-    ``label`` only.  Both are updated in place.  The result maps each label
-    written to the size of its cell.
+    ``label`` only.  Both are updated in place, and each cell that splits
+    goes on the trail as (label, members) for ``_undo``.  The result maps
+    each label written to the size of its cell.
 
     ``changed`` holds the vertices whose cells changed since the partition
     was last equitable: every vertex, in label order, of a first partition
-    (the unit partition in the canonizer), or just the vertex u that
-    ``_individualize`` split off (or the pair ``_match`` splits off
-    together, which no vertex is adjacent to both of).  A round keys each
+    (the unit partition in the canonizer), or just what ``_individualize``
+    split off: the vertex u, or the pair ``_match`` splits off together,
+    which no vertex is adjacent to both of.  A round keys each
     neighbour of a changed vertex by the labels of its changed neighbours
     and splits its cell by those keys, pieces in key order; a vertex alone
     in its cell never splits, so it is never keyed.  The next ``changed``
@@ -152,6 +183,7 @@ def _refine(adj, label, cells, changed):
             if keyed[0][0] == keyed[-1][0]:
                 continue
             del cells[start]
+            trail.append((start, cell))
             at, piece, last = start, [], keyed[0][0]
             for key, v in keyed:
                 if key != last:
@@ -252,8 +284,10 @@ class _Orbits:
 
 
 class _Node:
-    """An interior search node: its equitable partition and branching state.
+    """An interior search node: where its partition is, and its branching state.
 
+    ``mark`` is the length of the search's trail when the node was refined,
+    so undoing the trail to it gives back its equitable partition.
     ``entry`` is the node's trace entry, ``eq`` whether the trace up to here
     equals the best leaf's, ``auts`` the recorded automorphisms fixing
     ``prefix`` pointwise, or None until ``_next_vertex`` first needs them,
@@ -262,7 +296,7 @@ class _Node:
     explored last.
     """
 
-    __slots__ = ("label", "cells", "prefix", "entry", "eq", "target", "cell",
+    __slots__ = ("mark", "prefix", "entry", "eq", "target", "cell",
                  "auts", "explored", "orbits", "merged", "scan")
 
 
@@ -301,42 +335,33 @@ class _Canonizer:
         self.higher = None        # each vertex's neighbours above it, built on the first tie
 
     def run(self):
-        """Search the whole tree; return best.
+        """Search the whole tree with an explicit stack; return best.
 
-        The cyclic garbage collector is paused meanwhile.  The search makes
-        no reference cycles, and on a deep stack the collector's passes over
-        every node's partition copy cost as much as the search itself.
+        The search holds one partition.  A child is split off and refined
+        from its parent's partition in place, after the trail is undone to
+        the parent's mark.
         """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return self._search()
-        finally:
-            if enabled:
-                gc.enable()
-
-    def _search(self):
-        """Search the whole tree with an explicit stack; return best."""
         n, adj = self.n, self.adj
-        label, cells = [0] * n, {0: list(range(n))} if n > 1 else {}
-        _refine(adj, label, cells, range(n))
+        label, cells, trail = [0] * n, {0: list(range(n))} if n > 1 else {}, []
+        _refine(adj, label, cells, range(n), trail)
         stack = []
-        self._visit(stack, label, cells, (), (), False)
+        self._visit(stack, label, cells, (), (), False, len(trail))
         while stack:
             node = stack[-1]
             u = self._next_vertex(stack)
             if u is None:
                 stack.pop()
                 continue
+            _undo(label, cells, trail, node.mark)
             # individualized vertices are labelled above every position, in
             # the order of their depths
-            label, cells = _individualize(node.label, node.cells, u, n + len(stack) - 1)
-            written = _refine(adj, label, cells, (u,))
+            _individualize(label, cells, (u,), n + len(stack) - 1, trail)
+            written = _refine(adj, label, cells, (u,), trail)
             entry = tuple((-q, -written[q]) for q in sorted(written))
-            self._visit(stack, label, cells, node.prefix + (u,), entry, node.eq)
+            self._visit(stack, label, cells, node.prefix + (u,), entry, node.eq, len(trail))
         return self.best
 
-    def _visit(self, stack, label, cells, prefix, entry, parent_eq):
+    def _visit(self, stack, label, cells, prefix, entry, parent_eq, mark):
         """Prune a refined node, score it as a leaf, or push it."""
         self.nodes += 1
         depth = len(prefix)
@@ -355,7 +380,7 @@ class _Canonizer:
         while target not in cells:
             target += 1
         node = _Node()
-        node.label, node.cells, node.prefix = label, cells, prefix
+        node.mark, node.prefix = mark, prefix
         # the root's stabilizer list is every automorphism, the twin swaps
         # and the seeds to begin with; a child's is filtered from its
         # parent's when _next_vertex first needs it
@@ -658,34 +683,33 @@ def _match(adj, half, label, cells):
     # every vertex changed, in label order so that each key comes out sorted
     changed = sorted(range(len(adj)), key=label.__getitem__)
     wide = [q for q, members in cells.items() if len(members) > 2]
-    stack = []      # per branching: its partition and wide cells, the vertex tried, images left
+    trail = []
+    stack = []      # per branching: its trail mark and wide cells, the vertex tried, images left
     for _ in range(MATCH_STEPS):
-        written = _refine(adj, label, cells, changed)
+        written = _refine(adj, label, cells, changed, trail)
         if all(q in cells and 2 * bisect_left(cells[q], half) == len(cells[q]) for q in written):
             wide = [q for q in wide if q not in written and len(cells[q]) > 2]
             wide += [q for q in written if len(cells[q]) > 2]
             if wide:
                 q = min(wide, key=lambda q: (len(cells[q]), q))
                 members = cells[q]
-                stack.append((label, cells, wide, members[0], q,
+                stack.append((len(trail), wide, members[0],
                               iter(members[bisect_left(members, half):])))
             else:
                 iso = dict(cells.values())
                 if all({iso[w] for w in adj[v]} == set(adj[iso[v]]) for v in iso):
                     return iso
         while stack:
-            parent_label, parent_cells, wide, u, q, images = stack[-1]
+            mark, wide, u, images = stack[-1]
             w = next(images, None)
             if w is not None:
                 break
             stack.pop()
         else:
             return None
-        label, cells = list(parent_label), dict(parent_cells)
-        cells[q] = [x for x in cells[q] if x != u and x != w]
+        _undo(label, cells, trail, mark)
         # individualized pairs are labelled above every position, by depth
-        label[u] = label[w] = len(adj) + len(stack) - 1
-        cells[label[u]] = [u, w]
+        _individualize(label, cells, (u, w), len(adj) + len(stack) - 1, trail)
         changed = (u, w)
     return BUDGET
 

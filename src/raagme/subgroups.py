@@ -414,8 +414,11 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
     and every multiplicity whose result stays within ``max_vertices``, to
     composition depth ``max_steps``; de-duplicated up to isomorphism, each
     class keeping the first witness found (smallest depth, deterministic
-    order).  ``truncated`` is set when either bound cut the search, so an
-    unmatched target means "not found within budget", not "does not exist".
+    order).  ``truncated`` is set when the depth cut the search, or when g
+    itself has more than ``max_vertices`` vertices.  A gluing past
+    ``max_vertices`` is outside the question and never sets it.  Either
+    way an unmatched target means "not found within budget", not "does not
+    exist".
     """
     require(g, SimpleGraph, "a graph")
     classes = gluing_classes(g, max_vertices, max_steps)

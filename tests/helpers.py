@@ -997,11 +997,18 @@ def parse_dot_by_match_objects(text):
         i += 1
         return tok, kind, offset
 
-    tok, kind, offset = tokens[0]
+    # [strict] graph [NAME] {
+    if tokens[0][:2] == ("strict", "name"):
+        i = 1
+    tok, kind, offset = tokens[i]
     if tok == "digraph":
         raise fail("directed graphs are not supported", offset)
-    if kind == "name" and tok in ("graph", "strict"):
-        i = 2 if tokens[1][1] == "name" else 1    # an optional graph name
+    if i:
+        take("graph")
+    elif (tok, kind) == ("graph", "name"):
+        i = 1
+    if i and tokens[i][1] == "name":    # an optional graph name
+        i += 1
     take("{")
 
     names, ranks, edges = [], {}, []

@@ -10,6 +10,7 @@ still finds the same key, order, group order and orbit representatives.
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,8 @@ from raagme.combinatorics import has_finite_out
 from raagme.extension import ball_graph, ball_prefix, build_ext_ball, star_swaps, ue_restriction
 from raagme.formats import load_presentation
 from raagme.graphs import SimpleGraph, cycle_graph, edgeless_graph, opposite_graph
-from raagme.isomorphism import (_Canonizer, _individualize, _moved_points, _refine,
-                                 automorphism_count, canonical_form)
+from raagme.isomorphism import (_Canonizer, _individualize, _moved_points, _refine, _undo,
+                                 automorphism_count, canonical_form, canonical_form_indexed)
 from raagme.presentation import GraphProductPresentation, expand_to_raag, raag
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -425,9 +426,9 @@ def assert_cells_match(label, cells):
     assert cells == non_singleton(members)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_incremental_refine_matches_full_rounds(data):
+def drawn_graph(data):
+    """A graph on 1-14 vertices drawn edge by edge, as its vertex count and
+    neighbour lists."""
     n = data.draw(st.integers(1, 14))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -436,9 +437,16 @@ def test_incremental_refine_matches_full_rounds(data):
         if keep:
             adj[i].append(j)
             adj[j].append(i)
+    return n, adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_incremental_refine_matches_full_rounds(data):
+    n, adj = drawn_graph(data)
     # a first round over every vertex of the unit partition
-    label, cells = [0] * n, non_singleton({0: list(range(n))})
-    _refine(adj, label, cells, range(n))
+    label, cells, trail = [0] * n, non_singleton({0: list(range(n))}), []
+    _refine(adj, label, cells, range(n), trail)
     assert dense(label) == refine_by_rounds(n, adj, [0] * n)
     assert_cells_match(label, cells)
     # then vertices of non-singleton cells individualized one after another,
@@ -450,8 +458,8 @@ def test_incremental_refine_matches_full_rounds(data):
         u = data.draw(st.sampled_from(shared))
         individualized = dense(label)
         individualized[u] = n + depth
-        label, cells = _individualize(label, cells, u, n + depth)
-        _refine(adj, label, cells, (u,))
+        _individualize(label, cells, (u,), n + depth, trail)
+        _refine(adj, label, cells, (u,), trail)
         assert dense(label) == refine_by_rounds(n, adj, individualized)
         assert_cells_match(label, cells)
 
@@ -475,9 +483,9 @@ def test_refine_matches_whole_cells(data):
                 adj[i].append(j)
                 adj[j].append(i)
     old_label, old_cells = [0] * n, {0: list(range(n))}
-    label, cells = [0] * n, non_singleton(old_cells)
+    label, cells, trail = [0] * n, non_singleton(old_cells), []
     old_written = refine_by_whole_cells(adj, old_label, old_cells, range(n))
-    written = _refine(adj, label, cells, range(n))
+    written = _refine(adj, label, cells, range(n), trail)
     for depth in range(n + 1):
         assert label == old_label
         assert cells == non_singleton(old_cells)
@@ -489,5 +497,47 @@ def test_refine_matches_whole_cells(data):
         old_label, old_cells = individualize_keeping_singletons(old_label, old_cells, u,
                                                                 n + depth)
         old_written = refine_by_whole_cells(adj, old_label, old_cells, old_cell)
-        label, cells = _individualize(label, cells, u, n + depth)
-        written = _refine(adj, label, cells, (u,))
+        _individualize(label, cells, (u,), n + depth, trail)
+        written = _refine(adj, label, cells, (u,), trail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_undo_restores_every_mark(data):
+    # single vertices and pairs of one cell split off at random, as the
+    # canonizer and the matcher split them, each split refined in place; the
+    # trail undone one mark at a time gives back every partition passed
+    n, adj = drawn_graph(data)
+    label, cells, trail = [0] * n, non_singleton({0: list(range(n))}), []
+    snapshots = [(0, list(label), dict(cells))]
+    _refine(adj, label, cells, range(n), trail)
+    for depth in range(n):
+        snapshots.append((len(trail), list(label), dict(cells)))
+        if not cells:
+            break
+        u = data.draw(st.sampled_from([v for v in range(n) if label[v] in cells]))
+        mates = [v for v in cells[label[u]] if v != u]
+        split = (u,)
+        if data.draw(st.booleans()):
+            split = tuple(sorted((u, data.draw(st.sampled_from(mates)))))
+        _individualize(label, cells, split, n + depth, trail)
+        _refine(adj, label, cells, split, trail)
+    for mark, old_label, old_cells in reversed(snapshots):
+        _undo(label, cells, trail, mark)
+        assert (label, cells, len(trail)) == (old_label, old_cells, mark)
+
+
+def test_deep_search_holds_one_partition(c5):
+    # the seeded radius-4 untransvectable ball of the 5-cycle, fingerprinted
+    # as invariant_report does: the search holds one partition and peaks
+    # near 13 MB of traced memory, where copying it for each node took 80 MB
+    b = build_ext_ball(raag(c5), 4, ue=True)
+    seeds = (*star_swaps(b), *b.symmetries)
+    tracemalloc.start()
+    try:
+        form = canonical_form_indexed((range(b.n_nodes), b.adjacency), automorphisms=seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (b.n_nodes, form._canonizer.nodes) == (5485, 886)
+    assert peak < 30_000_000, peak

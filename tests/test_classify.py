@@ -428,8 +428,11 @@ def test_decide_me_matches_unpruned_search(atlas7):
             first = next(((chain, index) for chain, index, graph in found
                           if canonical_form(graph).key == key), None)
             if first is None:
-                # a gluing never shrinks, so no budget helps a lam smaller than g
-                truncated = truncated and lam.n_vertices >= g.n_vertices
+                # a gluing never shrinks, so no budget helps a lam smaller
+                # than g; a budget below |lam| cuts the search unless lam is
+                # g's size
+                truncated = (truncated and lam.n_vertices >= g.n_vertices
+                             or lam.n_vertices > max(max_vertices, g.n_vertices))
                 assert d.verdict == "unknown"
                 assert d.witness["search_truncated"] == truncated
                 outcomes["unknown", truncated] += 1
@@ -439,6 +442,32 @@ def test_decide_me_matches_unpruned_search(atlas7):
                 assert d.witness["index"] == first[1]
                 outcomes["equivalent"] += 1
     assert min(outcomes[k] for k in ("equivalent", ("unknown", True), ("unknown", False))) > 50
+
+
+def test_untruncated_unknown_stays_unknown_at_the_size_of_lam(atlas7, c5):
+    # an unknown that says no bound cut its search must stay unknown at the
+    # budget (|lam|, |lam|), which every class of |lam| vertices is within:
+    # each gluing adds a vertex.  H runs over the finite-Out G and the
+    # classes glued from them within 10 vertices and 2 steps, with their
+    # degree-preserving edge swaps
+    finite = [g for n in range(1, 7) for g in atlas7[n] if has_finite_out(g)]
+    untruncated = Counter()
+    for g in finite:
+        glued = [h for _, _, h in unpruned_gluing_search(g, 10, 2)[0]]
+        for h in finite + glued + [h for h in map(swapped_edges, glued) if h is not None]:
+            n = clique_reduce(raag(h)).graph.n_vertices
+            at_lam = decide_me(g, raag(h), n, n).verdict
+            for max_vertices, max_steps in itertools.product(range(n + 1), (1, 2, 3)):
+                d = decide_me(g, raag(h), max_vertices, max_steps)
+                if d.reason_code == "search-exhausted" and not d.witness["search_truncated"]:
+                    assert at_lam == "unknown", (g, h, max_vertices, max_steps)
+                    untruncated[n < g.n_vertices] += 1
+    assert min(untruncated[True], untruncated[False]) > 30
+    # below its 7 vertices, C5 glued at v1 with k = 2 is out of reach
+    h = raag(star_gluing_kernel(c5, "v1", 2))
+    for max_vertices in (5, 6):
+        assert decide_me(c5, h, max_vertices, 3).witness == {"search_truncated": True}
+    assert decide_me(c5, h, 7, 3).verdict == "equivalent"
 
 
 # (entry point called with an argument of the wrong type, the start of its

@@ -214,8 +214,9 @@ DOT_ERRORS = {
     "unclosed-comment": ("graph\n{ /* a\n }", "line 2: unexpected character '/'"),
     "unclosed-quote": ('graph {\n a -- "b;\n}', "line 2: unexpected character '\"'"),
     "bad-graph-name": ("graph @ { a; }", "line 1: unexpected character '@'"),
-    # "strict graph" reads "graph" as the graph name
-    "strict-graph-name": ("strict graph G { a; }", "line 1: expected '{', got 'G'"),
+    # the header is [strict] graph [NAME]
+    "strict-digraph": ("strict digraph { a -- b; }", "line 1: directed graphs are not supported"),
+    "strict-without-graph": ("strict G { a; }", "line 1: expected 'graph', got 'G'"),
     # newlines inside comments and quoted names count
     "comment-newlines": ("graph {\n/* one\ntwo */ a -- @ }", "line 3: unexpected character '@'"),
     "quoted-newlines": ('graph { /* a\n*/ "p\nq" -- ;\n}',
@@ -241,6 +242,7 @@ def test_dot_error_message_and_line(case):
 
 def test_dot_accepts_strict_and_escapes():
     assert parse_dot_presentation("strict graph { a; }").graph.sorted_vertices() == ["a"]
+    assert parse_dot_presentation("strict graph G { a; }").graph.sorted_vertices() == ["a"]
     assert parse_dot_presentation('graph { "q\\"z"; }').graph.sorted_vertices() == ['q"z']
 
 
@@ -326,7 +328,8 @@ def _dot_documents(draw):
     n = draw(st.sampled_from(range(1, 9)))
     labels = draw(st.lists(_LABELS, min_size=n, max_size=n, unique=True))
     tokens = draw(st.sampled_from([[], ["graph"], ["graph", "G"], ["strict", "graph"],
-                                   ["strict", "graph", "G"], ["graph", '"a b"'], ["digraph"]]))
+                                   ["strict", "graph", "G"], ["graph", '"a b"'], ["digraph"],
+                                   ["strict", "digraph"], ["strict"], ["strict", "G"]]))
     tokens = tokens + ["{"]
     # node statements, edge chains on distinct vertices, and now and then a
     # chain that may repeat a vertex
