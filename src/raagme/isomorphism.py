@@ -101,7 +101,8 @@ def _undo(label, cells, trail, mark):
     are restored newest first, so the pieces of a cell are whole again, as
     they were when it split, by the time the cell itself is.  This relies on
     cell lists being replaced, never changed in place: an old list still
-    holds the cell's members.
+    holds the cell's members; and on each label naming one cell, so the
+    labels individualization gives leave room for every piece of the cell.
     """
     while len(trail) > mark:
         q, cell = trail.pop()
@@ -708,8 +709,9 @@ def _match(adj, half, label, cells):
         else:
             return None
         _undo(label, cells, trail, mark)
-        # individualized pairs are labelled above every position, by depth
-        _individualize(label, cells, (u, w), len(adj) + len(stack) - 1, trail)
+        # individualized pairs are labelled above every position, by depth,
+        # two apart: a pair that refinement splits keeps a label per piece
+        _individualize(label, cells, (u, w), len(adj) + 2 * (len(stack) - 1), trail)
         changed = (u, w)
     return BUDGET
 

@@ -506,7 +506,9 @@ def test_refine_matches_whole_cells(data):
 def test_undo_restores_every_mark(data):
     # single vertices and pairs of one cell split off at random, as the
     # canonizer and the matcher split them, each split refined in place; the
-    # trail undone one mark at a time gives back every partition passed
+    # trail undone one mark at a time gives back every partition passed.
+    # Splits are labelled two apart, as the matcher labels its pairs, so a
+    # pair that refinement splits again keeps a label per piece
     n, adj = drawn_graph(data)
     label, cells, trail = [0] * n, non_singleton({0: list(range(n))}), []
     snapshots = [(0, list(label), dict(cells))]
@@ -520,7 +522,7 @@ def test_undo_restores_every_mark(data):
         split = (u,)
         if data.draw(st.booleans()):
             split = tuple(sorted((u, data.draw(st.sampled_from(mates)))))
-        _individualize(label, cells, split, n + depth, trail)
+        _individualize(label, cells, split, n + 2 * depth, trail)
         _refine(adj, label, cells, split, trail)
     for mark, old_label, old_cells in reversed(snapshots):
         _undo(label, cells, trail, mark)

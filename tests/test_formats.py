@@ -214,7 +214,8 @@ DOT_ERRORS = {
     "unclosed-comment": ("graph\n{ /* a\n }", "line 2: unexpected character '/'"),
     "unclosed-quote": ('graph {\n a -- "b;\n}', "line 2: unexpected character '\"'"),
     "bad-graph-name": ("graph @ { a; }", "line 1: unexpected character '@'"),
-    # the header is [strict] graph [NAME]
+    # the header is [strict] graph [NAME]: one name at most
+    "strict-graph-name": ("strict graph G H { a; }", "line 1: expected '{', got 'H'"),
     "strict-digraph": ("strict digraph { a -- b; }", "line 1: directed graphs are not supported"),
     "strict-without-graph": ("strict G { a; }", "line 1: expected 'graph', got 'G'"),
     # newlines inside comments and quoted names count
