@@ -38,8 +38,11 @@ are not violations.  A separation check makes one batch translation
 (``words.translate_conjugators``) of the nodes outside the star whose
 translates can land: a node of the ball's longest conjugator length
 translates into the ball only if its conjugator shares a leading letter
-with the inverse of the centre's generator, and the ball holds every
-node's leading letters (``words.leading_letters``) with its node keys.  The
+with the inverse of the centre's generator.  The ball holds every node's
+leading letters (``words.leading_letters``) with its node keys, and lists
+its nodes shorter than the longest and its longest nodes under each of
+their leading letters, so a check looks its candidates up under the
+leading letters of that inverse instead of scanning the ball.  The
 translation is bounded by that longest length; the translates that still
 leave the ball stop their strip at the bound and are never lex ordered.
 Both checks find the components of the punctured ball by a breadth-first
@@ -56,6 +59,7 @@ symmetries.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError, echo, require, require_integer, require_iterable
@@ -86,6 +90,16 @@ class ExtBall:
         # translates that cannot land; none where no node has a conjugator
         self._leading = (tuple(leading_letters(self.nodes)) if self._longest
                          else ((),) * len(self.nodes))
+        # a separation check's candidates: the nodes shorter than the
+        # longest, and the longest ones under each of their leading letters
+        self._short = []
+        self._longest_by_lead = defaultdict(list)
+        for i, node in enumerate(self.nodes):
+            if node.length < self._longest:
+                self._short.append(i)
+            else:
+                for letter in self._leading[i]:
+                    self._longest_by_lead[letter].append(i)
         self._interior = frozenset(i for i, n in enumerate(self.nodes) if n.length <= L - 1)
 
     @property
@@ -357,6 +371,8 @@ def star_separation_check(b, v_index):
     shares a leading letter with x^-1.  Those of x^-1 = g v^-1 g^-1 are g's
     when g is not 1, since g is the shortest word in g G_st(v), and v^-1
     when it is.  The other nodes count as outside the ball without a strip.
+    The candidates are the ball's short nodes and its longest nodes under
+    those letters, less the star, in index order.
     """
     require(b, ExtBall, "an extension ball")
     if not 0 <= require_integer(v_index, "node index") < b.n_nodes:
@@ -367,11 +383,13 @@ def star_separation_check(b, v_index):
     comps = _components(b, removed)
     comp = _labels(comps)
     interior = b.interior()
-    keys, nodes, leading, longest = b._keys, b.nodes, b._leading, b._longest
-    centre = nodes[v_index]
-    inverse_leads = set(leading[v_index]) if centre.conjugator else {(centre.vertex, -1)}
-    candidates = [w for w in range(b.n_nodes) if w not in removed and (
-        nodes[w].length < longest or not inverse_leads.isdisjoint(leading[w]))]
+    keys, longest, by_lead = b._keys, b._longest, b._longest_by_lead
+    centre = b.nodes[v_index]
+    inverse_leads = b._leading[v_index] if centre.conjugator else ((centre.vertex, -1),)
+    candidates = set(b._short)
+    for letter in inverse_leads:
+        candidates.update(by_lead.get(letter, ()))
+    candidates = sorted(candidates - removed)
     skipped = b.n_nodes - len(removed) - len(candidates)
     # a translate longer than every node's conjugator is not in the ball
     conjugators = translate_conjugators(centre, [keys[w] for w in candidates], longest)

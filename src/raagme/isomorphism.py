@@ -12,12 +12,20 @@ copy swaps of a star gluing.  The seeds change only which nodes the search
 visits and which automorphisms it records, never the canonical form, the
 group order or the orbits.  Each automorphism is kept as the map of the
 points it moves, and orbits are joined and searched along moved points
-only; a node stops joining once its target cell is one orbit.  After an
+only; a node stops joining once its target cell is one orbit.  A node
+looks up the automorphisms it joins instead of filtering a list: the
+search keeps an index from each point to the automorphisms that move it,
+and for each automorphism a count of the vertices of the current path it
+moves, updated as a node is pushed or popped.  A node joins, on its
+target cell, the automorphisms listed under the cell's points whose count
+is 0, which fix its prefix pointwise, and later those recorded since.
+The root joins every one, and the index is built only when a node below
+the root first needs orbits, so a search that never branches below the
+root pays nothing for it.  After an
 individualization, refinement keys only the neighbours of the
 individualized vertex, then those of the pieces that split, leaving out
 the last piece of each split cell (Hopcroft's trick, as in the same
-paper).  A node filters the automorphisms that fix its prefix
-only once it needs their orbits.  The search keeps its own stack, so its
+paper).  The search keeps its own stack, so its
 depth is not bounded by Python recursion, and one partition for the whole
 search: a child is split off and refined in place, every cell that splits
 goes on a trail with its old members, and a node keeps only the trail's
@@ -38,8 +46,12 @@ inversions and lifts of the automorphisms of the defining graph, as
 ``classify.invariant_report`` seeds every ball it fingerprints), 146 and
 5,546 nodes, in about 0.02 s and 0.3 s (0.6 s copying).  So seeded, the
 5,485-node radius-4 ball of the 5-cycle canonizes in 886 nodes and about
-0.25 s, in a process that peaks at 43 MB of RSS, ball included (110 MB
-copying).  The 5-cycle with one vertex expanded to a 400-clique (404
+0.2 s, in a process that peaks at 43 MB of RSS, ball included (110 MB
+copying), and the 34,145-node radius-5 ball, seeded with 6,545 star swaps
+and 7 symmetries, in 5,486 nodes and about 2.7 s (11.1 s when each node
+filtered the automorphisms that fix its prefix out of its parent's list,
+and joined every one).  The 5-cycle with one
+vertex expanded to a 400-clique (404
 vertices, 80,603 edges) canonizes in about 0.23 s: its 400 twins give 399
 seeds, and the search makes 801 nodes.
 ``indexed_graph`` is the one place a graph becomes positions; ``canonical_form``
@@ -290,15 +302,15 @@ class _Node:
     ``mark`` is the length of the search's trail when the node was refined,
     so undoing the trail to it gives back its equitable partition.
     ``entry`` is the node's trace entry, ``eq`` whether the trace up to here
-    equals the best leaf's, ``auts`` the recorded automorphisms fixing
-    ``prefix`` pointwise, or None until ``_next_vertex`` first needs them,
-    and ``orbits`` their orbits on the target cell, joined up to ``merged``
-    of them.  ``scan`` is the position in ``cell`` after the vertex
-    explored last.
+    equals the best leaf's, and ``orbits`` the orbits on the target cell of
+    the recorded automorphisms that fix ``prefix`` pointwise, or None until
+    ``_next_vertex`` first needs them; they hold the automorphisms recorded
+    before the ``merged``-th.  ``scan`` is the position in ``cell`` after the
+    vertex explored last.
     """
 
     __slots__ = ("mark", "prefix", "entry", "eq", "target", "cell",
-                 "auts", "explored", "orbits", "merged", "scan")
+                 "explored", "orbits", "merged", "scan")
 
 
 class _Canonizer:
@@ -334,6 +346,12 @@ class _Canonizer:
         self.automorphisms = _twin_transpositions(self.adjsets)
         self.nodes = 0
         self.higher = None        # each vertex's neighbours above it, built on the first tie
+        # per point, the indices of the automorphisms that move it; built by
+        # the first orbit need below the root, or by group_order
+        self.moving = None
+        # per automorphism, how many vertices of the current path it moves,
+        # from that first need on: 0 when it fixes the path pointwise
+        self.hits = None
 
     def run(self):
         """Search the whole tree with an explicit stack; return best.
@@ -352,6 +370,8 @@ class _Canonizer:
             u = self._next_vertex(stack)
             if u is None:
                 stack.pop()
+                if node.prefix and self.hits is not None:
+                    self._count(node.prefix[-1], -1)
                 continue
             _undo(label, cells, trail, node.mark)
             # individualized vertices are labelled above every position, in
@@ -382,14 +402,12 @@ class _Canonizer:
             target += 1
         node = _Node()
         node.mark, node.prefix = mark, prefix
-        # the root's stabilizer list is every automorphism, the twin swaps
-        # and the seeds to begin with; a child's is filtered from its
-        # parent's when _next_vertex first needs it
         node.entry, node.eq = entry, eq
-        node.auts = None if stack else list(self.automorphisms)
         node.target, node.cell = target, cells[target]
         node.explored, node.orbits, node.merged, node.scan = set(), None, 0, 0
         stack.append(node)
+        if prefix and self.hits is not None:
+            self._count(prefix[-1], 1)
 
     def _leaf(self, stack, label, prefix, entry, eq):
         """Compare a leaf with the best; on a tie, return to the shared prefix.
@@ -418,17 +436,18 @@ class _Canonizer:
             # enough; each edge is mapped from its lower end
             if all(adjsets[sigma[v]].issuperset(map(image, higher[v])) for v in range(n)):
                 sigma = {v: w for v, w in enumerate(sigma) if v != w}
-                self.automorphisms.append(sigma)
                 shared = 0
                 while prefix[shared] == self.best_prefix[shared]:
                     shared += 1
+                if self.hits is not None:
+                    for node in stack[shared + 1:]:
+                        self._count(node.prefix[-1], -1)
+                    # sigma fixes the shared prefix, the path left
+                    for u in sigma:
+                        self.moving[u].append(len(self.hits))
+                    self.hits.append(0)
                 del stack[shared + 1:]
-                # sigma fixes every prefix on the stack; an unresolved list
-                # picks it up from its parent's when it is resolved
-                for node in stack:
-                    if node.auts is None:
-                        break
-                    node.auts.append(sigma)
+                self.automorphisms.append(sigma)
                 return
             for start, v in enumerate(order):
                 row = tuple(sorted(map(rank, adj[v])))
@@ -444,37 +463,43 @@ class _Canonizer:
         for node in stack:
             node.eq = True
 
-    @staticmethod
-    def _next_vertex(stack):
+    def _next_vertex(self, stack):
         """The top node's first target-cell vertex in no explored orbit, or None.
 
         The scan resumes after the vertex returned last: every earlier vertex
         is explored or in an explored vertex's orbit, and orbits only grow.
-        Orbits matter once a vertex is explored; the node's stabilizer list is
-        then resolved, with those of its unresolved ancestors, by filtering
-        each parent's list down the stack.  These lists equal the ones a
-        child would filter when it is pushed: an automorphism recorded later
-        fixes the prefix of every node still on the stack.
+        Orbits matter once a vertex is explored.  The root joins every
+        recorded automorphism.  A node below it joins those that fix its
+        prefix, the current path, pointwise: those whose count in ``hits``
+        is 0.  The first time, only those that move a point of the cell can
+        join anything, and the index ``moving`` lists them; later, those
+        recorded since it last merged, which fix the path as they are
+        recorded.
         """
         node = stack[-1]
         cell, explored = node.cell, node.explored
-        if explored:
-            if node.auts is None:
-                top = len(stack) - 1
-                while stack[top].auts is None:
-                    top -= 1
-                for parent, child in zip(stack[top:], stack[top + 1:]):
-                    u = child.prefix[-1]
-                    child.auts = [sigma for sigma in parent.auts if u not in sigma]
-            if node.merged < len(node.auts):
-                if node.orbits is None:
-                    node.orbits = _Orbits(cell)
-                for sigma in node.auts[node.merged:]:
-                    node.orbits.join(sigma)
-                    if node.orbits.count == 1:
-                        # the whole cell is the orbit of an explored vertex
-                        return None
-                node.merged = len(node.auts)
+        auts = self.automorphisms
+        if explored and node.merged < len(auts):
+            if not node.prefix:
+                maps = auts[node.merged:]
+            else:
+                if self.hits is None:
+                    self._moving()
+                    self.hits = [0] * len(auts)
+                    for u in node.prefix:
+                        self._count(u, 1)
+                hits, moving = self.hits, self.moving
+                new = (range(node.merged, len(auts)) if node.merged
+                       else sorted({j for u in cell for j in moving[u]}))
+                maps = [auts[j] for j in new if not hits[j]]
+            if maps and node.orbits is None:
+                node.orbits = _Orbits(cell)
+            for sigma in maps:
+                node.orbits.join(sigma)
+                if node.orbits.count == 1:
+                    # the whole cell is the orbit of an explored vertex
+                    return None
+            node.merged = len(auts)
         rest = range(node.scan, len(cell))
         if node.orbits is None:
             # nothing at or after the scan position is explored yet
@@ -489,6 +514,19 @@ class _Canonizer:
         node.scan = i + 1
         explored.add(u)
         return u
+
+    def _count(self, u, step):
+        """Add step to the path count of each recorded automorphism that moves u."""
+        hits = self.hits
+        for j in self.moving[u]:
+            hits[j] += step
+
+    def _moving(self):
+        """Build ``moving``, each point's list of the recorded automorphisms that move it."""
+        self.moving = moving = [[] for _ in range(self.n)]
+        for j, sigma in enumerate(self.automorphisms):
+            for u in sigma:
+                moving[u].append(j)
 
     def group_order(self):
         """Order of the automorphism group, by orbit-stabilizer along best_prefix.
@@ -512,10 +550,9 @@ class _Canonizer:
         move a prefix vertex leave the stabilizer once its orbit is taken.
         """
         auts = self.automorphisms
-        moving = defaultdict(list)      # point -> indices of the automorphisms moving it
-        for j, sigma in enumerate(auts):
-            for u in sigma:
-                moving[u].append(j)
+        if self.moving is None:
+            self._moving()
+        moving = self.moving
         fixing = [True] * len(auts)     # whether each fixes the prefix so far
         order = 1
         for b in self.best_prefix:

@@ -363,10 +363,12 @@ def _gluing_classes(g, max_vertices, max_steps):
     """Breadth-first star-gluing search behind enumerate_findex_graphs.
 
     Yields a GluingClass for each new isomorphism class, in discovery order,
-    and returns ``truncated``.  A frontier graph is glued only at the least
-    vertex of each automorphism orbit: gluing at v and at its image under an
-    automorphism gives isomorphic children, and the class found first always
-    comes from the least vertex of its orbit.  Callers check that Out of g
+    and returns ``truncated``: whether g has more than ``max_vertices``
+    vertices, or a class of the last level a gluing within them.  A
+    frontier graph is glued only at the least vertex of each automorphism
+    orbit: gluing at v and at its image under an automorphism gives
+    isomorphic children, and the class found first always comes from the
+    least vertex of its orbit.  Callers check that Out of g
     is finite.
 
     A child is new unless it is isomorphic to an earlier class of its
@@ -403,7 +405,7 @@ def _gluing_classes(g, max_vertices, max_steps):
                     nxt.append(child)
                     yield child
         frontier = nxt
-    return g.n_vertices > max_vertices or bool(frontier)
+    return g.n_vertices > max_vertices or any(cls.expandable(max_vertices) for cls in frontier)
 
 
 def enumerate_findex_graphs(g, max_vertices, max_steps):
@@ -414,8 +416,9 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
     and every multiplicity whose result stays within ``max_vertices``, to
     composition depth ``max_steps``; de-duplicated up to isomorphism, each
     class keeping the first witness found (smallest depth, deterministic
-    order).  ``truncated`` is set when the depth cut the search, or when g
-    itself has more than ``max_vertices`` vertices.  A gluing past
+    order).  ``truncated`` is set when the depth cut the search, that is
+    when a class of the last level has a gluing within ``max_vertices``, or
+    when g itself has more than ``max_vertices`` vertices.  A gluing past
     ``max_vertices`` is outside the question and never sets it.  Either
     way an unmatched target means "not found within budget", not "does not
     exist".

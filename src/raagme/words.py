@@ -550,10 +550,11 @@ def _letters(vertices):
 
 
 # the most handles enumerate_cyclic_handles builds: the largest ball a test
-# or CI step builds has 5,779 (c5double at radius 3), and the C5 ball has
-# 34,145 at radius 5; on a 2-core Xeon with CPython 3.11 about 30,000-45,000
-# handles are enumerated per second, so a refusal comes within a second
-MAX_HANDLES = 20_000
+# or CI step builds is the C5 ball at radius 5, 34,145 handles, which
+# ``analyze --ball-bound 5`` fingerprints; on a 2-core Xeon with CPython 3.11
+# about 60,000 handles are enumerated per second, so a refusal comes within
+# about 0.6 s
+MAX_HANDLES = 35_000
 
 
 def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):

@@ -8,12 +8,14 @@ replaced (products of normal forms, the restart loop of coset stripping, the
 normalizer test on every pair of ball nodes, the commutation test on every
 pair of nodes of adjacent types, one ball per radius, the full ball cut down
 to its untransvectable nodes, full-round refinement with a recursive search,
-refinement keyed by whole changed cells, one validated canonical_parabolic
-per star-separation translate, the components of a punctured ball found
-edge by edge, strong untransvectability read off the
-opposite graph of a link built as a graph, star gluings copied label by
-label, the document parsers that make one match object per DOT token and
-test JSON types with isinstance), kept as oracles for the faster ones.  The
+refinement keyed by whole changed cells, the canonizer's stabilizer lists
+filtered down its stack, one validated canonical_parabolic per
+star-separation translate, the separation candidates found by a scan of
+every node, the components of a punctured ball found edge by edge, strong
+untransvectability read off the opposite graph of a link built as a graph,
+star gluings copied label by label, the document parsers that make one
+match object per DOT token and test JSON types with isinstance), kept as
+oracles for the faster ones.  The
 handle oracles, like the words layer, know only cyclic parabolic subgroups
 g<v>g^-1, the nodes of extension balls.
 Rank-preserving isomorphism of presentations, which the library never needs,
@@ -38,11 +40,12 @@ from raagme.extension import (ExtBall, SeparationEntry, SeparationReport, _compo
 from raagme.formats import _presentation_from_parts
 from raagme.graphs import (SimpleGraph, connected_components, full_subgraph, link,
                            opposite_graph, perp, star)
-from raagme.isomorphism import canonical_form, canonical_hash, component_classes
+from raagme.isomorphism import (_Canonizer, _moved_points, _Node, _Orbits, canonical_form,
+                                 canonical_hash, component_classes)
 from raagme.presentation import MAX_RANK, GraphProductPresentation, raag
 from raagme.words import (NormalFormWord, _coerce, _inverse, _lex_order, _reduce,
                           _strip_to_coset_rep, canonical_parabolic, enumerate_cyclic_handles,
-                          word)
+                          leading_letters, translate_conjugators, word)
 
 
 def graph_atlas(max_n):
@@ -252,6 +255,99 @@ class CanonizerByRounds:
             root = find(b)
             order *= sum(1 for u in range(self.n) if find(u) == root)
         return order
+
+
+class _ListNode(_Node):
+    __slots__ = ("auts",)
+
+
+class CanonizerByLists(_Canonizer):
+    """The canonizer with the stabilizer lists it replaced.
+
+    Each node keeps the list of recorded automorphisms that fix its prefix
+    pointwise: the root's is every one, and a child's is filtered from its
+    parent's, down the stack, when the child first needs orbits.  A recorded
+    automorphism is appended to the list of every node left on the stack
+    whose list is resolved, and a node joins every map on its list.  It must
+    search the same tree as ``_Canonizer``, which looks the maps up by the
+    points they move.
+    """
+
+    def _visit(self, stack, label, cells, prefix, entry, parent_eq, mark):
+        self.nodes += 1
+        depth = len(prefix)
+        eq = False
+        if parent_eq:
+            best = self.best_trace
+            if depth == len(best) or entry > best[depth]:
+                return
+            eq = entry == best[depth]
+        if not cells:
+            self._leaf(stack, label, prefix, entry, eq)
+            return
+        target = stack[-1].target if stack else 0
+        while target not in cells:
+            target += 1
+        node = _ListNode()
+        node.mark, node.prefix = mark, prefix
+        node.entry, node.eq = entry, eq
+        node.auts = None if stack else list(self.automorphisms)
+        node.target, node.cell = target, cells[target]
+        node.explored, node.orbits, node.merged, node.scan = set(), None, 0, 0
+        stack.append(node)
+
+    def _leaf(self, stack, label, prefix, entry, eq):
+        recorded = len(self.automorphisms)
+        super()._leaf(stack, label, prefix, entry, eq)
+        if len(self.automorphisms) > recorded:
+            sigma = self.automorphisms[-1]
+            for node in stack:
+                if node.auts is None:
+                    break
+                node.auts.append(sigma)
+
+    def _next_vertex(self, stack):
+        node = stack[-1]
+        cell, explored = node.cell, node.explored
+        if explored:
+            if node.auts is None:
+                top = len(stack) - 1
+                while stack[top].auts is None:
+                    top -= 1
+                for parent, child in zip(stack[top:], stack[top + 1:]):
+                    u = child.prefix[-1]
+                    child.auts = [sigma for sigma in parent.auts if u not in sigma]
+            if node.merged < len(node.auts):
+                if node.orbits is None:
+                    node.orbits = _Orbits(cell)
+                for sigma in node.auts[node.merged:]:
+                    node.orbits.join(sigma)
+                    if node.orbits.count == 1:
+                        return None
+                node.merged = len(node.auts)
+        rest = range(node.scan, len(cell))
+        if node.orbits is None:
+            i = node.scan if rest else None
+        else:
+            find = node.orbits.find
+            done = {find(e) for e in explored}
+            i = next((i for i in rest if find(cell[i]) not in done), None)
+        if i is None:
+            return None
+        u = cell[i]
+        node.scan = i + 1
+        explored.add(u)
+        return u
+
+
+def canonize_with(canonizer_class, verts, adj, automorphisms=()):
+    """A finished search of the given class on index adjacency, seeded as
+    ``canonical_form_indexed`` seeds it."""
+    c = canonizer_class(verts, adj)
+    index = {v: i for i, v in enumerate(verts)}
+    c.automorphisms += _moved_points(automorphisms, index, c.adjsets)
+    c.run()
+    return c
 
 
 def individualize_keeping_singletons(label, cells, u, fresh):
@@ -607,6 +703,33 @@ def star_separation_by_nodes(b, v_index):
     return SeparationReport(v_index, count, tuple(entries), skipped)
 
 
+def star_separation_by_scan(b, v_index):
+    """star_separation_check with its candidates found by a scan of every
+    node of the ball, the path the ball's candidate lists replaced."""
+    removed = b.star_of(v_index)
+    comps = _components(b, removed)
+    comp = {i: k for k, c in enumerate(comps) for i in c}
+    interior = b.interior()
+    nodes = b.nodes
+    longest = max((n.length for n in nodes), default=0)
+    leading = leading_letters(nodes)
+    centre = nodes[v_index]
+    inverse_leads = set(leading[v_index]) if centre.conjugator else {(centre.vertex, -1)}
+    candidates = [w for w in range(b.n_nodes) if w not in removed and (
+        nodes[w].length < longest or not inverse_leads.isdisjoint(leading[w]))]
+    skipped = b.n_nodes - len(removed) - len(candidates)
+    conjugators = translate_conjugators(centre, [nodes[w].key() for w in candidates], longest)
+    entries = []
+    for w, c in zip(candidates, conjugators):
+        t = None if c is None else b._index.get((c, nodes[w].vertex))
+        if t is None:
+            skipped += 1
+            continue
+        entries.append(SeparationEntry(w, t, comp[w] == comp[t],
+                                       w in interior and t in interior))
+    return SeparationReport(v_index, len(comps), tuple(entries), skipped)
+
+
 # -- word-level strong untransvectability oracle ---------------------------------
 
 def strong_untransvectability_oracle(g, v, conj_len_bound=4):
@@ -884,25 +1007,26 @@ def unpruned_gluing_search(g, max_vertices, max_steps, same_class=None):
         keys.add(key)
         return True
 
+    def multiplicities(cur, v):
+        n, st = cur.n_vertices, len(brute_star(cur, v))
+        if st == n:
+            return [2] if n <= max_vertices else []
+        return [k for k in range(2, max_vertices + 2) if k * n - (k - 1) * st <= max_vertices]
+
     frontier = list(found)
     for _ in range(max_steps):
         nxt = []
         for chain, index, cur in frontier:
-            n = cur.n_vertices
             for v in cur.sorted_vertices():
-                st = len(brute_star(cur, v))
-                if st == n:
-                    ks = [2] if n <= max_vertices else []
-                else:
-                    ks = [k for k in range(2, max_vertices + 2)
-                          if k * n - (k - 1) * st <= max_vertices]
-                for k in ks:
+                for k in multiplicities(cur, v):
                     child = star_gluing_by_labels(cur, v, k)
                     if is_new(child):
                         found.append((chain + ((v, k),), index * k, child))
                         nxt.append(found[-1])
         frontier = nxt
-    return found, g.n_vertices > max_vertices or bool(frontier)
+    # truncated when a graph of the last level has a gluing within the budget
+    truncated = any(multiplicities(cur, v) for _, _, cur in frontier for v in cur.vertices)
+    return found, g.n_vertices > max_vertices or truncated
 
 
 def parse_json_by_isinstance(text):

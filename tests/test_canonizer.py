@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (CanonizerByRounds, individualize_keeping_singletons,
-                     orbit_representatives_by_rounds, prism, refine_by_rounds, refine_by_whole_cells)
+from helpers import (CanonizerByLists, CanonizerByRounds, canonize_with,
+                     individualize_keeping_singletons, orbit_representatives_by_rounds, prism,
+                     refine_by_rounds, refine_by_whole_cells)
 
 from raagme.combinatorics import has_finite_out
 from raagme.extension import ball_graph, ball_prefix, build_ext_ball, star_swaps, ue_restriction
@@ -543,3 +544,52 @@ def test_deep_search_holds_one_partition(c5):
         tracemalloc.stop()
     assert (b.n_nodes, form._canonizer.nodes) == (5485, 886)
     assert peak < 30_000_000, peak
+
+
+def assert_same_as_lists(verts, adj, seeds=()):
+    """The canonizer, which looks up the automorphisms that move a node's
+    target cell, searches the tree of the one that filtered them down its
+    stack: same key and order, nodes, automorphisms in order, best path and
+    group order."""
+    new = canonize_with(_Canonizer, verts, adj, seeds)
+    old = canonize_with(CanonizerByLists, verts, adj, seeds)
+    assert new.best == old.best
+    assert (new.nodes, new.automorphisms, new.best_prefix) == (
+        old.nodes, old.automorphisms, old.best_prefix)
+    assert new.group_order() == old.group_order()
+    return new
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_looked_up_stabilizer_matches_lists(data):
+    # a drawn graph with open and closed twins of drawn vertices, in one to
+    # three disjoint copies, seeded with a drawn subset of its automorphisms
+    _, adj = drawn_graph(data)
+    adjsets = [set(a) for a in adj]
+    for _ in range(data.draw(st.integers(0, 3))):
+        v = data.draw(st.integers(0, len(adjsets) - 1))
+        twin = set(adjsets[v]) | ({v} if data.draw(st.booleans()) else set())
+        for x in twin:
+            adjsets[x].add(len(adjsets))
+        adjsets.append(twin)
+    m = len(adjsets)
+    adj = [sorted(x + c * m for x in a) for c in range(data.draw(st.integers(1, 3)))
+           for a in adjsets]
+    verts = range(len(adj))
+    known = assert_same_as_lists(verts, adj).automorphisms
+    seeds = [sigma for sigma in known if data.draw(st.booleans())]
+    assert_same_as_lists(verts, adj, seeds)
+
+
+@pytest.mark.parametrize("name, L, seeded, unseeded", [
+    ("c5.json", 3, (146, 182), (14528, 177)),
+    ("c5double.json", 2, (130, 97), (3825, 88))])
+def test_looked_up_stabilizer_matches_lists_on_balls(name, L, seeded, unseeded):
+    # untransvectable balls, seeded as invariant_report seeds them, and
+    # unseeded: (search nodes, automorphisms) of each search
+    b = build_ext_ball(load_presentation(FIXTURES / name), L, ue=True)
+    verts, adj = range(b.n_nodes), [sorted(a) for a in b.adjacency]
+    for seeds, want in (((*star_swaps(b), *b.symmetries), seeded), ((), unseeded)):
+        c = assert_same_as_lists(verts, adj, seeds)
+        assert (c.nodes, len(c.automorphisms)) == want

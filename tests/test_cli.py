@@ -110,7 +110,11 @@ class TestReports:
                         "--max-steps", "1", "--format", "json")
         doc = json.loads(out)
         assert [w["index"] for w in doc["witnesses"]] == [1, 2]
-        assert doc["truncated"] is True
+        # every gluing of the index-2 class has more than 7 vertices
+        assert doc["truncated"] is False
+        code, out = run("subgroups", fx("c5.json"), "--max-vertices", "10",
+                        "--max-steps", "1", "--format", "json")
+        assert json.loads(out)["truncated"] is True
 
     def test_subgroups_default_budget(self):
         # the default 16/2 budget composes two gluings on C5
@@ -368,9 +372,9 @@ def test_out_and_extball_refuse_large_expansions_at_once(tmp_path):
 
 def test_ball_commands_refuse_large_radii_at_once():
     # the C5 ball has 34,145 nodes at radius 5; the handle count passes
-    # MAX_HANDLES partway through it, before any commutation pass
-    text = ("error: the extension ball of radius 12 passes the bound of 20000 nodes: "
-            "20001 handles by conjugator length 5\n")
+    # MAX_HANDLES partway through radius 6, before any commutation pass
+    text = ("error: the extension ball of radius 12 passes the bound of 35000 nodes: "
+            "35001 handles by conjugator length 6\n")
     for argv in (["extball", fx("c5.json"), "-L", "12"],
                  ["extball", fx("c5.json"), "-L", "12", "--ue", "--format", "json"],
                  ["analyze", fx("c5.json"), "--ball-bound", "12"]):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (build_ext_ball_by_pairs, commutation_adjacency_by_pairs,
                      commutator_adjacent, components_by_stack, prism, star_classes_at_every_star,
-                     star_separation_by_nodes, support, translate_index, ue_ball_fingerprint)
+                     star_separation_by_nodes, star_separation_by_scan, support,
+                     translate_index, ue_ball_fingerprint)
 from raagme.classify import invariant_report
 from raagme.combinatorics import cv_classification, has_finite_out
 from raagme.errors import DomainError, InputError
@@ -262,6 +263,34 @@ class TestStarSeparation:
                 assert star_separation_check(b, i) == star_separation_by_nodes(b, i)
         rep = star_separation_check(hand, hand.standard_node("v1"))
         assert any(hand.nodes[e.translate].length > hand.L for e in rep.entries)
+
+    def test_candidate_lists_match_scan(self, c5):
+        # the candidates the ball lists, the short nodes and the longest
+        # ones under x^-1's leading letters, give the reports of a scan of
+        # every node; every eighth interior node of the c5double radius-3
+        # ball (5,779 nodes), every interior node of the other balls
+        c5double = load_presentation(FIXTURES / "c5double.json")
+        for p in (raag(c5), raag(prism()), c5double):
+            for L in (1, 2, 3):
+                b = build_ext_ball(p, L)
+                interior = sorted(b.interior())
+                for i in interior[::8 if b.n_nodes > 2000 else 1]:
+                    assert star_separation_check(b, i) == star_separation_by_scan(b, i)
+        # a hand-built ball whose nodes are out of length order, at every node
+        b2 = build_ext_ball(raag(c5), 2)
+        order = list(range(b2.n_nodes))
+        random.Random(5).shuffle(order)
+        position = {old: new for new, old in enumerate(order)}
+        hand = ExtBall(b2.presentation, 2, [b2.nodes[i] for i in order],
+                       [[position[j] for j in b2.adjacency[i]] for i in order],
+                       b2.classification)
+        assert any(x.length > y.length for x, y in zip(hand.nodes, hand.nodes[1:]))
+        entries = 0
+        for i in range(hand.n_nodes):
+            rep = star_separation_check(hand, i)
+            assert rep == star_separation_by_scan(hand, i) == star_separation_by_nodes(hand, i)
+            entries += len(rep.entries)
+        assert entries > 0
 
     def test_components_match_stack_oracle(self, c5, counterexample_graph):
         # the level-at-a-time search gives the labels and the count of the

@@ -94,8 +94,12 @@ class TestEnumeration:
     def test_c5_within_seven(self, c5):
         res = enumerate_findex_graphs(c5, 7, 1)
         assert [(w.index, w.graph.n_vertices) for w in res.witnesses] == [(1, 5), (2, 7)]
-        # C5 is vertex-transitive, so one isomorphism class at index 2
-        assert res.truncated  # the index-2 graphs admit unexplored children
+        # C5 is vertex-transitive, so one isomorphism class at index 2; every
+        # gluing of it passes 7 vertices, so the depth cut nothing
+        assert not res.truncated
+        # within 10 vertices the depth cuts a gluing that a second step finds
+        assert enumerate_findex_graphs(c5, 10, 1).truncated
+        assert len(enumerate_findex_graphs(c5, 10, 2).witnesses) == 4
 
     def test_c5_budget_five(self, c5):
         res = enumerate_findex_graphs(c5, 5, 1)

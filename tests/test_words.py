@@ -158,17 +158,17 @@ class TestCanonicalParabolic:
             [((), "v1")]
 
     def test_enumerate_stops_past_the_handle_bound(self):
-        # C5 has 5,485 handles within conjugator length 4 and 34,145 within
-        # 5; the count passes MAX_HANDLES partway through length 5, and the
-        # error names the count and the bound whatever the radius asked
+        # C5 has 34,145 handles within conjugator length 5; the count passes
+        # MAX_HANDLES partway through length 6, and the error names the
+        # count and the bound whatever the radius asked
         p = c5p()
         letters = p.graph.vertices
-        assert MAX_HANDLES == 20_000
-        assert len(enumerate_cyclic_handles(p, letters, letters, 4)) == 5485
-        for radius in (5, 12, 10 ** 9):
+        assert MAX_HANDLES == 35_000
+        assert len(enumerate_cyclic_handles(p, letters, letters, 5)) == 34145
+        for radius in (6, 12, 10 ** 9):
             with pytest.raises(InputError, match=(
-                    f"^the extension ball of radius {radius} passes the bound of 20000 nodes: "
-                    "20001 handles by conjugator length 5$")):
+                    f"^the extension ball of radius {radius} passes the bound of 35000 nodes: "
+                    "35001 handles by conjugator length 6$")):
                 enumerate_cyclic_handles(p, letters, letters, radius)
 
     def test_idempotent_and_equivariant(self, atlas6):
