@@ -22,7 +22,7 @@ from .words import (NormalFormWord, ParabolicHandle, canonical_parabolic,
                     multiply_and_normalize, word)
 from .extension import (ExtBall, build_ext_ball, star_complement_connectivity_check,
                         star_separation_check, ue_restriction)
-from .subgroups import FiniteIndexWitness, enumerate_findex_graphs, star_gluing_kernel
+from .subgroups import FiniteIndexWitness, enumerate_findex_graphs, star_gluing_kernel, unglue
 from .classify import Decision, InvariantReport, decide_me, decide_oe, invariant_report
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ Commands::
     raagme reduce FILE
     raagme out FILE
     raagme oe G_FILE H_FILE [--exit-status]
-    raagme me G_FILE H_FILE [--max-steps N] [--max-vertices N] [--exit-status]
+    raagme me G_FILE H_FILE [--exit-status]
     raagme extball FILE -L N [--ue]
     raagme subgroups FILE [--max-vertices N] [--max-steps N]
 
@@ -14,7 +14,10 @@ Every command accepts ``--format {text,json}``.  The decision commands (oe,
 me) also accept ``--exit-status``, which maps their verdict to the exit code:
 0 equivalent, 1 not_equivalent, 3 unknown; exit code 2 is reserved for usage,
 validation and hypothesis errors.  Without the flag, a successful report
-exits 0.
+exits 0.  ``me`` has no budget: it unglues H's clique-reduced graph
+(``subgroups.unglue``), so its ``unknown`` means that graph is no iterated
+star gluing of G's, searched exhaustively; ``subgroups`` lists the classes of
+the forward gluing search within its vertex and step budgets.
 ``out`` and ``extball`` expand the ranks of their input; they count the
 edges of the expanded graph first and refuse more than
 ``MAX_DEFINING_EDGES`` (exit 2).  ``extball`` and ``analyze`` refuse a ball
@@ -216,8 +219,6 @@ def _decision_output(args, decision, rule):
              f"reason [{decision.reason_code}]: {decision.reason}"]
     if decision.witness is not None:
         lines.append("witness: " + json.dumps(decision.witness, sort_keys=True))
-    if decision.budget is not None:
-        lines.append("budget: " + json.dumps(decision.budget, sort_keys=True))
     return code, "\n".join(lines) + "\n"
 
 
@@ -238,8 +239,7 @@ def _cmd_oe(args):
 def _cmd_me(args):
     pg = load_presentation(args.g_file)
     h = load_presentation(args.h_file)
-    decision = decide_me(_finite_out_graph(pg), h,
-                         max_vertices=args.max_vertices, max_steps=args.max_steps)
+    decision = decide_me(_finite_out_graph(pg), h)
     return _decision_output(args, decision, ME_RULE)
 
 
@@ -330,10 +330,6 @@ def _parsers():
     sp = add_command("me", parents=[decision], help="decide measure equivalence")
     sp.add_argument("g_file")
     sp.add_argument("h_file")
-    sp.add_argument("--max-steps", type=int, default=3,
-                    help="composition depth of the subgroup search (default 3)")
-    sp.add_argument("--max-vertices", type=int, default=24,
-                    help="vertex budget of the subgroup search (default 24)")
     sp.set_defaults(func=_cmd_me)
 
     sp = add_command("extball", parents=[common],

@@ -68,11 +68,13 @@ edge, None once the backtrack has run out of images (a proof that there is
 none), or ``BUDGET`` after ``MATCH_STEPS`` refined partitions.
 ``match_indexed`` runs it on two graphs from degree colours, given as the
 index adjacency that a caller keeps; the star-gluing search decides newness
-with it and canonizes only on ``BUDGET``.
-``component_classes`` runs it on the components of a graph less a
-separator, from colours that fix the separator, and sorts them into classes
-up to isomorphisms that fix it, the swaps behind the seeds above; there
-``BUDGET`` means no swap.
+with it and canonizes only on ``BUDGET``, and so does ``subgroups.unglue``
+at its bottom.  ``component_classes`` runs it on the components of a graph
+less a separator, from colours that fix the separator, and sorts them into
+classes up to isomorphisms that fix it, the swaps behind the seeds above
+and the copies that ``subgroups.unglue`` takes apart; on ``BUDGET`` it
+compares canonical forms of the two components with their attachment
+vertices marked (``_attached_form``), so its classes are exact.
 """
 
 from __future__ import annotations
@@ -807,6 +809,37 @@ def match_indexed(a, b):
     return _match_sides((*verts_g, *verts_h), adj, half, [len(nbrs) for nbrs in adj])
 
 
+def _attached_form(adjsets, comp, separator):
+    """Canonical form of a component with its attachment set, each attachment vertex marked.
+
+    The component's vertices come first, in its order, then its attachment
+    set A (its neighbours in the separator) in sorted order, joined to the
+    component by the graph's edges, with no edge inside A.  With N vertices
+    so far, the i-th vertex of A gets two pendant paths of N + 1 + i
+    vertices.  They give it a degree of at least 3, so the chain that runs
+    in from a path's leaf over vertices of degree 2 stops just before it
+    and has N + 1 + i vertices, more than any such chain among the N.  So
+    every isomorphism between two such graphs over one A maps the paths of
+    each vertex of A onto its own, fixes A pointwise and maps component
+    onto component, keeping each vertex's neighbours in the separator: the
+    forms of two components agree exactly when a map that
+    ``component_classes`` looks for exists, and the two canonical orders
+    give one on the components' positions.
+    """
+    attach = sorted(set().union(*[adjsets[v] & separator for v in comp]))
+    index = {v: i for i, v in enumerate((*comp, *attach))}
+    adj = [[index[w] for w in adjsets[v] if w in index] for v in comp]
+    adj += [[index[v] for v in comp if a in adjsets[v]] for a in attach]
+    n = len(adj)
+    for i in range(len(attach)):
+        anchor = len(comp) + i
+        for _ in range(2):
+            for j in range(n + 1 + i):
+                adj.append([anchor if j == 0 else len(adj) - 1])
+                adj[adj[-1][0]].append(len(adj) - 1)
+    return canonical_form_indexed((range(len(adj)), adj))
+
+
 def component_classes(adjsets, components, separator):
     """Components of a graph less a separator, in classes up to maps that fix it.
 
@@ -822,9 +855,9 @@ def component_classes(adjsets, components, separator):
     matched against the first member of each class so far: colour
     refinement starts from each vertex's neighbours in the separator and its
     degree, and backtracks over the vertices of a least class.  A pair whose
-    search refines more than ``MATCH_STEPS`` partitions is taken as not
-    isomorphic, so a class may come out split, but never holds two
-    components that are not isomorphic.
+    search refines ``MATCH_STEPS`` partitions is told by the canonical forms
+    of the two components with their attachment sets marked
+    (``_attached_form``), so the classes are exact.
 
     Returns the classes of two or more members, in the order of their first
     members in ``components``.  Each class is a list of dicts, one per
@@ -848,6 +881,7 @@ def component_classes(adjsets, components, separator):
         start = {v: (tuple(sorted(adjsets[v] & separator)), len(adjsets[v]))
                  for k in bucket for v in components[k]}
         firsts = []     # (index of the first member, maps) per class
+        forms = {}      # component index -> its _attached_form, once the matcher gave up
         for k in bucket:
             for first, maps in firsts:
                 verts = (*components[first], *components[k])
@@ -855,7 +889,17 @@ def component_classes(adjsets, components, separator):
                 adj = [[index[w] for w in adjsets[v] if w not in separator] for v in verts]
                 iso = _match_sides(verts, adj, len(components[first]),
                                    [start[v] for v in verts])
-                if isinstance(iso, dict):
+                if iso is BUDGET:
+                    for j in (first, k):
+                        if j not in forms:
+                            forms[j] = _attached_form(adjsets, components[j], separator)
+                    a, b = forms[first], forms[k]
+                    iso = None
+                    if a.key == b.key:
+                        size = len(components[k])
+                        iso = {components[first][i]: components[k][j]
+                               for i, j in zip(a.order, b.order) if i < size}
+                if iso is not None:
                     maps.append(iso)
                     break
             else:

@@ -4,9 +4,13 @@ Sending one vertex generator to 1 in Z/k and every other generator to 0
 defines a surjection whose kernel is again a right-angled Artin group, of
 index k; its defining graph consists of k copies of the original graph glued
 along the closed star of the chosen vertex.  Closing under this construction
-(up to composition depth and vertex budget) enumerates a family of
-finite-index subgroups; the search makes no completeness claim, so consumers
-must treat exhaustion as "unknown", never as "no".
+gives the star-gluing family of finite-index subgroups.  Two procedures
+read it.  ``enumerate_findex_graphs`` searches forward, up to composition
+depth and vertex budget, and lists the classes it meets.  ``unglue``
+decides whether one given graph is in the family by taking it apart, with
+no budget (see its docstring); ``classify.decide_me`` asks it.  The family
+is not known to hold every finite-index RAAG subgroup, so consumers must
+treat a miss as "unknown", never as "no".
 
 Each class found is a GluingClass, held as the index adjacency of its graph
 (``isomorphism.indexed_graph``'s pair).  ``_glue`` is the one gluing core: it
@@ -53,13 +57,15 @@ search that skips nothing; each class's orbits are computed once.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from math import inf
+from math import gcd, inf
 
 from .errors import DomainError, InputError, echo, require, require_integer
 from .graphs import SimpleGraph
 from .combinatorics import has_finite_out
-from .isomorphism import BUDGET, canonical_form_indexed, indexed_graph, match_indexed
+from .isomorphism import (BUDGET, canonical_form_indexed, component_classes, indexed_graph,
+                          match_indexed)
 
 
 def _copy_names(verts, unshared, k):
@@ -333,20 +339,6 @@ def _skipped(cls, v, k):
     return k < cls.skips_below(v)
 
 
-def check_search_bounds(max_vertices, max_steps):
-    """Raise InputError unless both bounds of the gluing search are integers >= 0."""
-    for bound in (max_vertices, max_steps):
-        require_integer(bound, "enumeration bound")
-    if max_vertices < 0 or max_steps < 0:
-        raise InputError("enumeration bounds must be >= 0")
-
-
-def gluing_classes(g, max_vertices, max_steps):
-    """Check the bounds, then search."""
-    check_search_bounds(max_vertices, max_steps)
-    return _gluing_classes(g, max_vertices, max_steps)
-
-
 def _same_class(a, b):
     """Whether two classes of one degree sequence are isomorphic.
 
@@ -424,14 +416,171 @@ def enumerate_findex_graphs(g, max_vertices, max_steps):
     exist".
     """
     require(g, SimpleGraph, "a graph")
-    classes = gluing_classes(g, max_vertices, max_steps)
+    for bound in (max_vertices, max_steps):
+        require_integer(bound, "enumeration bound")
+    if max_vertices < 0 or max_steps < 0:
+        raise InputError("enumeration bounds must be >= 0")
     if not has_finite_out(g):
         raise DomainError(
             "hypothesis violated: Out of the base group must be finite "
             "(the defining graph admits a transvection or a partial conjugation)")
+    classes = _gluing_classes(g, max_vertices, max_steps)
     witnesses = []
     while True:
         try:
             witnesses.append(next(classes).witness)
         except StopIteration as done:
             return EnumerationResult(tuple(witnesses), done.value)
+
+
+def _components(adjsets, vertices):
+    """Connected components of the graph that adjsets gives, on a set of its vertices.
+
+    Each comes as a sorted list, in the order of their least vertices.
+    """
+    rest = set(vertices)
+    comps = []
+    for root in sorted(rest):
+        if root in rest:
+            rest.discard(root)
+            comp, level = {root}, {root}
+            while level:
+                level = rest.intersection(set().union(*[adjsets[v] for v in level]))
+                rest -= level
+                comp |= level
+            comps.append(sorted(comp))
+    return comps
+
+
+def _could_unglue(adjsets, comps, separator):
+    """Whether the components of a graph less a star may fall into classes
+    whose sizes share a factor k >= 2.
+
+    Members of one class have one size and one attachment set, so every
+    count of components by the two is a sum of class sizes, each a multiple
+    of k: the counts must share a factor.
+    """
+    counts = Counter((len(c), frozenset().union(*[adjsets[v] & separator for v in c]))
+                     for c in comps)
+    return gcd(*counts.values()) > 1
+
+
+def unglue(g, lam):
+    """A chain of star gluings from g to a graph isomorphic to lam, or None.
+
+    Suppose lam = glue(P, u, k).  Then lam less st(u) is k copies of P less
+    st(u), which are copies of each other by maps that fix st(u) pointwise,
+    so every class of its components under such maps has a size divisible
+    by k.  Conversely, st(u) with 1/k of each class is such a P.  So the
+    search takes each vertex u whose star leaves two or more components
+    and whose counts of components by size and attachment set share a
+    factor (``_could_unglue``), one per automorphism orbit, sorts the
+    components into classes with ``isomorphism.component_classes``, and for
+    each k >= 2 that divides every class size, largest first, keeps st(u)
+    and the first 1/k of each class and recurses.  Every such parent has
+    fewer vertices; at |g| vertices it is matched against g
+    (``match_indexed``, canonical forms when the matcher gives up), and any
+    smaller one fails.  A graph is canonized, for its orbits, only when two
+    or more of its vertices pass; the canonical key of every such graph
+    that fails is remembered, so none is searched twice.  The last gluing
+    of any chain to lam is always among the (u, k) tried, and the orbit
+    representative of u gives an isomorphic parent, so the search is
+    complete: None means lam is no iterated star gluing of g, with no bound
+    on steps or vertices.  A gluing along a star that is the whole graph
+    gives the same graph back and every other one adds vertices, so
+    stopping at |g| vertices loses no chain.
+
+    Returns (chain, isomorphism): the chain ((vertex, k), ...) replays from
+    g by ``star_gluing_kernel``, and isomorphism maps the vertices of the
+    graph it replays to onto lam's.  The chain is replayed on index
+    adjacency by ``_glue``, and the isomorphism built level by level from
+    the one at the bottom and the maps between the members of each class:
+    no isomorphism search runs above the bottom.
+    """
+    require(g, SimpleGraph, "a graph")
+    require(lam, SimpleGraph, "a graph")
+    base = indexed_graph(g)
+    labels, adj = indexed_graph(lam)
+    adjsets = [set(nbrs) for nbrs in adj]
+    failed = set()      # canonical keys of the graphs no chain reaches
+
+    def pair(keep):
+        """The indexed pair of lam's subgraph on keep, a sorted list of positions."""
+        index = {v: i for i, v in enumerate(keep)}
+        return keep, [[index[w] for w in adjsets[v] if w in index] for v in keep]
+
+    def search(keep):
+        """(the isomorphism from g onto lam on keep, steps up from it) or None."""
+        n = len(keep)
+        if n <= len(base[0]):
+            psi = _bottom(base, pair(keep)) if n == len(base[0]) else None
+            return None if psi is None else (psi, [])
+        within = set(keep)
+        sub = {v: adjsets[v] & within for v in keep}
+        stars = []
+        for u in keep:
+            star = {u, *sub[u]}
+            comps = _components(sub, within - star)
+            if len(comps) > 1 and _could_unglue(sub, comps, star):
+                stars.append((u, star, comps))
+        key = None
+        if len(stars) > 1:
+            form = canonical_form_indexed(pair(keep))
+            key = form.key
+            if key in failed:
+                return None
+            orbit = form.orbit_map()
+            stars = [s for s in stars if orbit[s[0]] == s[0]]
+        for u, star, comps in stars:
+            classes = component_classes(sub, comps, star)
+            if sum(map(len, classes)) < len(comps):
+                continue
+            d = gcd(*map(len, classes))
+            for k in range(d, 1, -1):
+                if d % k:
+                    continue
+                parent = set(star)
+                copies = {}     # a vertex of the parent outside st(u) -> its k copies in lam
+                for cls in classes:
+                    m = len(cls) // k
+                    for t in range(m):
+                        for z in cls[0]:
+                            copies[cls[t][z]] = [cls[c * m + t][z] for c in range(k)]
+                parent.update(copies)
+                found = search(sorted(parent))
+                if found is not None:
+                    bottom, steps = found
+                    return bottom, steps + [(u, k, copies)]
+        if key is not None:
+            failed.add(key)
+        return None
+
+    found = search(list(range(len(labels))))
+    if found is None:
+        return None
+    psi, steps = found      # psi[x]: the position in lam of vertex x of the replayed graph
+    verts, adj = base
+    chain = []
+    for u, k, copies in steps:
+        x = psi.index(u)
+        chain.append((verts[x], k))
+        shared = {x, *adj[x]}
+        verts, adj, slots = _glue(verts, adj, x, k)
+        image = [None] * len(verts)
+        for y, lam_y in enumerate(psi):
+            if y in shared:
+                image[slots[0][y]] = lam_y
+            else:
+                for slot, lam_c in zip(slots, copies[lam_y]):
+                    image[slot[y]] = lam_c
+        psi = image
+    return tuple(chain), {v: labels[i] for v, i in zip(verts, psi)}
+
+
+def _bottom(base, sub):
+    """An isomorphism from the base pair onto a pair of lam's positions, as a list, or None."""
+    iso = match_indexed(base, sub)
+    if iso is BUDGET:
+        a, b = canonical_form_indexed(base), canonical_form_indexed(sub)
+        iso = dict(zip(a.order, b.order)) if a.key == b.key else None
+    return None if iso is None else [iso[v] for v in base[0]]

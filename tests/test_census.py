@@ -1,10 +1,9 @@
 """The atlas census: decide_me for every finite-Out G of the n <= 7 atlas against every H.
 
 Each of the 10 graphs G on 2-7 vertices of the atlas whose Out is finite is
-paired with all 1,252 atlas graphs H, in atlas order, at the default
-budget.  Each answer is pinned as one letter (verdict, reason code and
-truncation flag), one string per G, keyed by G's position in the atlas, in
-``census7.json``.  A change that is meant to move answers re-records the
+paired with all 1,252 atlas graphs H, in atlas order.  Each answer is
+pinned as one letter (verdict and reason code), one string per G, keyed by
+G's position in the atlas, in ``census7.json``.  A change that is meant to move answers re-records the
 file with
 
     PYTHONPATH=src python tests/test_census.py
@@ -25,14 +24,13 @@ from raagme.subgroups import star_gluing_kernel
 
 PINS = Path(__file__).parent / "census7.json"
 
-# (reason code, search_truncated) -> letter
+# reason code -> letter
 LETTERS = {
-    ("finite-index-witness", None): "E",
-    ("amenable-mismatch", None): "a",
-    ("invariant-nonabelian-class", None): "n",
-    ("invariant-strong-untransvectability", None): "s",
-    ("search-exhausted", False): "u",
-    ("search-exhausted", True): "t",
+    "finite-index-witness": "E",
+    "amenable-mismatch": "a",
+    "invariant-nonabelian-class": "n",
+    "invariant-strong-untransvectability": "s",
+    "search-exhausted": "u",
 }
 
 
@@ -43,8 +41,7 @@ def census(atlas):
     for i, g in enumerate(hs):
         if g.n_vertices >= 2 and has_finite_out(g):
             decisions = [decide_me(g, raag(h)) for h in hs]
-            letters = "".join(LETTERS[d.reason_code, (d.witness or {}).get("search_truncated")]
-                              for d in decisions)
+            letters = "".join(LETTERS[d.reason_code] for d in decisions)
             out[str(i)] = (letters, decisions)
     return out
 

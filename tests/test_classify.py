@@ -1,7 +1,9 @@
 import functools
 import itertools
+import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from raagme.errors import DomainError, InputError
 from raagme.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, star
 from raagme.isomorphism import canonical_form, canonical_form_indexed, canonical_hash
 from raagme.presentation import GraphProductPresentation, clique_reduce, expand_to_raag, raag
-from raagme.subgroups import enumerate_findex_graphs, star_gluing_kernel
+from raagme.subgroups import enumerate_findex_graphs, star_gluing_kernel, unglue
 from raagme.classify import decide_me, decide_oe, invariant_report
 
 
@@ -160,7 +162,8 @@ class TestDecideOe:
         m = decide_me(c5, double)
         assert m.verdict == "equivalent"
         assert m.witness["index"] == 2
-        assert m.witness["chain"] == [{"vertex": "v1", "k": 2}]
+        assert [step["k"] for step in m.witness["chain"]] == [2]
+        assert_witness_replays(c5, double.graph, m.witness)
 
 
 class TestDecideMe:
@@ -187,52 +190,30 @@ class TestDecideMe:
         assert decide_me(c5, raag(SimpleGraph(["a"]))).verdict == "not_equivalent"
         assert decide_me(point, raag(SimpleGraph([]))).verdict == "not_equivalent"
 
-    def test_unknown_with_budget(self, c5):
-        # C6 passes both invariants but admits no witness: search exhausts
+    def test_unknown_carries_no_budget(self, c5):
+        # C6 passes both invariants and is no star gluing of C5: the
+        # ungluing is exhaustive, so no budget is echoed and no flag says
+        # whether one cut it
         c6 = raag(cycle_graph(["a", "b", "c", "d", "e", "f"]))
-        m = decide_me(c5, c6, max_vertices=6, max_steps=2)
-        assert m.verdict == "unknown"
-        assert m.budget == {"max_vertices": 6, "max_steps": 2}
-        assert m.witness == {"search_truncated": False}
+        m = decide_me(c5, c6)
+        assert m.verdict == "unknown" and m.reason_code == "search-exhausted"
+        assert m.witness is None
+        assert set(m.to_json()) == {"verdict", "reason_code", "reason"}
+        assert "searched exhaustively" in m.reason
+        # the search's knobs are gone
+        with pytest.raises(TypeError):
+            decide_me(c5, c6, max_vertices=24, max_steps=3)
 
     def test_infinite_out_hypothesis(self, p3, c5):
         with pytest.raises(DomainError, match="hypothesis"):
             decide_me(p3, raag(c5))
-        # checked before the search bounds
-        with pytest.raises(DomainError, match="hypothesis"):
-            decide_me(p3, raag(c5), max_steps=-1)
 
     def test_negative_bounds_rejected(self, c5):
-        double = raag(star_gluing_kernel(c5, "v1", 2))
-        for bound in ({"max_steps": -1}, {"max_vertices": -1}):
-            with pytest.raises(InputError, match="bounds must be >= 0"):
-                decide_me(c5, double, **bound)
-        # so are bounds that are not integers, bools included
-        for bound, echoed in (({"max_vertices": "24"}, "'24'"), ({"max_steps": 2.0}, "2.0"),
-                              ({"max_steps": None}, "None"), ({"max_vertices": True}, "True")):
-            with pytest.raises(InputError) as info:
-                decide_me(c5, double, **bound)
-            assert str(info.value) == f"enumeration bound must be an integer, got {echoed}"
-        # a ball bound must be an integer too; a negative one asks for no fingerprints
+        # a ball bound must be an integer; a negative one asks for no fingerprints
         for bound in ("2", None, 2.0, False):
             with pytest.raises(InputError, match="ball bound must be an integer"):
                 invariant_report(raag(c5), ball_bound=bound)
         assert invariant_report(raag(c5), ball_bound=-1).ue_ball_fingerprints == ()
-
-    def test_bounds_checked_before_first_verdict(self, c5):
-        # a trivial, cyclic or invariant-separated H decides without the
-        # search, yet bad bounds are refused first, with the search's messages
-        point = raag(SimpleGraph(["a"]))
-        empty = raag(SimpleGraph([]))
-        for h in (point, empty, raag(c5)):
-            with pytest.raises(InputError) as info:
-                decide_me(c5, h, max_vertices="x")
-            assert str(info.value) == "enumeration bound must be an integer, got 'x'"
-            with pytest.raises(InputError) as info:
-                decide_me(c5, h, max_steps=-1)
-            assert str(info.value) == "enumeration bounds must be >= 0"
-        with pytest.raises(InputError, match="bounds must be >= 0"):
-            decide_me(SimpleGraph([]), empty, max_vertices=-1)
 
     def test_finite_out_checked_once(self, c5, monkeypatch):
         # decide_me and enumerate_findex_graphs each evaluate has_finite_out
@@ -276,10 +257,10 @@ class TestDecideMe:
         assert len(enumerate_findex_graphs(c5, 16, 2).witnesses) == 12
         assert len(calls) == 4
         calls.clear()
-        # no gluing of C5 fits in six vertices, and C6's degree sequence is
-        # not C5's, so neither the base nor lam is canonized
+        # no star of C6 leaves two components, so neither C5 nor lam is
+        # canonized
         m = decide_me(c5, raag(cycle_graph([f"h{i}" for i in range(6)])))
-        assert m.reason_code == "search-exhausted" and not m.witness["search_truncated"]
+        assert m.reason_code == "search-exhausted" and m.witness is None
         assert calls == []
 
     def test_depth_two_chain(self, c5):
@@ -288,7 +269,7 @@ class TestDecideMe:
                     [f"h{i:02d}" for i in range(14, -1, -1)])
         m = decide_me(c5, raag(h))
         assert m.verdict == "equivalent"
-        assert m.witness["chain"] == [{"vertex": "v1", "k": 2}, {"vertex": "c2.v3", "k": 3}]
+        assert sorted(step["k"] for step in m.witness["chain"]) == [2, 3]
         assert m.witness["index"] == 6
         assert_witness_replays(c5, h, m.witness)
 
@@ -321,17 +302,17 @@ class TestCrossConsistency:
 @given(st.data())
 def test_decide_me_relabel_invariant(atlas6, data):
     # G: a finite-Out atlas graph; H: a seeded gluing chain on G, or a
-    # random graph.  Renaming either side must not change the answer.
+    # random graph.  Renaming either side must not change the answer, and
+    # every witness must replay onto its own lam.
     pool = [g for n in range(1, 7) for g in atlas6[n] if has_finite_out(g)]
     g = data.draw(st.sampled_from(pool))
-    budget = (14, 2)
     if data.draw(st.booleans()):
         h = g
         for _ in range(data.draw(st.integers(0, 2))):
             v = data.draw(st.sampled_from(h.sorted_vertices()))
             k = data.draw(st.integers(2, 3))
             st_size = len(star(h, v))
-            if k * h.n_vertices - (k - 1) * st_size <= budget[0]:
+            if k * h.n_vertices - (k - 1) * st_size <= 14:
                 h = star_gluing_kernel(h, v, k)
     else:
         n = data.draw(st.integers(2, 7))
@@ -344,17 +325,14 @@ def test_decide_me_relabel_invariant(atlas6, data):
         perm = data.draw(st.permutations(range(x.n_vertices)))
         return relabel(x, [f"{prefix}{i}" for i in perm])
 
-    d = decide_me(g, raag(h), *budget)
+    d = decide_me(g, raag(h))
     h2 = renamed(h, "y")
-    dh = decide_me(g, raag(h2), *budget)
+    dh = decide_me(g, raag(h2))
     g2 = renamed(g, "z")
-    dg = decide_me(g2, raag(h), *budget)
+    dg = decide_me(g2, raag(h))
     assert d.verdict == dh.verdict == dg.verdict
     assert d.reason_code == dh.reason_code == dg.reason_code
     if d.reason_code == "finite-index-witness":
-        # the search never reads H's labels, so the chain is the same
-        assert dh.witness["chain"] == d.witness["chain"]
-        assert d.witness["index"] == dh.witness["index"] == dg.witness["index"]
         assert_witness_replays(g, clique_reduce(raag(h)).graph, d.witness)
         assert_witness_replays(g, clique_reduce(raag(h2)).graph, dh.witness)
         assert_witness_replays(g2, clique_reduce(raag(h)).graph, dg.witness)
@@ -405,69 +383,101 @@ def swapped_edges(g):
     return None
 
 
+def census_graphs(atlas7):
+    """The finite-Out G of the atlas census: 2-7 vertices."""
+    return [g for n in range(2, 8) for g in atlas7[n] if has_finite_out(g)]
+
+
+@functools.cache
+def gluing_keys(g, max_vertices=16):
+    """Canonical keys of every star gluing of g within max_vertices, by the unpruned
+    search: every step adds a vertex, so max_vertices steps reach them all."""
+    return frozenset(canonical_form(graph).key
+                     for _, _, graph in unpruned_gluing_search(g, max_vertices, max_vertices)[0])
+
+
+def checked_decision(g, h):
+    """decide_me(g, raag(h)) where the ungluing decides it, checked against the
+    unpruned search at the size of lam and every step; None elsewhere."""
+    d = decide_me(g, raag(h))
+    if d.reason_code not in ("finite-index-witness", "search-exhausted"):
+        return None
+    lam = clique_reduce(raag(h)).graph
+    assert lam.n_vertices <= 16
+    reached = canonical_form(lam).key in gluing_keys(g)
+    assert d.verdict == ("equivalent" if reached else "unknown")
+    if reached:
+        assert_witness_replays(g, lam, d.witness)
+    return d.verdict
+
+
 def test_decide_me_matches_unpruned_search(atlas7):
-    # the lazily canonized search against the slow reference: the
-    # reference's first class isomorphic to lam gives the witness, and when
-    # none is, its truncation flag is search_truncated.  H runs over the
-    # classes glued within 16 vertices and 3 steps (some beyond a 2-step
-    # budget) and their degree-preserving edge swaps, which mostly reach no
-    # class; so the search meets children of exactly lam's size and last
-    # levels whose first new class sets the flag.
+    # every class the unpruned search glues within 16 vertices from a
+    # census G is unglued, with a witness that replays onto it; of their
+    # degree-preserving edge swaps, exactly those the search also reaches
+    # are.  The swaps keep every degree, so mostly lam's size too, and
+    # stay unknown where no gluing reaches them
     outcomes = Counter()
-    for g in (g for n in range(1, 8) for g in atlas7[n] if has_finite_out(g)):
-        reference = functools.cache(lambda mv, ms, g=g: unpruned_gluing_search(g, mv, ms))
-        glued = [h for _, _, h in reference(16, 3)[0]]
-        hs = glued + [h for h in map(swapped_edges, glued) if h is not None]
-        for (max_vertices, max_steps), h in itertools.product(((24, 3), (16, 2), (14, 3)), hs):
-            d = decide_me(g, raag(h), max_vertices, max_steps)
-            if d.reason_code not in ("finite-index-witness", "search-exhausted"):
-                continue
-            lam = clique_reduce(raag(h)).graph
-            found, truncated = reference(min(max_vertices, lam.n_vertices), max_steps)
-            key = canonical_form(lam).key
-            first = next(((chain, index) for chain, index, graph in found
-                          if canonical_form(graph).key == key), None)
-            if first is None:
-                # a gluing never shrinks, so no budget helps a lam smaller
-                # than g; a budget below |lam| cuts the search unless lam is
-                # g's size
-                truncated = (truncated and lam.n_vertices >= g.n_vertices
-                             or lam.n_vertices > max(max_vertices, g.n_vertices))
-                assert d.verdict == "unknown"
-                assert d.witness["search_truncated"] == truncated
-                outcomes["unknown", truncated] += 1
-            else:
-                assert d.verdict == "equivalent"
-                assert [(c["vertex"], c["k"]) for c in d.witness["chain"]] == list(first[0])
-                assert d.witness["index"] == first[1]
-                outcomes["equivalent"] += 1
-    assert min(outcomes[k] for k in ("equivalent", ("unknown", True), ("unknown", False))) > 50
+    for g in census_graphs(atlas7):
+        glued = [h for _, _, h in unpruned_gluing_search(g, 16, 16)[0]]
+        for h in glued + [h for h in map(swapped_edges, glued) if h is not None]:
+            outcomes[checked_decision(g, h)] += 1
+    assert min(outcomes["equivalent"], outcomes["unknown"]) > 50
 
 
-def test_untruncated_unknown_stays_unknown_at_the_size_of_lam(atlas7, c5):
-    # an unknown that says no bound cut its search must stay unknown at the
-    # budget (|lam|, |lam|), which every class of |lam| vertices is within:
-    # each gluing adds a vertex.  H runs over the finite-Out G and the
-    # classes glued from them within 10 vertices and 2 steps, with their
-    # degree-preserving edge swaps
-    finite = [g for n in range(1, 7) for g in atlas7[n] if has_finite_out(g)]
-    untruncated = Counter()
-    for g in finite:
-        glued = [h for _, _, h in unpruned_gluing_search(g, 10, 2)[0]]
-        for h in finite + glued + [h for h in map(swapped_edges, glued) if h is not None]:
-            n = clique_reduce(raag(h)).graph.n_vertices
-            at_lam = decide_me(g, raag(h), n, n).verdict
-            for max_vertices, max_steps in itertools.product(range(n + 1), (1, 2, 3)):
-                d = decide_me(g, raag(h), max_vertices, max_steps)
-                if d.reason_code == "search-exhausted" and not d.witness["search_truncated"]:
-                    assert at_lam == "unknown", (g, h, max_vertices, max_steps)
-                    untruncated[n < g.n_vertices] += 1
-    assert min(untruncated[True], untruncated[False]) > 30
-    # below its 7 vertices, C5 glued at v1 with k = 2 is out of reach
-    h = raag(star_gluing_kernel(c5, "v1", 2))
-    for max_vertices in (5, 6):
-        assert decide_me(c5, h, max_vertices, 3).witness == {"search_truncated": True}
-    assert decide_me(c5, h, 7, 3).verdict == "equivalent"
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unglue_matches_unpruned_search_on_chains(atlas7, data):
+    # hypothesis chains of 1-4 gluings from a census G within 16 vertices,
+    # some with two edges swapped (every degree kept), relabelled
+    g = data.draw(st.sampled_from(census_graphs(atlas7)))
+    h = g
+    for _ in range(data.draw(st.integers(1, 4))):
+        v = data.draw(st.sampled_from(h.sorted_vertices()))
+        k = data.draw(st.integers(2, 4))
+        if k * h.n_vertices - (k - 1) * len(star(h, v)) <= 16:
+            h = star_gluing_kernel(h, v, k)
+    if data.draw(st.booleans()):
+        edges = h.edges()
+        swaps = [((a, b), (c, d)) for (a, b), (c, d) in itertools.combinations(edges, 2)
+                 if len({a, b, c, d}) == 4 and not h.has_edge(a, d) and not h.has_edge(c, b)]
+        if swaps:
+            (a, b), (c, d) = data.draw(st.sampled_from(swaps))
+            rest = [e for e in edges if e not in ((a, b), (c, d))]
+            h = SimpleGraph(h.sorted_vertices(), rest + [(a, d), (c, b)])
+    perm = data.draw(st.permutations(range(h.n_vertices)))
+    checked_decision(g, relabel(h, [f"y{i}" for i in perm]))
+
+
+def test_long_c5_chains_answer_equivalent(c5):
+    # chains of 4-5 gluings of C5 past 100 vertices, far beyond any forward
+    # search budget, are unglued; networkx confirms each witness
+    rng = random.Random(5)
+    sizes = []
+    while len(sizes) < 6:
+        h = c5
+        for _ in range(rng.randint(4, 5)):
+            v = rng.choice(h.sorted_vertices())
+            h = star_gluing_kernel(h, v, rng.randint(2, 3))
+        if not 100 < h.n_vertices <= 200:
+            continue
+        lam = relabel(h, [f"h{i:03d}" for i in rng.sample(range(h.n_vertices), h.n_vertices)])
+        d = decide_me(c5, raag(lam))
+        assert d.verdict == "equivalent"
+        glued = c5
+        for step in d.witness["chain"]:
+            glued = star_gluing_kernel(glued, step["vertex"], step["k"])
+        assert nx.utils.graphs_equal(nx.relabel_nodes(to_nx(glued), d.witness["isomorphism"]),
+                                     to_nx(lam))
+        sizes.append(h.n_vertices)
+    assert max(sizes) > 120
+
+
+def to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(g.sorted_vertices())
+    out.add_edges_from(g.edges())
+    return out
 
 
 # (entry point called with an argument of the wrong type, the start of its
@@ -484,6 +494,8 @@ WRONG_TYPE_CASES = {
     "decide_me-H": (lambda c5: decide_me(c5, c5), _NOT_A_PRESENTATION),
     "enumerate_findex_graphs": (lambda c5: enumerate_findex_graphs(raag(c5), 10, 1),
                                 _NOT_A_GRAPH),
+    "unglue-G": (lambda c5: unglue(raag(c5), c5), _NOT_A_GRAPH),
+    "unglue-lam": (lambda c5: unglue(c5, raag(c5)), _NOT_A_GRAPH),
 }
 
 

@@ -47,7 +47,7 @@ class TestDecisionCommands:
         assert code == 0
         code, out = run("me", fx("c5.json"), fx("f3.json"), "--exit-status")
         assert code == 1
-        # unknown -> 3 (C6 passes the invariants, no witness within budget)
+        # unknown -> 3 (C6 passes the invariants and is no star gluing of C5)
         import tempfile, os
         c6 = '{"vertices": ["1","2","3","4","5","6"], "edges": [["1","2"],["2","3"],["3","4"],["4","5"],["5","6"],["6","1"]]}'
         with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
@@ -69,8 +69,16 @@ class TestDecisionCommands:
         code, out = run("me", fx("c5.json"), fx("c5double.json"), "--format", "json")
         doc = json.loads(out)
         assert doc["verdict"] == "equivalent"
-        assert doc["witness"]["chain"] == [{"vertex": "v1", "k": 2}]
+        assert [step["k"] for step in doc["witness"]["chain"]] == [2]
         assert doc["witness"]["index"] == 2
+        # the chain replays to a graph the isomorphism maps onto H's
+        base = load_presentation(fx("c5.json")).graph
+        step = doc["witness"]["chain"][0]
+        glued = star_gluing_kernel(base, step["vertex"], step["k"])
+        iso = doc["witness"]["isomorphism"]
+        h = load_presentation(fx("c5double.json")).graph
+        assert sorted(sorted((iso[u], iso[w])) for u, w in glued.edges()) == \
+            [list(e) for e in h.edges()]
 
 
 class TestReports:
@@ -203,10 +211,15 @@ class TestErrorsAndDeterminism:
         code, out = run("out", str(bad))
         assert code == 2 and "rank" in out
 
-    def test_negative_budgets_exit_two(self):
-        for argv in (["me", fx("c5.json"), fx("c5double.json"), "--max-steps", "-1"],
-                     ["subgroups", fx("c5.json"), "--max-vertices", "-1"]):
-            assert run(*argv) == (2, "error: enumeration bounds must be >= 0\n")
+    def test_negative_budgets_exit_two(self, capsys):
+        assert run("subgroups", fx("c5.json"), "--max-vertices", "-1") == (
+            2, "error: enumeration bounds must be >= 0\n")
+        # me has no budget to set
+        for flag in ("--max-steps", "--max-vertices"):
+            with pytest.raises(_UsageExit) as info:
+                run("me", fx("c5.json"), fx("c5double.json"), flag, "1")
+            assert info.value.code == 2
+        assert "unrecognized arguments: --max-vertices 1" in capsys.readouterr().err
 
     def test_exit_status_only_on_decisions(self, capsys):
         with pytest.raises(_UsageExit) as info:
@@ -235,7 +248,7 @@ class TestErrorsAndDeterminism:
             ["out", fx("c5.json"), "--format", "json"],
             ["extball", fx("f2.json"), "-L", "1", "--ue"],
             ["extball", fx("f2.json"), "-L", "1"],
-            ["me", fx("c5.json"), fx("c5ranks.json"), "--max-steps", "1"],
+            ["me", fx("c5.json"), fx("c5ranks.json"), "--format", "json"],
             ["me", fx("c5.json"), fx("c5ranks.json"), "--exit-status"],
             ["analyze", fx("c5.json"), "--ball-bound", "0"],
         )

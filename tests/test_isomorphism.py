@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from helpers import brute_automorphism_count, prism
+from helpers import brute_automorphism_count, prism, star_classes_at_every_star
 
 from raagme.errors import InputError
 from raagme.extension import ball_graph, build_ext_ball, star_swaps
@@ -20,7 +20,7 @@ from raagme.isomorphism import (BUDGET, automorphism_count, canonical_form,
                                 canonical_form_indexed, canonical_hash, component_classes,
                                 find_isomorphism, indexed_graph, match_indexed)
 from raagme.presentation import raag
-from raagme.subgroups import star_gluing_kernel
+from raagme.subgroups import enumerate_findex_graphs, star_gluing_kernel
 
 
 def relabel(g, mapping):
@@ -461,10 +461,11 @@ class TestComponentClasses:
             comps, classes, iso = checked_classes(g, sep)
             assert class_pairs(comps, classes) == {p for p, yes in iso.items() if yes}
 
-    def test_step_bound_splits_classes(self, monkeypatch):
+    def test_step_bound_keeps_classes(self, monkeypatch):
         # two hexagons joined to one separator vertex: refinement alone
         # cannot split a cycle, so matching them needs individualizations;
-        # a search cut off by the bound gives no class, never a wrong one
+        # a search cut off by the bound falls back to the canonical forms of
+        # the two hexagons with the separator vertex marked: the same class
         import raagme.isomorphism
         verts = ["s"] + [f"{c}{i}" for c in "ab" for i in range(6)]
         edges = [(f"{c}{i}", f"{c}{(i + 1) % 6}") for c in "ab" for i in range(6)]
@@ -472,9 +473,46 @@ class TestComponentClasses:
         g = SimpleGraph(verts, edges)
         comps, classes, iso = checked_classes(g, ["s"])
         assert len(classes) == 1 and iso == {(0, 1): True}
-        for steps, found in ((0, 0), (1, 0), (2, 0), (3, 1)):
+        for steps in (0, 1, 2, 3):
             monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", steps)
-            assert len(checked_classes(g, ["s"])[1]) == found
+            assert checked_classes(g, ["s"])[1] == classes
+
+    def test_marked_forms_vs_networkx(self, atlas6, monkeypatch):
+        # with no matching budget every pair of a bucket is told by the
+        # canonical forms of the two components with their attachment sets
+        # marked, and the classes still agree with networkx
+        monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", 0)
+        self.test_stars_of_atlas_vs_networkx(atlas6)
+        self.test_glued_copies_vs_networkx()
+        self.test_random_graphs_with_random_separators_vs_networkx()
+        self.test_regular_pieces_that_refinement_cannot_tell_apart()
+
+    def test_one_step_keeps_the_classes_of_balls_and_gluings(self, c5, monkeypatch):
+        # MATCH_STEPS = 1 sends almost every pair to the marked canonical
+        # forms: at the stars of the C5 radius-3 ball, and at every star of
+        # every class the gluing search lists within 40 vertices and 2 steps,
+        # the classes and their maps are those of the matcher, and so are
+        # the ball's star swaps
+        ball = build_ext_ball(raag(c5), 3)
+        glued = [w.graph for w in enumerate_findex_graphs(c5, 40, 2).witnesses]
+
+        def classes():
+            out = [star_classes_at_every_star(ball)]
+            for g in glued:
+                index = {v: i for i, v in enumerate(g.sorted_vertices())}
+                adjsets = [{index[w] for w in g.neighbors(v)} for v in index]
+                for v in g.sorted_vertices():
+                    sep = {index[w] for w in star(g, v)}
+                    comps = sorted(sorted(index[w] for w in c)
+                                   for c in connected_components(g, without=star(g, v)))
+                    out.append(component_classes(adjsets, comps, sep))
+            return out
+
+        matched, swaps = classes(), star_swaps(ball)
+        assert sum(len(c) for c in matched[0].values()) > 100
+        monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", 1)
+        assert classes() == matched
+        assert star_swaps(ball) == swaps
 
     def test_regular_pieces_that_refinement_cannot_tell_apart(self):
         # K_{3,3} and the triangular prism, both cubic on six vertices and

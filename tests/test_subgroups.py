@@ -11,8 +11,8 @@ import raagme.isomorphism
 import raagme.subgroups
 from raagme.isomorphism import (canonical_form, canonical_form_indexed, find_isomorphism,
                                 indexed_graph)
-from raagme.subgroups import (FiniteIndexWitness, GluingClass, enumerate_findex_graphs,
-                              gluing_classes, star_gluing_kernel)
+from raagme.subgroups import (FiniteIndexWitness, GluingClass, _gluing_classes,
+                              enumerate_findex_graphs, star_gluing_kernel, unglue)
 
 
 def finite_out_graphs(atlas, max_n):
@@ -269,10 +269,10 @@ class TestLazyChildren:
         # without the seeds of its gluing
         for g in finite_out_graphs(atlas7, 7):
             if g.n_vertices > 1:
-                for cls in gluing_classes(g, 24, 3):
+                for cls in _gluing_classes(g, 24, 3):
                     cls.form
-        assert sum(1 for cls in gluing_classes(c5, 60, 3) if cls.form) == 334
-        assert sum(1 for cls in gluing_classes(prism(), 40, 2) if cls.form) == 133
+        assert sum(1 for cls in _gluing_classes(c5, 60, 3) if cls.form) == 334
+        assert sum(1 for cls in _gluing_classes(prism(), 40, 2) if cls.form) == 133
         assert sum(1 for _, seeds, _ in canonizations if seeds) > 1000
         for g, seeds, form in canonizations:
             assert all(is_automorphism(g, sigma) for sigma in seeds)
@@ -305,7 +305,7 @@ def gluings_skipped(monkeypatch, g, max_vertices, max_steps):
         return skip
 
     monkeypatch.setattr(raagme.subgroups, "_skipped", recording)
-    for cls in gluing_classes(g, max_vertices, max_steps):
+    for cls in _gluing_classes(g, max_vertices, max_steps):
         met.append(cls.witness.graph)
     return met, skipped
 
@@ -354,3 +354,76 @@ class TestSkippedGluings:
 def test_witness_serialization(c5):
     w = FiniteIndexWitness((("v1", 2),), 2, star_gluing_kernel(c5, "v1", 2))
     assert w.chain_json() == [{"vertex": "v1", "k": 2}]
+
+
+def assert_unglued(g, lam, found):
+    """found is unglue's answer for lam, and its chain replays to a graph that
+    its isomorphism maps onto lam."""
+    chain, iso = found
+    glued = g
+    for v, k in chain:
+        glued = star_gluing_kernel(glued, v, k)
+    assert iso.keys() == glued.vertices and set(iso.values()) == lam.vertices
+    assert {frozenset((iso[u], iso[w])) for u, w in glued.edges()} == \
+        {frozenset(e) for e in lam.edges()}
+
+
+class TestUnglue:
+    def test_every_enumerated_class_is_unglued(self, atlas7, c5):
+        # the forward search is the oracle: every class it lists, on the
+        # finite-Out atlas graphs at 16/2 and on C5 at 40/2, is unglued, with
+        # a chain of the index the search found
+        cases = [(g, 16, 2) for g in finite_out_graphs(atlas7, 7)] + [(c5, 40, 2)]
+        count = 0
+        for g, max_vertices, max_steps in cases:
+            for w in enumerate_findex_graphs(g, max_vertices, max_steps).witnesses:
+                found = unglue(g, w.graph)
+                assert_unglued(g, w.graph, found)
+                count += 1
+        assert count > 200
+
+    def test_graphs_outside_the_family(self, c5):
+        # fewer vertices than g, C6, whose stars leave one component each,
+        # and the double of C5 with an edge moved; C5 itself needs no gluing
+        c6 = SimpleGraph(list("abcdef"), [(a, b) for a, b in zip("abcdef", "bcdefa")])
+        assert unglue(c5, SimpleGraph(["a"])) is None
+        assert unglue(c5, c6) is None
+        double = star_gluing_kernel(c5, "v1", 2)
+        moved = SimpleGraph(double.sorted_vertices(),
+                            [e for e in double.edges() if e != ("c2.v3", "c2.v4")]
+                            + [("c2.v3", "v4")])
+        assert unglue(c5, moved) is None
+        assert unglue(c5, c5) == ((), {v: v for v in c5.vertices})
+
+    def test_matcher_budget_falls_back_to_canonical_forms(self, c5, monkeypatch):
+        # with no matching budget the bottom is compared by canonical forms
+        # and the component classes by marked canonical forms: the same
+        # verdicts, and witnesses that replay
+        lam = star_gluing_kernel(star_gluing_kernel(c5, "v1", 3), "c2.v3", 2)
+        monkeypatch.setattr(raagme.isomorphism, "MATCH_STEPS", 0)
+        assert_unglued(c5, lam, unglue(c5, lam))
+        assert unglue(c5, SimpleGraph(list("abcdef"), [])) is None
+
+    def test_failed_classes_are_remembered(self, c5, monkeypatch):
+        # lam = K_{2,28}: the star of a vertex of the big side leaves the 27
+        # others, one class, so lam tries k = 27 (K_{2,2}, smaller than C5),
+        # 9 (K_{2,4}) and 3 (K_{2,10}), and K_{2,10} tries K_{2,4} again.
+        # Every K_{2,m} has m star-separating vertices, one orbit, so each
+        # is canonized; the second K_{2,4} fails from its key alone
+        def k2(m):
+            side = [f"y{i:02d}" for i in range(m)]
+            return SimpleGraph(["a", "b", *side], [(x, y) for x in "ab" for y in side])
+
+        canonized, unglued = [], []
+        form, classes = raagme.subgroups.canonical_form_indexed, raagme.subgroups.component_classes
+        monkeypatch.setattr(raagme.subgroups, "canonical_form_indexed",
+                            lambda pair: canonized.append(len(pair[0])) or form(pair))
+        monkeypatch.setattr(raagme.subgroups, "component_classes",
+                            lambda adjsets, *rest: unglued.append(len(adjsets))
+                            or classes(adjsets, *rest))
+        assert unglue(c5, k2(28)) is None
+        assert canonized == [30, 6, 12, 6] and unglued == [30, 6, 12]
+        # C5 glued at v1 has one star-separating vertex, so nothing is canonized
+        canonized.clear()
+        assert unglue(c5, star_gluing_kernel(c5, "v1", 2)) is not None
+        assert canonized == []
