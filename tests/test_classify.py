@@ -389,11 +389,11 @@ def census_graphs(atlas7):
 
 
 @functools.cache
-def gluing_keys(g, max_vertices=16):
-    """Canonical keys of every star gluing of g within max_vertices, by the unpruned
-    search: every step adds a vertex, so max_vertices steps reach them all."""
+def gluing_keys(g):
+    """Canonical keys of every star gluing of g within 16 vertices, by the unpruned
+    search: every step adds a vertex, so 16 steps reach them all."""
     return frozenset(canonical_form(graph).key
-                     for _, _, graph in unpruned_gluing_search(g, max_vertices, max_vertices)[0])
+                     for _, _, graph in unpruned_gluing_search(g, 16, 16)[0])
 
 
 def checked_decision(g, h):
