@@ -425,6 +425,38 @@ def test_decide_me_matches_unpruned_search(atlas7):
     assert min(outcomes["equivalent"], outcomes["unknown"]) > 50
 
 
+def test_untruncated_unknown_stays_unknown_at_the_size_of_lam(atlas7, c5):
+    # an unknown means that no chain of gluings reaches lam, so the unpruned
+    # search at the budget (|lam|, |lam|), which every class of |lam|
+    # vertices is within (each gluing adds a vertex), finds no class
+    # isomorphic to lam.  H runs over the finite-Out G of 1-7 vertices and
+    # the classes glued from them within 10 vertices and 2 steps, with their
+    # degree-preserving edge swaps; some lam are smaller than G, which no
+    # gluing reaches
+    finite = [g for n in range(1, 8) for g in atlas7[n] if has_finite_out(g)]
+    unknowns = Counter()
+    for g in finite:
+        reached = functools.cache(lambda n, g=g: frozenset(
+            canonical_form(graph).key for _, _, graph in unpruned_gluing_search(g, n, n)[0]))
+        hs = finite + [h for _, _, h in unpruned_gluing_search(g, 10, 2)[0]]
+        for h in hs + [h for h in map(swapped_edges, hs) if h is not None]:
+            d = decide_me(g, raag(h))
+            if d.reason_code != "search-exhausted":
+                continue
+            lam = clique_reduce(raag(h)).graph
+            n = lam.n_vertices
+            assert d.verdict == "unknown" and d.witness is None
+            assert canonical_form(lam).key not in reached(n), (g, h)
+            unknowns[n < g.n_vertices] += 1
+    assert min(unknowns[True], unknowns[False]) > 30
+    # C5 glued at v1 with k = 2 has 7 vertices, which the ungluing reaches
+    # with no budget
+    lam = star_gluing_kernel(c5, "v1", 2)
+    d = decide_me(c5, raag(lam))
+    assert d.verdict == "equivalent"
+    assert_witness_replays(c5, lam, d.witness)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_unglue_matches_unpruned_search_on_chains(atlas7, data):
